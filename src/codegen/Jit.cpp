@@ -71,18 +71,21 @@ int CompiledPipeline::run(const ParamBindings &Params,
 
 namespace {
 
-/// Owns one compile's /tmp/hl_jit_XXXXXX scratch directory. The
-/// destructor removes the known artifacts and the directory on every
-/// exit path — concurrent serving compiles many pipelines, so leaked
-/// scratch dirs would otherwise accumulate per frame shape. keep()
-/// disarms the cleanup when the host compiler fails, preserving the
-/// generated source the error message points at.
+/// Owns one compile's $TMPDIR/hl_jit_XXXXXX scratch directory (/tmp when
+/// TMPDIR is unset). The destructor removes the known artifacts and the
+/// directory on every exit path — concurrent serving compiles many
+/// pipelines, so leaked scratch dirs would otherwise accumulate per frame
+/// shape. keep() disarms the cleanup when the host compiler fails,
+/// preserving the generated source the error message points at.
 class JitTempDir {
 public:
   JitTempDir() {
-    char Buf[] = "/tmp/hl_jit_XXXXXX";
-    user_assert(mkdtemp(Buf)) << "could not create JIT temp directory";
-    Dir = Buf;
+    const char *Base = std::getenv("TMPDIR");
+    std::string Template =
+        std::string(Base && *Base ? Base : "/tmp") + "/hl_jit_XXXXXX";
+    user_assert(mkdtemp(Template.data()))
+        << "could not create JIT temp directory " << Template;
+    Dir = Template.c_str(); // an interposed mkdtemp may shorten the path
   }
   ~JitTempDir() {
     if (Kept)
@@ -102,6 +105,14 @@ private:
   std::string Dir;
   bool Kept = false;
 };
+
+/// \p S as one single-quoted shell word.
+std::string shellQuote(const std::string &S) {
+  std::string Quoted = "'";
+  for (char C : S)
+    Quoted += C == '\'' ? std::string("'\\''") : std::string(1, C);
+  return Quoted + "'";
+}
 
 } // namespace
 
@@ -127,8 +138,9 @@ std::shared_ptr<CompiledPipeline> halide::jitCompile(const LoweredPipeline &P,
   // property at the bit level.
   std::string Cmd = "cc -O3 -march=native -fno-math-errno "
                     "-ffp-contract=off -fPIC -shared " +
-                    T.JitFlags + " -o " + SoPath + " " + CPath +
-                    " -lm 2> " + Temp.path("cc.log");
+                    T.JitFlags + " -o " + shellQuote(SoPath) + " " +
+                    shellQuote(CPath) + " -lm 2> " +
+                    shellQuote(Temp.path("cc.log"));
   int Rc = std::system(Cmd.c_str());
   if (Rc != 0) {
     std::string Log;

@@ -17,15 +17,20 @@ namespace {
 /// Live-function registry. Function names are made unique at construction,
 /// so lookups are unambiguous. Guarded by registryMutex(): Funcs are
 /// constructed and destroyed on client threads (serving requests, test
-/// workers) while lowering on another thread resolves Call names.
+/// workers) while lowering on another thread resolves Call names. Both are
+/// intentionally leaked: a program that touches the compile cache before
+/// its first Func constructs the cache first, so the cache is destroyed
+/// last, and the Functions its cached pipelines hold unregister here
+/// during that destruction.
 std::mutex &registryMutex() {
-  static std::mutex M;
-  return M;
+  static std::mutex *M = new std::mutex; // never destroyed, by design
+  return *M;
 }
 
 std::map<std::string, FunctionContents *> &registry() {
-  static std::map<std::string, FunctionContents *> Table;
-  return Table;
+  static auto *Table =
+      new std::map<std::string, FunctionContents *>; // never destroyed
+  return *Table;
 }
 
 std::string registerUnique(const std::string &Base, FunctionContents *FC) {

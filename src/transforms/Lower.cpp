@@ -7,6 +7,7 @@
 #include "transforms/BoundsInference.h"
 #include "transforms/CSE.h"
 #include "transforms/Inline.h"
+#include "transforms/PartitionLoops.h"
 #include "transforms/ScheduleFunctions.h"
 #include "transforms/Simplify.h"
 #include "transforms/SlidingWindow.h"
@@ -111,6 +112,10 @@ LoweredPipeline halide::lower(const Function &Output, const Target &T) {
   S = vectorizeLoops(S);
   S = unrollLoops(S);
   S = simplify(S);
+
+  // Boundary clamps: split scalar innermost loops around their
+  // clamp-free steady state.
+  S = partitionLoops(S);
   S = cse(S);
 
   // Guard the round-up of split output dimensions: the loops write

@@ -19,10 +19,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <dirent.h>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 using namespace halide;
@@ -73,9 +75,10 @@ Buffer<float> makeInput(int W, int H) {
 // contract lives in runtime/Tracing.h, shared with the differential
 // harness and the parity tests).
 
-int countJitTempDirs() {
+/// Number of JIT scratch directories in \p Dir.
+int countJitTempDirs(const std::string &Dir) {
   int Count = 0;
-  if (DIR *D = opendir("/tmp")) {
+  if (DIR *D = opendir(Dir.c_str())) {
     while (const dirent *E = readdir(D))
       if (std::string(E->d_name).rfind("hl_jit_", 0) == 0)
         ++Count;
@@ -223,7 +226,16 @@ TEST(ServingTest, ResizeDrainsQueuedAsyncJobs) {
 }
 
 TEST(ServingTest, JitLeavesNoTempDirsBehind) {
-  const int Before = countJitTempDirs();
+  // A private TMPDIR, so JIT compiles in concurrently running test
+  // processes cannot change the count. The space in its name checks that
+  // the host-compiler command quotes the scratch paths.
+  const char *Outer = std::getenv("TMPDIR");
+  std::string Private =
+      std::string(Outer && *Outer ? Outer : "/tmp") + "/hl serving XXXXXX";
+  ASSERT_NE(mkdtemp(Private.data()), nullptr);
+  const std::string Saved = Outer ? Outer : "";
+  setenv("TMPDIR", Private.c_str(), 1);
+
   ServePipe P("srv_jit");
   Buffer<float> Input = makeInput(32, 24);
   ParamBindings Params;
@@ -231,7 +243,29 @@ TEST(ServingTest, JitLeavesNoTempDirsBehind) {
   Buffer<float> Out(32, 24);
   Pipeline(P.Out).realize(Out, Params,
                           Target::jit().withJitFlags("-O0"));
-  EXPECT_EQ(countJitTempDirs(), Before);
+  const int Left = countJitTempDirs(Private);
+
+  if (Outer)
+    setenv("TMPDIR", Saved.c_str(), 1);
+  else
+    unsetenv("TMPDIR");
+  EXPECT_EQ(Left, 0);
+  EXPECT_EQ(rmdir(Private.c_str()), 0) << "scratch files left in " << Private;
+}
+
+TEST(ServingTest, JitScratchDirFollowsTmpdir) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ServePipe P("srv_tmpdir");
+  Buffer<float> Input = makeInput(32, 24);
+  ParamBindings Params;
+  Params.bind(P.In.name(), Input);
+  Buffer<float> Out(32, 24);
+  EXPECT_DEATH(
+      {
+        setenv("TMPDIR", "/nonexistent/hl_tmpdir", 1);
+        Pipeline(P.Out).realize(Out, Params, Target::jit());
+      },
+      "could not create JIT temp directory /nonexistent/hl_tmpdir/hl_jit_");
 }
 
 TEST(CompileStampedeTest, StampedeCompilesOnceAndHitsNMinusOne) {
