@@ -5,6 +5,8 @@
 #include "ir/IROperators.h"
 #include "ir/IRVisitor.h"
 
+#include <unordered_set>
+
 using namespace halide;
 
 namespace {
@@ -16,7 +18,7 @@ namespace {
 /// or a ledger name when it is large), never a re-expanded copy.
 class BoundsVisitor : public IRVisitor {
 public:
-  /// \p SharedInner lets a caller walking a statement (BoxesTouched) hand
+  /// \p SharedInner lets a caller walking a statement (BoxTouched) hand
   /// its accumulated inner bindings to every nested expression walk
   /// without copying the scope per expression.
   BoundsVisitor(const Scope<Interval> &VarScope, ExprLedger *Ledger,
@@ -316,47 +318,104 @@ private:
   Interval Result;
 };
 
-/// Walks a statement or expression accumulating the boxes of every buffer
-/// read (Call) and/or written (Provide), ranging loop variables over their
-/// loop bounds.
-class BoxesTouched : public IRVisitor {
-public:
-  BoxesTouched(const Scope<Interval> &VarScope, bool IncludeCalls,
-               bool IncludeProvides, ExprLedger *Ledger)
-      : Vars(VarScope), Ledger(Ledger), IncludeCalls(IncludeCalls),
-        IncludeProvides(IncludeProvides) {}
+/// Which accesses to one buffer a region walk collects.
+struct AccessFilter {
+  const std::string &Name;
+  bool Calls, Provides;
 
-  std::map<std::string, Box> Boxes;
+  bool matches(const Call *Op) const {
+    return Calls && Op->Name == Name &&
+           (Op->CallKind == CallType::Halide || Op->CallKind == CallType::Image);
+  }
+  bool matches(const Provide *Op) const {
+    return Provides && Op->Name == Name;
+  }
+};
+
+/// Finds the Let, LetStmt and For nodes whose subtree holds an access the
+/// filter matches: one linear pass, so the region walk below can skip
+/// every binding no access can see. The flag is computed bottom-up on
+/// every path, so a node shared by several parents marks each of them.
+class MarkEnclosing : public IRVisitor {
+public:
+  explicit MarkEnclosing(const AccessFilter &Filter) : Filter(Filter) {}
+
+  std::unordered_set<const IRNode *> Marked;
+
+  void visit(const Call *Op) override {
+    IRVisitor::visit(Op);
+    Found = Found || Filter.matches(Op);
+  }
+  void visit(const Provide *Op) override {
+    IRVisitor::visit(Op);
+    Found = Found || Filter.matches(Op);
+  }
+  void visit(const Let *Op) override { enclose(Op); }
+  void visit(const LetStmt *Op) override { enclose(Op); }
+  void visit(const For *Op) override { enclose(Op); }
+
+private:
+  template <typename T> void enclose(const T *Op) {
+    bool Outer = Found;
+    Found = false;
+    IRVisitor::visit(Op);
+    if (Found)
+      Marked.insert(Op);
+    Found = Found || Outer;
+  }
+
+  const AccessFilter &Filter;
+  bool Found = false;
+};
+
+/// Walks a statement accumulating the box of the accesses the filter
+/// matches, ranging loop variables over their loop bounds. Only the lets
+/// and loops that enclose a matching access are ranged (MarkEnclosing):
+/// the rest of the statement — typically every other stage of the
+/// pipeline — costs a plain traversal instead of interval analysis.
+class BoxTouched : public IRVisitor {
+public:
+  BoxTouched(const AccessFilter &Filter, const Scope<Interval> &VarScope,
+             ExprLedger *Ledger)
+      : Filter(Filter), Vars(VarScope), Ledger(Ledger), Marker(Filter) {}
+
+  Box walk(const Stmt &S) {
+    S.accept(&Marker);
+    S.accept(this);
+    return std::move(Result);
+  }
 
   void visit(const Call *Op) override {
     IRVisitor::visit(Op); // visit args first: they may contain nested calls
-    if (!IncludeCalls)
-      return;
-    if (Op->CallKind != CallType::Halide && Op->CallKind != CallType::Image)
-      return;
-    mergeBox(Op->Name, Op->Args);
+    if (Filter.matches(Op))
+      mergeBox(Op->Args);
   }
 
   void visit(const Provide *Op) override {
     IRVisitor::visit(Op);
-    if (!IncludeProvides)
-      return;
-    mergeBox(Op->Name, Op->Args);
+    if (Filter.matches(Op))
+      mergeBox(Op->Args);
   }
 
   void visit(const Let *Op) override {
+    if (!Marker.Marked.count(Op))
+      return;
     Op->Value.accept(this);
     ScopedBinding<Interval> Bind(Inner, Op->Name, boundsOf(Op->Value, Op->Name));
     Op->Body.accept(this);
   }
 
   void visit(const LetStmt *Op) override {
+    if (!Marker.Marked.count(Op))
+      return;
     Op->Value.accept(this);
     ScopedBinding<Interval> Bind(Inner, Op->Name, boundsOf(Op->Value, Op->Name));
     Op->Body.accept(this);
   }
 
   void visit(const For *Op) override {
+    if (!Marker.Marked.count(Op))
+      return;
     Op->MinExpr.accept(this);
     Op->Extent.accept(this);
     BoundsVisitor BV(Vars, Ledger, &Inner);
@@ -382,18 +441,20 @@ private:
     return Ledger->shared(BV.bounds(Value), Hint);
   }
 
-  void mergeBox(const std::string &Name, const std::vector<Expr> &Args) {
+  void mergeBox(const std::vector<Expr> &Args) {
     Box B(Args.size());
     BoundsVisitor BV(Vars, Ledger, &Inner);
     for (size_t I = 0; I < Args.size(); ++I)
       B[I] = BV.bounds(Args[I]);
-    Boxes[Name].include(B);
+    Result.include(B);
   }
 
+  const AccessFilter &Filter;
   const Scope<Interval> &Vars;
-  Scope<Interval> Inner;
   ExprLedger *Ledger;
-  bool IncludeCalls, IncludeProvides;
+  MarkEnclosing Marker;
+  Scope<Interval> Inner;
+  Box Result;
 };
 
 /// Makes a raw box self-contained when the caller did not supply a ledger.
@@ -403,6 +464,17 @@ Box finishBox(Box B, const ExprLedger &Local, const ExprLedger *Caller) {
   for (Interval &I : B.Dims)
     I = Local.materialize(I);
   return B;
+}
+
+/// The box of the accesses to \p Name the flags select, raw against
+/// \p Ledger or, without one, self-contained.
+Box boxOfAccesses(const Stmt &S, const std::string &Name, bool Calls,
+                  bool Provides, const Scope<Interval> &VarScope,
+                  ExprLedger *Ledger) {
+  ExprLedger Local;
+  AccessFilter Filter{Name, Calls, Provides};
+  BoxTouched Walker(Filter, VarScope, Ledger ? Ledger : &Local);
+  return finishBox(Walker.walk(S), Local, Ledger);
 }
 
 } // namespace
@@ -426,41 +498,18 @@ Interval halide::boundsOfExprInScope(const Expr &E,
 
 Box halide::boxRequired(const Stmt &S, const std::string &Name,
                         const Scope<Interval> &VarScope, ExprLedger *Ledger) {
-  ExprLedger Local;
-  BoxesTouched Walker(VarScope, /*IncludeCalls=*/true,
-                      /*IncludeProvides=*/false, Ledger ? Ledger : &Local);
-  S.accept(&Walker);
-  return finishBox(Walker.Boxes[Name], Local, Ledger);
-}
-
-Box halide::boxRequired(const Expr &E, const std::string &Name,
-                        const Scope<Interval> &VarScope, ExprLedger *Ledger) {
-  ExprLedger Local;
-  BoxesTouched Walker(VarScope, /*IncludeCalls=*/true,
-                      /*IncludeProvides=*/false, Ledger ? Ledger : &Local);
-  E.accept(&Walker);
-  return finishBox(Walker.Boxes[Name], Local, Ledger);
+  return boxOfAccesses(S, Name, /*Calls=*/true, /*Provides=*/false, VarScope,
+                       Ledger);
 }
 
 Box halide::boxProvided(const Stmt &S, const std::string &Name,
                         const Scope<Interval> &VarScope, ExprLedger *Ledger) {
-  ExprLedger Local;
-  BoxesTouched Walker(VarScope, /*IncludeCalls=*/false,
-                      /*IncludeProvides=*/true, Ledger ? Ledger : &Local);
-  S.accept(&Walker);
-  return finishBox(Walker.Boxes[Name], Local, Ledger);
+  return boxOfAccesses(S, Name, /*Calls=*/false, /*Provides=*/true, VarScope,
+                       Ledger);
 }
 
-std::map<std::string, Box> halide::boxesTouched(
-    const Stmt &S, const Scope<Interval> &VarScope, bool IncludeCalls,
-    bool IncludeProvides, ExprLedger *Ledger) {
-  ExprLedger Local;
-  BoxesTouched Walker(VarScope, IncludeCalls, IncludeProvides,
-                      Ledger ? Ledger : &Local);
-  S.accept(&Walker);
-  std::map<std::string, Box> Result = std::move(Walker.Boxes);
-  if (!Ledger)
-    for (auto &[BoxName, B] : Result)
-      B = finishBox(std::move(B), Local, nullptr);
-  return Result;
+Box halide::boxTouched(const Stmt &S, const std::string &Name,
+                       const Scope<Interval> &VarScope, ExprLedger *Ledger) {
+  return boxOfAccesses(S, Name, /*Calls=*/true, /*Provides=*/true, VarScope,
+                       Ledger);
 }

@@ -19,7 +19,6 @@
 #include "analysis/Interval.h"
 #include "analysis/Scope.h"
 
-#include <map>
 #include <string>
 
 namespace halide {
@@ -53,26 +52,20 @@ Interval boundsOfExprInScope(const Expr &E, const Scope<Interval> &VarScope,
 
 /// The region of the Func or image named \p Name read by calls within \p S.
 /// Loop variables and lets bound inside \p S are ranged over; variables
-/// bound outside remain symbolic in the result.
+/// bound outside remain symbolic in the result. Only the lets and loops
+/// that enclose a call to \p Name are ranged, so the cost follows the
+/// accesses to this one name, not the size of \p S.
 Box boxRequired(const Stmt &S, const std::string &Name,
-                const Scope<Interval> &VarScope, ExprLedger *Ledger = nullptr);
-
-/// Same, for calls appearing in an expression.
-Box boxRequired(const Expr &E, const std::string &Name,
                 const Scope<Interval> &VarScope, ExprLedger *Ledger = nullptr);
 
 /// The region of \p Name written by Provide nodes within \p S.
 Box boxProvided(const Stmt &S, const std::string &Name,
                 const Scope<Interval> &VarScope, ExprLedger *Ledger = nullptr);
 
-/// The union of regions read or written for every Func/image touched in
-/// \p S, keyed by name. Used by bounds inference to process all producers of
-/// a consumer in one walk.
-std::map<std::string, Box> boxesTouched(const Stmt &S,
-                                        const Scope<Interval> &VarScope,
-                                        bool IncludeCalls,
-                                        bool IncludeProvides,
-                                        ExprLedger *Ledger = nullptr);
+/// The union of the regions of \p Name read and written within \p S (a
+/// stage's own update definitions: scatters and recursive reads).
+Box boxTouched(const Stmt &S, const std::string &Name,
+               const Scope<Interval> &VarScope, ExprLedger *Ledger = nullptr);
 
 } // namespace halide
 

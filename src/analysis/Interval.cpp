@@ -109,7 +109,7 @@ std::string ExprLedger::intern(const Expr &E, const std::string &Hint) {
     return It->second;
   }
   ++detail::boundsSharingCounters().CacheMisses;
-  std::string Name = uniqueName(Hint + ".shared$");
+  std::string Name = scopedUniqueName(Hint + ".shared$");
   Memo.emplace(E, Name);
   IndexByName[Name] = Defs.size();
   Defs.emplace_back(Name, E);

@@ -50,6 +50,24 @@ void halide::resetUniqueNameCounters() {
   nameCounters().clear();
 }
 
+namespace {
+/// The innermost UniqueNameScope of the calling thread.
+thread_local UniqueNameScope *CurrentNameScope = nullptr;
+} // namespace
+
+UniqueNameScope::UniqueNameScope() : Enclosing(CurrentNameScope) {
+  CurrentNameScope = this;
+}
+
+UniqueNameScope::~UniqueNameScope() { CurrentNameScope = Enclosing; }
+
+std::string halide::scopedUniqueName(const std::string &Prefix) {
+  if (!CurrentNameScope)
+    return uniqueName(Prefix);
+  int Count = CurrentNameScope->Counters[Prefix]++;
+  return Prefix + std::to_string(Count);
+}
+
 bool halide::startsWith(const std::string &Str, const std::string &Prefix) {
   return Str.size() >= Prefix.size() &&
          Str.compare(0, Prefix.size(), Prefix) == 0;

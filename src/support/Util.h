@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -82,6 +83,31 @@ std::string uniqueName(const std::string &Prefix);
 /// Resets the unique-name counters. Only tests should call this, to make
 /// golden-text comparisons deterministic.
 void resetUniqueNameCounters();
+
+/// The name counters of one compilation. While an instance is alive,
+/// scopedUniqueName() on the thread that made it draws from these
+/// counters instead of the process-wide ones, so compiling the same
+/// pipeline twice mints the same names. Instances nest; the innermost
+/// wins.
+class UniqueNameScope {
+public:
+  UniqueNameScope();
+  ~UniqueNameScope();
+  UniqueNameScope(const UniqueNameScope &) = delete;
+  UniqueNameScope &operator=(const UniqueNameScope &) = delete;
+
+private:
+  friend std::string scopedUniqueName(const std::string &Prefix);
+  std::map<std::string, int> Counters;
+  UniqueNameScope *Enclosing;
+};
+
+/// A name derived from \p Prefix that is unique within the innermost
+/// UniqueNameScope alive on this thread, or process-unique (as
+/// uniqueName()) when there is none. For compiler temporaries that never
+/// leave the statement being compiled (shared bounds definitions, CSE
+/// lets); front-end objects keep uniqueName().
+std::string scopedUniqueName(const std::string &Prefix);
 
 /// Returns true if \p Str starts with \p Prefix.
 bool startsWith(const std::string &Str, const std::string &Prefix);

@@ -74,6 +74,13 @@ public:
     IRVisitor::visit(Op);
   }
 
+  // Expressions hold no statements: skip the ones that grow with the
+  // pipeline (bounds preambles, loop bounds, stage values), so checking
+  // the whole consume body stays a walk over its statements.
+  void visit(const LetStmt *Op) override { Op->Body.accept(this); }
+  void visit(const For *Op) override { Op->Body.accept(this); }
+  void visit(const Provide *) override {}
+
 private:
   const std::string &Name;
 };
@@ -150,11 +157,19 @@ private:
   std::vector<Stmt> Stack, Chain;
 };
 
-/// Wraps the produce node for \p Name in the given LetStmts.
+/// Wraps the produce node for \p Name in the given LetStmts. Expressions
+/// hold no statements, and the produce node is unique, so the rebuild
+/// skips every expression and stops once the node is wrapped instead of
+/// revisiting the stage's whole consume body.
 class WrapProduce : public IRMutator {
 public:
   WrapProduce(const std::string &Name, std::vector<std::pair<std::string, Expr>> Lets)
       : Name(Name), Lets(std::move(Lets)) {}
+
+  Expr mutate(const Expr &E) override { return E; }
+  Stmt mutate(const Stmt &S) override {
+    return Wrapped ? S : IRMutator::mutate(S);
+  }
 
 protected:
   Stmt visit(const ProducerConsumer *Op) override {
@@ -163,12 +178,14 @@ protected:
     Stmt Result = Stmt(Op);
     for (size_t I = Lets.size(); I-- > 0;)
       Result = LetStmt::make(Lets[I].first, Lets[I].second, Result);
+    Wrapped = true;
     return Result;
   }
 
 private:
   const std::string &Name;
   std::vector<std::pair<std::string, Expr>> Lets;
+  bool Wrapped = false;
 };
 
 class BoundsInferencePass : public IRMutator {
@@ -195,11 +212,14 @@ protected:
 
     // Region required by consumers (paper: "the region produced of each
     // stage [must] be at least as large as the region consumed by
-    // subsequent stages"). The walk shares subexpressions through a
-    // per-stage ledger: the returned intervals are raw references into it,
-    // and the definitions are emitted below as LetStmts above the stage's
-    // min/extent chain — one binding per reused bounds subtree, however
-    // many stages or dimensions reference it.
+    // subsequent stages"). The consume body holds every downstream stage,
+    // but the walk ranges only the lets and loops enclosing a call to this
+    // one, so each stage's cost follows its own call sites. The walk
+    // shares subexpressions through a per-stage ledger: the returned
+    // intervals are raw references into it, and the definitions are
+    // emitted below as LetStmts above the stage's min/extent chain — one
+    // binding per reused bounds subtree, however many stages or
+    // dimensions reference it.
     Scope<Interval> Empty;
     ExprLedger Ledger;
     Box Consumer = boxRequired(Finder.Consume.as<ProducerConsumer>()->Body,
@@ -211,8 +231,7 @@ protected:
     // Region touched by the function's own update stages (scatters and
     // recursive reads), expressed in terms of the still-symbolic required
     // region; resolved by substituting the consumer box.
-    Box Self = boxesTouched(Finder.Produce, Empty, /*IncludeCalls=*/true,
-                            /*IncludeProvides=*/true, &Ledger)[Op->Name];
+    Box Self = boxTouched(Finder.Produce, Op->Name, Empty, &Ledger);
 
     std::vector<std::pair<std::string, Expr>> Lets;
     std::vector<Expr> MinExprs(Rank), MaxExprs(Rank);

@@ -114,7 +114,7 @@ public:
         if (Cached != Replacements.end())
           return Cached->second;
         Expr Inner = IRMutator::mutate(E); // CSE children first
-        std::string Name = uniqueName("cse$");
+        std::string Name = scopedUniqueName("cse$");
         Bindings.emplace_back(Name, Inner);
         Expr Var = Variable::make(E.type(), Name);
         Replacements[E] = Var;

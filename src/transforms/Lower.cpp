@@ -4,6 +4,7 @@
 #include "analysis/CallGraph.h"
 #include "ir/IROperators.h"
 #include "ir/IRVisitor.h"
+#include "observe/TraceRecorder.h"
 #include "transforms/BoundsInference.h"
 #include "transforms/CSE.h"
 #include "transforms/Inline.h"
@@ -55,11 +56,30 @@ bool isBufferMetadata(const std::string &Name,
   return false;
 }
 
+/// Runs one lowering pass. While a trace is recording, the pass becomes a
+/// "compile" span named after it that carries its output's IR node count;
+/// the count is taken after the span ends, so it does not inflate the
+/// pass's time.
+template <typename PassFn> Stmt runPass(const char *Name, PassFn &&Pass) {
+  if (!traceActive())
+    return Pass();
+  int64_t Start = traceNowNs();
+  Stmt S = Pass();
+  int64_t Dur = traceNowNs() - Start;
+  traceComplete("compile", Name, Start, Dur,
+                {TraceArg("ir_nodes", int64_t(countIRNodes(S)))});
+  return S;
+}
+
 } // namespace
 
 LoweredPipeline halide::lower(const Function &Output, const Target &T) {
   user_assert(Output.hasPureDefinition())
       << "cannot lower undefined function " << Output.name();
+
+  // Names the passes mint count from zero in every call, so lowering the
+  // same pipeline twice gives the same statement and the same C.
+  UniqueNameScope Names;
 
   LoweredPipeline Result;
   Result.Name = Output.name();
@@ -72,10 +92,12 @@ LoweredPipeline halide::lower(const Function &Output, const Target &T) {
         << "function " << Name << " is called but never defined";
 
   // Section 4.1: loop synthesis and injection of realizations.
-  Stmt S = scheduleFunctions(Output, Order, Result.Env);
+  Stmt S = runPass("scheduleFunctions", [&] {
+    return scheduleFunctions(Output, Order, Result.Env);
+  });
 
   // Total fusion of inline-scheduled stages.
-  S = inlineCalls(S, Result.Env);
+  S = runPass("inlineCalls", [&] { return inlineCalls(S, Result.Env); });
 
   // Record input images and scalar parameters while calls are still visible.
   CollectArgs Args;
@@ -89,34 +111,39 @@ LoweredPipeline halide::lower(const Function &Output, const Target &T) {
   // node — reused bounds subexpressions become shared definitions in that
   // preamble rather than copies at every use site, which keeps lowering
   // polynomial in pipeline depth (deep pyramids used to blow up here).
-  S = boundsInference(S, Result.Env);
+  S = runPass("boundsInference",
+              [&] { return boundsInference(S, Result.Env); });
 
   // Section 4.3: reuse and memory optimizations. These run before global
   // simplification: they pattern-match the bounds-let preambles (including
   // the shared definitions above the min/extent chains) that
   // simplification would otherwise inline away or drop.
   if (!T.DisableSlidingWindow)
-    S = slidingWindow(S, Result.Env);
+    S = runPass("slidingWindow",
+                [&] { return slidingWindow(S, Result.Env); });
   if (!T.DisableStorageFolding)
-    S = storageFolding(S, Result.Env);
-  S = simplify(S);
+    S = runPass("storageFolding",
+                [&] { return storageFolding(S, Result.Env); });
+  S = runPass("simplify", [&] { return simplify(S); });
 
   // Section 4.4: flattening to one-dimensional buffers.
   std::set<std::string> ImageNames;
   for (const auto &[Name, Info] : Args.Images)
     ImageNames.insert(Name);
-  S = storageFlattening(S, Output.name(), ImageNames, Result.Env);
-  S = simplify(S);
+  S = runPass("storageFlattening", [&] {
+    return storageFlattening(S, Output.name(), ImageNames, Result.Env);
+  });
+  S = runPass("simplify", [&] { return simplify(S); });
 
   // Section 4.5: vectorization and unrolling.
-  S = vectorizeLoops(S);
-  S = unrollLoops(S);
-  S = simplify(S);
+  S = runPass("vectorizeLoops", [&] { return vectorizeLoops(S); });
+  S = runPass("unrollLoops", [&] { return unrollLoops(S); });
+  S = runPass("simplify", [&] { return simplify(S); });
 
   // Boundary clamps: split scalar innermost loops around their
   // clamp-free steady state.
-  S = partitionLoops(S);
-  S = cse(S);
+  S = runPass("partitionLoops", [&] { return partitionLoops(S); });
+  S = runPass("cse", [&] { return cse(S); });
 
   // Guard the round-up of split output dimensions: the loops write
   // [min, min + writtenExtent), which must not exceed the output buffer.

@@ -349,3 +349,37 @@ Stmt halide::scheduleFunctions(const Function &Output,
   }
   return S;
 }
+
+namespace {
+
+class ProduceFinder : public IRVisitor {
+public:
+  explicit ProduceFinder(const std::string &Name) : Name(Name) {}
+  bool Found = false;
+
+  void visit(const ProducerConsumer *Op) override {
+    if (Op->Name == Name && Op->IsProducer)
+      Found = true;
+    else
+      Op->Body.accept(this);
+  }
+  void visit(const Block *Op) override {
+    Op->First.accept(this);
+    if (!Found)
+      Op->Rest.accept(this);
+  }
+  void visit(const LetStmt *Op) override { Op->Body.accept(this); }
+  void visit(const For *Op) override { Op->Body.accept(this); }
+  void visit(const Provide *) override {}
+
+private:
+  const std::string &Name;
+};
+
+} // namespace
+
+bool halide::containsProduceOf(const Stmt &S, const std::string &Name) {
+  ProduceFinder Finder(Name);
+  S.accept(&Finder);
+  return Finder.Found;
+}

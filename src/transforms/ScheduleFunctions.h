@@ -60,6 +60,12 @@ Stmt buildProduceNest(const Function &F);
 /// loop extents after all splits, i.e. the round-up the paper describes.
 Expr writtenExtent(const Function &F, int D, Expr RequiredExtent);
 
+/// True if \p S contains the produce node of \p Name. The search stops at
+/// the first one and skips let values, loop bounds and stage values, so
+/// asking about a subtree that holds a stage's produce node does not also
+/// walk its consumers.
+bool containsProduceOf(const Stmt &S, const std::string &Name);
+
 } // namespace halide
 
 #endif // HALIDE_TRANSFORMS_SCHEDULEFUNCTIONS_H

@@ -25,7 +25,22 @@ public:
 
   bool Applied = false;
 
+  // The chain this rewrites wraps the unique produce node of FuncName, and
+  // expressions hold no statements: skip them, and stop at that node
+  // instead of revisiting the stage's consumers.
+  Expr mutate(const Expr &E) override { return E; }
+  Stmt mutate(const Stmt &S) override {
+    return Done ? S : IRMutator::mutate(S);
+  }
+
 protected:
+  Stmt visit(const ProducerConsumer *Op) override {
+    if (Op->Name != FuncName || !Op->IsProducer)
+      return IRMutator::visit(Op);
+    Done = true;
+    return Op;
+  }
+
   Stmt visit(const LetStmt *Op) override {
     // We are looking for the chain of lets directly wrapping the produce
     // node. Collect the whole chain, then decide.
@@ -114,7 +129,7 @@ protected:
       if (Name == funcExtentName(FuncName, SlideDim))
         Value = NewExtent;
     }
-    Applied = true;
+    Applied = Done = true;
     Stmt Result = Inner;
     for (size_t I = NewChain.size(); I-- > 0;)
       Result = LetStmt::make(NewChain[I].first, NewChain[I].second, Result);
@@ -148,6 +163,7 @@ private:
   Expr LoopMin;
   Scope<Monotonic> LetMono;
   std::vector<ActiveLet> ActiveLets;
+  bool Done = false;
 };
 
 /// Walks the tree looking for Realize nodes; within each, finds serial
@@ -184,73 +200,40 @@ protected:
   }
 
 private:
-  static void collectSerialPath(const Stmt &S, const std::string &Name,
+  /// Collects the loops on the path down to the produce node of \p Name.
+  /// Returns true once that node is reached, so the walk never goes on
+  /// into the consumers after it.
+  static bool collectSerialPath(const Stmt &S, const std::string &Name,
                                 std::vector<const For *> *Out) {
     if (const For *Loop = S.as<For>()) {
-      if (containsProduceOf(Loop->Body, Name)) {
-        Out->push_back(Loop);
-        collectSerialPath(Loop->Body, Name, Out);
-      }
-      return;
+      if (!containsProduceOf(Loop->Body, Name))
+        return false;
+      Out->push_back(Loop);
+      return collectSerialPath(Loop->Body, Name, Out);
     }
-    if (const LetStmt *L = S.as<LetStmt>()) {
-      collectSerialPath(L->Body, Name, Out);
-      return;
-    }
-    if (const Block *B = S.as<Block>()) {
-      collectSerialPath(B->First, Name, Out);
-      collectSerialPath(B->Rest, Name, Out);
-      return;
-    }
-    if (const IfThenElse *I = S.as<IfThenElse>()) {
-      collectSerialPath(I->ThenCase, Name, Out);
-      if (I->ElseCase.defined())
-        collectSerialPath(I->ElseCase, Name, Out);
-      return;
-    }
+    if (const LetStmt *L = S.as<LetStmt>())
+      return collectSerialPath(L->Body, Name, Out);
+    if (const Block *B = S.as<Block>())
+      return collectSerialPath(B->First, Name, Out) ||
+             collectSerialPath(B->Rest, Name, Out);
+    if (const IfThenElse *I = S.as<IfThenElse>())
+      return collectSerialPath(I->ThenCase, Name, Out) ||
+             (I->ElseCase.defined() &&
+              collectSerialPath(I->ElseCase, Name, Out));
     // Stop at ProducerConsumer of the name itself, and do not descend into
     // inner Realize nodes of other functions (their loops relate to their
     // own windows), except that the produce of Name may legitimately sit
     // inside another function's consume; handle by continuing through both.
-    if (const ProducerConsumer *PC = S.as<ProducerConsumer>()) {
-      if (PC->Name == Name && PC->IsProducer)
-        return;
-      collectSerialPath(PC->Body, Name, Out);
-      return;
-    }
-    if (const Realize *R = S.as<Realize>()) {
-      collectSerialPath(R->Body, Name, Out);
-      return;
-    }
+    if (const ProducerConsumer *PC = S.as<ProducerConsumer>())
+      return (PC->Name == Name && PC->IsProducer) ||
+             collectSerialPath(PC->Body, Name, Out);
+    if (const Realize *R = S.as<Realize>())
+      return collectSerialPath(R->Body, Name, Out);
+    return false;
   }
-
-  static bool containsProduceOf(const Stmt &S, const std::string &Name);
 
   const std::map<std::string, Function> &Env;
 };
-
-class ProduceFinder : public IRVisitor {
-public:
-  explicit ProduceFinder(const std::string &Name) : Name(Name) {}
-  bool Found = false;
-  void visit(const ProducerConsumer *Op) override {
-    if (Op->Name == Name && Op->IsProducer) {
-      Found = true;
-      return;
-    }
-    IRVisitor::visit(Op);
-  }
-
-private:
-  const std::string &Name;
-};
-
-bool SlidingWindowPass::containsProduceOf(const Stmt &S,
-                                          const std::string &Name) {
-  ProduceFinder Finder(Name);
-  S.accept(&Finder);
-  return Finder.Found;
-}
 
 } // namespace
 

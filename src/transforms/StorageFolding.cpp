@@ -7,6 +7,7 @@
 #include "ir/IRMutator.h"
 #include "ir/IROperators.h"
 #include "ir/IRVisitor.h"
+#include "transforms/ScheduleFunctions.h"
 #include "transforms/Simplify.h"
 #include "transforms/Substitute.h"
 
@@ -46,28 +47,6 @@ bool proveConstSpan(const Expr &Span, const ExprLedger &Ledger,
       return true;
   }
   return false;
-}
-
-class ProduceFinder : public IRVisitor {
-public:
-  explicit ProduceFinder(const std::string &Name) : Name(Name) {}
-  bool Found = false;
-  void visit(const ProducerConsumer *Op) override {
-    if (Op->Name == Name && Op->IsProducer) {
-      Found = true;
-      return;
-    }
-    IRVisitor::visit(Op);
-  }
-
-private:
-  const std::string &Name;
-};
-
-bool containsProduceOf(const Stmt &S, const std::string &Name) {
-  ProduceFinder Finder(Name);
-  S.accept(&Finder);
-  return Finder.Found;
 }
 
 /// Finds the innermost loop on the path from a statement to the produce

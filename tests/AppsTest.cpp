@@ -8,6 +8,7 @@
 
 #include "analysis/CallGraph.h"
 #include "apps/Apps.h"
+#include "codegen/CodeGenC.h"
 
 #include <cstring>
 #include <gtest/gtest.h>
@@ -160,4 +161,30 @@ TEST(AppsTest, HistogramEqualizeFlattensHistogram) {
     }
   // Equalization stretches the low-contrast input across the range.
   EXPECT_GT(MaxV - MinV, 150);
+}
+
+TEST(AppsTest, LoweringTwiceGivesIdenticalTextAndC) {
+  // Compiler-generated names (shared bounds definitions, CSE lets) count
+  // from zero in every lowering, so one schedule lowers to the same
+  // statement and the same C however much the process lowered before.
+  std::vector<App> Apps = paperApps();
+  Apps.push_back(makeHistogramEqualizeApp());
+  for (App &A : Apps)
+    for (bool Tuned : {true, false}) {
+      SCOPED_TRACE(A.Name + (Tuned ? " tuned" : " breadth_first"));
+      (Tuned ? A.ScheduleTuned : A.ScheduleBreadthFirst)();
+      std::string Text[2], C[2];
+      for (int I = 0; I < 2; ++I) {
+        Pipeline::clearCompileCache();
+        Pipeline P(A.Output);
+        Text[I] = P.loweredText();
+        C[I] = codegenC(P.lowerPipeline(), "hl_pipeline");
+      }
+      // Sizes, not contents: the texts run to megabytes.
+      EXPECT_TRUE(Text[0] == Text[1])
+          << "lowered text differs (" << Text[0].size() << " vs "
+          << Text[1].size() << " bytes)";
+      EXPECT_TRUE(C[0] == C[1]) << "C differs (" << C[0].size() << " vs "
+                                << C[1].size() << " bytes)";
+    }
 }

@@ -96,16 +96,26 @@ TEST(BoundsTest, SelectAndMinMax) {
   EXPECT_EQ(constOf(B.Max), 5);
 }
 
-TEST(BoundsTest, BoxRequiredStencil) {
-  // for y in [0, 10): for x in [0, 20): ... f(x-1..x+1, y) ...
+namespace {
+/// for y in [0, 10): for x in [0, 20): g(x, y) = f(x - 1, y) + f(x + 1, y)
+Stmt stencilOfF() {
   Expr CallF = Call::make(Float(32), "f", {var("x") - 1, var("y")},
                           CallType::Halide) +
                Call::make(Float(32), "f", {var("x") + 1, var("y")},
                           CallType::Halide);
-  Stmt S = For::make(
+  return For::make(
       "y", 0, 10, ForType::Serial,
       For::make("x", 0, 20, ForType::Serial,
                 Provide::make("g", CallF, {var("x"), var("y")})));
+}
+
+uint64_t ledgerWork(const BoundsStatistics &S) {
+  return S.CacheHits + S.CacheMisses + S.EndpointsInlined;
+}
+} // namespace
+
+TEST(BoundsTest, BoxRequiredStencil) {
+  Stmt S = stencilOfF();
   Scope<Interval> Empty;
   Box B = boxRequired(S, "f", Empty);
   ASSERT_EQ(B.size(), 2u);
@@ -116,6 +126,68 @@ TEST(BoundsTest, BoxRequiredStencil) {
   Box P = boxProvided(S, "g", Empty);
   ASSERT_EQ(P.size(), 2u);
   EXPECT_EQ(constOf(P[0].Max), 19);
+}
+
+TEST(BoundsTest, BoxRequiredSkipsBindingsThatEncloseNoCall) {
+  // Another function's calls sit under a loop, a LetStmt and a Let that
+  // enclose no call to f.
+  Expr CallH = Let::make(
+      "s", var("i") * 2,
+      Call::make(Float(32), "h", {var("s"), var("t")}, CallType::Halide));
+  Stmt Other = For::make(
+      "j", 0, 8, ForType::Serial,
+      LetStmt::make("t", var("j") * 3 + 7,
+                    For::make("i", var("t"), 16, ForType::Serial,
+                              Provide::make("k", CallH,
+                                            {var("i"), var("j")}))));
+  Stmt Reads = stencilOfF();
+  Scope<Interval> Empty;
+
+  Bounds::resetStatistics();
+  Box Alone = boxRequired(Reads, "f", Empty);
+  uint64_t AloneWork = ledgerWork(Bounds::statistics());
+  Bounds::resetStatistics();
+  Box Mixed = boxRequired(Block::make(Other, Reads), "f", Empty);
+  uint64_t MixedWork = ledgerWork(Bounds::statistics());
+
+  ASSERT_EQ(Mixed.size(), 2u);
+  ASSERT_EQ(Alone.size(), 2u);
+  for (size_t D = 0; D < 2; ++D) {
+    EXPECT_TRUE(equal(Mixed[D].Min, Alone[D].Min)) << D;
+    EXPECT_TRUE(equal(Mixed[D].Max, Alone[D].Max)) << D;
+  }
+  EXPECT_EQ(constOf(Mixed[0].Min), -1);
+  EXPECT_EQ(constOf(Mixed[0].Max), 20);
+  // The ledger did no work for the subtree that never calls f.
+  EXPECT_GT(AloneWork, 0u);
+  EXPECT_EQ(MixedWork, AloneWork);
+
+  // The same statement still yields h's region when h is asked for:
+  // s = 2i over i in [t, t + 15], t = 3j + 7 over j in [0, 7].
+  Box H = boxRequired(Block::make(Other, Reads), "h", Empty);
+  ASSERT_EQ(H.size(), 2u);
+  EXPECT_EQ(constOf(H[0].Min), 14);
+  EXPECT_EQ(constOf(H[0].Max), 2 * (28 + 15));
+  EXPECT_EQ(constOf(H[1].Min), 7);
+  EXPECT_EQ(constOf(H[1].Max), 28);
+}
+
+TEST(BoundsTest, BoxRequiredSeesASharedSubtreeUnderEveryParent) {
+  // One loop node calling f(x + t), reached under two different bindings
+  // of t: the region must cover both, however the walk meets the node.
+  Stmt Shared = For::make(
+      "x", 0, 20, ForType::Serial,
+      Provide::make("g",
+                    Call::make(Float(32), "f", {var("x") + var("t")},
+                               CallType::Halide),
+                    {var("x")}));
+  Stmt S = Block::make(LetStmt::make("t", 0, Shared),
+                       LetStmt::make("t", 100, Shared));
+  Scope<Interval> Empty;
+  Box B = boxRequired(S, "f", Empty);
+  ASSERT_EQ(B.size(), 1u);
+  EXPECT_EQ(constOf(B[0].Min), 0);
+  EXPECT_EQ(constOf(B[0].Max), 119);
 }
 
 //===----------------------------------------------------------------------===//

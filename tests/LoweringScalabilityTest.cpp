@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Bounds.h"
 #include "apps/Apps.h"
 #include "ir/IRVisitor.h"
 #include "transforms/Lower.h"
@@ -90,12 +91,27 @@ TEST(LoweringScalabilityTest, TunedScheduleStaysPolynomialToo) {
   // The tuned (CPU) schedule splits less aggressively but walks the same
   // 99-stage graph; keep it covered so the guard is not GPU-specific.
   std::map<int, size_t> Nodes;
+  std::map<int, uint64_t> LedgerReuse;
   for (int Depth : {4, 8}) {
     App A = makeLocalLaplacianApp(Depth);
     A.ScheduleTuned();
+    const BoundsStatistics Before = Bounds::statistics();
     LoweredPipeline P = lower(A.Output.function(), Target::jit());
+    const BoundsStatistics After = Bounds::statistics();
     Nodes[Depth] = countIRNodes(P.Body);
+    LedgerReuse[Depth] = (After.CacheHits - Before.CacheHits) +
+                         (After.EndpointsInlined - Before.EndpointsInlined);
     ASSERT_GT(Nodes[Depth], 0u);
   }
   EXPECT_LT(Nodes[8], 10 * Nodes[4]);
+
+  // Deterministic twin of the CPU-time checks: the ledger reuse each
+  // lowering performs. Bounds inference ranges only the lets and loops
+  // that enclose calls to the stage it infers, which measures ~2.2x from
+  // depth 4 to depth 8; ranging every stage's whole consume body (every
+  // downstream binding, once per stage) measured 6.1x.
+  EXPECT_LT(LedgerReuse[8], 3 * LedgerReuse[4])
+      << "bounds inference re-derives intervals it does not need ("
+      << LedgerReuse[4] << " at depth 4, " << LedgerReuse[8]
+      << " at depth 8)";
 }

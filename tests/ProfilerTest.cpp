@@ -29,8 +29,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
+#include <regex>
 
 using namespace halide;
 
@@ -223,4 +225,53 @@ TEST(ProfilerTest, TracedServingFrameEmitsSpans) {
   EXPECT_GE(M.get("serve.frames_submitted"), 1);
   EXPECT_GE(M.get("serve.frames_completed"), 1);
   EXPECT_NE(M.toJson().find("\"scheduler.threads\""), std::string::npos);
+}
+
+TEST(ProfilerTest, TracedLoweringRecordsOneSpanPerPass) {
+  App A = makeBlurApp();
+  A.ScheduleTuned();
+  Pipeline::clearCompileCache();
+  traceStart();
+  Pipeline(A.Output).compile(Target::vm());
+  traceStop();
+  const std::string Json = traceWriteJson();
+
+  struct Span {
+    std::string Name;
+    double Start, End;
+    int64_t Nodes;
+  };
+  std::vector<Span> Spans;
+  const std::regex Event(
+      "\\{\"name\":\"([^\"]+)\",\"cat\":\"compile\",\"ph\":\"X\","
+      "\"ts\":([0-9.]+),\"dur\":([0-9.]+),[^}]*?(\"ir_nodes\":([0-9]+))?\\}");
+  for (auto It = std::sregex_iterator(Json.begin(), Json.end(), Event);
+       It != std::sregex_iterator(); ++It) {
+    const std::smatch &M = *It;
+    double Start = std::stod(M[2]);
+    Spans.push_back({M[1], Start, Start + std::stod(M[3]),
+                     M[5].matched ? std::stoll(M[5]) : -1});
+  }
+  auto Lower = std::find_if(Spans.begin(), Spans.end(), [&](const Span &S) {
+    return S.Name == "lower " + A.Output.name();
+  });
+  ASSERT_NE(Lower, Spans.end()) << Json;
+
+  // Every pass of lower() is one span inside the lowering span, carrying
+  // the IR size it produced.
+  std::map<std::string, int> PassSpans;
+  for (const Span &S : Spans) {
+    if (S.Nodes < 0)
+      continue;
+    EXPECT_GE(S.Start, Lower->Start) << S.Name;
+    EXPECT_LE(S.End, Lower->End + 1e-3) << S.Name;
+    EXPECT_GT(S.Nodes, 0) << S.Name;
+    ++PassSpans[S.Name];
+  }
+  const std::map<std::string, int> Expected = {
+      {"scheduleFunctions", 1}, {"inlineCalls", 1},  {"boundsInference", 1},
+      {"slidingWindow", 1},     {"storageFolding", 1}, {"simplify", 3},
+      {"storageFlattening", 1}, {"vectorizeLoops", 1}, {"unrollLoops", 1},
+      {"partitionLoops", 1},    {"cse", 1}};
+  EXPECT_EQ(PassSpans, Expected);
 }
