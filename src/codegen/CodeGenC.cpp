@@ -7,6 +7,7 @@
 #include "observe/Profiler.h"
 #include "observe/TraceStream.h"
 #include "runtime/Buffer.h"
+#include "transforms/Instrument.h"
 
 #include <map>
 #include <set>
@@ -155,12 +156,12 @@ public:
     IRVisitor::visit(Op);
   }
   void visit(const Call *Op) override {
-    // A trace_store intrinsic replaces the Store node outright, so the
-    // stored-to buffer is named only by its StringImm argument here.
-    if (Op->CallKind == CallType::Intrinsic && Op->Name == Call::TraceStore)
-      if (const StringImm *Buf = Op->Args.at(0).as<StringImm>())
-        if (!ShadowedBufs.contains(Buf->Value))
-          BufferNames.insert(Buf->Value);
+    // A traced store replaces the Store node outright, so the stored-to
+    // buffer is named only by the event's stage argument here.
+    if (Op->CallKind == CallType::Intrinsic && Op->Name == Call::Instrument &&
+        instrumentKind(Op) == TraceEventKind::TraceStore &&
+        !ShadowedBufs.contains(instrumentStage(Op)))
+      BufferNames.insert(instrumentStage(Op));
     IRVisitor::visit(Op);
   }
   void visit(const Let *Op) override {
@@ -209,13 +210,8 @@ public:
         << "  void (*GpuLaunch)(int32_t, void (*)(int32_t, void *), void "
            "*);\n"
         << "  void (*Abort)(const char *);\n"
-        << "  void (*ProfEnter)(int32_t);\n  void (*ProfExit)(int32_t);\n"
-        << "  void (*TraceLoad)(int32_t, int32_t, int32_t, const int32_t *, "
-           "const uint64_t *);\n"
-        << "  void (*TraceStore)(int32_t, int32_t, int32_t, const int32_t *, "
-           "const uint64_t *);\n"
-        << "  void (*TraceBegin)(int32_t, int32_t, const int32_t *);\n"
-        << "  void (*TraceEnd)(int32_t);\n"
+        << "  void (*Event)(int32_t, int32_t, int32_t, int32_t, "
+           "const int32_t *, int32_t, const uint64_t *);\n"
         << "} hl_vtable;\n\n"
         << TypedefText.str() << "\n"
         << HelperText.str() << "\n"
@@ -986,7 +982,8 @@ private:
   }
 
   //===------------------------------------------------------------------===//
-  // Value tracing (Target::Trace only; see transforms/InjectTracing.h)
+  // Instrumentation (Target::Profile / Target::Trace only; see
+  // transforms/Instrument.h)
   //===------------------------------------------------------------------===//
 
   /// C expression for one lane's normalized 64-bit value word (the bit
@@ -1004,11 +1001,23 @@ private:
     return "(uint64_t)(int64_t)" + X;
   }
 
+  /// One call through the vtable's Event slot, with the event kind, the
+  /// process-wide stage id and the type code baked in at codegen time.
+  /// \p Coords and \p Bits name arrays, or "0" for none.
+  void emitEventCall(TraceEventKind Kind, const std::string &Stage,
+                     int TypeCode, int Lanes, const std::string &Coords,
+                     int NumCoords, const std::string &Bits) {
+    line("rt->Event(" + std::to_string(int(Kind)) + ", " +
+         std::to_string(profilerStageId(Stage)) + ", " +
+         std::to_string(TypeCode) + ", " + std::to_string(Lanes) + ", " +
+         Coords + ", " + std::to_string(NumCoords) + ", " + Bits +
+         "); /* " + Stage + " */");
+  }
+
   /// Fills coords/bits arrays from an index temp and a value temp, then
-  /// calls the TraceLoad/TraceStore vtable slot with the stage id and type
-  /// code baked in at codegen time.
-  void emitTraceAccess(const char *Slot, const std::string &StageName, Type T,
-                       const std::string &Val, Type IdxT,
+  /// reports a TraceLoad/TraceStore event.
+  void emitTraceAccess(TraceEventKind Kind, const std::string &StageName,
+                       Type T, const std::string &Val, Type IdxT,
                        const std::string &Idx) {
     int Lanes = T.Lanes;
     std::string Coords = freshName(StageName + "_tc");
@@ -1028,24 +1037,21 @@ private:
       --Indent;
       line("}");
     }
-    line("rt->" + std::string(Slot) + "(" +
-         std::to_string(profilerStageId(StageName)) + ", " +
-         std::to_string(int(traceTypeCode(T.element()))) + ", " +
-         std::to_string(Lanes) + ", " + Coords + ", " + Bits + "); /* " +
-         StageName + " */");
+    emitEventCall(Kind, StageName, traceTypeCode(T.element()), Lanes, Coords,
+                  Lanes, Bits);
   }
 
-  /// A trace_load intrinsic: the wrapped Load, evaluated through hoisted
-  /// index and value temps. Hoisting keeps nested trace events inside the
-  /// index firing exactly once and pins the event order to the IR's
+  /// A traced load: the wrapped Load, evaluated through hoisted index and
+  /// value temps. Hoisting keeps nested trace events inside the index
+  /// firing exactly once and pins the event order to the IR's
   /// left-to-right evaluation order, which C operand order would not. The
   /// value goes through the per-lane gather helper regardless of index
   /// shape — losing the dense-load optimization under trace-on is the
   /// accepted cost of observing every lane's flat index.
   std::string emitTraceLoad(const Call *Op) {
-    const StringImm *BufName = Op->Args.at(0).as<StringImm>();
-    const Load *L = Op->Args.at(1).as<Load>();
-    internal_assert(BufName && L) << "codegen: malformed trace_load";
+    const Load *L = Op->Args.at(2).as<Load>();
+    internal_assert(instrumentKind(Op) == TraceEventKind::TraceLoad && L)
+        << "codegen: malformed traced load";
     Type T = L->NodeType;
     std::string Idx = freshName(L->Name + "_tidx");
     line("const " + cTypeOf(L->Index.type()) + " " + Idx + " = " +
@@ -1059,40 +1065,51 @@ private:
       line("const " + cTypeOf(T) + " " + Val + " = " +
            vectorGatherHelper(T, L->Index.type()) + "(" + Buf + ", " + Idx +
            ");");
-    emitTraceAccess("TraceLoad", BufName->Value, T, Val, L->Index.type(),
-                    Idx);
+    emitTraceAccess(TraceEventKind::TraceLoad, L->Name, T, Val,
+                    L->Index.type(), Idx);
     return Val;
   }
 
-  /// A trace_store intrinsic (replaces the Store node): value, then index,
-  /// then the store itself, then the event — the same order the
-  /// interpreter and the VM execute.
-  void emitTraceStore(const Call *Op) {
-    const StringImm *BufName = Op->Args.at(0).as<StringImm>();
-    internal_assert(BufName && Op->Args.size() == 3)
-        << "codegen: malformed trace_store";
-    const Expr &Value = Op->Args.at(1);
-    const Expr &Index = Op->Args.at(2);
-    Type T = Value.type();
-    std::string Val = freshName(BufName->Value + "_tval");
-    line("const " + cTypeOf(T) + " " + Val + " = " + emit(Value) + ";");
-    std::string Idx = freshName(BufName->Value + "_tidx");
-    line("const " + cTypeOf(Index.type()) + " " + Idx + " = " + emit(Index) +
-         ";");
-    std::string Buf = bufferName(BufName->Value);
-    if (T.isScalar())
-      line(Buf + "[" + Idx + "] = " + Val + ";");
-    else
-      line(vectorScatterHelper(T, Index.type()) + "(" + Buf + ", " + Idx +
-           ", " + Val + ");");
-    emitTraceAccess("TraceStore", BufName->Value, T, Val, Index.type(), Idx);
+  /// A statement-position Call::Instrument. A traced store replaces the
+  /// Store node: value, then index, then the store itself, then the event
+  /// — the same order the interpreter and the VM execute.
+  void emitEventStmt(const Call *Op) {
+    const TraceEventKind Kind = instrumentKind(Op);
+    const std::string &Stage = instrumentStage(Op);
+    if (Kind == TraceEventKind::TraceStore) {
+      const Expr &Value = Op->Args.at(2);
+      const Expr &Index = Op->Args.at(3);
+      Type T = Value.type();
+      std::string Val = freshName(Stage + "_tval");
+      line("const " + cTypeOf(T) + " " + Val + " = " + emit(Value) + ";");
+      std::string Idx = freshName(Stage + "_tidx");
+      line("const " + cTypeOf(Index.type()) + " " + Idx + " = " +
+           emit(Index) + ";");
+      std::string Buf = bufferName(Stage);
+      if (T.isScalar())
+        line(Buf + "[" + Idx + "] = " + Val + ";");
+      else
+        line(vectorScatterHelper(T, Index.type()) + "(" + Buf + ", " + Idx +
+             ", " + Val + ");");
+      emitTraceAccess(Kind, Stage, T, Val, Index.type(), Idx);
+      return;
+    }
+    // TraceBegin's extents; the other kinds carry no payload.
+    const int Dims = int(Op->Args.size()) - 2;
+    std::string Arr = "0";
+    if (Dims > 0) {
+      Arr = freshName(Stage + "_text");
+      line("int32_t " + Arr + "[" + std::to_string(Dims) + "];");
+      for (int D = 0; D < Dims; ++D)
+        line(Arr + "[" + std::to_string(D) + "] = (int32_t)(" +
+             emit(Op->Args.at(size_t(D) + 2)) + ");");
+    }
+    emitEventCall(Kind, Stage, 0, 0, Arr, Dims, "0");
   }
 
   std::string emitCall(const Call *Op) {
     if (Op->CallKind == CallType::Intrinsic) {
-      if (Op->Name == Call::TracePoint)
-        return "0";
-      if (Op->Name == Call::TraceLoad)
+      if (Op->Name == Call::Instrument)
         return emitTraceLoad(Op);
       internal_error << "codegen: unknown intrinsic " << Op->Name;
     }
@@ -1178,50 +1195,12 @@ private:
       return;
     }
     case IRNodeKind::Evaluate: {
-      // Profile markers (present only under Target::Profile) become
-      // direct vtable calls with the process-wide stage id baked in at
-      // codegen time; everything else evaluates for side effects.
+      // Instrumentation events become direct vtable calls; everything
+      // else evaluates for side effects.
       const Call *C = S.as<Evaluate>()->Value.as<Call>();
       if (C && C->CallKind == CallType::Intrinsic &&
-          (C->Name == Call::ProfileStageStart ||
-           C->Name == Call::ProfileStageEnd)) {
-        const StringImm *Stage = C->Args.at(0).as<StringImm>();
-        internal_assert(Stage) << "codegen: profile marker without stage";
-        const char *Fn =
-            C->Name == Call::ProfileStageStart ? "ProfEnter" : "ProfExit";
-        line("rt->" + std::string(Fn) + "(" +
-             std::to_string(profilerStageId(Stage->Value)) + "); /* " +
-             Stage->Value + " */");
-        return;
-      }
-      if (C && C->CallKind == CallType::Intrinsic &&
-          C->Name == Call::TraceStore) {
-        emitTraceStore(C);
-        return;
-      }
-      if (C && C->CallKind == CallType::Intrinsic &&
-          C->Name == Call::TraceBegin) {
-        const StringImm *Buf = C->Args.at(0).as<StringImm>();
-        internal_assert(Buf) << "codegen: malformed trace_begin";
-        int Dims = int(C->Args.size()) - 1;
-        std::string Arr = freshName(Buf->Value + "_text");
-        line("int32_t " + Arr + "[" + std::to_string(Dims > 0 ? Dims : 1) +
-             "];");
-        for (int D = 0; D < Dims; ++D)
-          line(Arr + "[" + std::to_string(D) + "] = (int32_t)(" +
-               emit(C->Args.at(size_t(D) + 1)) + ");");
-        line("rt->TraceBegin(" +
-             std::to_string(profilerStageId(Buf->Value)) + ", " +
-             std::to_string(Dims) + ", " + Arr + "); /* " + Buf->Value +
-             " */");
-        return;
-      }
-      if (C && C->CallKind == CallType::Intrinsic &&
-          C->Name == Call::TraceEnd) {
-        const StringImm *Buf = C->Args.at(0).as<StringImm>();
-        internal_assert(Buf) << "codegen: malformed trace_end";
-        line("rt->TraceEnd(" + std::to_string(profilerStageId(Buf->Value)) +
-             "); /* " + Buf->Value + " */");
+          C->Name == Call::Instrument) {
+        emitEventStmt(C);
         return;
       }
       line("(void)(" + emit(S.as<Evaluate>()->Value) + ");");

@@ -4,8 +4,7 @@
 
 #include "codegen/Interpreter.h"
 #include "codegen/Jit.h"
-#include "transforms/InjectProfiling.h"
-#include "transforms/InjectTracing.h"
+#include "transforms/Instrument.h"
 #include "vm/VmExecutable.h"
 
 using namespace halide;
@@ -42,19 +41,10 @@ std::shared_ptr<const Executable> halide::makeExecutable(
   // profile-on / trace-on targets get instrumented copies of the shared
   // lowered pipeline, so the lowering fingerprint never changes and
   // off-target executables are built from byte-identical IR.
-  if (T.Profile || T.Trace) {
-    LoweredPipeline Instrumented = T.Profile ? injectProfiling(P) : P;
-    if (T.Trace)
-      Instrumented = injectTracing(Instrumented);
-    if (T.TargetBackend == Backend::Interpreter)
-      return std::make_shared<InterpretedPipeline>(std::move(Instrumented), T);
-    if (T.TargetBackend == Backend::VmBytecode)
-      return vmCompile(Instrumented, T);
-    return jitCompile(Instrumented, T);
-  }
+  LoweredPipeline Instrumented = instrument(P, T);
   if (T.TargetBackend == Backend::Interpreter)
-    return std::make_shared<InterpretedPipeline>(P, T);
+    return std::make_shared<InterpretedPipeline>(std::move(Instrumented), T);
   if (T.TargetBackend == Backend::VmBytecode)
-    return vmCompile(P, T);
-  return jitCompile(P, T);
+    return vmCompile(Instrumented, T);
+  return jitCompile(Instrumented, T);
 }

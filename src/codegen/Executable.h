@@ -18,8 +18,8 @@
 #define HALIDE_CODEGEN_EXECUTABLE_H
 
 #include "lang/Target.h"
+#include "runtime/ExecutionStats.h"
 #include "runtime/Runtime.h"
-#include "runtime/Tracing.h"
 #include "transforms/Lower.h"
 
 #include <memory>

@@ -5,7 +5,7 @@
 #include "ir/IROperators.h"
 #include "ir/IRPrinter.h"
 #include "observe/Profiler.h"
-#include "observe/TraceStream.h"
+#include "transforms/Instrument.h"
 
 #include <cmath>
 #include <cstring>
@@ -50,15 +50,12 @@ struct BufferSlot {
   Type ElemType;
   int64_t SizeElems = 0; // for bounds checking; 0 = unknown (skip check)
   bool Owned = false;
-  /// Per-element op index of the last store, when reuse tracking is on.
-  std::shared_ptr<std::vector<int64_t>> LastStoreOp;
 };
 
 class Interp {
 public:
-  Interp(const LoweredPipeline &P, const ParamBindings &Params,
-         const InterpOptions &Opts)
-      : P(P), Params(Params), Opts(Opts) {}
+  Interp(const LoweredPipeline &P, const ParamBindings &Params)
+      : P(P), Params(Params) {}
 
   ExecutionStats run() {
     // Bind boundary buffers.
@@ -79,9 +76,6 @@ public:
       for (int D = 0; D < Raw.Dimensions; ++D)
         MaxIndex += int64_t(Raw.Dim[D].Extent - 1) * Raw.Dim[D].Stride;
       Slot.SizeElems = MaxIndex + 1;
-      if (Opts.TrackReuseDistance)
-        Slot.LastStoreOp = std::make_shared<std::vector<int64_t>>(
-            size_t(Slot.SizeElems), int64_t(-1));
       Buffers.push(Arg.Name, Slot);
     }
     exec(P.Body);
@@ -401,62 +395,8 @@ private:
 
   Value evalCall(const Call *Op) {
     if (Op->CallKind == CallType::Intrinsic) {
-      if (Op->Name == Call::TracePoint)
-        return Value::intVal(Int(32), 0);
-      if (Op->Name == Call::ProfileStageStart ||
-          Op->Name == Call::ProfileStageEnd) {
-        // Reference path: re-intern the stage name per event (the VM and
-        // JIT pre-resolve ids at compile time; the interpreter favors
-        // simplicity over speed).
-        const StringImm *Stage = Op->Args.at(0).as<StringImm>();
-        internal_assert(Stage) << "profile marker without stage name";
-        int Id = profilerStageId(Stage->Value);
-        if (Op->Name == Call::ProfileStageStart)
-          profilerEnter(Id);
-        else
-          profilerExit(Id);
-        return Value::intVal(Int(32), 0);
-      }
-      if (Op->Name == Call::TraceLoad) {
-        // Args: {StringImm(buffer), Load}. The index is evaluated once and
-        // shared by the load and the event's coordinates.
-        const StringImm *Buf = Op->Args.at(0).as<StringImm>();
-        const Load *L = Op->Args.at(1).as<Load>();
-        internal_assert(Buf && L) << "malformed trace_load";
-        Value Index = eval(L->Index);
-        Value R = evalLoadWithIndex(L, Index);
-        emitAccessEvent(TraceEventKind::TraceLoad, Buf->Value, R, Index);
-        return R;
-      }
-      if (Op->Name == Call::TraceStore) {
-        // Args: {StringImm(buffer), Value, Index}. Same evaluation order
-        // as an untraced Store: value first, then index.
-        const StringImm *Buf = Op->Args.at(0).as<StringImm>();
-        internal_assert(Buf) << "malformed trace_store";
-        Value V = eval(Op->Args.at(1));
-        Value Index = eval(Op->Args.at(2));
-        doStore(Buf->Value, V, Index);
-        emitAccessEvent(TraceEventKind::TraceStore, Buf->Value, V, Index);
-        return Value::intVal(Int(32), 0);
-      }
-      if (Op->Name == Call::TraceBegin) {
-        const StringImm *Buf = Op->Args.at(0).as<StringImm>();
-        internal_assert(Buf) << "malformed trace_begin";
-        std::vector<int32_t> Extents;
-        for (size_t I = 1; I < Op->Args.size(); ++I)
-          Extents.push_back(int32_t(eval(Op->Args[I]).scalarInt()));
-        traceStreamEmit(profilerStageId(Buf->Value),
-                        TraceEventKind::TraceBegin, 0, 0, Extents.data(),
-                        int(Extents.size()), nullptr);
-        return Value::intVal(Int(32), 0);
-      }
-      if (Op->Name == Call::TraceEnd) {
-        const StringImm *Buf = Op->Args.at(0).as<StringImm>();
-        internal_assert(Buf) << "malformed trace_end";
-        traceStreamEmit(profilerStageId(Buf->Value),
-                        TraceEventKind::TraceEnd, 0, 0, nullptr, 0, nullptr);
-        return Value::intVal(Int(32), 0);
-      }
+      if (Op->Name == Call::Instrument)
+        return evalInstrument(Op);
       internal_error << "interpreter: unknown intrinsic " << Op->Name;
     }
     internal_assert(Op->CallKind == CallType::PureExtern)
@@ -500,6 +440,37 @@ private:
     return R;
   }
 
+  /// The one handler for Call::Instrument (transforms/Instrument.h). The
+  /// reference path re-interns the stage name per event; the VM and the
+  /// JIT resolve ids at compile time.
+  Value evalInstrument(const Call *Op) {
+    const TraceEventKind Kind = instrumentKind(Op);
+    const std::string &Stage = instrumentStage(Op);
+    if (Kind == TraceEventKind::TraceLoad) {
+      // The index is evaluated once and shared by the load and the event.
+      const Load *L = Op->Args.at(2).as<Load>();
+      internal_assert(L) << "malformed traced load of " << Stage;
+      Value Index = eval(L->Index);
+      Value R = evalLoadWithIndex(L, Index);
+      emitAccessEvent(Kind, Stage, R, Index);
+      return R;
+    }
+    if (Kind == TraceEventKind::TraceStore) {
+      // Same evaluation order as an untraced Store: value, then index.
+      Value V = eval(Op->Args.at(2));
+      Value Index = eval(Op->Args.at(3));
+      doStore(Stage, V, Index);
+      emitAccessEvent(Kind, Stage, V, Index);
+      return Value::intVal(Int(32), 0);
+    }
+    std::vector<int32_t> Extents; // TraceBegin's payload; none otherwise
+    for (size_t I = 2; I < Op->Args.size(); ++I)
+      Extents.push_back(int32_t(eval(Op->Args[I]).scalarInt()));
+    observeEvent(Kind, profilerStageId(Stage), 0, 0, Extents.data(),
+                 int(Extents.size()), nullptr);
+    return Value::intVal(Int(32), 0);
+  }
+
   //===------------------------------------------------------------------===//
   // Memory access
   //===------------------------------------------------------------------===//
@@ -523,16 +494,6 @@ private:
       int64_t Idx = Index.I[size_t(L)];
       checkBounds(Op->Name, Slot, Idx);
       loadElem(Slot, Idx, R, L);
-      if (Slot.LastStoreOp) {
-        int64_t &Stamp = (*Slot.LastStoreOp)[size_t(Idx)];
-        if (Stamp >= 0) {
-          int64_t Distance = OpCounter - Stamp;
-          int64_t &MaxDist = Stats.MaxReuseDistance[Op->Name];
-          if (Distance > MaxDist)
-            MaxDist = Distance;
-        }
-        ++OpCounter;
-      }
     }
     return R;
   }
@@ -609,8 +570,8 @@ private:
         << " outside [0, " << Slot.SizeElems << ")";
   }
 
-  /// The store path shared by Store statements and trace_store intrinsics
-  /// (value and index already evaluated, in that order).
+  /// The store path shared by Store statements and traced stores (value
+  /// and index already evaluated, in that order).
   void doStore(const std::string &Name, const Value &V, const Value &Index) {
     const BufferSlot &Slot = Buffers.get(Name);
     int N = V.T.Lanes;
@@ -619,10 +580,6 @@ private:
       int64_t Idx = Index.I[size_t(L)];
       checkBounds(Name, Slot, Idx);
       storeElem(Slot, Idx, V, L);
-      if (Slot.LastStoreOp) {
-        (*Slot.LastStoreOp)[size_t(Idx)] = OpCounter;
-        ++OpCounter;
-      }
     }
   }
 
@@ -640,8 +597,8 @@ private:
       Bits[size_t(L)] = V.isFloat() ? traceBitsOfDouble(V.F[size_t(L)])
                                     : traceBitsOfInt(V.I[size_t(L)]);
     }
-    traceStreamEmit(profilerStageId(Buf), Kind, traceTypeCode(V.T), N,
-                    Coords.data(), N, Bits.data());
+    observeEvent(Kind, profilerStageId(Buf), traceTypeCode(V.T), N,
+                 Coords.data(), N, Bits.data());
   }
 
   //===------------------------------------------------------------------===//
@@ -736,9 +693,6 @@ private:
     Slot.ElemType = Op->ElemType;
     Slot.SizeElems = Elems;
     Slot.Owned = true;
-    if (Opts.TrackReuseDistance)
-      Slot.LastStoreOp = std::make_shared<std::vector<int64_t>>(
-          size_t(Elems), int64_t(-1));
     Stats.noteAllocation(Bytes);
     Buffers.push(Op->Name, Slot);
     exec(Op->Body);
@@ -749,18 +703,15 @@ private:
 
   const LoweredPipeline &P;
   const ParamBindings &Params;
-  InterpOptions Opts;
   Scope<Value> Vars;
   Scope<BufferSlot> Buffers;
   ExecutionStats Stats;
-  int64_t OpCounter = 0;
 };
 
 } // namespace
 
 ExecutionStats halide::interpret(const LoweredPipeline &P,
-                                 const ParamBindings &Params,
-                                 const InterpOptions &Opts) {
-  Interp I(P, Params, Opts);
+                                 const ParamBindings &Params) {
+  Interp I(P, Params);
   return I.run();
 }

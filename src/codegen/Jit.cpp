@@ -80,9 +80,7 @@ namespace {
 class JitTempDir {
 public:
   JitTempDir() {
-    const char *Base = std::getenv("TMPDIR");
-    std::string Template =
-        std::string(Base && *Base ? Base : "/tmp") + "/hl_jit_XXXXXX";
+    std::string Template = tempDirectory() + "/hl_jit_XXXXXX";
     user_assert(mkdtemp(Template.data()))
         << "could not create JIT temp directory " << Template;
     Dir = Template.c_str(); // an interposed mkdtemp may shorten the path

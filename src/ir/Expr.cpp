@@ -133,13 +133,7 @@ Expr Broadcast::make(Expr Value, int Lanes) {
   return Node;
 }
 
-const char *const Call::TracePoint = "trace_point";
-const char *const Call::ProfileStageStart = "profile_stage_start";
-const char *const Call::ProfileStageEnd = "profile_stage_end";
-const char *const Call::TraceLoad = "trace_load";
-const char *const Call::TraceStore = "trace_store";
-const char *const Call::TraceBegin = "trace_begin";
-const char *const Call::TraceEnd = "trace_end";
+const char *const Call::Instrument = "instrument";
 
 Expr Call::make(Type T, const std::string &Name, std::vector<Expr> Args,
                 CallType CallKind) {

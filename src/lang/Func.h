@@ -186,7 +186,7 @@ public:
   //===--------------------------------------------------------------------===//
   // Value tracing (observe/TraceStream.h). The flags only take effect when
   // the pipeline is compiled with Target::withTrace(); they select which
-  // stages InjectTracing instruments. With no per-stage flags set anywhere
+  // stages instrument() traces. With no per-stage flags set anywhere
   // in the pipeline, a traced target instruments every stage.
   //===--------------------------------------------------------------------===//
 

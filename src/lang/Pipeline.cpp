@@ -184,7 +184,7 @@ std::shared_ptr<const Executable> Pipeline::compile(const Target &T) {
   // happens in makeExecutable on a copy of the shared lowering, so only
   // the executable key carries the bit. Trace likewise, except its key
   // component also folds in every stage's per-Func trace flags — they
-  // select which accesses InjectTracing instruments, so flipping a flag
+  // select which accesses the instrument pass traces, so flipping a flag
   // must not alias a differently instrumented cached executable.
   std::string TraceKey;
   if (T.Trace) {

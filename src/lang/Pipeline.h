@@ -36,9 +36,9 @@
 #include "lang/Func.h"
 #include "lang/Param.h"
 #include "lang/Target.h"
+#include "runtime/ExecutionStats.h"
 #include "runtime/Runtime.h"
 #include "runtime/TaskScheduler.h"
-#include "runtime/Tracing.h"
 #include "transforms/Lower.h"
 
 #include <map>

@@ -75,7 +75,7 @@ struct Target {
 
   /// Value-level tracing (src/observe/TraceStream.h): the executable is
   /// instrumented with per-value load/store/realization events at
-  /// backend-compile time (transforms/InjectTracing.h). Like Profile this
+  /// backend-compile time (transforms/Instrument.h). Like Profile this
   /// does not affect lowering — it is folded into the executable cache key
   /// only (together with the per-stage Func::traceLoads()-style flags), so
   /// trace-on and trace-off targets share one lowered pipeline and an

@@ -2,27 +2,83 @@
 
 #include "metrics/ScheduleMetrics.h"
 #include "codegen/Executable.h"
-#include "codegen/Interpreter.h"
+#include "observe/TraceStream.h"
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <map>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace halide;
+
+namespace {
+
+/// Figure 3's max reuse distance, replayed from a serial value trace: a
+/// clock ticks once per load or store lane of any buffer, each stored
+/// element is stamped with the clock, and a load of a stamped element
+/// measures the ticks since its last store. A buffer's stamps reset at
+/// each of its Begin events (one per realization).
+int64_t maxReuseDistance(const std::vector<TraceEvent> &Events) {
+  std::map<uint16_t, std::vector<int64_t>> LastStore; // per stage id
+  int64_t Clock = 0, Max = 0;
+  for (const TraceEvent &E : Events) {
+    std::vector<int64_t> &Stamps = LastStore[E.StageId];
+    if (E.Kind == TraceEventKind::TraceBegin)
+      Stamps.clear();
+    if (E.Kind != TraceEventKind::TraceLoad &&
+        E.Kind != TraceEventKind::TraceStore)
+      continue;
+    for (int32_t Coord : E.Coords) {
+      size_t I = size_t(Coord);
+      if (E.Kind == TraceEventKind::TraceStore) {
+        if (I >= Stamps.size())
+          Stamps.resize(I + 1, -1);
+        Stamps[I] = Clock;
+      } else if (I < Stamps.size() && Stamps[I] >= 0) {
+        Max = std::max(Max, Clock - Stamps[I]);
+      }
+      ++Clock;
+    }
+  }
+  return Max;
+}
+
+} // namespace
 
 StrategyMetrics halide::analyzeStrategy(const std::string &Name,
                                         LoweredPipeline &P,
                                         const ParamBindings &Params,
                                         int64_t BreadthFirstOps) {
-  InterpOptions Opts;
-  Opts.TrackReuseDistance = true;
-  ExecutionStats Stats = interpret(P, Params, Opts);
+  for (const auto &[Stage, F] : P.Env)
+    user_assert(!F.traceLoads() && !F.traceStores() && !F.traceRealizations())
+        << "analyzeStrategy: " << Stage
+        << " selects trace events; the reuse distance needs every buffer";
+  // One traced, serial run yields both the counters and the event stream
+  // the reuse distance is replayed from.
+  const std::string Path = tempDirectory() + "/halide_metrics_" +
+                           std::to_string(getpid()) + ".bin";
+  user_assert(traceStreamStart(Path))
+      << "analyzeStrategy: cannot open a value trace at " << Path
+      << " (is another trace stream active?)";
+  ExecutionStats Stats;
+  makeExecutable(P, Target::vm().withThreads(1).withTrace())
+      ->run(Params, &Stats);
+  traceStreamStop();
+  std::vector<TraceEvent> Events;
+  std::string Error;
+  const bool Read = readTraceFile(Path, &Events, &Error);
+  std::remove(Path.c_str());
+  internal_assert(Read) << Error;
+  internal_assert(traceStreamStats().EventsDropped == 0)
+      << "analyzeStrategy: the value trace hit HALIDE_TRACE_MAX_MB";
 
   StrategyMetrics M;
   M.StrategyName = Name;
   M.Span = std::max<int64_t>(Stats.ParallelIterations, 1);
-  for (const auto &[Buf, Dist] : Stats.MaxReuseDistance)
-    M.MaxReuseDistance = std::max(M.MaxReuseDistance, Dist);
+  M.MaxReuseDistance = maxReuseDistance(Events);
   M.PeakMemoryBytes = Stats.PeakAllocationBytes;
   M.MemoryOps = Stats.totalStores();
   for (const auto &[Buf, Count] : Stats.LoadsPerBuffer)

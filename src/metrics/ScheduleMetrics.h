@@ -40,12 +40,16 @@ struct StrategyMetrics {
   double Milliseconds = -1.0;
 };
 
-/// Gathers the analytic metrics by interpreting \p P (small sizes advised:
-/// reuse tracking is per-element). \p BreadthFirstOps is the memory
-/// operation count (loads + stores, a proxy for arithmetic work) of the
-/// reference breadth-first schedule, used as the work-amplification
-/// denominator; pass 0 to skip that field. The strategy's own operation
-/// count is returned in MemoryOps.
+/// Gathers the analytic metrics from one serial, traced run of \p P on
+/// the bytecode VM: its ExecutionStats give span, peak memory and
+/// operation counts, and its value trace (streamed to a file under
+/// tempDirectory()) gives the reuse distance. Small sizes advised: the
+/// trace records every access. Every buffer must be traced, so no stage
+/// may set Func::trace*() flags, and no other trace stream may be active.
+/// \p BreadthFirstOps is the memory operation count (loads + stores, a
+/// proxy for arithmetic work) of the reference breadth-first schedule,
+/// used as the work-amplification denominator; pass 0 to skip that
+/// field. The strategy's own operation count is returned in MemoryOps.
 StrategyMetrics analyzeStrategy(const std::string &Name, LoweredPipeline &P,
                                 const ParamBindings &Params,
                                 int64_t BreadthFirstOps);

@@ -6,11 +6,12 @@
 ///
 /// \file
 /// Process-wide per-stage profiler behind Target::Profile. Instrumented
-/// executables (see transforms/InjectProfiling.h) call profilerEnter /
-/// profilerExit around each stage's produce body; the profiler keeps a
-/// per-thread stage stack and charges elapsed wall time to the innermost
-/// active stage (self time) and to every enclosing stage (total time), so
-/// child = total - self, mirroring real Halide's profiler attribution.
+/// executables (see transforms/Instrument.h) call profilerEnter /
+/// profilerExit, through observeEvent (observe/TraceStream.h), around
+/// each stage's produce body; the profiler keeps a per-thread stage stack
+/// and charges elapsed wall time to the innermost active stage (self
+/// time) and to every enclosing stage (total time), so child = total -
+/// self, mirroring real Halide's profiler attribution.
 ///
 /// Stage names are interned process-wide into dense int ids
 /// (profilerStageId) so the hot enter/exit path is an id compare, a clock

@@ -215,9 +215,17 @@ TraceStreamStats traceStreamStats() {
   return S;
 }
 
-void traceStreamEmit(int StageId, TraceEventKind Kind, uint8_t TypeCode,
-                     int Lanes, const int32_t *Coords, int NumCoords,
-                     const uint64_t *Bits) {
+void observeEvent(TraceEventKind Kind, int StageId, uint8_t TypeCode,
+                  int Lanes, const int32_t *Coords, int NumCoords,
+                  const uint64_t *Bits) {
+  if (Kind == TraceEventKind::ProfEnter) {
+    profilerEnter(StageId);
+    return;
+  }
+  if (Kind == TraceEventKind::ProfExit) {
+    profilerExit(StageId);
+    return;
+  }
   if (!traceStreamActive())
     return;
   Writer &W = writer();
@@ -288,11 +296,14 @@ bool readTraceFile(const std::string &Path, std::vector<TraceEvent> *Out,
         *Error = Path + ": truncated record body";
       return false;
     }
+    // Empty vectors may have a null data(), which memcpy must not get.
     E.Coords.resize(NumCoords);
-    memcpy(E.Coords.data(), &Data[Pos], 4 * (size_t)NumCoords);
+    if (NumCoords)
+      memcpy(E.Coords.data(), &Data[Pos], 4 * (size_t)NumCoords);
     Pos += 4 * (size_t)NumCoords;
     E.Bits.resize(Lanes);
-    memcpy(E.Bits.data(), &Data[Pos], 8 * (size_t)Lanes);
+    if (Lanes)
+      memcpy(E.Bits.data(), &Data[Pos], 8 * (size_t)Lanes);
     Pos += 8 * (size_t)Lanes;
     if (E.Kind == TraceEventKind::TraceName) {
       const char *Chars = (const char *)E.Coords.data();

@@ -6,8 +6,10 @@
 ///
 /// \file
 /// The sink for value-level trace events (Func::traceLoads() and friends,
-/// lowered by transforms/InjectTracing.h into Call::TraceLoad/TraceStore/
-/// TraceBegin/TraceEnd intrinsics that all three engines execute).
+/// lowered by transforms/Instrument.h into Call::Instrument intrinsics
+/// that all three engines execute), and the one entry point, observeEvent,
+/// through which every engine reports both those events and the
+/// profiler's stage enter/exit markers.
 ///
 /// Binary format ("HLTRACE1", host-endian):
 ///
@@ -51,13 +53,17 @@
 
 namespace halide {
 
-/// Event kinds as stored in the record's Kind byte.
+/// Instrumentation event kinds. Kinds 0-4 are the record's Kind byte in a
+/// trace file; ProfEnter/ProfExit go to the profiler and never reach a
+/// file.
 enum class TraceEventKind : uint8_t {
   TraceLoad = 0,
   TraceStore = 1,
   TraceBegin = 2,
   TraceEnd = 3,
   TraceName = 4,
+  ProfEnter = 5,
+  ProfExit = 6,
 };
 
 /// Packs a value type into one byte: (code << 4) | log2(bits), with code
@@ -97,11 +103,15 @@ bool traceStreamActive();
 
 TraceStreamStats traceStreamStats();
 
-/// Appends one event. \p Bits may be null when \p Lanes is 0 (begin/end).
-/// No-op (beyond the relaxed Active load) when no stream is active.
-void traceStreamEmit(int StageId, TraceEventKind Kind, uint8_t TypeCode,
-                     int Lanes, const int32_t *Coords, int NumCoords,
-                     const uint64_t *Bits);
+/// The one handler behind every engine's Call::Instrument and the runtime
+/// vtable's Event slot. ProfEnter/ProfExit go to profilerEnter/Exit
+/// (observe/Profiler.h); every other kind appends one record to the
+/// stream, and is a no-op beyond the relaxed Active load when no stream
+/// is active. \p StageId is a profilerStageId. \p Bits may be null when
+/// \p Lanes is 0 (begin/end); the profiler uses neither.
+void observeEvent(TraceEventKind Kind, int StageId, uint8_t TypeCode,
+                  int Lanes, const int32_t *Coords, int NumCoords,
+                  const uint64_t *Bits);
 
 //===----------------------------------------------------------------------===//
 // Reader (bench/trace_analyzer, DiffTest parity leg, tests).

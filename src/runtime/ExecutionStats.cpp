@@ -1,9 +1,8 @@
-//===-- runtime/Tracing.cpp ------------------------------------------------------=//
+//===-- runtime/ExecutionStats.cpp -----------------------------------------------=//
 
-#include "runtime/Tracing.h"
+#include "runtime/ExecutionStats.h"
 
 #include <ostream>
-#include <sstream>
 
 using namespace halide;
 
@@ -15,16 +14,6 @@ void mapToStream(std::ostream &OS,
   bool First = true;
   for (const auto &[Name, Count] : M) {
     OS << (First ? "" : ", ") << Name << ": " << Count;
-    First = false;
-  }
-  OS << "}";
-}
-
-void mapToJson(std::ostream &OS, const std::map<std::string, int64_t> &M) {
-  OS << "{";
-  bool First = true;
-  for (const auto &[Name, Count] : M) {
-    OS << (First ? "" : ", ") << "\"" << Name << "\": " << Count;
     First = false;
   }
   OS << "}";
@@ -53,20 +42,4 @@ std::ostream &halide::operator<<(std::ostream &OS,
   OS << " stores_per_buffer=";
   mapToStream(OS, S.StoresPerBuffer);
   return OS;
-}
-
-std::string ExecutionStats::toJson() const {
-  std::ostringstream OS;
-  OS << "{\"stores\": ";
-  mapToJson(OS, StoresPerBuffer);
-  OS << ", \"loads\": ";
-  mapToJson(OS, LoadsPerBuffer);
-  OS << ", \"peak_allocation_bytes\": " << PeakAllocationBytes
-     << ", \"current_allocation_bytes\": " << CurrentAllocationBytes
-     << ", \"parallel_iterations\": " << ParallelIterations
-     << ", \"max_reuse_distance\": ";
-  mapToJson(OS, MaxReuseDistance);
-  OS << ", \"gpu_kernel_launches\": " << GpuKernelLaunches
-     << ", \"gpu_blocks_executed\": " << GpuBlocksExecuted << "}";
-  return OS.str();
 }

@@ -1,4 +1,4 @@
-//===-- runtime/Tracing.h - Execution counters ------------------*- C++ -*-===//
+//===-- runtime/ExecutionStats.h - Execution counters -----------*- C++ -*-===//
 //
 // Part of the halide-pldi13-repro project, under the MIT license.
 //
@@ -7,13 +7,15 @@
 /// \file
 /// Named execution counters used by tests and benchmarks to observe
 /// recomputation (work amplification) and allocation behaviour without
-/// affecting compiled-code performance; the reference interpreter updates
-/// them on every store and allocation.
+/// affecting compiled-code performance. The interpreter and the bytecode
+/// VM update them on every load, store and allocation and agree on every
+/// field (ExecutionStatsParityTest); JIT-compiled code reports only the
+/// simulated GPU's launch counts.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef HALIDE_RUNTIME_TRACING_H
-#define HALIDE_RUNTIME_TRACING_H
+#ifndef HALIDE_RUNTIME_EXECUTIONSTATS_H
+#define HALIDE_RUNTIME_EXECUTIONSTATS_H
 
 #include <cstdint>
 #include <iosfwd>
@@ -22,7 +24,7 @@
 
 namespace halide {
 
-/// Counters gathered while executing a pipeline in the interpreter.
+/// Counters gathered while executing a pipeline.
 struct ExecutionStats {
   /// Number of values stored per buffer (pure + update writes).
   std::map<std::string, int64_t> StoresPerBuffer;
@@ -35,10 +37,6 @@ struct ExecutionStats {
   /// Total loop iterations whose ForType was Parallel/GPU (a proxy for the
   /// paper's "span" parallelism measure).
   int64_t ParallelIterations = 0;
-  /// Maximum number of memory operations between a value being stored and
-  /// a later load of it, per buffer (Figure 3's "max reuse distance").
-  /// Only populated when reuse tracking is enabled.
-  std::map<std::string, int64_t> MaxReuseDistance;
   /// Kernel launches / blocks executed on the simulated GPU device during
   /// this run. Only populated by the GpuSim backend.
   int64_t GpuKernelLaunches = 0;
@@ -57,18 +55,14 @@ struct ExecutionStats {
       PeakAllocationBytes = CurrentAllocationBytes;
   }
   void noteFree(int64_t Bytes) { CurrentAllocationBytes -= Bytes; }
-
-  /// All fields as one JSON object ({"stores": {...}, "loads": {...},
-  /// "peak_allocation_bytes": N, ...}) for machine-readable baselines.
-  std::string toJson() const;
 };
 
 /// The determinism contract: the counters that identify the computation
 /// performed (loads/stores per buffer, peak allocation, span, GPU
-/// launches). Excludes the transient CurrentAllocationBytes and the
-/// opt-in MaxReuseDistance, so two runs of the same schedule compare
-/// equal whichever engine and thread count executed them. This is what
-/// the parity/serving tests and the differential harness check.
+/// launches). Excludes the transient CurrentAllocationBytes, so two runs
+/// of the same schedule compare equal whichever engine and thread count
+/// executed them. This is what the parity/serving tests and the
+/// differential harness check.
 bool operator==(const ExecutionStats &A, const ExecutionStats &B);
 inline bool operator!=(const ExecutionStats &A, const ExecutionStats &B) {
   return !(A == B);
@@ -81,4 +75,4 @@ std::ostream &operator<<(std::ostream &OS, const ExecutionStats &S);
 
 } // namespace halide
 
-#endif // HALIDE_RUNTIME_TRACING_H
+#endif // HALIDE_RUNTIME_EXECUTIONSTATS_H

@@ -1,7 +1,6 @@
 //===-- runtime/Runtime.cpp -----------------------------------------------------=//
 
 #include "runtime/Runtime.h"
-#include "observe/Profiler.h"
 #include "observe/TraceStream.h"
 #include "runtime/BufferPool.h"
 #include "runtime/GpuSim.h"
@@ -74,39 +73,19 @@ void vtableGpuLaunch(int32_t Blocks, void (*Body)(int32_t, void *),
   gpuSim().launch(Blocks, Body, Closure);
 }
 
-void vtableProfEnter(int32_t StageId) { profilerEnter(StageId); }
-
-void vtableProfExit(int32_t StageId) { profilerExit(StageId); }
-
-void vtableTraceLoad(int32_t StageId, int32_t TypeCode, int32_t Lanes,
-                     const int32_t *Coords, const uint64_t *Bits) {
-  traceStreamEmit(StageId, TraceEventKind::TraceLoad, uint8_t(TypeCode),
-                  Lanes, Coords, Lanes, Bits);
-}
-
-void vtableTraceStore(int32_t StageId, int32_t TypeCode, int32_t Lanes,
-                      const int32_t *Coords, const uint64_t *Bits) {
-  traceStreamEmit(StageId, TraceEventKind::TraceStore, uint8_t(TypeCode),
-                  Lanes, Coords, Lanes, Bits);
-}
-
-void vtableTraceBegin(int32_t StageId, int32_t Dims, const int32_t *Extents) {
-  traceStreamEmit(StageId, TraceEventKind::TraceBegin, 0, 0, Extents, Dims,
-                  nullptr);
-}
-
-void vtableTraceEnd(int32_t StageId) {
-  traceStreamEmit(StageId, TraceEventKind::TraceEnd, 0, 0, nullptr, 0,
-                  nullptr);
+void vtableEvent(int32_t Kind, int32_t StageId, int32_t TypeCode,
+                 int32_t Lanes, const int32_t *Coords, int32_t NumCoords,
+                 const uint64_t *Bits) {
+  observeEvent(TraceEventKind(Kind), StageId, uint8_t(TypeCode), Lanes,
+               Coords, NumCoords, Bits);
 }
 
 } // namespace
 
 const RuntimeVTable *halide::runtimeVTable() {
   static const RuntimeVTable Table = {
-      halideMalloc,    halideFree,      vtableParFor,    vtableGpuLaunch,
-      vtableAbort,     vtableProfEnter, vtableProfExit,  vtableTraceLoad,
-      vtableTraceStore, vtableTraceBegin, vtableTraceEnd,
+      halideMalloc, halideFree,  vtableParFor, vtableGpuLaunch,
+      vtableAbort,  vtableEvent,
   };
   return &Table;
 }

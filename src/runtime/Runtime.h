@@ -85,25 +85,17 @@ struct RuntimeVTable {
                     void *Closure);
   /// Aborts execution with a message (failed AssertStmt).
   void (*Abort)(const char *Message);
-  /// Profiler stage markers (observe/Profiler.h), emitted by CodeGenC
-  /// only for Target::Profile executables; the argument is the
-  /// process-wide stage id baked in at codegen time. Appended at the end
-  /// of the struct so the generated hl_vtable typedef (CodeGenC.cpp)
+  /// Instrumentation events (transforms/Instrument.h), emitted by CodeGenC
+  /// only for Target::Profile / Target::Trace executables and handed to
+  /// observeEvent (observe/TraceStream.h). Kind is a TraceEventKind;
+  /// StageId and TypeCode are baked in at codegen time. Coords holds one
+  /// flat index per lane (loads/stores) or the realization extents
+  /// (begin), Bits the normalized value bits per lane. Appended at the
+  /// end of the struct so the generated hl_vtable typedef (CodeGenC.cpp)
   /// stays layout-compatible — keep both in lockstep.
-  void (*ProfEnter)(int32_t StageId);
-  void (*ProfExit)(int32_t StageId);
-  /// Value-trace events (observe/TraceStream.h), emitted by CodeGenC only
-  /// for Target::Trace executables. StageId and TypeCode are baked in at
-  /// codegen time; Coords holds one flat index per lane (loads/stores) or
-  /// the realization extents (begin), Bits the normalized value bits per
-  /// lane. Appended at the end — keep the generated hl_vtable typedef in
-  /// lockstep.
-  void (*TraceLoad)(int32_t StageId, int32_t TypeCode, int32_t Lanes,
-                    const int32_t *Coords, const uint64_t *Bits);
-  void (*TraceStore)(int32_t StageId, int32_t TypeCode, int32_t Lanes,
-                     const int32_t *Coords, const uint64_t *Bits);
-  void (*TraceBegin)(int32_t StageId, int32_t Dims, const int32_t *Extents);
-  void (*TraceEnd)(int32_t StageId);
+  void (*Event)(int32_t Kind, int32_t StageId, int32_t TypeCode,
+                int32_t Lanes, const int32_t *Coords, int32_t NumCoords,
+                const uint64_t *Bits);
 };
 
 /// The global vtable instance (also used by the interpreter for parity).

@@ -24,75 +24,61 @@ using namespace halide;
 
 namespace {
 
-/// C-backend host-compiler flags: HALIDE_DIFF_JIT_FLAGS wins over the
-/// option so CI can pin the flags per job — notably
-/// "-O2 -fno-tree-vectorize", which proves the emitted vector code
+/// Schedules drawn from ScheduleSpace::deterministicSample. The first five
+/// are the canonical variants (breadth-first, max-inline, tiled+parallel,
+/// vectorized, sliding window); the rest are seeded random points in the
+/// search space.
+constexpr int ScheduleCount = 12;
+constexpr uint32_t SampleSeed = 2013;
+/// Absolute per-element tolerance for float outputs against the
+/// reference. Integer outputs, and every same-schedule comparison, must
+/// match bit-exactly.
+constexpr double FloatTolerance = 1e-5;
+/// The first this-many sampled schedules are also run by the tree-walking
+/// interpreter, which must reproduce the execution engine's output
+/// bit-for-bit: the stats-reference engine keeps auditing the VM without
+/// paying its 10-40x slowdown on every schedule.
+constexpr int InterpreterSpotChecks = 1;
+/// Threads requested by the threaded-VM leg. The effective worker count
+/// is still bounded by the task scheduler's pool size
+/// (HALIDE_NUM_THREADS / hardware concurrency).
+constexpr int ThreadedVmThreads = 4;
+/// Schedules whose executables the concurrent-serving leg re-runs at once.
+constexpr int ConcurrentFrames = 4;
+/// Schedules the trace-parity leg re-runs traced.
+constexpr int TraceParityChecks = 1;
+
+/// C-backend host-compiler flags: -O0 because this harness checks
+/// correctness, not speed (the vectorized schedules emit large translation
+/// units that -O3 compiles an order of magnitude slower).
+/// HALIDE_DIFF_JIT_FLAGS overrides them so CI can pin the flags per job —
+/// notably "-O2 -fno-tree-vectorize", which proves the emitted vector code
 /// carries the SIMD rather than the host compiler's auto-vectorizer.
-std::string diffJitFlags(const DiffOptions &Opts) {
+std::string diffJitFlags() {
   const char *Env = std::getenv("HALIDE_DIFF_JIT_FLAGS");
-  if (Env && *Env)
-    return Env;
-  return Opts.JitFlags;
+  return Env && *Env ? Env : "-O0";
 }
 
-/// The suite's execution target: the HALIDE_DIFF_BACKEND environment
-/// variable (Target::parse syntax) wins over the option so CI can force a
-/// backend — e.g. the VM under ASan — without touching test code. A
-/// forced C backend also picks up the suite's host-compiler flags, so a
-/// HALIDE_DIFF_BACKEND=jit_c job compiles every schedule's artifact with
-/// the flags HALIDE_DIFF_JIT_FLAGS pins.
-Target diffExecTarget(const DiffOptions &Opts) {
+/// The suite's execution engine: the bytecode VM, unless the
+/// HALIDE_DIFF_BACKEND environment variable (Target::parse syntax, e.g.
+/// "vm", "interp") names another, so CI can force a backend — e.g. the VM
+/// under ASan — without touching test code. A forced C backend also picks
+/// up the suite's host-compiler flags.
+Target diffExecTarget() {
   const char *Env = std::getenv("HALIDE_DIFF_BACKEND");
-  if (Env && *Env) { // set-but-empty (e.g. a blank CI matrix cell) = unset
-    Target T;
-    user_assert(Target::parse(Env, &T))
-        << "HALIDE_DIFF_BACKEND=" << Env << " is not a valid backend name";
-    if (T.TargetBackend == Backend::JitC)
-      T = T.withJitFlags(diffJitFlags(Opts));
-    return T;
-  }
-  return Opts.ExecTarget;
-}
-
-/// Threaded-leg thread count: HALIDE_DIFF_THREADS wins over the option so
-/// CI can force (or disable) the serial-vs-parallel check per job.
-int diffThreadedVmThreads(const DiffOptions &Opts) {
-  const char *Env = std::getenv("HALIDE_DIFF_THREADS");
-  if (Env && *Env)
-    return std::atoi(Env);
-  return Opts.ThreadedVmThreads;
-}
-
-/// Concurrent-leg frame count: HALIDE_DIFF_CONCURRENT wins over the
-/// option so CI can widen (or disable) the serving check per job.
-int diffConcurrentFrames(const DiffOptions &Opts) {
-  const char *Env = std::getenv("HALIDE_DIFF_CONCURRENT");
-  if (Env && *Env)
-    return std::atoi(Env);
-  return Opts.ConcurrentFrames;
-}
-
-/// Scalar-vs-vector leg switch: HALIDE_DIFF_SCALAR wins over the option
-/// so CI can force (or disable) the parity check per job.
-bool diffScalarParity(const DiffOptions &Opts) {
-  const char *Env = std::getenv("HALIDE_DIFF_SCALAR");
-  if (Env && *Env)
-    return std::atoi(Env) != 0;
-  return Opts.ScalarVectorParity;
-}
-
-/// Trace-parity prefix length: HALIDE_DIFF_TRACE wins over the option so
-/// CI can widen (or disable) the trace-on-vs-off check per job.
-int diffTraceParity(const DiffOptions &Opts) {
-  const char *Env = std::getenv("HALIDE_DIFF_TRACE");
-  if (Env && *Env)
-    return std::atoi(Env);
-  return Opts.TraceParityChecks;
+  if (!Env || !*Env) // set-but-empty (e.g. a blank CI matrix cell) = unset
+    return Target::vm();
+  Target T;
+  user_assert(Target::parse(Env, &T))
+      << "HALIDE_DIFF_BACKEND=" << Env << " is not a valid backend name";
+  if (T.TargetBackend == Backend::JitC)
+    T = T.withJitFlags(diffJitFlags());
+  return T;
 }
 
 /// Renders the stats fields the determinism contract covers, for
 /// mismatch diagnostics (the contract and rendering live with
-/// ExecutionStats itself; see runtime/Tracing.h).
+/// ExecutionStats itself; see runtime/ExecutionStats.h).
 std::string statsSummary(const ExecutionStats &S) {
   std::ostringstream OS;
   OS << S;
@@ -302,7 +288,7 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
   const int W = Opts.Width, H = Opts.Height;
   ParamBindings Inputs = A.MakeInputs(W, H);
 
-  const Target Exec = diffExecTarget(Opts);
+  const Target Exec = diffExecTarget();
   const std::string ExecName = backendName(Exec.TargetBackend);
 
   ScheduleSpace Space(A.Output.function());
@@ -354,7 +340,7 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
     RawBuffer Base = makeAppOutput(A, BW, BH, &KeepBase);
     A.Reference(BW, BH, Base);
     std::string Detail;
-    if (!buffersMatch(BRef, Base, Opts.FloatTolerance, A.ReferenceMargin,
+    if (!buffersMatch(BRef, Base, FloatTolerance, A.ReferenceMargin,
                       &Detail))
       R.Mismatches.push_back({"breadth_first",
                               ExecName + " vs hand-written baseline",
@@ -365,9 +351,8 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
   // the bytecode VM, every schedule's primary run is pinned to one thread
   // and re-executed with a thread request; outputs must match bit for bit
   // and the merged ExecutionStats must be identical.
-  const int DiffThreads = Exec.TargetBackend == Backend::VmBytecode
-                              ? diffThreadedVmThreads(Opts)
-                              : 0;
+  const int DiffThreads =
+      Exec.TargetBackend == Backend::VmBytecode ? ThreadedVmThreads : 0;
   const Target ExecSerial =
       DiffThreads > 1 ? Exec.withThreads(1) : Exec;
 
@@ -381,12 +366,11 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
     RawBuffer SerialOut;
     ExecutionStats SerialStats;
   };
-  const int NumConcurrent = diffConcurrentFrames(Opts);
   std::vector<ConcurrentCase> Cases;
 
   int ScheduleIndex = 0;
-  for (const Genome &G : Space.deterministicSample(Opts.ScheduleCount,
-                                                   Opts.Seed)) {
+  for (const Genome &G :
+       Space.deterministicSample(ScheduleCount, SampleSeed)) {
     std::string Desc = Space.describe(G);
     Space.apply(G);
     LoweredPipeline P = Pipe.lowerPipeline();
@@ -404,9 +388,9 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
       if (Rc != 0)
         R.Mismatches.push_back({Desc, ExecName + " exit code",
                                 "pipeline returned " + std::to_string(Rc)});
-      else if (!buffersMatch(Ref, OutExec, Opts.FloatTolerance, 0, &Detail))
+      else if (!buffersMatch(Ref, OutExec, FloatTolerance, 0, &Detail))
         R.Mismatches.push_back({Desc, ExecName + " vs reference", Detail});
-      else if (int(Cases.size()) < NumConcurrent) {
+      else if (int(Cases.size()) < ConcurrentFrames) {
         ConcurrentCase CC;
         CC.Desc = Desc;
         CC.Exe = makeExecutable(P, ExecSerial);
@@ -445,7 +429,7 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
     // backend's output bit for bit (zero tolerance — the VM's contract
     // with the interpreter is identical results, not merely close ones).
     if (Exec.TargetBackend != Backend::Interpreter &&
-        ScheduleIndex < Opts.InterpreterSpotChecks) {
+        ScheduleIndex < InterpreterSpotChecks) {
       std::shared_ptr<void> KeepInterp;
       RawBuffer OutInterp = makeAppOutput(A, W, H, &KeepInterp);
       ParamBindings PB = Inputs;
@@ -456,20 +440,20 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
         R.Mismatches.push_back({Desc, "interpreter vs " + ExecName, Detail});
     }
 
-    if (Opts.RunCodeGenC) {
+    // The C backend independently re-executes every schedule.
+    {
       std::shared_ptr<void> KeepC;
       RawBuffer OutC = makeAppOutput(A, W, H, &KeepC);
       ParamBindings PB = Inputs;
       PB.bind(A.Output.name(), OutC);
       int Rc =
-          runOnBackend(Target::jit().withJitFlags(diffJitFlags(Opts)), P,
-                       PB);
+          runOnBackend(Target::jit().withJitFlags(diffJitFlags()), P, PB);
       std::string Detail;
       if (Rc != 0)
         R.Mismatches.push_back(
             {Desc, "codegen_c exit code", "pipeline returned " +
                                               std::to_string(Rc)});
-      else if (!buffersMatch(Ref, OutC, Opts.FloatTolerance, 0, &Detail))
+      else if (!buffersMatch(Ref, OutC, FloatTolerance, 0, &Detail))
         R.Mismatches.push_back({Desc, "codegen_c vs reference", Detail});
     }
 
@@ -480,8 +464,8 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
     // load/store records per buffer must land exactly on the untraced
     // run's ExecutionStats — the instrumentation saw every access the
     // counters saw, and nothing else.
-    if (ScheduleIndex < diffTraceParity(Opts)) {
-      const std::string TracePath = "/tmp/halide_diff_trace_" +
+    if (ScheduleIndex < TraceParityChecks) {
+      const std::string TracePath = tempDirectory() + "/halide_diff_trace_" +
                                     std::to_string(getpid()) + ".bin";
       std::shared_ptr<void> KeepTr;
       RawBuffer OutTr = makeAppOutput(A, W, H, &KeepTr);
@@ -542,31 +526,29 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
     // operations) and issue exactly the same per-buffer load/store
     // traffic. Last leg in the loop because it rewrites the applied
     // schedules; the next iteration's apply() resets them anyway.
-    if (diffScalarParity(Opts)) {
-      Space.apply(G);
-      if (scalarizeVectorLoops(A.Output.function())) {
-        LoweredPipeline PS = Pipe.lowerPipeline();
-        std::shared_ptr<void> KeepScalar;
-        RawBuffer OutScalar = makeAppOutput(A, W, H, &KeepScalar);
-        ParamBindings PB = Inputs;
-        PB.bind(A.Output.name(), OutScalar);
-        ExecutionStats ScalarStats;
-        int Rc = runOnBackend(ExecSerial, PS, PB, &ScalarStats);
-        std::string Detail;
-        if (Rc != 0)
-          R.Mismatches.push_back(
-              {Desc, "scalarized " + ExecName + " exit code",
-               "pipeline returned " + std::to_string(Rc)});
-        else if (!buffersMatch(OutExec, OutScalar, 0.0, 0, &Detail))
-          R.Mismatches.push_back(
-              {Desc, "vector vs scalar " + ExecName, Detail});
-        else if (ScalarStats.LoadsPerBuffer != SerialStats.LoadsPerBuffer ||
-                 ScalarStats.StoresPerBuffer != SerialStats.StoresPerBuffer)
-          R.Mismatches.push_back(
-              {Desc, "vector vs scalar " + ExecName + " memory traffic",
-               "vector {" + statsSummary(SerialStats) + "} scalar {" +
-                   statsSummary(ScalarStats) + "}"});
-      }
+    Space.apply(G);
+    if (scalarizeVectorLoops(A.Output.function())) {
+      LoweredPipeline PS = Pipe.lowerPipeline();
+      std::shared_ptr<void> KeepScalar;
+      RawBuffer OutScalar = makeAppOutput(A, W, H, &KeepScalar);
+      ParamBindings PB = Inputs;
+      PB.bind(A.Output.name(), OutScalar);
+      ExecutionStats ScalarStats;
+      int Rc = runOnBackend(ExecSerial, PS, PB, &ScalarStats);
+      std::string Detail;
+      if (Rc != 0)
+        R.Mismatches.push_back(
+            {Desc, "scalarized " + ExecName + " exit code",
+             "pipeline returned " + std::to_string(Rc)});
+      else if (!buffersMatch(OutExec, OutScalar, 0.0, 0, &Detail))
+        R.Mismatches.push_back(
+            {Desc, "vector vs scalar " + ExecName, Detail});
+      else if (ScalarStats.LoadsPerBuffer != SerialStats.LoadsPerBuffer ||
+               ScalarStats.StoresPerBuffer != SerialStats.StoresPerBuffer)
+        R.Mismatches.push_back(
+            {Desc, "vector vs scalar " + ExecName + " memory traffic",
+             "vector {" + statsSummary(SerialStats) + "} scalar {" +
+                 statsSummary(ScalarStats) + "}"});
     }
     ++R.SchedulesRun;
     ++ScheduleIndex;

@@ -17,25 +17,23 @@
 /// every schedule, and the tree-walking interpreter spot-checks a prefix
 /// of the sample bit-for-bit as the semantic reference. On top of that,
 /// every sampled schedule is checked serial-vs-parallel: the threaded VM
-/// must reproduce the serial VM's output bit-for-bit with identical
-/// merged ExecutionStats (DiffOptions::ThreadedVmThreads /
-/// HALIDE_DIFF_THREADS). A final concurrency leg re-runs the first few
-/// schedules' executables as simultaneous async jobs on the task
+/// (4 threads) must reproduce the serial VM's output bit-for-bit with
+/// identical merged ExecutionStats. A concurrency leg re-runs the first
+/// four schedules' executables as simultaneous async jobs on the task
 /// scheduler — the serving configuration — and requires every frame to
-/// be bit-identical (output and merged stats) to its sequential run
-/// (DiffOptions::ConcurrentFrames / HALIDE_DIFF_CONCURRENT). Since the
-/// backends grew real SIMD execution, a scalar-vs-vector leg re-lowers
+/// be bit-identical (output and merged stats) to its sequential run. Since
+/// the backends grew real SIMD execution, a scalar-vs-vector leg re-lowers
 /// every sampled schedule that contains a vectorized loop with that loop
 /// demoted to serial (splits intact) and requires the vectorized run to
 /// reproduce the scalarized output bit-for-bit with identical per-buffer
-/// load/store counts (DiffOptions::ScalarVectorParity /
-/// HALIDE_DIFF_SCALAR). Finally a trace-parity leg re-runs a prefix of
-/// the sample with value tracing enabled (Target::withTrace() streaming
-/// to a temporary file): the traced run must reproduce the untraced
-/// output bit-for-bit, and the per-buffer load/store lane counts summed
-/// from the trace itself must equal the untraced run's ExecutionStats —
+/// load/store counts. Finally a trace-parity leg re-runs the first
+/// schedule with value tracing enabled (Target::withTrace() streaming to a
+/// temporary file): the traced run must reproduce the untraced output
+/// bit-for-bit, and the per-buffer load/store lane counts summed from the
+/// trace itself must equal the untraced run's ExecutionStats —
 /// instrumentation may not change the computation, and may not miss or
-/// invent an access (DiffOptions::TraceParityChecks / HALIDE_DIFF_TRACE).
+/// invent an access. Every leg runs on every call; the sample and the
+/// legs' widths are fixed in DiffTest.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,7 +59,7 @@ int runOnBackend(const Target &T, const LoweredPipeline &P,
                  const ParamBindings &Params,
                  ExecutionStats *Stats = nullptr);
 
-/// Options controlling a differential run.
+/// The frame sizes of a differential run.
 struct DiffOptions {
   int Width = 96;
   int Height = 64;
@@ -73,78 +71,6 @@ struct DiffOptions {
   /// full frames schedule-vs-schedule) can stay small and fast.
   int BaselineWidth = 0;
   int BaselineHeight = 0;
-  /// Schedules drawn from ScheduleSpace::deterministicSample. The first
-  /// five are the canonical variants (breadth-first, max-inline,
-  /// tiled+parallel, vectorized, sliding window); the rest are seeded
-  /// random points in the search space. Twelve per app since the bytecode
-  /// VM became the suite's engine (PR 3 made the sweep ~4x faster, so the
-  /// sample affords twice the coverage it had under the interpreter).
-  int ScheduleCount = 12;
-  uint32_t Seed = 2013;
-  /// Absolute per-element tolerance for float outputs. Integer outputs
-  /// must match bit-exactly.
-  double FloatTolerance = 1e-5;
-  /// The engine that computes the reference output and executes every
-  /// sampled schedule. Defaults to the bytecode VM; the
-  /// HALIDE_DIFF_BACKEND environment variable (Target::parse syntax,
-  /// e.g. "vm", "interp") overrides it process-wide, which is how CI
-  /// forces a backend under sanitizers.
-  Target ExecTarget = Target::vm();
-  /// The first this-many sampled schedules are additionally executed by
-  /// the tree-walking interpreter, which must reproduce the execution
-  /// backend's output for the same schedule bit-for-bit — the
-  /// stats-reference engine keeps auditing the VM without paying its
-  /// 10-40x slowdown on every schedule. 0 disables; ignored when
-  /// ExecTarget is already the interpreter.
-  int InterpreterSpotChecks = 1;
-  /// The threaded-VM leg: when the execution backend is the bytecode VM,
-  /// every sampled schedule is re-executed with this many threads
-  /// requested and must reproduce the serial output bit-for-bit with
-  /// identical merged ExecutionStats — the serial-vs-parallel
-  /// determinism check. <= 1 disables. The HALIDE_DIFF_THREADS
-  /// environment variable overrides it process-wide (0 to disable); the
-  /// effective worker count is still bounded by the task scheduler's
-  /// pool size (HALIDE_NUM_THREADS / hardware concurrency).
-  int ThreadedVmThreads = 4;
-  /// The concurrent-serving leg: the first this-many sampled schedules'
-  /// executables are re-run as simultaneous async jobs sharing the task
-  /// scheduler (mixed priorities), and every frame's output and merged
-  /// ExecutionStats must be bit-identical to that schedule's sequential
-  /// run — concurrency must be invisible in the results. 0 disables. The
-  /// HALIDE_DIFF_CONCURRENT environment variable overrides it
-  /// process-wide (0 to disable).
-  int ConcurrentFrames = 4;
-  /// The scalar-vs-vector parity leg: every sampled schedule containing a
-  /// vectorized loop is additionally re-lowered with each vectorized
-  /// dimension demoted to a serial loop of the same extent (splits stay,
-  /// so the iteration space is identical) and re-executed on the same
-  /// backend. The vectorized run must reproduce the scalarized output
-  /// bit-for-bit — zero tolerance, floats included, since lane-parallel
-  /// arithmetic performs exactly the per-element operations — with
-  /// identical per-buffer load/store counts. The HALIDE_DIFF_SCALAR
-  /// environment variable overrides it process-wide (0 disables).
-  bool ScalarVectorParity = true;
-  /// The trace-parity leg: the first this-many sampled schedules are
-  /// re-executed with value tracing enabled (Target::withTrace(), stream
-  /// directed at a temporary file that is deleted afterwards). The traced
-  /// run must reproduce the untraced output bit-for-bit, and summing the
-  /// trace's per-lane load/store records per buffer must reproduce the
-  /// untraced run's ExecutionStats LoadsPerBuffer/StoresPerBuffer exactly
-  /// — the instrumentation neither perturbs the computation nor drops or
-  /// duplicates an access. 0 disables. The HALIDE_DIFF_TRACE environment
-  /// variable overrides it process-wide (0 to disable).
-  int TraceParityChecks = 1;
-  /// Also push every schedule through the C backend (compile + dlopen).
-  bool RunCodeGenC = true;
-  /// Host-compiler flags for the C backend. -O0 because this harness
-  /// checks correctness, not speed: the vectorized schedules emit large
-  /// translation units that -O3 compiles an order of magnitude slower.
-  /// The HALIDE_DIFF_JIT_FLAGS environment variable overrides it
-  /// process-wide (and also applies to an exec backend forced to jit_c
-  /// via HALIDE_DIFF_BACKEND) — CI's no-autovectorize leg pins
-  /// "-O2 -fno-tree-vectorize" to prove the emitted vector code, not the
-  /// host compiler, carries the SIMD.
-  std::string JitFlags = "-O0";
 };
 
 /// One disagreement between a schedule's output and the reference.
@@ -193,9 +119,10 @@ bool buffersMatch(const RawBuffer &A, const RawBuffer &B, double FloatTol,
                   int Margin, std::string *Detail);
 
 /// Runs the full differential sweep for one app. The reference output is
-/// the breadth-first schedule through the interpreter; every sampled
-/// schedule must reproduce it on both backends, and the reference itself
-/// must agree with the app's hand-written baseline where one is wired.
+/// the breadth-first schedule through the suite's execution engine; every
+/// sampled schedule must reproduce it on that engine and on the C backend,
+/// and the reference itself must agree with the app's hand-written
+/// baseline where one is wired.
 DiffReport runScheduleDifferential(App &A, const DiffOptions &Opts = {});
 
 } // namespace halide

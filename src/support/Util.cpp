@@ -104,3 +104,8 @@ std::string halide::replaceAll(std::string Str, const std::string &From,
   }
   return Str;
 }
+
+std::string halide::tempDirectory() {
+  const char *Dir = std::getenv("TMPDIR");
+  return Dir && *Dir ? Dir : "/tmp";
+}

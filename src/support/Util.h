@@ -122,6 +122,10 @@ std::vector<std::string> splitString(const std::string &Str, char Sep);
 std::string replaceAll(std::string Str, const std::string &From,
                        const std::string &To);
 
+/// The directory for scratch files: $TMPDIR, or /tmp when TMPDIR is unset
+/// or empty.
+std::string tempDirectory();
+
 /// Intrusively reference-counted smart pointer, in the style of
 /// llvm::IntrusiveRefCntPtr. The pointee exposes a mutable
 /// `std::atomic<int> RefCount`. Refcounting is atomic because handles to

@@ -2,6 +2,8 @@
 
 #include "vm/Bytecode.h"
 
+#include "observe/TraceStream.h"
+
 #include <sstream>
 
 using namespace halide;
@@ -62,12 +64,7 @@ const char *halide::vmOpName(VmOp Op) {
   case VmOp::AssertCond: return "assert";
   case VmOp::CallExtern: return "call";
   case VmOp::CountParallel: return "count_parallel";
-  case VmOp::ProfEnter: return "prof_enter";
-  case VmOp::ProfExit: return "prof_exit";
-  case VmOp::TraceLoad: return "trace.load";
-  case VmOp::TraceStore: return "trace.store";
-  case VmOp::TraceBegin: return "trace.begin";
-  case VmOp::TraceEnd: return "trace.end";
+  case VmOp::Event: return "event";
   case VmOp::Halt: return "halt";
   }
   return "unknown";
@@ -88,6 +85,24 @@ const char *halide::vmExternName(VmExtern Fn) {
   return "unknown";
 }
 
+namespace {
+
+/// Disassembly mnemonic of an Event op, per kind.
+const char *eventName(TraceEventKind Kind) {
+  switch (Kind) {
+  case TraceEventKind::ProfEnter: return "prof_enter";
+  case TraceEventKind::ProfExit: return "prof_exit";
+  case TraceEventKind::TraceLoad: return "trace.load";
+  case TraceEventKind::TraceStore: return "trace.store";
+  case TraceEventKind::TraceBegin: return "trace.begin";
+  case TraceEventKind::TraceEnd: return "trace.end";
+  case TraceEventKind::TraceName: break;
+  }
+  return "event";
+}
+
+} // namespace
+
 std::string VmProgram::disassemble() const {
   std::ostringstream OS;
   OS << "; " << Code.size() << " instructions, " << InitialRegs.size()
@@ -104,7 +119,9 @@ std::string VmProgram::disassemble() const {
     OS << "; param r" << P.Slot << " = " << P.Name << "\n";
   for (size_t I = 0; I < Code.size(); ++I) {
     const VmInstr &In = Code[I];
-    OS << I << ":\t" << vmOpName(In.Op);
+    OS << I << ":\t"
+       << (In.Op == VmOp::Event ? eventName(TraceEventKind(In.C))
+                                : vmOpName(In.Op));
     if (In.Lanes > 1)
       OS << " x" << In.Lanes;
     switch (In.Op) {
@@ -148,21 +165,16 @@ std::string VmProgram::disassemble() const {
     case VmOp::CountParallel:
       OS << " r" << In.A;
       break;
-    case VmOp::ProfEnter:
-    case VmOp::ProfExit:
+    case VmOp::Event: {
+      const TraceEventKind Kind = TraceEventKind(In.C);
       OS << " \"" << StageNames[size_t(In.Aux)] << "\"";
+      if (Kind == TraceEventKind::TraceLoad ||
+          Kind == TraceEventKind::TraceStore)
+        OS << "[r" << In.A << (In.SignedWrap ? " ..]" : "]") << ", r" << In.B;
+      else if (Kind == TraceEventKind::TraceBegin)
+        OS << " extents=r" << In.A;
       break;
-    case VmOp::TraceLoad:
-    case VmOp::TraceStore:
-      OS << " \"" << Buffers[size_t(In.Aux)].Name << "\"[r" << In.A
-         << (In.SignedWrap ? " ..]" : "]") << ", r" << In.B;
-      break;
-    case VmOp::TraceBegin:
-      OS << " \"" << Buffers[size_t(In.Aux)].Name << "\" extents=r" << In.A;
-      break;
-    case VmOp::TraceEnd:
-      OS << " \"" << Buffers[size_t(In.Aux)].Name << "\"";
-      break;
+    }
     case VmOp::ParFor: {
       const VmTaskDesc &T = Tasks[size_t(In.Dst)];
       OS << " task" << In.Dst << " min=r" << In.A << " extent=r" << In.B

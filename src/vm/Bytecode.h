@@ -111,26 +111,17 @@ enum class VmOp : uint8_t {
   /// Stats.ParallelIterations += a[0] (entering a parallel/GPU loop).
   CountParallel,
 
-  // Profiler stage markers (present only in Target::Profile programs;
-  // see transforms/InjectProfiling.h). Aux indexes VmProgram::StageNames;
-  // the executable pre-resolves each name to a process-wide stage id so
-  // dispatch is a table lookup plus profilerEnter/profilerExit.
-  ProfEnter, ///< enter stage StageNames[Aux]
-  ProfExit,  ///< exit stage StageNames[Aux]
-
-  // Value-trace events (present only in Target::Trace programs; see
-  // transforms/InjectTracing.h and observe/TraceStream.h). Aux is the
-  // buffer-table index — the buffer name *is* the trace stage, and the
-  // executable pre-resolves each traced buffer's process-wide stage id.
-  // TraceLoad/TraceStore follow the matching memory op: A is its index
-  // register (the scalar base register when SignedWrap is 1, i.e. the
-  // dense form), B is the value register, Lanes the lane count.
-  TraceLoad,  ///< event: loaded b[0..Lanes) from buffer Aux at A's indices
-  TraceStore, ///< event: stored b[0..Lanes) to buffer Aux at A's indices
-  /// Realization begin event: Lanes extents in consecutive scalar
-  /// registers starting at A.
-  TraceBegin,
-  TraceEnd, ///< realization end event for buffer Aux
+  /// An instrumentation event (present only in Target::Profile and
+  /// Target::Trace programs; see transforms/Instrument.h), reported through
+  /// observeEvent. C is the TraceEventKind and Aux indexes
+  /// VmProgram::StageNames, which the executable pre-resolves to
+  /// process-wide stage ids. TraceLoad/TraceStore follow the matching
+  /// memory op: A is its index register (the scalar base register when
+  /// SignedWrap is 1, i.e. the dense form), B the value register, Lanes
+  /// the lane count and Bits the value's packed trace type code.
+  /// TraceBegin reads Lanes extents from consecutive scalar registers
+  /// starting at A; the other kinds read nothing.
+  Event,
 
   Halt, ///< end of program
 };
@@ -216,8 +207,8 @@ struct VmProgram {
   std::vector<std::string> Messages;
   /// Parallel task entry points (ParFor's Dst indexes this).
   std::vector<VmTaskDesc> Tasks;
-  /// Stage-name pool for ProfEnter/ProfExit (Aux indexes this). Empty in
-  /// uninstrumented programs.
+  /// Stage-name pool for Event ops (Aux indexes this): profiled stages
+  /// and traced buffers. Empty in uninstrumented programs.
   std::vector<std::string> StageNames;
 
   /// Human-readable listing of the whole program (tests, debugging).

@@ -5,6 +5,7 @@
 #include "analysis/Scope.h"
 #include "ir/Expr.h"
 #include "ir/IROperators.h"
+#include "transforms/Instrument.h"
 
 #include <algorithm>
 #include <map>
@@ -54,7 +55,7 @@ private:
   }
 
   /// Index of \p Name in the program's stage-name pool (appending it on
-  /// first use). Marker pairs for one stage share an entry.
+  /// first use). Every event of one stage or buffer shares an entry.
   int32_t internStageName(const std::string &Name) {
     for (size_t I = 0; I < Prog.StageNames.size(); ++I)
       if (Prog.StageNames[I] == Name)
@@ -279,16 +280,46 @@ private:
     return Dst;
   }
 
-  /// A TraceLoad/TraceStore event instruction: A is the index (or, when
-  /// \p Dense, scalar base) register of the memory op it follows, B the
-  /// value register. SignedWrap carries the dense flag; Bits/Lanes the
-  /// value shape.
-  VmInstr traceAccess(VmOp Op, Type T, uint32_t IdxReg, uint32_t ValReg,
-                      bool Dense, int32_t Buf) {
-    VmInstr Tr = elemwise(Op, T, 0, IdxReg, ValReg);
-    Tr.SignedWrap = Dense ? 1 : 0;
-    Tr.Aux = Buf;
-    return Tr;
+  /// An Event instruction of \p Kind for stage or buffer \p Stage. The
+  /// operand layout is documented at VmOp::Event.
+  VmInstr event(TraceEventKind Kind, const std::string &Stage,
+                uint32_t A = 0, uint16_t Lanes = 0) {
+    VmInstr In;
+    In.Op = VmOp::Event;
+    In.C = uint32_t(Kind);
+    In.Aux = internStageName(Stage);
+    In.A = A;
+    In.Lanes = Lanes;
+    return In;
+  }
+
+  /// A traced memory access: a store of \p StoredValue, or a load when it
+  /// is null. The access compiles exactly as an untraced one (value
+  /// before index, dense form included), followed by a TraceLoad or
+  /// TraceStore event reading the same index and value registers. Returns
+  /// the value register. SignedWrap carries the dense flag, Bits the
+  /// value's trace type code.
+  uint32_t compileTracedAccess(TraceEventKind Kind, const std::string &Buf,
+                               Type T, const Expr &Index,
+                               const Expr *StoredValue) {
+    uint32_t Val = StoredValue ? compileExpr(*StoredValue) : 0;
+    const Ramp *R = asDenseRamp(Index);
+    uint32_t IdxReg = compileExpr(R ? R->Base : Index);
+    VmInstr In;
+    if (StoredValue) {
+      In = elemwise(R ? VmOp::StoreDense : VmOp::Store, T, 0, Val, IdxReg);
+    } else {
+      Val = allocReg(T.Lanes);
+      In = elemwise(R ? VmOp::LoadDense : VmOp::Load, T, Val, IdxReg);
+    }
+    In.Aux = BufScope.get(Buf);
+    emit(In);
+    VmInstr Ev = event(Kind, Buf, IdxReg, uint16_t(T.Lanes));
+    Ev.B = Val;
+    Ev.SignedWrap = R ? 1 : 0;
+    Ev.Bits = traceTypeCode(T.element());
+    emit(Ev);
+    return Val;
   }
 
   /// Unit-stride ramp index: the dense vector access shape. Such loads
@@ -323,35 +354,13 @@ private:
 
   uint32_t compileCall(const Call *Op) {
     if (Op->CallKind == CallType::Intrinsic) {
-      // The trace hook is a no-op in the VM, exactly as in the
-      // interpreter: it folds to the constant 0 without evaluating its
-      // arguments.
-      if (Op->Name == Call::TracePoint)
-        return constInt(0);
-      if (Op->Name == Call::TraceLoad) {
-        // {StringImm(buffer), Load}: the load compiles exactly as an
-        // untraced load (dense form included), followed by a trace op
-        // reading the same index and destination registers.
-        const StringImm *BufName = Op->Args.at(0).as<StringImm>();
-        const Load *L = Op->Args.at(1).as<Load>();
-        internal_assert(BufName && L) << "vm: malformed trace_load";
-        int32_t Buf = BufScope.get(L->Name);
-        Type T = L->NodeType;
-        bool Dense = false;
-        uint32_t IdxReg;
-        if (const Ramp *R = asDenseRamp(L->Index)) {
-          IdxReg = compileExpr(R->Base);
-          Dense = true;
-        } else {
-          IdxReg = compileExpr(L->Index);
-        }
-        uint32_t Dst = allocReg(T.Lanes);
-        VmInstr In = elemwise(Dense ? VmOp::LoadDense : VmOp::Load, T, Dst,
-                              IdxReg);
-        In.Aux = Buf;
-        emit(In);
-        emit(traceAccess(VmOp::TraceLoad, T, IdxReg, Dst, Dense, Buf));
-        return Dst;
+      if (Op->Name == Call::Instrument) {
+        // The only event in expression position is a traced load.
+        const Load *L = Op->Args.at(2).as<Load>();
+        internal_assert(instrumentKind(Op) == TraceEventKind::TraceLoad && L)
+            << "vm: malformed traced load";
+        return compileTracedAccess(TraceEventKind::TraceLoad, L->Name,
+                                   L->NodeType, L->Index, nullptr);
       }
       internal_error << "vm: unknown intrinsic " << Op->Name;
     }
@@ -470,82 +479,14 @@ private:
     }
     case IRNodeKind::Evaluate: {
       const Evaluate *Op = S.as<Evaluate>();
-      // Pure expressions evaluated for side effects only reduce to the
-      // trace hook, which the VM drops entirely, and the profile markers,
-      // which compile to dedicated ops with the stage name interned in
-      // the program's StageNames pool (the executable resolves names to
-      // process-wide ids once, at load).
+      // Instrumentation events compile to Event ops with the stage name
+      // interned in the program's StageNames pool (the executable
+      // resolves names to process-wide ids once, at load).
       const Call *C = Op->Value.as<Call>();
-      if (C && C->CallKind == CallType::Intrinsic) {
-        if (C->Name == Call::TracePoint)
-          return;
-        if (C->Name == Call::ProfileStageStart ||
-            C->Name == Call::ProfileStageEnd) {
-          const StringImm *Stage = C->Args.at(0).as<StringImm>();
-          internal_assert(Stage) << "vm: profile marker without stage name";
-          VmInstr In;
-          In.Op = C->Name == Call::ProfileStageStart ? VmOp::ProfEnter
-                                                     : VmOp::ProfExit;
-          In.Aux = internStageName(Stage->Value);
-          emit(In);
-          return;
-        }
-        if (C->Name == Call::TraceStore) {
-          // {StringImm(buffer), Value, Index}: the store compiles exactly
-          // as an untraced Store (value before index, dense form
-          // included), followed by a trace op reading the same registers.
-          const StringImm *BufName = C->Args.at(0).as<StringImm>();
-          internal_assert(BufName) << "vm: malformed trace_store";
-          int32_t Buf = BufScope.get(BufName->Value);
-          const Expr &Value = C->Args.at(1);
-          const Expr &Index = C->Args.at(2);
-          uint32_t Val = compileExpr(Value);
-          bool Dense = false;
-          uint32_t IdxReg;
-          if (const Ramp *R = asDenseRamp(Index)) {
-            IdxReg = compileExpr(R->Base);
-            Dense = true;
-          } else {
-            IdxReg = compileExpr(Index);
-          }
-          VmInstr In = elemwise(Dense ? VmOp::StoreDense : VmOp::Store,
-                                Value.type(), 0, Val, IdxReg);
-          In.Aux = Buf;
-          emit(In);
-          emit(traceAccess(VmOp::TraceStore, Value.type(), IdxReg, Val,
-                           Dense, Buf));
-          return;
-        }
-        if (C->Name == Call::TraceBegin) {
-          // Extents move into a contiguous scalar register block so the
-          // event op can read them as one range.
-          const StringImm *BufName = C->Args.at(0).as<StringImm>();
-          internal_assert(BufName) << "vm: malformed trace_begin";
-          int32_t Buf = BufScope.get(BufName->Value);
-          int Dims = int(C->Args.size()) - 1;
-          uint32_t Base = allocReg(Dims > 0 ? Dims : 1);
-          for (int I = 0; I < Dims; ++I) {
-            uint32_t E = compileExpr(C->Args[size_t(I) + 1]);
-            emit(elemwise(VmOp::Mov, Int(32), Base + uint32_t(I), E));
-          }
-          VmInstr In;
-          In.Op = VmOp::TraceBegin;
-          In.A = Base;
-          In.Lanes = uint16_t(Dims);
-          In.Aux = Buf;
-          emit(In);
-          return;
-        }
-        if (C->Name == Call::TraceEnd) {
-          const StringImm *BufName = C->Args.at(0).as<StringImm>();
-          internal_assert(BufName) << "vm: malformed trace_end";
-          VmInstr In;
-          In.Op = VmOp::TraceEnd;
-          In.Lanes = 0;
-          In.Aux = BufScope.get(BufName->Value);
-          emit(In);
-          return;
-        }
+      if (C && C->CallKind == CallType::Intrinsic &&
+          C->Name == Call::Instrument) {
+        compileEvent(C);
+        return;
       }
       compileExpr(Op->Value);
       return;
@@ -559,6 +500,30 @@ private:
     default:
       internal_error << "vm: expression kind in statement position";
     }
+  }
+
+  /// An Evaluate'd Call::Instrument: every kind but TraceLoad.
+  void compileEvent(const Call *C) {
+    const TraceEventKind Kind = instrumentKind(C);
+    const std::string &Stage = instrumentStage(C);
+    if (Kind == TraceEventKind::TraceStore) {
+      internal_assert(C->Args.size() == 4) << "vm: malformed traced store";
+      compileTracedAccess(Kind, Stage, C->Args[2].type(), C->Args[3],
+                          &C->Args[2]);
+      return;
+    }
+    // TraceBegin's extents move into a contiguous scalar register block
+    // so the event can read them as one range.
+    const int Dims = int(C->Args.size()) - 2;
+    uint32_t Base = 0;
+    if (Dims > 0) {
+      Base = allocReg(Dims);
+      for (int I = 0; I < Dims; ++I) {
+        uint32_t E = compileExpr(C->Args[size_t(I) + 2]);
+        emit(elemwise(VmOp::Mov, Int(32), Base + uint32_t(I), E));
+      }
+    }
+    emit(event(Kind, Stage, Base, uint16_t(Dims)));
   }
 
   void compileFor(const For *Op) {
@@ -713,25 +678,22 @@ private:
       if (VmExtern(In.Aux) == VmExtern::Pow)
         Out->push_back({In.B, L});
       break;
-    case VmOp::TraceLoad:
-    case VmOp::TraceStore:
-      // A is the index register (a single scalar base in the dense form,
-      // flagged in SignedWrap), B the value lanes. Missing these would
-      // leave a traced access's registers out of a parallel task's
-      // closure.
-      Out->push_back({In.A, In.SignedWrap ? 1 : L});
-      Out->push_back({In.B, L});
-      break;
-    case VmOp::TraceBegin:
-      if (L)
+    case VmOp::Event:
+      // A traced access reads its index register (a single scalar base in
+      // the dense form, flagged in SignedWrap) and its value lanes; a
+      // TraceBegin its extents. Missing these would leave an event's
+      // registers out of a parallel task's closure.
+      if (TraceEventKind(In.C) == TraceEventKind::TraceLoad ||
+          TraceEventKind(In.C) == TraceEventKind::TraceStore) {
+        Out->push_back({In.A, In.SignedWrap ? 1 : L});
+        Out->push_back({In.B, L});
+      } else if (L) {
         Out->push_back({In.A, L});
+      }
       break;
     case VmOp::Jump:
     case VmOp::FreeOp:
     case VmOp::TaskRet:
-    case VmOp::ProfEnter:
-    case VmOp::ProfExit:
-    case VmOp::TraceEnd:
     case VmOp::Halt:
       break;
     default:

@@ -148,12 +148,8 @@ void releaseContext(std::unique_ptr<VmContext> C) {
 class Runner {
 public:
   Runner(const VmProgram &Prog, const std::vector<uint8_t> &Kinds,
-         const std::vector<int> &StageIds,
-         const std::vector<int> &TraceStageIds,
-         const std::vector<uint8_t> &TraceTypeCodes, int Threads)
-      : Prog(Prog), Kinds(Kinds), StageIds(StageIds),
-        TraceStageIds(TraceStageIds), TraceTypeCodes(TraceTypeCodes),
-        Threads(Threads) {}
+         const std::vector<int> &StageIds, int Threads)
+      : Prog(Prog), Kinds(Kinds), StageIds(StageIds), Threads(Threads) {}
 
   /// Executes from \p StartPC until Halt or TaskRet.
   void exec(VmContext &C, size_t PC) const;
@@ -169,9 +165,7 @@ private:
 
   const VmProgram &Prog;
   const std::vector<uint8_t> &Kinds; ///< ElemKind per buffer slot
-  const std::vector<int> &StageIds;  ///< profiler id per StageNames entry
-  const std::vector<int> &TraceStageIds;      ///< trace stage id per buffer
-  const std::vector<uint8_t> &TraceTypeCodes; ///< trace type code per buffer
+  const std::vector<int> &StageIds;  ///< stage id per StageNames entry
   const int Threads; ///< effective thread request (>= 1)
 };
 
@@ -179,8 +173,8 @@ void Runner::exec(VmContext &C, size_t PC) const {
   VmSlot *R = C.Regs.data();
   const VmInstr *Code = Prog.Code.data();
 
-  // Scratch for trace-event records; only the trace cases touch these,
-  // and default-constructed vectors cost nothing here.
+  // Scratch for event payloads; only the Event case touches these, and
+  // default-constructed vectors cost nothing here.
   std::vector<int32_t> TraceCoords;
   std::vector<uint64_t> TraceBits;
 
@@ -531,52 +525,34 @@ void Runner::exec(VmContext &C, size_t PC) const {
       C.Shard.ParallelIters += R[In.A].I;
       break;
 
-    case VmOp::ProfEnter:
-      profilerEnter(StageIds[size_t(In.Aux)]);
-      break;
-    case VmOp::ProfExit:
-      profilerExit(StageIds[size_t(In.Aux)]);
-      break;
-
-    case VmOp::TraceLoad:
-    case VmOp::TraceStore: {
+    case VmOp::Event: {
+      const TraceEventKind Kind = TraceEventKind(In.C);
+      const int Stage = StageIds[size_t(In.Aux)];
+      if (Kind != TraceEventKind::TraceLoad &&
+          Kind != TraceEventKind::TraceStore) {
+        // TraceBegin's extents; the other kinds carry no payload.
+        TraceCoords.resize(size_t(L));
+        for (int I = 0; I < L; ++I)
+          TraceCoords[size_t(I)] = int32_t(R[In.A + I].I);
+        observeEvent(Kind, Stage, 0, 0, TraceCoords.data(), L, nullptr);
+        break;
+      }
       if (!traceStreamActive())
         break; // one relaxed atomic load when no stream is open
-      const size_t BI = size_t(In.Aux);
       const bool Dense = In.SignedWrap != 0;
-      const int64_t Base0 = R[In.A].I;
-      const ElemKind K = ElemKind(Kinds[BI]);
-      const bool IsFloat = K == ElemKind::F32 || K == ElemKind::F64;
+      const bool IsFloat = (In.Bits >> 4) == 2; // traceTypeCode's float
       TraceCoords.resize(size_t(L));
       TraceBits.resize(size_t(L));
       for (int I = 0; I < L; ++I) {
-        TraceCoords[size_t(I)] = int32_t(Dense ? Base0 + I : R[In.A + I].I);
+        TraceCoords[size_t(I)] =
+            int32_t(Dense ? R[In.A].I + I : R[In.A + I].I);
         TraceBits[size_t(I)] = IsFloat ? traceBitsOfDouble(R[In.B + I].F)
                                        : traceBitsOfInt(R[In.B + I].I);
       }
-      traceStreamEmit(TraceStageIds[BI],
-                      In.Op == VmOp::TraceLoad ? TraceEventKind::TraceLoad
-                                               : TraceEventKind::TraceStore,
-                      TraceTypeCodes[BI], L, TraceCoords.data(), L,
-                      TraceBits.data());
+      observeEvent(Kind, Stage, In.Bits, L, TraceCoords.data(), L,
+                   TraceBits.data());
       break;
     }
-    case VmOp::TraceBegin: {
-      if (!traceStreamActive())
-        break;
-      TraceCoords.resize(size_t(L));
-      for (int I = 0; I < L; ++I)
-        TraceCoords[size_t(I)] = int32_t(R[In.A + I].I);
-      traceStreamEmit(TraceStageIds[size_t(In.Aux)],
-                      TraceEventKind::TraceBegin, 0, 0, TraceCoords.data(), L,
-                      nullptr);
-      break;
-    }
-    case VmOp::TraceEnd:
-      if (traceStreamActive())
-        traceStreamEmit(TraceStageIds[size_t(In.Aux)],
-                        TraceEventKind::TraceEnd, 0, 0, nullptr, 0, nullptr);
-      break;
 
     case VmOp::Halt:
       return;
@@ -660,16 +636,6 @@ VmExecutable::VmExecutable(LoweredPipeline LP, Target T)
   StageIds.reserve(Prog.StageNames.size());
   for (const std::string &Name : Prog.StageNames)
     StageIds.push_back(profilerStageId(Name));
-  for (const VmInstr &In : Prog.Code) {
-    if (In.Op != VmOp::TraceLoad && In.Op != VmOp::TraceStore &&
-        In.Op != VmOp::TraceBegin && In.Op != VmOp::TraceEnd)
-      continue;
-    for (const VmBufferDesc &Desc : Prog.Buffers) {
-      TraceStageIds.push_back(profilerStageId(Desc.Name));
-      TraceTypeCodes.push_back(traceTypeCode(Desc.ElemType));
-    }
-    break;
-  }
 }
 
 std::shared_ptr<const VmExecutable> halide::vmCompile(
@@ -725,8 +691,7 @@ int VmExecutable::run(const ParamBindings &Params,
 
   const int Threads =
       T.NumThreads > 0 ? T.NumThreads : taskSchedulerThreads();
-  Runner R(Prog, BufKinds, StageIds, TraceStageIds, TraceTypeCodes,
-           Threads < 1 ? 1 : Threads);
+  Runner R(Prog, BufKinds, StageIds, Threads < 1 ? 1 : Threads);
   R.exec(Root, 0);
 
   if (Stats) {

@@ -8,7 +8,7 @@
 // bit-for-bit; the reference must also agree with the hand-written C++
 // baseline where one exists. This is the repo-wide safety net behind the
 // paper's "scheduling never changes semantics" guarantee.
-// HALIDE_DIFF_BACKEND forces the execution engine (see DiffTest.h).
+// HALIDE_DIFF_BACKEND forces the execution engine (see DiffTest.cpp).
 //
 //===----------------------------------------------------------------------===//
 

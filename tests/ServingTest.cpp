@@ -72,7 +72,7 @@ Buffer<float> makeInput(int W, int H) {
 }
 
 // Stats comparison rides on ExecutionStats::operator== (the determinism
-// contract lives in runtime/Tracing.h, shared with the differential
+// contract lives in runtime/ExecutionStats.h, shared with the differential
 // harness and the parity tests).
 
 /// Number of JIT scratch directories in \p Dir.

@@ -1,7 +1,7 @@
 //===-- tests/TracingTest.cpp ---------------------------------------------===//
 //
 // The observability contract of Target::Trace (observe/TraceStream.h +
-// transforms/InjectTracing.h):
+// transforms/Instrument.h):
 //
 //  * Zero cost when off: the trace bit never reaches the lowering
 //    fingerprint or the lowered IR — one cached lowering serves both the
@@ -20,12 +20,16 @@
 //    tiles > 1).
 //  * Threaded runs: a multi-threaded trace interleaves at flush
 //    granularity but is the same event *multiset* as the serial trace.
+//  * One event path: profiling counts the same stage invocations on all
+//    three engines, and with both bits on each engine's trace and
+//    invocation counts equal its trace-only and profile-only runs.
 //
 //===----------------------------------------------------------------------===//
 
 #include "apps/Apps.h"
 #include "lang/ImageParam.h"
 #include "observe/MetricsRegistry.h"
+#include "observe/Profiler.h"
 #include "observe/TraceStream.h"
 #include "runtime/TaskScheduler.h"
 #include "support/DiffTest.h"
@@ -103,6 +107,30 @@ void expectSameStream(const std::vector<TraceEvent> &A,
 bool eventLess(const TraceEvent &A, const TraceEvent &B) {
   return std::tie(A.StageId, A.Kind, A.TypeCode, A.Coords, A.Bits, A.Name) <
          std::tie(B.StageId, B.Kind, B.TypeCode, B.Coords, B.Bits, B.Name);
+}
+
+/// Runs \p P on \p T with the profiler on and returns the per-stage
+/// invocation counts; with \p Events, the run is also traced into it
+/// (Name records stripped).
+std::map<std::string, int64_t>
+runProfiled(const Target &T, const LoweredPipeline &P,
+            const ParamBindings &PB,
+            std::vector<TraceEvent> *Events = nullptr) {
+  struct ScopedProfiler {
+    ScopedProfiler() {
+      profilerReset();
+      setProfilerEnabled(true);
+    }
+    ~ScopedProfiler() { setProfilerEnabled(false); }
+  } Scope;
+  if (Events)
+    *Events = accessStream(runTraced(T.withProfile(), P, PB, "profiled"));
+  else
+    EXPECT_EQ(runOnBackend(T.withProfile(), P, PB), 0);
+  std::map<std::string, int64_t> Counts;
+  for (const StageProfile &S : profilerReport().Stages)
+    Counts[S.Name] = S.Invocations;
+  return Counts;
 }
 
 /// The paper's Figure-3 two-stage blur, self-contained so the test owns
@@ -272,6 +300,51 @@ TEST(TracingTest, EnginesEmitIdenticalSerialStreams) {
                      (std::string(S.Name) + ": interpreter vs vm").c_str());
     expectSameStream(Interp, Jit,
                      (std::string(S.Name) + ": interpreter vs jit_c").c_str());
+  }
+}
+
+TEST(TracingTest, ProfilingAgreesAcrossEnginesAndComposesWithTracing) {
+  // Tuned histeq's update stages are profiled as name.update(k)
+  // sub-stages, so the per-update bracketing is exercised too.
+  for (App A : {makeBlurApp(), makeHistogramEqualizeApp()}) {
+    A.ScheduleTuned();
+    LoweredPipeline P = lower(A.Output.function());
+    const int W = 64, H = 48;
+    ParamBindings Params = A.MakeInputs(W, H);
+    std::shared_ptr<void> Keep;
+    Params.bind(A.Output.name(), makeAppOutput(A, W, H, &Keep));
+
+    std::map<std::string, int64_t> Reference;
+    for (const Target &T : {Target::interpreter(), Target::vm().withThreads(1),
+                            Target::jit().withJitFlags("-O0")}) {
+      const std::string Label =
+          A.Name + " on " + backendName(T.TargetBackend);
+      std::map<std::string, int64_t> Counts = runProfiled(T, P, Params);
+      ASSERT_TRUE(Counts.count(A.Output.name())) << Label;
+      if (Reference.empty())
+        Reference = Counts;
+      EXPECT_EQ(Counts, Reference) << Label;
+
+      std::vector<TraceEvent> TraceOnly =
+          accessStream(runTraced(T, P, Params, "trace_only"));
+      std::vector<TraceEvent> Both;
+      EXPECT_EQ(runProfiled(T, P, Params, &Both), Counts) << Label;
+      ASSERT_FALSE(TraceOnly.empty()) << Label;
+      if (T.TargetBackend == Backend::JitC) {
+        // Compiled parallel loops always run on the task scheduler's
+        // pool, so a jit_c trace is an event multiset.
+        std::sort(TraceOnly.begin(), TraceOnly.end(), eventLess);
+        std::sort(Both.begin(), Both.end(), eventLess);
+      }
+      expectSameStream(TraceOnly, Both,
+                       (Label + ": profiled+traced vs traced").c_str());
+    }
+    if (A.Name == "histeq") {
+      bool HasUpdateStage = false;
+      for (const auto &[Stage, N] : Reference)
+        HasUpdateStage |= Stage.find(".update(") != std::string::npos;
+      EXPECT_TRUE(HasUpdateStage) << "no name.update(k) sub-stage profiled";
+    }
   }
 }
 
