@@ -44,7 +44,7 @@
 //   bench_runner --backend=jit --app=blur [--novec]
 //                --jit-flags "-O3 -fno-tree-vectorize"
 //
-// Usage: bench_runner [--backend interp|vm|jit|gpu] [--threads N]
+// Usage: bench_runner [--backend vm|jit] [--threads N]
 //                     [--json <path>] [--width W] [--height H]
 //                     [--iters N] [--no-thread-sweep] [--novec]
 //                     [--jit-flags <flags>] [--app <name>]
@@ -110,11 +110,7 @@ void runOne(App &A, const char *ScheduleName,
   Row.App = A.Name;
   Row.Schedule = ScheduleName;
   Row.BackendName = backendName(T.TargetBackend);
-  // The interpreter never dispatches through the task scheduler; its rows
-  // are strictly single-threaded whatever the pool size.
-  Row.Threads = T.TargetBackend == Backend::Interpreter ? 1
-                : T.NumThreads > 0 ? T.NumThreads
-                                   : taskSchedulerThreads();
+  Row.Threads = T.NumThreads > 0 ? T.NumThreads : taskSchedulerThreads();
   Row.VecWidth = scheduleVectorWidth(A.Output.function());
   Row.Width = W;
   Row.Height = H;
@@ -277,7 +273,7 @@ int main(int Argc, char **Argv) {
     if (!BackendText.empty()) {
       if (!Target::parse(BackendText, &T)) {
         std::fprintf(stderr,
-                     "unknown backend '%s' (try interp, vm, jit, or gpu)\n",
+                     "unknown backend '%s' (try vm or jit)\n",
                      BackendText.c_str());
         return 2;
       }
@@ -323,7 +319,7 @@ int main(int Argc, char **Argv) {
       AppFilter = Argv[++I];
     else {
       std::fprintf(stderr,
-                   "usage: %s [--backend interp|vm|jit|gpu] [--threads N] "
+                   "usage: %s [--backend vm|jit] [--threads N] "
                    "[--json <path>] [--width W] [--height H] [--iters N] "
                    "[--no-thread-sweep] [--novec] [--jit-flags <flags>] "
                    "[--app <name>] [--serve] "

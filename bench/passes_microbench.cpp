@@ -3,15 +3,16 @@
 // Supporting benchmark (E10 in DESIGN.md): google-benchmark timings of the
 // compiler itself — simplification, bounds analysis, and full lowering of
 // small and large pipelines — so compile-time regressions are visible.
-// Also hosts the execution-dispatch microbench: the tree-walking
-// interpreter vs the bytecode VM over the Figure-3 blur schedules, the
-// measurement behind the differential suite's backend switch.
+// Also hosts the execution-dispatch microbench: the reference interpreter
+// (interpret()) vs the bytecode VM over the Figure-3 blur schedules, the
+// measurement behind the VM replacing the interpreter as the default.
 //
 //===----------------------------------------------------------------------===//
 
 #include "apps/Apps.h"
 #include "analysis/Bounds.h"
 #include "codegen/Executable.h"
+#include "codegen/Interpreter.h"
 #include "lang/ImageParam.h"
 #include "lang/Pipeline.h"
 #include "support/DiffTest.h"
@@ -82,7 +83,7 @@ void BM_LowerPyramid(benchmark::State &State) {
   A.ScheduleGpu();
   for (auto _ : State)
     benchmark::DoNotOptimize(
-        lower(A.Output.function(), Target::gpuSim()).Body.get());
+        lower(A.Output.function()).Body.get());
 }
 BENCHMARK(BM_LowerPyramid)
     ->Arg(2)
@@ -137,46 +138,54 @@ struct BlurFixture {
   }
 };
 
-void dispatchBench(benchmark::State &State, const Target &T,
+/// Times one engine on one blur schedule: the reference interpreter
+/// (\p Interpret) walks the lowered pipeline, the VM runs its bytecode.
+void dispatchBench(benchmark::State &State, bool Interpret,
                    const char *Schedule) {
   // Frame small enough that an interpreter iteration stays in the
   // microbench budget; both engines run the identical lowered pipeline.
-  BlurFixture F(std::string("mb_") + backendName(T.TargetBackend) + "_" +
-                    Schedule,
+  BlurFixture F(std::string(Interpret ? "mb_interp_" : "mb_vm_") + Schedule,
                 192, 128);
   F.applySchedule(Schedule);
-  std::shared_ptr<const Executable> Exe = Pipeline(F.Out).compile(T);
+  Pipeline Pipe(F.Out);
+  if (Interpret) {
+    const LoweredPipeline LP = Pipe.lowerPipeline();
+    for (auto _ : State)
+      benchmark::DoNotOptimize(interpret(LP, F.Params));
+    return;
+  }
+  std::shared_ptr<const Executable> Exe = Pipe.compile(Target::vm());
   for (auto _ : State)
     benchmark::DoNotOptimize(Exe->run(F.Params));
 }
 
 void BM_DispatchInterpBreadthFirst(benchmark::State &State) {
-  dispatchBench(State, Target::interpreter(), "breadth_first");
+  dispatchBench(State, /*Interpret=*/true, "breadth_first");
 }
 BENCHMARK(BM_DispatchInterpBreadthFirst)->Unit(benchmark::kMillisecond);
 
 void BM_DispatchVmBreadthFirst(benchmark::State &State) {
-  dispatchBench(State, Target::vm(), "breadth_first");
+  dispatchBench(State, /*Interpret=*/false, "breadth_first");
 }
 BENCHMARK(BM_DispatchVmBreadthFirst)->Unit(benchmark::kMillisecond);
 
 void BM_DispatchInterpTiled(benchmark::State &State) {
-  dispatchBench(State, Target::interpreter(), "tiled");
+  dispatchBench(State, /*Interpret=*/true, "tiled");
 }
 BENCHMARK(BM_DispatchInterpTiled)->Unit(benchmark::kMillisecond);
 
 void BM_DispatchVmTiled(benchmark::State &State) {
-  dispatchBench(State, Target::vm(), "tiled");
+  dispatchBench(State, /*Interpret=*/false, "tiled");
 }
 BENCHMARK(BM_DispatchVmTiled)->Unit(benchmark::kMillisecond);
 
 void BM_DispatchInterpSlidingWindow(benchmark::State &State) {
-  dispatchBench(State, Target::interpreter(), "sliding_window");
+  dispatchBench(State, /*Interpret=*/true, "sliding_window");
 }
 BENCHMARK(BM_DispatchInterpSlidingWindow)->Unit(benchmark::kMillisecond);
 
 void BM_DispatchVmSlidingWindow(benchmark::State &State) {
-  dispatchBench(State, Target::vm(), "sliding_window");
+  dispatchBench(State, /*Interpret=*/false, "sliding_window");
 }
 BENCHMARK(BM_DispatchVmSlidingWindow)->Unit(benchmark::kMillisecond);
 

@@ -32,7 +32,7 @@ int main() {
 
   gpuSim().resetStats();
   A.ScheduleGpu();
-  auto Gpu = Pipeline(A.Output).compile(Target::gpuSim());
+  auto Gpu = Pipeline(A.Output).compile(Target::jit());
   double GpuMs = benchmarkMs(*Gpu, Params, 3);
   std::printf("  simulated-GPU schedule: %8.2f ms, %lld kernel launches "
               "(simulated device)\n",

@@ -5,7 +5,8 @@
 // walk the locality / parallelism / redundant-recomputation tradeoff space.
 //
 // Execution uses the unified Target/compile/realize API: bind inputs once
-// with ImageParam::set, pick a Target (interpreter or JIT), and realize —
+// with ImageParam::set, pick a Target (the bytecode VM, which is the
+// default, or the C JIT), and realize —
 // Pipeline caches the compiled artifact under a schedule fingerprint, so
 // re-realizing an unchanged schedule pays zero compile cost per frame.
 //

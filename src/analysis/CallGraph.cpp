@@ -11,12 +11,11 @@ using namespace halide;
 
 namespace {
 
-/// Collects the names of Halide calls (and optionally image calls) in an
-/// expression.
+/// Collects the names of Halide calls in an expression, and the distinct
+/// argument vectors of every Halide and image call.
 class CallCollector : public IRVisitor {
 public:
   std::set<std::string> FuncCalls;
-  std::set<std::string> ImageCalls;
   /// All distinct argument vectors per callee (for stencil counting).
   std::map<std::string, std::vector<std::vector<Expr>>> CallArgs;
 
@@ -26,7 +25,6 @@ public:
       FuncCalls.insert(Op->Name);
       recordArgs(Op);
     } else if (Op->CallKind == CallType::Image) {
-      ImageCalls.insert(Op->Name);
       recordArgs(Op);
     }
   }
@@ -135,17 +133,6 @@ std::vector<std::string> halide::realizationOrder(
   std::set<std::string> Visited, OnStack;
   topoVisit(Output.name(), Env, &Visited, &OnStack, &Order);
   return Order;
-}
-
-std::vector<std::string> halide::inputImages(const Function &Output) {
-  std::map<std::string, Function> Env = buildEnvironment(Output);
-  std::set<std::string> Images;
-  for (const auto &[Name, F] : Env) {
-    CallCollector Collector;
-    collectFromFunction(F, &Collector);
-    Images.insert(Collector.ImageCalls.begin(), Collector.ImageCalls.end());
-  }
-  return std::vector<std::string>(Images.begin(), Images.end());
 }
 
 int halide::countStencils(const Function &Output) {

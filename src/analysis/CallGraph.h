@@ -43,10 +43,6 @@ std::vector<std::string> directCallees(const Function &F);
 /// image pyramid's downsample stages).
 std::map<std::string, int> calleeSiteCounts(const Function &F);
 
-/// Names of input images (CallType::Image) referenced anywhere in the
-/// pipeline rooted at \p Output.
-std::vector<std::string> inputImages(const Function &Output);
-
 /// Counts the stencil stages of a pipeline: stages that read a neighborhood
 /// (more than one distinct point) of at least one producer. Reproduces the
 /// "# stencils" column of the paper's Figure 6.

@@ -78,14 +78,6 @@ bool halide::exprUsesVars(const Expr &E, const std::set<std::string> &Vars) {
   return Visitor.Found;
 }
 
-bool halide::stmtUsesVar(const Stmt &S, const std::string &Var) {
-  std::set<std::string> Targets = {Var};
-  VarUseVisitor Visitor(Targets);
-  if (S.defined())
-    S.accept(&Visitor);
-  return Visitor.Found;
-}
-
 std::set<std::string> halide::freeVars(const Expr &E) {
   FreeVarVisitor Visitor;
   if (E.defined())

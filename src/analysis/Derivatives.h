@@ -29,9 +29,6 @@ bool exprUsesVar(const Expr &E, const std::string &Var);
 /// True if any of the variables in \p Vars occurs free in \p E.
 bool exprUsesVars(const Expr &E, const std::set<std::string> &Vars);
 
-/// True if \p S references the variable (in any expression it contains).
-bool stmtUsesVar(const Stmt &S, const std::string &Var);
-
 /// Collects the names of all free variables in \p E.
 std::set<std::string> freeVars(const Expr &E);
 

@@ -17,10 +17,6 @@ bool Interval::isSinglePoint() const {
 
 void Interval::include(const Interval &Other) { *this = intervalUnion(*this, Other); }
 
-void Interval::intersect(const Interval &Other) {
-  *this = intervalIntersection(*this, Other);
-}
-
 Interval halide::intervalUnion(const Interval &A, const Interval &B) {
   Interval Result;
   if (A.hasLowerBound() && B.hasLowerBound())

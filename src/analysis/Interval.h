@@ -50,8 +50,6 @@ struct Interval {
 
   /// Widens this interval to include \p Other (set union, conservatively).
   void include(const Interval &Other);
-  /// Narrows this interval to the intersection with \p Other.
-  void intersect(const Interval &Other);
 };
 
 /// Union of two intervals (smallest interval containing both).

@@ -7,20 +7,6 @@
 
 using namespace halide;
 
-const char *halide::monotonicName(Monotonic M) {
-  switch (M) {
-  case Monotonic::Constant:
-    return "constant";
-  case Monotonic::Increasing:
-    return "increasing";
-  case Monotonic::Decreasing:
-    return "decreasing";
-  case Monotonic::Unknown:
-    return "unknown";
-  }
-  return "unknown";
-}
-
 namespace {
 
 Monotonic flip(Monotonic M) {

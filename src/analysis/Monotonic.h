@@ -41,8 +41,6 @@ Monotonic isMonotonic(const Expr &E, const std::string &Var);
 Monotonic isMonotonic(const Expr &E, const std::string &Var,
                       const Scope<Monotonic> &Known);
 
-const char *monotonicName(Monotonic M);
-
 } // namespace halide
 
 #endif // HALIDE_ANALYSIS_MONOTONIC_H

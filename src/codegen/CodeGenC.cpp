@@ -15,8 +15,6 @@
 
 using namespace halide;
 
-int halide::bufferMetadataSlots() { return 3 * MaxBufferDims; }
-
 namespace {
 
 /// C type of a scalar IR type.
@@ -207,11 +205,12 @@ public:
         << "  void *(*Malloc)(int64_t);\n  void (*Free)(void *);\n"
         << "  void (*ParFor)(int32_t, int32_t, void (*)(int32_t, void *), "
            "void *);\n"
-        << "  void (*GpuLaunch)(int32_t, void (*)(int32_t, void *), void "
-           "*);\n"
+        << "  void (*GpuLaunch)(const struct hl_vtable *, int32_t, "
+           "void (*)(int32_t, void *), void *);\n"
         << "  void (*Abort)(const char *);\n"
         << "  void (*Event)(int32_t, int32_t, int32_t, int32_t, "
            "const int32_t *, int32_t, const uint64_t *);\n"
+        << "  void *GpuRun;\n"
         << "} hl_vtable;\n\n"
         << TypedefText.str() << "\n"
         << HelperText.str() << "\n"
@@ -1417,7 +1416,8 @@ private:
     for (size_t I = 1; I < Chain.size(); ++I)
       Total += " * " + Obj + "." + ExtNames[I];
     if (Gpu) {
-      line("rt->GpuLaunch(" + Total + ", " + FnNameC + ", &" + Obj + ");");
+      line("rt->GpuLaunch(rt, " + Total + ", " + FnNameC + ", &" + Obj +
+           ");");
     } else {
       line("rt->ParFor(" + Obj + "." + MinNames[0] + ", " + Total + ", " +
            FnNameC + ", &" + Obj + ");");

@@ -35,10 +35,6 @@ namespace halide {
 /// identifier.
 std::string codegenC(const LoweredPipeline &P, const std::string &FnName);
 
-/// The number of int64 metadata slots occupied by one buffer argument
-/// (min/extent/stride for each of MaxBufferDims dimensions).
-int bufferMetadataSlots();
-
 } // namespace halide
 
 #endif // HALIDE_CODEGEN_CODEGENC_H

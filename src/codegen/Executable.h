@@ -6,9 +6,8 @@
 ///
 /// \file
 /// The seam between the compiler and the back ends: an Executable is a
-/// lowered pipeline made runnable for one Target, whether by the reference
-/// interpreter, the bytecode VM, or native code from the C-source JIT.
-/// Pipeline::compile
+/// lowered pipeline made runnable for one Target, either as bytecode for
+/// the VM or as native code from the C-source JIT. Pipeline::compile
 /// caches Executables by schedule fingerprint so a pipeline is compiled
 /// once and run over many frames (paper section 4, Figure 5).
 ///
@@ -38,14 +37,14 @@ public:
   /// Executes the pipeline. Returns the pipeline's exit code (0 on
   /// success; nonzero when a pipeline assertion failed on a backend that
   /// reports through the exit code). When \p Stats is non-null it receives
-  /// whatever counters the backend gathers (the interpreter: stores,
-  /// loads, peak memory; GpuSim: kernel launches).
+  /// whatever counters the backend gathers (the VM: stores, loads, peak
+  /// memory, span; the JIT: this run's simulated-GPU launches).
   virtual int run(const ParamBindings &Params,
                   ExecutionStats *Stats = nullptr) const = 0;
 
-  /// The generated source for inspection, empty for backends that do not
-  /// generate any (the interpreter).
-  virtual const std::string &source() const;
+  /// The generated source for inspection: the VM's disassembly or the
+  /// JIT's C.
+  virtual const std::string &source() const = 0;
 
   const LoweredPipeline &pipeline() const { return P; }
   const Target &target() const { return T; }
@@ -57,10 +56,9 @@ protected:
   Target T;
 };
 
-/// Makes \p P runnable on the backend \p T names. For JitC/GpuSim this
-/// invokes the host C compiler (aborts via user_error if it fails);
-/// VmBytecode compiles the IR to bytecode in-process; the interpreter
-/// backend returns a thin wrapper with no compile cost.
+/// Makes \p P runnable on the backend \p T names. JitC invokes the host C
+/// compiler (aborts via user_error if it fails); VmBytecode compiles the
+/// IR to bytecode in-process.
 std::shared_ptr<const Executable> makeExecutable(const LoweredPipeline &P,
                                                  const Target &T);
 

@@ -61,21 +61,10 @@ public:
     // Bind boundary buffers.
     for (const BufferArg &Arg : P.Buffers) {
       const RawBuffer &Raw = Params.buffer(Arg.Name);
-      user_assert(Raw.defined()) << "buffer " << Arg.Name << " is undefined";
-      user_assert(Raw.ElemType == Arg.ElemType)
-          << "buffer " << Arg.Name << " has element type "
-          << Raw.ElemType.str() << ", pipeline expects "
-          << Arg.ElemType.str();
-      user_assert(Raw.Dim[0].Stride == 1)
-          << "buffer " << Arg.Name
-          << " must be dense in dimension 0 (stride 1)";
       BufferSlot Slot;
+      Slot.SizeElems = checkBoundaryBuffer(Arg.Name, Raw, Arg.ElemType);
       Slot.Data = Raw.Host;
       Slot.ElemType = Raw.ElemType;
-      int64_t MaxIndex = 0;
-      for (int D = 0; D < Raw.Dimensions; ++D)
-        MaxIndex += int64_t(Raw.Dim[D].Extent - 1) * Raw.Dim[D].Stride;
-      Slot.SizeElems = MaxIndex + 1;
       Buffers.push(Arg.Name, Slot);
     }
     exec(P.Body);

@@ -1,15 +1,16 @@
-//===-- codegen/Interpreter.h - Reference backend ---------------*- C++ -*-===//
+//===-- codegen/Interpreter.h - Reference executor --------------*- C++ -*-===//
 //
 // Part of the halide-pldi13-repro project, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A direct tree-walking executor for lowered pipeline statements. It is
-/// the semantic reference the C backend is differentially tested against,
-/// and it gathers the same execution statistics as the bytecode VM
-/// (stores per buffer, peak memory, parallel iterations), which the tests
-/// use to observe work amplification and storage folding. Execution is
+/// A direct tree-walking executor for lowered pipeline statements: the
+/// semantic reference the two engines (the bytecode VM and the C backend)
+/// are tested against. It is no Target backend; the tests and the
+/// differential harness call interpret() directly, after instrument() when
+/// they trace or profile. It gathers the same execution statistics as the
+/// VM (stores per buffer, peak memory, parallel iterations). Execution is
 /// serial and deterministic; parallel loop types are counted, not
 /// threaded.
 ///

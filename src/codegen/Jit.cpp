@@ -22,13 +22,7 @@ int CompiledPipeline::run(const ParamBindings &Params,
 
   for (const BufferArg &Arg : P.Buffers) {
     const RawBuffer &Raw = Params.buffer(Arg.Name);
-    user_assert(Raw.defined()) << "buffer " << Arg.Name << " is unbound";
-    user_assert(Raw.ElemType == Arg.ElemType)
-        << "buffer " << Arg.Name << " has element type "
-        << Raw.ElemType.str() << ", pipeline expects " << Arg.ElemType.str();
-    user_assert(Raw.Dim[0].Stride == 1)
-        << "buffer " << Arg.Name
-        << " must be dense in dimension 0 (stride 1)";
+    checkBoundaryBuffer(Arg.Name, Raw, Arg.ElemType);
     Bufs.push_back(Raw.Host);
     for (int D = 0; D < MaxBufferDims; ++D) {
       if (D < Raw.Dimensions) {
@@ -55,16 +49,18 @@ int CompiledPipeline::run(const ParamBindings &Params,
   IntArgs.push_back(0);
   FloatArgs.push_back(0);
 
-  // On the GpuSim target, report the run's launch statistics as the delta
-  // of the process-wide device counters (runs are serialized per device).
-  GpuStats Before;
-  if (T.TargetBackend == Backend::GpuSim && Stats)
-    Before = gpuSim().stats();
-  int Rc = Fn(runtimeVTable(), Bufs.data(), IntArgs.data(), FloatArgs.data());
-  if (T.TargetBackend == Backend::GpuSim && Stats) {
-    const GpuStats &After = gpuSim().stats();
-    Stats->GpuKernelLaunches = After.KernelLaunches - Before.KernelLaunches;
-    Stats->GpuBlocksExecuted = After.BlocksExecuted - Before.BlocksExecuted;
+  // The run gets its own copy of the vtable carrying its own GPU counters:
+  // generated code credits every launch to the `rt` it was handed, so
+  // concurrent frames never see each other's launches.
+  GpuCounters Gpu;
+  RuntimeVTable Rt = *runtimeVTable();
+  Rt.GpuRun = &Gpu;
+  int Rc = Fn(&Rt, Bufs.data(), IntArgs.data(), FloatArgs.data());
+  if (Stats) {
+    ExecutionStats S;
+    S.GpuKernelLaunches = Gpu.KernelLaunches;
+    S.GpuBlocksExecuted = Gpu.BlocksExecuted;
+    *Stats = std::move(S);
   }
   return Rc;
 }
@@ -116,7 +112,8 @@ std::string shellQuote(const std::string &S) {
 
 std::shared_ptr<CompiledPipeline> halide::jitCompile(const LoweredPipeline &P,
                                                      const Target &T) {
-  user_assert(T.usesJit()) << "jitCompile on an interpreter Target";
+  user_assert(T.TargetBackend == Backend::JitC)
+      << "jitCompile on a " << backendName(T.TargetBackend) << " Target";
   std::shared_ptr<CompiledPipeline> Result(new CompiledPipeline(P, T));
 
   std::string FnName = "hl_pipeline";

@@ -9,9 +9,9 @@
 /// with the host C compiler into a shared object and loaded with dlopen
 /// (DESIGN.md substitution 1 for the paper's LLVM JIT). The entry point
 /// receives the runtime vtable, so the shared object is self-contained.
-/// CompiledPipeline implements the common Executable interface; a GpuSim
-/// Target shares the same native path but reports the simulated device's
-/// launch statistics through ExecutionStats.
+/// CompiledPipeline implements the common Executable interface. GPU-block
+/// loops launch on the simulated device (runtime/GpuSim.h), and each run
+/// reports its own launch statistics through ExecutionStats.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,8 +29,8 @@ namespace halide {
 class CompiledPipeline final : public Executable {
 public:
   /// Executes the pipeline; all buffers and scalars must be bound in
-  /// \p Params. Returns the pipeline's exit code (0 on success). On a
-  /// GpuSim target, \p Stats receives the run's kernel-launch counters.
+  /// \p Params. Returns the pipeline's exit code (0 on success). \p Stats
+  /// receives this run's simulated-GPU kernel launches and blocks.
   int run(const ParamBindings &Params,
           ExecutionStats *Stats = nullptr) const override;
 

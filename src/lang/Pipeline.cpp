@@ -211,8 +211,7 @@ std::shared_ptr<const Executable> Pipeline::compile(const Target &T) {
   }
 
   std::shared_ptr<const LoweredPipeline> LP = cachedLowered(LowerKey, T);
-  if (T.compilesAheadOfRun())
-    C.BackendCompiles.fetch_add(1);
+  C.BackendCompiles.fetch_add(1);
   int64_t TraceT0 = traceActive() ? traceNowNs() : 0;
   std::shared_ptr<const Executable> Exe = makeExecutable(*LP, T);
   if (TraceT0)

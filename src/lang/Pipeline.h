@@ -58,8 +58,6 @@ struct Argument {
   Kind ArgKind = Kind::Scalar;
   Type ArgType;
   int Dimensions = 0; ///< buffers only
-
-  bool isBuffer() const { return ArgKind != Kind::Scalar; }
 };
 
 /// Process-wide compile-cache counters, exposed so tests and benchmarks
@@ -67,9 +65,8 @@ struct Argument {
 struct CompileCounters {
   /// Full lowering runs (schedule synthesis through simplification).
   int64_t Lowerings = 0;
-  /// Backend compilations that produce an artifact ahead of the first
-  /// run: host C compiler invocations (JitC/GpuSim) and bytecode
-  /// compiles (VmBytecode). The interpreter backend never counts.
+  /// Backend compilations: host C compiler invocations (JitC) and
+  /// bytecode compiles (VmBytecode).
   int64_t BackendCompiles = 0;
   /// compile() calls served entirely from the executable cache.
   int64_t CacheHits = 0;
@@ -140,15 +137,6 @@ public:
                          const ParamBindings &Params = ParamBindings(),
                          const Target &Tgt = Target()) {
     return realize(Out.raw(), Params, Tgt);
-  }
-
-  /// Allocates a W x H output buffer, realizes into it, and returns it.
-  template <typename T>
-  Buffer<T> realize2D(int W, int H, const ParamBindings &Params = ParamBindings(),
-                      const Target &Tgt = Target()) {
-    Buffer<T> Out(W, H);
-    realize(Out.raw(), Params, Tgt);
-    return Out;
   }
 
   /// Queues one frame on the task scheduler and returns immediately. The

@@ -11,14 +11,10 @@ using namespace halide;
 
 const char *halide::backendName(Backend B) {
   switch (B) {
-  case Backend::Interpreter:
-    return "interpreter";
   case Backend::VmBytecode:
     return "vm_bytecode";
   case Backend::JitC:
     return "jit_c";
-  case Backend::GpuSim:
-    return "gpu_sim";
   }
   return "unknown";
 }
@@ -45,14 +41,10 @@ bool Target::parse(const std::string &Text, Target *Out) {
     return false;
   Target T;
   const std::string &Name = Parts[0];
-  if (Name == "interp" || Name == "interpreter")
-    T.TargetBackend = Backend::Interpreter;
-  else if (Name == "vm" || Name == "vm_bytecode")
+  if (Name == "vm" || Name == "vm_bytecode")
     T.TargetBackend = Backend::VmBytecode;
   else if (Name == "jit" || Name == "jit_c")
     T.TargetBackend = Backend::JitC;
-  else if (Name == "gpu" || Name == "gpu_sim")
-    T.TargetBackend = Backend::GpuSim;
   else
     return false;
   for (size_t I = 1; I < Parts.size(); ++I) {

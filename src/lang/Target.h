@@ -6,9 +6,10 @@
 ///
 /// \file
 /// The single description of *how* a pipeline is compiled and executed: the
-/// backend (reference interpreter, the bytecode VM, the C-source JIT, or
-/// the simulated-GPU device reached through the JIT) plus the feature flags
-/// that used to live in LowerOptions. A Target is part of the compile-cache key, so two
+/// engine (the bytecode VM or the C-source JIT) plus the feature flags that
+/// used to live in LowerOptions. A GPU schedule (Func::gpuTile) needs no
+/// target of its own: every JIT executable routes GPU-block loops to the
+/// simulated device. A Target is part of the compile-cache key, so two
 /// realizations with the same schedules and the same Target share one
 /// compiled artifact (paper section 4, Figure 5: compile once, run over
 /// many frames).
@@ -22,28 +23,27 @@
 
 namespace halide {
 
-/// The execution engines a pipeline can be compiled for.
+/// The execution engines a pipeline can be compiled for. The tree-walking
+/// interpreter (codegen/Interpreter.h) is not one of them: it is the
+/// reference the tests compare these engines against.
 enum class Backend : uint8_t {
-  /// The tree-walking reference interpreter (gathers ExecutionStats).
-  Interpreter,
   /// Register-based bytecode compiled from the lowered IR and executed by
-  /// a dispatch loop: interpreter semantics (bit-identical results, same
-  /// ExecutionStats) at a fraction of the per-operation cost, with no
-  /// host-compiler dependency. The differential suite's default engine.
+  /// a dispatch loop: bit-identical results to the reference interpreter
+  /// and the same ExecutionStats, with no host-compiler dependency. The
+  /// default engine, and the differential suite's.
   VmBytecode,
-  /// CodeGenC -> host C compiler -> dlopen native execution.
+  /// CodeGenC -> host C compiler -> dlopen native execution. GPU-block
+  /// loops launch on the simulated device; a run reports its own launch
+  /// statistics.
   JitC,
-  /// Native execution through JitC with kernel launches routed to the
-  /// simulated GPU device; realize() reports the launch statistics.
-  GpuSim,
 };
 
 const char *backendName(Backend B);
 
 /// A complete execution-target description. Value-semantic; the default is
-/// the reference interpreter with all optimizations enabled.
+/// the bytecode VM with all optimizations enabled.
 struct Target {
-  Backend TargetBackend = Backend::Interpreter;
+  Backend TargetBackend = Backend::VmBytecode;
 
   // Feature flags that steer lowering (previously LowerOptions). They are
   // part of the lowering fingerprint: changing one recompiles.
@@ -52,8 +52,8 @@ struct Target {
   /// Skip storage folding (for ablation benchmarks).
   bool DisableStorageFolding = false;
 
-  /// Extra flags appended to the host C compiler command line (JitC/GpuSim
-  /// backends only), e.g. "-O0" for compile-time-sensitive sweeps.
+  /// Extra flags appended to the host C compiler command line (JitC
+  /// only), e.g. "-O0" for compile-time-sensitive sweeps.
   std::string JitFlags;
 
   /// Worker-thread request for parallel loops: 0 inherits the task
@@ -85,10 +85,8 @@ struct Target {
   Target() = default;
   explicit Target(Backend B) : TargetBackend(B) {}
 
-  static Target interpreter() { return Target(Backend::Interpreter); }
   static Target vm() { return Target(Backend::VmBytecode); }
   static Target jit() { return Target(Backend::JitC); }
-  static Target gpuSim() { return Target(Backend::GpuSim); }
 
   /// Fluent option setters (Targets are tiny; pass-by-value chaining).
   Target withJitFlags(std::string Flags) const {
@@ -122,33 +120,20 @@ struct Target {
     return T;
   }
 
-  /// True when this target invokes the host C compiler (JitC and the
-  /// GpuSim device path that rides on it).
-  bool usesJit() const {
-    return TargetBackend == Backend::JitC || TargetBackend == Backend::GpuSim;
-  }
-  /// True when compile() produces an artifact ahead of the first run (a
-  /// bytecode program or a native shared object) rather than a thin
-  /// tree-walking wrapper; these count as backend compiles in the cache
-  /// counters.
-  bool compilesAheadOfRun() const {
-    return TargetBackend != Backend::Interpreter;
-  }
-
   /// Canonical textual form, e.g. "jit_c-no_sliding_window". Used in logs
   /// and as part of compile-cache keys.
   std::string str() const;
 
-  /// The lowering-relevant portion of str(): backend excluded, so the
-  /// interpreter and JIT share one lowered pipeline per schedule.
+  /// The lowering-relevant portion of str(): backend excluded, so the VM
+  /// and the JIT share one lowered pipeline per schedule.
   std::string lowerOptionsFingerprint() const;
 
-  /// Parses the bench_runner --backend flag form: "interp"/"interpreter",
-  /// "vm"/"vm_bytecode", "jit"/"jit_c", "gpu"/"gpu_sim", optionally followed by
-  /// "-no_sliding_window"/"-no_storage_folding" features, a
-  /// "-threads<N>" thread request, "-profile", and "-trace". JitFlags have no
-  /// textual form here — str()'s " [flags]" suffix is display-only.
-  /// Returns false (and leaves \p Out alone) on an unknown name.
+  /// Parses the bench_runner --backend flag form: "vm"/"vm_bytecode" or
+  /// "jit"/"jit_c", optionally followed by "-no_sliding_window" /
+  /// "-no_storage_folding" features, a "-threads<N>" thread request,
+  /// "-profile", and "-trace". JitFlags have no textual form here —
+  /// str()'s " [flags]" suffix is display-only. Returns false (and leaves
+  /// \p Out alone) on an unknown name.
   static bool parse(const std::string &Text, Target *Out);
 
   bool operator==(const Target &Other) const {

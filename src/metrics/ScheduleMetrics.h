@@ -55,7 +55,7 @@ StrategyMetrics analyzeStrategy(const std::string &Name, LoweredPipeline &P,
                                 int64_t BreadthFirstOps);
 
 /// Median wall-clock milliseconds of \p Iters runs of a compiled pipeline
-/// (any Executable: JIT, GpuSim, or the interpreter).
+/// (any Executable: the VM or the JIT).
 double benchmarkMs(const class Executable &Exe, const ParamBindings &Params,
                    int Iters = 5);
 

@@ -56,7 +56,7 @@ MetricsSnapshot metricsSnapshot() {
   Add("pool.bytes_held", BP.BytesHeld);
   Add("pool.bytes_live", BP.BytesLive);
 
-  const GpuStats &GS = gpuSim().stats();
+  GpuStats GS = gpuSim().stats();
   Add("gpu.kernel_launches", GS.KernelLaunches);
   Add("gpu.blocks_executed", GS.BlocksExecuted);
 

@@ -100,16 +100,6 @@ public:
       free(Ptr);
   }
 
-  void setCapacity(int64_t Bytes) {
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      Capacity = Bytes > 0 ? Bytes : defaultCapacity();
-    }
-    // Shed inventory above the new cap the simple way: drop it all; the
-    // next frames repopulate the buckets they actually use.
-    clear();
-  }
-
   BufferPoolStats stats() {
     std::lock_guard<std::mutex> Lock(M);
     return Stats;
@@ -143,10 +133,6 @@ BufferPoolStats halide::bufferPoolStats() {
 }
 
 void halide::clearBufferPool() { BufferPool::instance().clear(); }
-
-void halide::setBufferPoolCapacity(int64_t Bytes) {
-  BufferPool::instance().setCapacity(Bytes);
-}
 
 void *halide::bufferPoolMalloc(int64_t Bytes) {
   void *Ptr = BufferPool::instance().allocate(Bytes);

@@ -6,13 +6,14 @@
 ///
 /// \file
 /// The serving runtime's allocator: every halideMalloc/halideFree (internal
-/// pipeline buffers on all backends — the VM's Alloc op, the interpreter's
-/// Realize scopes, and JIT-compiled code through the runtime vtable) routes
-/// through a process-wide, size-bucketed free-list pool. Pipelines allocate
-/// the same intermediate shapes frame after frame, so once a pipeline's
-/// working set has been seen, steady-state serving performs zero system
-/// mallocs per frame — the property bench_runner --serve relies on and
-/// ServingTest asserts via the FreshAllocations counter.
+/// pipeline buffers on every engine — the VM's Alloc op, JIT-compiled code
+/// through the runtime vtable, and the reference interpreter's Realize
+/// scopes) routes through a process-wide, size-bucketed free-list pool.
+/// Pipelines allocate the same intermediate shapes frame after frame, so
+/// once a pipeline's working set has been seen, steady-state serving
+/// performs zero system mallocs per frame — the property bench_runner
+/// --serve relies on and ServingTest asserts via the FreshAllocations
+/// counter.
 ///
 /// Blocks above the pool's held-bytes capacity are returned to the system
 /// on free (oldest buckets are not aged out; eviction is whole-block at
@@ -52,10 +53,6 @@ BufferPoolStats bufferPoolStats();
 /// Returns every held block to the system (live blocks are unaffected).
 /// Counters keep accumulating across clears.
 void clearBufferPool();
-
-/// Caps BytesHeld; frees beyond the cap bypass the pool. 0 restores the
-/// default (256 MiB, or the HALIDE_BUFFER_POOL_MB environment variable).
-void setBufferPoolCapacity(int64_t Bytes);
 
 /// Pool-aware allocation entry points; halideMalloc/halideFree in
 /// Runtime.h are aliases of these (see Runtime.cpp).

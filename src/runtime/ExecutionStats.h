@@ -7,10 +7,10 @@
 /// \file
 /// Named execution counters used by tests and benchmarks to observe
 /// recomputation (work amplification) and allocation behaviour without
-/// affecting compiled-code performance. The interpreter and the bytecode
-/// VM update them on every load, store and allocation and agree on every
-/// field (ExecutionStatsParityTest); JIT-compiled code reports only the
-/// simulated GPU's launch counts.
+/// affecting compiled-code performance. The bytecode VM updates them on
+/// every load, store and allocation and agrees on every field with the
+/// reference interpreter (ExecutionStatsParityTest); JIT-compiled code
+/// reports only its run's simulated-GPU launch counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +38,8 @@ struct ExecutionStats {
   /// paper's "span" parallelism measure).
   int64_t ParallelIterations = 0;
   /// Kernel launches / blocks executed on the simulated GPU device during
-  /// this run. Only populated by the GpuSim backend.
+  /// this run. Only populated by the JIT, whose GPU-block loops launch
+  /// there.
   int64_t GpuKernelLaunches = 0;
   int64_t GpuBlocksExecuted = 0;
 

@@ -6,46 +6,64 @@
 ///
 /// \file
 /// A software stand-in for the paper's CUDA device (see DESIGN.md,
-/// substitution 2). Kernel launches execute a block range on a worker pool
-/// that models a fixed number of streaming multiprocessors; the simulator
-/// tracks launch counts and per-launch block/thread totals so benchmarks
-/// can report the kernel-graph structure the paper discusses (e.g. the 58
-/// distinct kernels of the local Laplacian schedule). Memory is unified:
-/// the copy-tracking the paper describes degenerates to counting logical
-/// transfers at kernel boundaries.
+/// substitution 2). Every JIT executable sends its GPU-block loops here
+/// through the runtime vtable; a kernel launch executes its block range on
+/// the host task scheduler. The simulator counts launches and blocks so
+/// benchmarks can report the kernel-graph structure the paper discusses
+/// (e.g. the 58 distinct kernels of the local Laplacian schedule): once
+/// process-wide, and once per run in the counters the JIT hands each run,
+/// so concurrent frames are never credited with each other's launches.
+/// Memory is unified: the copy-tracking the paper describes degenerates to
+/// counting logical transfers at kernel boundaries.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HALIDE_RUNTIME_GPUSIM_H
 #define HALIDE_RUNTIME_GPUSIM_H
 
+#include <atomic>
 #include <cstdint>
 
 namespace halide {
 
-/// Aggregate statistics of the simulated device.
+/// A snapshot of launch statistics.
 struct GpuStats {
   int64_t KernelLaunches = 0;
   int64_t BlocksExecuted = 0;
+};
+
+/// Launch counters that concurrent launches may bump at once.
+struct GpuCounters {
+  std::atomic<int64_t> KernelLaunches{0};
+  std::atomic<int64_t> BlocksExecuted{0};
+
+  void count(int32_t Blocks) {
+    ++KernelLaunches;
+    BlocksExecuted += Blocks;
+  }
+  GpuStats snapshot() const {
+    return {KernelLaunches.load(), BlocksExecuted.load()};
+  }
 };
 
 /// The simulated GPU device.
 class GpuSim {
 public:
   /// Launches a kernel over \p Blocks blocks; Body(B, Closure) runs once
-  /// per block (thread loops execute inside the body).
-  void launch(int32_t Blocks, void (*Body)(int32_t, void *), void *Closure);
+  /// per block (thread loops execute inside the body). The launch counts
+  /// toward the device totals and, when non-null, toward \p Run.
+  void launch(int32_t Blocks, void (*Body)(int32_t, void *), void *Closure,
+              GpuCounters *Run = nullptr);
 
-  /// Number of simulated streaming multiprocessors (parallel workers).
-  int smCount() const { return SMs; }
-  void setSmCount(int Count) { SMs = Count < 1 ? 1 : Count; }
-
-  const GpuStats &stats() const { return Stats; }
-  void resetStats() { Stats = GpuStats(); }
+  /// The device totals since the last resetStats().
+  GpuStats stats() const { return Totals.snapshot(); }
+  void resetStats() {
+    Totals.KernelLaunches = 0;
+    Totals.BlocksExecuted = 0;
+  }
 
 private:
-  int SMs = 8;
-  GpuStats Stats;
+  GpuCounters Totals;
 };
 
 /// The process-wide simulated device.

@@ -51,6 +51,21 @@ bool ParamBindings::lookupScalar(const std::string &Name, double *Out) const {
   return false;
 }
 
+int64_t halide::checkBoundaryBuffer(const std::string &Name,
+                                    const RawBuffer &Raw,
+                                    const Type &ElemType) {
+  user_assert(Raw.defined()) << "buffer " << Name << " is unbound";
+  user_assert(Raw.ElemType == ElemType)
+      << "buffer " << Name << " has element type " << Raw.ElemType.str()
+      << ", pipeline expects " << ElemType.str();
+  user_assert(Raw.Dim[0].Stride == 1)
+      << "buffer " << Name << " must be dense in dimension 0 (stride 1)";
+  int64_t MaxIndex = 0;
+  for (int D = 0; D < Raw.Dimensions; ++D)
+    MaxIndex += int64_t(Raw.Dim[D].Extent - 1) * Raw.Dim[D].Stride;
+  return MaxIndex + 1;
+}
+
 void *halide::halideMalloc(int64_t Bytes) { return bufferPoolMalloc(Bytes); }
 
 void halide::halideFree(void *Ptr) { bufferPoolFree(Ptr); }
@@ -68,9 +83,9 @@ void vtableParFor(int32_t Min, int32_t Extent,
   parallelFor(Min, Extent, Body, Closure);
 }
 
-void vtableGpuLaunch(int32_t Blocks, void (*Body)(int32_t, void *),
-                     void *Closure) {
-  gpuSim().launch(Blocks, Body, Closure);
+void vtableGpuLaunch(const RuntimeVTable *Rt, int32_t Blocks,
+                     void (*Body)(int32_t, void *), void *Closure) {
+  gpuSim().launch(Blocks, Body, Closure, Rt->GpuRun);
 }
 
 void vtableEvent(int32_t Kind, int32_t StageId, int32_t TypeCode,
@@ -84,8 +99,8 @@ void vtableEvent(int32_t Kind, int32_t StageId, int32_t TypeCode,
 
 const RuntimeVTable *halide::runtimeVTable() {
   static const RuntimeVTable Table = {
-      halideMalloc, halideFree,  vtableParFor, vtableGpuLaunch,
-      vtableAbort,  vtableEvent,
+      halideMalloc, halideFree,  vtableParFor,       vtableGpuLaunch,
+      vtableAbort,  vtableEvent, /*GpuRun=*/nullptr,
   };
   return &Table;
 }

@@ -6,9 +6,10 @@
 ///
 /// \file
 /// The runtime contract between compiled pipelines and the host: parameter
-/// bindings (buffers and scalars), the function-pointer table passed to
-/// JIT-compiled code (so generated code needs no link-time symbols), and
-/// small allocation helpers.
+/// bindings (buffers and scalars), the boundary-buffer check every executor
+/// applies to them, the function-pointer table passed to JIT-compiled code
+/// (so generated code needs no link-time symbols), and small allocation
+/// helpers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,18 +56,22 @@ public:
   bool lookupScalar(const std::string &Name, double *Out) const;
 
   const std::map<std::string, RawBuffer> &buffers() const { return Buffers; }
-  const std::map<std::string, int64_t> &intScalars() const {
-    return IntScalars;
-  }
-  const std::map<std::string, double> &floatScalars() const {
-    return FloatScalars;
-  }
 
 private:
   std::map<std::string, RawBuffer> Buffers;
   std::map<std::string, int64_t> IntScalars;
   std::map<std::string, double> FloatScalars;
 };
+
+/// Checks \p Raw, bound to the pipeline buffer \p Name, against the
+/// element type \p ElemType the pipeline expects: the buffer must be
+/// defined, of that type, and dense in dimension 0. Fails with a user_error
+/// naming the buffer. Returns the buffer's size in elements (its largest
+/// flat index plus one), which bounds-checking executors use.
+int64_t checkBoundaryBuffer(const std::string &Name, const RawBuffer &Raw,
+                            const Type &ElemType);
+
+struct GpuCounters;
 
 /// The vtable handed to JIT-compiled pipelines. Passing function pointers
 /// explicitly (rather than relying on dynamic symbol resolution) keeps the
@@ -80,9 +85,11 @@ struct RuntimeVTable {
   void (*ParFor)(int32_t Min, int32_t Extent,
                  void (*Body)(int32_t, void *), void *Closure);
   /// Simulated-GPU kernel launch over a flattened block range; semantics
-  /// match ParFor but route through the GPU simulator for accounting.
-  void (*GpuLaunch)(int32_t Blocks, void (*Body)(int32_t, void *),
-                    void *Closure);
+  /// match ParFor but route through the GPU simulator, which counts the
+  /// launch process-wide and in \p Rt's GpuRun. Generated code passes its
+  /// own `rt`, so the launch is credited to the run that made it.
+  void (*GpuLaunch)(const RuntimeVTable *Rt, int32_t Blocks,
+                    void (*Body)(int32_t, void *), void *Closure);
   /// Aborts execution with a message (failed AssertStmt).
   void (*Abort)(const char *Message);
   /// Instrumentation events (transforms/Instrument.h), emitted by CodeGenC
@@ -90,15 +97,19 @@ struct RuntimeVTable {
   /// observeEvent (observe/TraceStream.h). Kind is a TraceEventKind;
   /// StageId and TypeCode are baked in at codegen time. Coords holds one
   /// flat index per lane (loads/stores) or the realization extents
-  /// (begin), Bits the normalized value bits per lane. Appended at the
-  /// end of the struct so the generated hl_vtable typedef (CodeGenC.cpp)
-  /// stays layout-compatible — keep both in lockstep.
+  /// (begin), Bits the normalized value bits per lane.
   void (*Event)(int32_t Kind, int32_t StageId, int32_t TypeCode,
                 int32_t Lanes, const int32_t *Coords, int32_t NumCoords,
                 const uint64_t *Bits);
+  /// The GPU launch counters of the run this table was handed to: each
+  /// JIT run passes its own copy of the table (Jit.cpp). Null in
+  /// runtimeVTable(). Generated code only passes it back, through `rt`.
+  GpuCounters *GpuRun;
+  // The generated hl_vtable typedef (CodeGenC.cpp) mirrors this layout —
+  // keep both in lockstep.
 };
 
-/// The global vtable instance (also used by the interpreter for parity).
+/// The process-wide vtable, with no run's GPU counters attached.
 const RuntimeVTable *runtimeVTable();
 
 /// 64-byte-aligned heap allocation helpers. Backed by the process-wide

@@ -5,6 +5,7 @@
 #include "analysis/CallGraph.h"
 #include "autotune/ScheduleSpace.h"
 #include "codegen/Executable.h"
+#include "codegen/Interpreter.h"
 #include "ir/IROperators.h"
 #include "observe/TraceStream.h"
 #include "runtime/TaskScheduler.h"
@@ -34,10 +35,10 @@ constexpr uint32_t SampleSeed = 2013;
 /// reference. Integer outputs, and every same-schedule comparison, must
 /// match bit-exactly.
 constexpr double FloatTolerance = 1e-5;
-/// The first this-many sampled schedules are also run by the tree-walking
-/// interpreter, which must reproduce the execution engine's output
-/// bit-for-bit: the stats-reference engine keeps auditing the VM without
-/// paying its 10-40x slowdown on every schedule.
+/// The first this-many sampled schedules are also run by the reference
+/// interpreter, which must reproduce the VM's output bit-for-bit: the
+/// reference keeps auditing the VM without paying its 10-40x slowdown on
+/// every schedule.
 constexpr int InterpreterSpotChecks = 1;
 /// Threads requested by the threaded-VM leg. The effective worker count
 /// is still bounded by the task scheduler's pool size
@@ -53,27 +54,11 @@ constexpr int TraceParityChecks = 1;
 /// units that -O3 compiles an order of magnitude slower).
 /// HALIDE_DIFF_JIT_FLAGS overrides them so CI can pin the flags per job —
 /// notably "-O2 -fno-tree-vectorize", which proves the emitted vector code
-/// carries the SIMD rather than the host compiler's auto-vectorizer.
+/// carries the SIMD rather than the host compiler's auto-vectorizer: the
+/// C leg must still reproduce the VM bit-for-bit.
 std::string diffJitFlags() {
   const char *Env = std::getenv("HALIDE_DIFF_JIT_FLAGS");
   return Env && *Env ? Env : "-O0";
-}
-
-/// The suite's execution engine: the bytecode VM, unless the
-/// HALIDE_DIFF_BACKEND environment variable (Target::parse syntax, e.g.
-/// "vm", "interp") names another, so CI can force a backend — e.g. the VM
-/// under ASan — without touching test code. A forced C backend also picks
-/// up the suite's host-compiler flags.
-Target diffExecTarget() {
-  const char *Env = std::getenv("HALIDE_DIFF_BACKEND");
-  if (!Env || !*Env) // set-but-empty (e.g. a blank CI matrix cell) = unset
-    return Target::vm();
-  Target T;
-  user_assert(Target::parse(Env, &T))
-      << "HALIDE_DIFF_BACKEND=" << Env << " is not a valid backend name";
-  if (T.TargetBackend == Backend::JitC)
-    T = T.withJitFlags(diffJitFlags());
-  return T;
 }
 
 /// Renders the stats fields the determinism contract covers, for
@@ -288,16 +273,20 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
   const int W = Opts.Width, H = Opts.Height;
   ParamBindings Inputs = A.MakeInputs(W, H);
 
-  const Target Exec = diffExecTarget();
+  // Every leg but the C one runs on the VM: its ExecutionStats are what
+  // the threaded, trace-parity and scalar-vs-vector legs compare. Each
+  // schedule's primary run is pinned to one thread.
+  const Target Exec = Target::vm();
+  const Target ExecSerial = Exec.withThreads(1);
   const std::string ExecName = backendName(Exec.TargetBackend);
 
   ScheduleSpace Space(A.Output.function());
   Pipeline Pipe(A.Output);
 
-  // The semantic reference: breadth-first through the suite's execution
-  // backend. Going through Pipeline::lowerPipeline keys the lowering into
-  // the process compile cache, so repeated differential runs (and the
-  // canonical schedules the sample re-draws) stop paying re-lowering.
+  // The semantic reference: breadth-first on the VM. Going through
+  // Pipeline::lowerPipeline keys the lowering into the process compile
+  // cache, so repeated differential runs (and the canonical schedules the
+  // sample re-draws) stop paying re-lowering.
   std::shared_ptr<void> KeepRef;
   RawBuffer Ref = makeAppOutput(A, W, H, &KeepRef);
   Space.apply(Space.breadthFirstGenome());
@@ -347,15 +336,6 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
                               Detail});
   }
 
-  // The serial-vs-parallel determinism leg: when the execution backend is
-  // the bytecode VM, every schedule's primary run is pinned to one thread
-  // and re-executed with a thread request; outputs must match bit for bit
-  // and the merged ExecutionStats must be identical.
-  const int DiffThreads =
-      Exec.TargetBackend == Backend::VmBytecode ? ThreadedVmThreads : 0;
-  const Target ExecSerial =
-      DiffThreads > 1 ? Exec.withThreads(1) : Exec;
-
   // The concurrent-serving leg retains the first few schedules' compiled
   // executables, sequential outputs, and stats; after the sweep they all
   // run again simultaneously and must reproduce those results exactly.
@@ -381,8 +361,6 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
     {
       ParamBindings PB = Inputs;
       PB.bind(A.Output.name(), OutExec);
-      // The VM and the interpreter abort via user_error; a JIT exec
-      // target reports failed pipeline asserts through the exit code.
       int Rc = runOnBackend(ExecSerial, P, PB, &SerialStats);
       std::string Detail;
       if (Rc != 0)
@@ -401,14 +379,17 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
       }
     }
 
-    if (DiffThreads > 1) {
+    // The serial-vs-parallel determinism leg: the schedule re-executes
+    // with a thread request; outputs must match bit for bit and the merged
+    // ExecutionStats must be identical.
+    {
       std::shared_ptr<void> KeepThr;
       RawBuffer OutThr = makeAppOutput(A, W, H, &KeepThr);
       ParamBindings PB = Inputs;
       PB.bind(A.Output.name(), OutThr);
       ExecutionStats ThrStats;
-      int Rc =
-          runOnBackend(Exec.withThreads(DiffThreads), P, PB, &ThrStats);
+      int Rc = runOnBackend(Exec.withThreads(ThreadedVmThreads), P, PB,
+                            &ThrStats);
       std::string Detail;
       if (Rc != 0)
         R.Mismatches.push_back(
@@ -424,23 +405,25 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
                  statsSummary(ThrStats) + "}"});
     }
 
-    // The tree-walking interpreter audits a prefix of the sample: it
-    // re-executes the same schedule and must reproduce the execution
-    // backend's output bit for bit (zero tolerance — the VM's contract
-    // with the interpreter is identical results, not merely close ones).
-    if (Exec.TargetBackend != Backend::Interpreter &&
-        ScheduleIndex < InterpreterSpotChecks) {
+    // The reference interpreter audits a prefix of the sample: it
+    // re-executes the same schedule and must reproduce the VM's output bit
+    // for bit (zero tolerance — the VM's contract with the interpreter is
+    // identical results, not merely close ones).
+    if (ScheduleIndex < InterpreterSpotChecks) {
       std::shared_ptr<void> KeepInterp;
       RawBuffer OutInterp = makeAppOutput(A, W, H, &KeepInterp);
       ParamBindings PB = Inputs;
       PB.bind(A.Output.name(), OutInterp);
-      runOnBackend(Target::interpreter(), P, PB);
+      interpret(P, PB);
       std::string Detail;
       if (!buffersMatch(OutExec, OutInterp, 0.0, 0, &Detail))
         R.Mismatches.push_back({Desc, "interpreter vs " + ExecName, Detail});
     }
 
-    // The C backend independently re-executes every schedule.
+    // The C backend re-executes every schedule and must reproduce the
+    // VM's output for it bit for bit (zero tolerance even for floats: both
+    // engines perform the same operations in the same order, and the JIT
+    // compiles with -ffp-contract=off).
     {
       std::shared_ptr<void> KeepC;
       RawBuffer OutC = makeAppOutput(A, W, H, &KeepC);
@@ -453,8 +436,8 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
         R.Mismatches.push_back(
             {Desc, "codegen_c exit code", "pipeline returned " +
                                               std::to_string(Rc)});
-      else if (!buffersMatch(Ref, OutC, FloatTolerance, 0, &Detail))
-        R.Mismatches.push_back({Desc, "codegen_c vs reference", Detail});
+      else if (!buffersMatch(OutExec, OutC, 0.0, 0, &Detail))
+        R.Mismatches.push_back({Desc, "codegen_c vs " + ExecName, Detail});
     }
 
     // The trace-parity leg: the same lowered pipeline runs again with

@@ -12,10 +12,12 @@
 /// checks every output against the breadth-first reference and, where one
 /// exists, the hand-written C++ baseline from apps/baselines. Three
 /// engines participate: the bytecode VM executes every schedule (the
-/// suite's default backend — fast enough to keep the sweep wide), the
-/// CodeGenC -> host-compiler -> dlopen path independently re-executes
-/// every schedule, and the tree-walking interpreter spot-checks a prefix
-/// of the sample bit-for-bit as the semantic reference. On top of that,
+/// engine of every leg below — fast enough to keep the sweep wide, and the
+/// only one whose ExecutionStats those legs can compare), the CodeGenC ->
+/// host-compiler -> dlopen path re-executes every schedule and must
+/// reproduce the VM's output for it bit-for-bit, and the reference
+/// interpreter (codegen/Interpreter.h) spot-checks a prefix of the sample
+/// bit-for-bit. On top of that,
 /// every sampled schedule is checked serial-vs-parallel: the threaded VM
 /// (4 threads) must reproduce the serial VM's output bit-for-bit with
 /// identical merged ExecutionStats. A concurrency leg re-runs the first
@@ -33,7 +35,8 @@
 /// trace itself must equal the untraced run's ExecutionStats —
 /// instrumentation may not change the computation, and may not miss or
 /// invent an access. Every leg runs on every call; the sample and the
-/// legs' widths are fixed in DiffTest.cpp.
+/// legs' widths are fixed in DiffTest.cpp, and only the C leg's host
+/// compiler flags can be set from outside (HALIDE_DIFF_JIT_FLAGS).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,10 +53,10 @@
 namespace halide {
 
 /// Uniform backend entry point: executes \p P on the backend \p T names
-/// and returns the pipeline's exit code (0 on success). The interpreter
-/// aborts via user_error on internal pipeline assertions; the JIT backends
-/// report them through the exit code. Compiles fresh on every call — the
-/// schedule sweep wants per-schedule artifacts, not the process cache.
+/// and returns the pipeline's exit code (0 on success). The VM aborts via
+/// user_error on internal pipeline assertions; the JIT reports them
+/// through the exit code. Compiles fresh on every call — the schedule
+/// sweep wants per-schedule artifacts, not the process cache.
 /// \p Stats, when non-null, receives the backend's execution counters.
 int runOnBackend(const Target &T, const LoweredPipeline &P,
                  const ParamBindings &Params,
@@ -76,7 +79,7 @@ struct DiffOptions {
 /// One disagreement between a schedule's output and the reference.
 struct DiffMismatch {
   std::string Schedule;   ///< ScheduleSpace::describe of the genome
-  std::string Comparison; ///< e.g. "interpreter vs reference"
+  std::string Comparison; ///< e.g. "vm_bytecode vs reference"
   std::string Detail;     ///< first differing element and both values
 };
 
@@ -119,10 +122,10 @@ bool buffersMatch(const RawBuffer &A, const RawBuffer &B, double FloatTol,
                   int Margin, std::string *Detail);
 
 /// Runs the full differential sweep for one app. The reference output is
-/// the breadth-first schedule through the suite's execution engine; every
-/// sampled schedule must reproduce it on that engine and on the C backend,
-/// and the reference itself must agree with the app's hand-written
-/// baseline where one is wired.
+/// the breadth-first schedule on the VM; every sampled schedule must
+/// reproduce it on the VM, the C backend must reproduce the VM's output
+/// for each schedule exactly, and the reference itself must agree with
+/// the app's hand-written baseline where one is wired.
 DiffReport runScheduleDifferential(App &A, const DiffOptions &Opts = {});
 
 } // namespace halide

@@ -45,11 +45,6 @@ std::string halide::uniqueName(const std::string &Prefix) {
   return Prefix + std::to_string(Count);
 }
 
-void halide::resetUniqueNameCounters() {
-  std::lock_guard<std::mutex> Lock(nameCountersMutex());
-  nameCounters().clear();
-}
-
 namespace {
 /// The innermost UniqueNameScope of the calling thread.
 thread_local UniqueNameScope *CurrentNameScope = nullptr;

@@ -80,10 +80,6 @@ namespace halide {
 /// mint duplicate names.
 std::string uniqueName(const std::string &Prefix);
 
-/// Resets the unique-name counters. Only tests should call this, to make
-/// golden-text comparisons deterministic.
-void resetUniqueNameCounters();
-
 /// The name counters of one compilation. While an instance is alive,
 /// scopedUniqueName() on the thread that made it draws from these
 /// counters instead of the process-wide ones, so compiling the same

@@ -549,8 +549,9 @@ private:
       // Extract the body into a parallel task entry point: the dispatch
       // loop hands [min, min+extent) to the task scheduler (or runs it
       // inline for single-threaded targets), with the body's live-in
-      // registers as the explicit closure. Simulated-GPU loop types stay
-      // serial here — they model the device the GpuSim backend runs.
+      // registers as the explicit closure. GPU loop types stay serial
+      // here: the VM has no device; JIT executables launch those loops on
+      // the simulated one (runtime/GpuSim.h).
       compileParallelFor(Op, MinR, ExtR);
       return;
     }

@@ -595,13 +595,7 @@ void Runner::runChunk(const VmContext &Parent, const VmTaskDesc &TD,
   // copied from the spawning context, the spawner's buffer table by
   // value, and a fresh stats shard. Contexts are pooled per worker
   // thread so consecutive chunks reuse their storage.
-  std::unique_ptr<VmContext> Ctx;
-  if (!ContextPool.empty()) {
-    Ctx = std::move(ContextPool.back());
-    ContextPool.pop_back();
-  } else {
-    Ctx = std::make_unique<VmContext>();
-  }
+  std::unique_ptr<VmContext> Ctx = acquireContext();
   Ctx->Regs.assign(Prog.InitialRegs.size(), VmSlot{0});
   for (const auto &[Slot, Len] : TD.LiveIn)
     std::copy(Parent.Regs.begin() + Slot, Parent.Regs.begin() + Slot + Len,
@@ -615,8 +609,7 @@ void Runner::runChunk(const VmContext &Parent, const VmTaskDesc &TD,
   }
 
   *Out = std::move(Ctx->Shard);
-  if (ContextPool.size() < 8)
-    ContextPool.push_back(std::move(Ctx));
+  releaseContext(std::move(Ctx));
 }
 
 void vmRunParChunk(int64_t Begin, int64_t End, int Chunk, void *Closure) {
@@ -661,20 +654,9 @@ int VmExecutable::run(const ParamBindings &Params,
     if (!Desc.IsBoundary)
       continue;
     const RawBuffer &Raw = Params.buffer(Desc.Name);
-    user_assert(Raw.defined()) << "buffer " << Desc.Name << " is undefined";
-    user_assert(Raw.ElemType == Desc.ElemType)
-        << "buffer " << Desc.Name << " has element type "
-        << Raw.ElemType.str() << ", pipeline expects "
-        << Desc.ElemType.str();
-    user_assert(Raw.Dim[0].Stride == 1)
-        << "buffer " << Desc.Name
-        << " must be dense in dimension 0 (stride 1)";
     RtBuf &B = Root.Bufs[BI];
+    B.SizeElems = checkBoundaryBuffer(Desc.Name, Raw, Desc.ElemType);
     B.Data = Raw.Host;
-    int64_t MaxIndex = 0;
-    for (int D = 0; D < Raw.Dimensions; ++D)
-      MaxIndex += int64_t(Raw.Dim[D].Extent - 1) * Raw.Dim[D].Stride;
-    B.SizeElems = MaxIndex + 1;
   }
 
   for (const VmParamInit &PI : Prog.Params) {

@@ -7,11 +7,11 @@
 /// \file
 /// The VmBytecode backend: a lowered pipeline compiled once to a flat
 /// bytecode program (vm/VmCompiler.h) and executed by a dispatch loop on
-/// every run. It implements the common Executable interface, so
-/// Pipeline::compile(Target{Backend::VmBytecode}) caches it by schedule
-/// fingerprint exactly like the other backends, and it gathers the same
+/// every run; the default engine. It implements the common Executable
+/// interface, so Pipeline::compile(Target::vm()) caches it by schedule
+/// fingerprint exactly like the JIT, and it gathers the same
 /// ExecutionStats (loads/stores per buffer, peak allocation, parallel
-/// iterations) the tree-walking interpreter does — at a fraction of the
+/// iterations) the reference interpreter does — at a fraction of the
 /// per-operation cost, which is what lets the differential suite and the
 /// autotuner afford many more schedules per app.
 ///

@@ -1,8 +1,9 @@
 //===-- tests/BackendTest.cpp - JIT vs interpreter, vector codegen -----------===//
 //
-// Differential tests between the two back ends, plus checks that the C
-// backend classifies vector accesses as the paper describes (dense ramp
-// loads vs gathers) and that parallel loops compile to closure dispatch.
+// Differential tests between the C backend and the reference interpreter,
+// plus checks that the C backend classifies vector accesses as the paper
+// describes (dense ramp loads vs gathers) and that parallel loops compile
+// to closure dispatch.
 //
 //===----------------------------------------------------------------------===//
 
@@ -155,9 +156,12 @@ TEST(GpuSimTest, KernelLaunchCounting) {
   ParamBindings Params;
   Params.bind(F.name(), Out);
   gpuSim().resetStats();
-  ASSERT_EQ(CP->run(Params), 0);
+  ExecutionStats Stats;
+  ASSERT_EQ(CP->run(Params, &Stats), 0);
   EXPECT_EQ(gpuSim().stats().KernelLaunches, 1);
   EXPECT_EQ(gpuSim().stats().BlocksExecuted, (32 / 8) * (16 / 8));
+  EXPECT_EQ(Stats.GpuKernelLaunches, 1);
+  EXPECT_EQ(Stats.GpuBlocksExecuted, (32 / 8) * (16 / 8));
   for (int Y = 0; Y < 16; ++Y)
     for (int X = 0; X < 32; ++X)
       ASSERT_EQ(Out(X, Y), X + 2 * Y);

@@ -3,12 +3,13 @@
 // The differential schedule-correctness suite: for every app in the
 // registry, a deterministic sample of schedules from the autotuner's
 // search space must produce the breadth-first reference result on the
-// bytecode VM (the suite's default engine) and CodeGenC, with the
-// tree-walking interpreter spot-checking a prefix of the sample
-// bit-for-bit; the reference must also agree with the hand-written C++
-// baseline where one exists. This is the repo-wide safety net behind the
-// paper's "scheduling never changes semantics" guarantee.
-// HALIDE_DIFF_BACKEND forces the execution engine (see DiffTest.cpp).
+// bytecode VM, CodeGenC must reproduce the VM's output for every schedule
+// bit-for-bit, and the reference interpreter spot-checks a prefix of the
+// sample bit-for-bit; the reference must also agree with the hand-written
+// C++ baseline where one exists. This is the repo-wide safety net behind
+// the paper's "scheduling never changes semantics" guarantee.
+// HALIDE_DIFF_JIT_FLAGS sets the C leg's host-compiler flags (see
+// DiffTest.cpp).
 //
 //===----------------------------------------------------------------------===//
 
@@ -104,24 +105,25 @@ TEST(DifferentialScheduleTest, LocalLaplacian) {
 }
 
 TEST(DifferentialScheduleTest, LocalLaplacianPaperDepthGpuSim) {
-  // The paper's 8-level local Laplacian under its simulated-GPU schedule:
+  // The paper's 8-level local Laplacian under its GPU schedule:
   // the deepest pipeline in the repo, and the one whose bounds expressions
   // grew exponentially before bounds inference shared subexpressions —
   // bench_runner used to skip this row because it could not be lowered.
   // Lowering must now complete in interactive time, and the schedule must
-  // agree with the breadth-first reference on both remaining engines (the
-  // bytecode VM and CodeGenC). The tree-walking interpreter sits this one
-  // out: the 8x8 per-stage round-up compounds geometrically down the
-  // pyramid, so the schedule does hundreds of millions of stores at any
-  // frame size — minutes on the tree walker. The interpreter's audit of
-  // this app stays with the depth-3 sweep above (InterpreterSpotChecks
-  // keeps its prefix there).
+  // agree with the breadth-first reference on both engines (the
+  // bytecode VM and CodeGenC, whose GPU-block loops launch on the simulated
+  // device). The reference interpreter sits this one out: the 8x8
+  // per-stage round-up compounds geometrically down the pyramid, so the
+  // schedule does hundreds of millions of stores at any frame size —
+  // minutes on the tree walker. The interpreter's audit of this app stays
+  // with the depth-3 sweep above (InterpreterSpotChecks keeps its prefix
+  // there).
   const int W = 96, H = 64; // multiples of the 8-pixel gpu tile
   App A = makeLocalLaplacianApp(/*Levels=*/8);
   ParamBindings Inputs = A.MakeInputs(W, H);
   Pipeline Pipe(A.Output);
 
-  // Reference: breadth-first through the suite's default engine.
+  // Reference: breadth-first on the VM.
   A.ScheduleBreadthFirst();
   std::shared_ptr<void> KeepRef;
   RawBuffer Ref = makeAppOutput(A, W, H, &KeepRef);
@@ -142,7 +144,8 @@ TEST(DifferentialScheduleTest, LocalLaplacianPaperDepthGpuSim) {
   LoweredPipeline P = Pipe.lowerPipeline();
   double LowerCpuMs = 1000.0 * double(std::clock() - Start) / CLOCKS_PER_SEC;
   EXPECT_LT(LowerCpuMs, 20000.0)
-      << "8-level gpu-sim lowering regressed far past the 5 s acceptance bar";
+      << "8-level GPU-schedule lowering regressed far past the 5 s "
+         "acceptance bar";
 
   std::shared_ptr<void> KeepVm;
   RawBuffer OutVm = makeAppOutput(A, W, H, &KeepVm);

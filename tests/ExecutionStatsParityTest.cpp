@@ -1,9 +1,9 @@
 //===-- tests/ExecutionStatsParityTest.cpp -----------------------------------===//
 //
-// The bytecode VM reports the same ExecutionStats the tree-walking
-// interpreter does — load/store counts per buffer, peak allocation, and
-// parallel iterations — so the Figure-3 footprint tests and the metrics
-// layer can run on either engine interchangeably, and the *threaded* VM
+// The bytecode VM reports the same ExecutionStats the reference
+// interpreter (interpret()) does — load/store counts per buffer, peak
+// allocation, and parallel iterations — so the Figure-3 footprint tests
+// and the metrics layer can run on the VM, and the *threaded* VM
 // reports stats bit-identical to the serial VM: per-worker shards merge
 // deterministically, so threading never perturbs the observability
 // contract. Checked on blur (breadth-first and tiled, the paper's
@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/Apps.h"
+#include "codegen/Interpreter.h"
 #include "runtime/TaskScheduler.h"
 #include "support/DiffTest.h"
 
@@ -38,8 +39,16 @@ ExecutionStats statsOn(App &A, const Target &T, int W, int H,
   return S;
 }
 
+/// The reference interpreter's stats for \p A's pipeline at W x H.
+ExecutionStats interpretedStats(App &A, int W, int H) {
+  ParamBindings Params = A.MakeInputs(W, H);
+  std::shared_ptr<void> Keep;
+  Params.bind(A.Output.name(), makeAppOutput(A, W, H, &Keep));
+  return interpret(Pipeline(A.Output).lowerPipeline(), Params);
+}
+
 void expectStatsParity(App &A, int W, int H) {
-  ExecutionStats I = statsOn(A, Target::interpreter(), W, H);
+  ExecutionStats I = interpretedStats(A, W, H);
   ExecutionStats V = statsOn(A, Target::vm(), W, H);
 
   // ExecutionStats::operator== is the determinism contract (loads,
@@ -117,10 +126,10 @@ TEST(ExecutionStatsParityTest, ThreadedLocalLaplacianDeterministic) {
 
 TEST(ExecutionStatsParityTest, ThreadedMatchesInterpreterStats) {
   // Transitivity spelled out: the 4-thread VM still reports exactly what
-  // the tree-walking interpreter reports.
+  // the reference interpreter reports.
   App A = makeBlurApp();
   A.ScheduleTuned();
-  ExecutionStats I = statsOn(A, Target::interpreter(), 96, 64);
+  ExecutionStats I = interpretedStats(A, 96, 64);
   int Before = taskSchedulerThreads();
   setTaskSchedulerThreads(4);
   ExecutionStats V = statsOn(A, Target::vm().withThreads(4), 96, 64);

@@ -42,7 +42,7 @@ LoweringCost lowerPyramidAtDepth(int Depth) {
   App A = makeLocalLaplacianApp(Depth);
   A.ScheduleGpu();
   std::clock_t Start = std::clock();
-  LoweredPipeline P = lower(A.Output.function(), Target::gpuSim());
+  LoweredPipeline P = lower(A.Output.function(), Target::jit());
   std::clock_t End = std::clock();
   LoweringCost Cost;
   Cost.Nodes = countIRNodes(P.Body);

@@ -1,16 +1,17 @@
 //===-- tests/OptimizationTest.cpp - Lowering optimizations ------------------===//
 //
-// Observes the paper's section-4.3 optimizations through the interpreter's
+// Observes the paper's section-4.3 optimizations through the execution
 // counters: sliding window eliminates redundant recomputation (store
 // counts); storage folding shrinks peak memory. Loop partitioning splits
 // clamped boundary reads out of the steady state. All must leave results
-// unchanged.
+// unchanged, on the reference interpreter and on both backends.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Derivatives.h"
 #include "apps/Apps.h"
 #include "apps/baselines/Baselines.h"
+#include "codegen/Interpreter.h"
 #include "ir/IRVisitor.h"
 #include "lang/ImageParam.h"
 #include "lang/Pipeline.h"
@@ -23,10 +24,32 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <optional>
 
 using namespace halide;
 
 namespace {
+
+/// An engine the tests run on: a compiled Target, or std::nullopt for the
+/// reference interpreter, which is no Target backend.
+using Engine = std::optional<Target>;
+
+/// The reference interpreter and both compiled backends.
+const Engine AllEngines[] = {std::nullopt, Target::vm(), Target::jit()};
+
+std::string engineName(const Engine &E) {
+  return E ? E->str() : "interpreter";
+}
+
+/// Realizes \p Pipe into \p Out on \p E. The reference interpreter walks
+/// the pipeline's cached lowering directly.
+ExecutionStats realizeOn(const Engine &E, Pipeline Pipe, RawBuffer Out,
+                         ParamBindings Params) {
+  if (E)
+    return Pipe.realize(Out, Params, *E);
+  Params.bind(Pipe.output().name(), Out);
+  return interpret(Pipe.lowerPipeline(), Params);
+}
 
 struct BlurFixture {
   ImageParam In;
@@ -47,13 +70,13 @@ struct BlurFixture {
   }
 
   ExecutionStats run(Buffer<uint8_t> *OutImg = nullptr,
-                     const Target &T = Target()) {
+                     const Engine &E = Target()) {
     Buffer<uint8_t> Input(W, H);
     Input.fill([](int X, int Y) { return (X * 23 + Y * 7) % 256; });
     Buffer<uint8_t> Output(W, H);
     ParamBindings Params;
     Params.bind("opt_in", Input);
-    ExecutionStats Stats = Pipeline(Out).realize(Output, Params, T);
+    ExecutionStats Stats = realizeOn(E, Pipeline(Out), Output.raw(), Params);
     if (OutImg)
       *OutImg = Output;
     return Stats;
@@ -482,14 +505,14 @@ TEST_P(PartitionedTapsTest, BitExactOnEveryEngine) {
     Want(X) = uint16_t(Total);
   }
 
-  for (const Target &T : {Target::interpreter(), Target::vm(), Target::jit()}) {
+  for (const Engine &E : AllEngines) {
     Buffer<uint16_t> Got(C.OutWidth);
     Got.setMin(C.OutMin);
     ParamBindings Params;
     Params.bind("pl_in", Input);
-    Pipeline(Out).realize(Got, Params, T);
+    realizeOn(E, Pipeline(Out), Got.raw(), Params);
     for (int X = C.OutMin; X < C.OutMin + C.OutWidth; ++X)
-      ASSERT_EQ(Got(X), Want(X)) << T.str() << " at x = " << X;
+      ASSERT_EQ(Got(X), Want(X)) << engineName(E) << " at x = " << X;
   }
 }
 
@@ -511,15 +534,17 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(PartitionLoopsTest, BreadthFirstBlurCountsMatchAnalytic) {
-  for (const Target &T : {Target::interpreter(), Target::vm()}) {
+  // The engines that count loads and stores.
+  for (const Engine &E : {Engine(), Engine(Target::vm())}) {
     BlurFixture F;
     F.Blurx.computeRoot();
-    ExecutionStats Stats = F.run(nullptr, T);
+    ExecutionStats Stats = F.run(nullptr, E);
     const int64_t W = F.W, H = F.H;
-    EXPECT_EQ(Stats.LoadsPerBuffer["opt_in"], 3 * W * (H + 2)) << T.str();
-    EXPECT_EQ(Stats.StoresPerBuffer[F.Blurx.name()], W * (H + 2)) << T.str();
-    EXPECT_EQ(Stats.LoadsPerBuffer[F.Blurx.name()], 3 * W * H) << T.str();
-    EXPECT_EQ(Stats.StoresPerBuffer[F.Out.name()], W * H) << T.str();
+    const std::string Name = engineName(E);
+    EXPECT_EQ(Stats.LoadsPerBuffer["opt_in"], 3 * W * (H + 2)) << Name;
+    EXPECT_EQ(Stats.StoresPerBuffer[F.Blurx.name()], W * (H + 2)) << Name;
+    EXPECT_EQ(Stats.LoadsPerBuffer[F.Blurx.name()], 3 * W * H) << Name;
+    EXPECT_EQ(Stats.StoresPerBuffer[F.Out.name()], W * H) << Name;
   }
 }
 
@@ -543,15 +568,15 @@ TEST(PartitionLoopsTest, ClampBoundsAtInt32LimitsDoNotOverflow) {
 
   Buffer<uint8_t> Input(W);
   Input.fill([](int X) { return X * 3 + 1; });
-  for (const Target &T : {Target::interpreter(), Target::vm(), Target::jit()}) {
+  for (const Engine &E : AllEngines) {
     Buffer<uint16_t> Got(W);
     ParamBindings Params;
     Params.bind("pl_lim_in", Input);
-    Pipeline(Out).realize(Got, Params, T);
+    realizeOn(E, Pipeline(Out), Got.raw(), Params);
     for (int I = 0; I < W; ++I)
       ASSERT_EQ(Got(I),
                 Input(std::min(I + 1, W - 1)) + Input(std::max(I - 1, 0)))
-          << T.str() << " at x = " << I;
+          << engineName(E) << " at x = " << I;
   }
 }
 
@@ -576,14 +601,14 @@ TEST(PartitionLoopsTest, StrideTwoClampUsesFloorDivision) {
 
   Buffer<uint8_t> Input(16);
   Input.fill([](int X) { return X * 7 + 3; });
-  for (const Target &T : {Target::interpreter(), Target::vm(), Target::jit()}) {
+  for (const Engine &E : AllEngines) {
     Buffer<uint8_t> Got(OutWidth);
     Got.setMin(OutMin);
     ParamBindings Params;
     Params.bind("pl_div_in", Input);
-    Pipeline(Out).realize(Got, Params, T);
+    realizeOn(E, Pipeline(Out), Got.raw(), Params);
     for (int I = OutMin; I < OutMin + OutWidth; ++I)
       ASSERT_EQ(Got(I), Input(std::min(std::max(2 * I + 20, 0), 15) - I - 10))
-          << T.str() << " at x = " << I;
+          << engineName(E) << " at x = " << I;
   }
 }

@@ -3,8 +3,10 @@
 // The pipeline-as-a-service layer: realizeAsync frames queued as async
 // jobs on the work-stealing scheduler must be bit-identical (output and
 // ExecutionStats) to sequential realizes, whether the in-flight frames
-// share one pipeline or mix several; queued jobs run highest-priority
-// first; the buffer pool makes steady-state serving allocation-free; the
+// share one pipeline or mix several; concurrent JIT frames of GPU
+// schedules each report only their own simulated-GPU launches; queued jobs
+// run highest-priority first; the buffer pool makes steady-state serving
+// allocation-free; the
 // JIT leaves no scratch directories behind; and a compile stampede of N
 // identical requests does one lowering and one backend compile while the
 // other N-1 wait as cache hits.
@@ -14,6 +16,7 @@
 #include "lang/ImageParam.h"
 #include "lang/Pipeline.h"
 #include "runtime/BufferPool.h"
+#include "runtime/GpuSim.h"
 #include "runtime/TaskScheduler.h"
 
 #include <gtest/gtest.h>
@@ -154,6 +157,60 @@ TEST(ServingTest, ConcurrentFramesOfDifferentPipelinesMatchSequential) {
         ASSERT_EQ(Outs[size_t(V)](X, Y), Refs[size_t(V)](X, Y))
             << "variant " << V << " at (" << X << "," << Y << ")";
   }
+}
+
+TEST(ServingTest, ConcurrentGpuFramesReportOnlyTheirOwnLaunches) {
+  // Two gpuTile schedules with different kernel and block counts, frames
+  // of both in flight at once on the JIT: every frame must report exactly
+  // its serial run's launches and blocks, however the frames interleave.
+  const int W = 128, H = 64, Frames = 8;
+  Buffer<float> Input = makeInput(W, H);
+  Var bx("bx"), by("by"), tx("tx"), ty("ty");
+  ServePipe Two("srv_gpu_two", /*Variant=*/2), One("srv_gpu_one", 2);
+  Two.Stage.gpuTile(Two.x, Two.y, bx, by, tx, ty, 8, 8);
+  Two.Out.gpuTile(Two.x, Two.y, bx, by, tx, ty, 8, 8);
+  One.Out.gpuTile(One.x, One.y, bx, by, tx, ty, 16, 16);
+  const Target T = Target::jit().withJitFlags("-O0");
+
+  ServePipe *Pipes[2] = {&Two, &One};
+  ParamBindings Bindings[2];
+  ExecutionStats Serial[2];
+  for (int V = 0; V < 2; ++V) {
+    Bindings[V].bind(Pipes[V]->In.name(), Input);
+    Buffer<float> Out(W, H);
+    Serial[V] = Pipeline(Pipes[V]->Out).realize(Out, Bindings[V], T);
+  }
+  // Stage (W x H+2, rounded up to 8x8 tiles) and Out; then Out alone.
+  EXPECT_EQ(Serial[0].GpuKernelLaunches, 2);
+  EXPECT_EQ(Serial[0].GpuBlocksExecuted, (W / 8) * 9 + (W / 8) * (H / 8));
+  EXPECT_EQ(Serial[1].GpuKernelLaunches, 1);
+  EXPECT_EQ(Serial[1].GpuBlocksExecuted, (W / 16) * (H / 16));
+
+  const GpuStats DeviceBefore = gpuSim().stats();
+  std::vector<Buffer<float>> Outs;
+  for (int F = 0; F < Frames; ++F)
+    Outs.emplace_back(W, H);
+  std::vector<FrameFuture> Futures;
+  for (int F = 0; F < Frames; ++F)
+    Futures.push_back(Pipeline(Pipes[F % 2]->Out)
+                          .realizeAsync(Outs[size_t(F)], Bindings[F % 2], T,
+                                        F % 3));
+  for (int F = 0; F < Frames; ++F) {
+    ExecutionStats S = Futures[size_t(F)].wait();
+    EXPECT_EQ(S.GpuKernelLaunches, Serial[F % 2].GpuKernelLaunches)
+        << "frame " << F;
+    EXPECT_EQ(S.GpuBlocksExecuted, Serial[F % 2].GpuBlocksExecuted)
+        << "frame " << F;
+  }
+  // The process-wide device totals saw every frame's launches once.
+  const GpuStats DeviceAfter = gpuSim().stats();
+  const int64_t PerPair =
+      Serial[0].GpuKernelLaunches + Serial[1].GpuKernelLaunches;
+  EXPECT_EQ(DeviceAfter.KernelLaunches - DeviceBefore.KernelLaunches,
+            PerPair * Frames / 2);
+  EXPECT_EQ(DeviceAfter.BlocksExecuted - DeviceBefore.BlocksExecuted,
+            (Serial[0].GpuBlocksExecuted + Serial[1].GpuBlocksExecuted) *
+                Frames / 2);
 }
 
 TEST(ServingTest, SteadyStateServingAllocatesNothingFresh) {

@@ -8,8 +8,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "codegen/Interpreter.h"
 #include "lang/ImageParam.h"
 #include "lang/Pipeline.h"
+#include "vm/VmExecutable.h"
 
 #include <gtest/gtest.h>
 
@@ -142,20 +144,26 @@ TEST(CompileCacheTest, BackendsShareOneLowering) {
   Func F("cs_f");
   F(x, y) = x + 10 * y;
   Pipeline Pipe(F);
-  Buffer<int32_t> OutI(8, 8), OutJ(8, 8);
+  Buffer<int32_t> OutV(8, 8), OutJ(8, 8), OutI(8, 8);
 
   CompileCounters Before = Pipeline::compileCounters();
-  Pipe.realize(OutI, ParamBindings(), Target::interpreter());
+  Pipe.realize(OutV, ParamBindings(), Target::vm());
   Pipe.realize(OutJ, ParamBindings(), Target::jit());
+  // The reference interpreter walks that same lowering.
+  ParamBindings Ref;
+  Ref.bind(F.name(), OutI);
+  interpret(Pipe.lowerPipeline(), Ref);
   const CompileCounters &After = Pipeline::compileCounters();
-  // The interpreter and the JIT key their executables separately but share
-  // the lowered pipeline.
+  // The VM and the JIT key their executables separately (one backend
+  // compile each) but share the lowered pipeline.
   EXPECT_EQ(After.Lowerings - Before.Lowerings, 1);
-  EXPECT_EQ(After.BackendCompiles - Before.BackendCompiles, 1);
+  EXPECT_EQ(After.BackendCompiles - Before.BackendCompiles, 2);
 
   for (int Y = 0; Y < 8; ++Y)
-    for (int X = 0; X < 8; ++X)
-      EXPECT_EQ(OutI(X, Y), OutJ(X, Y));
+    for (int X = 0; X < 8; ++X) {
+      EXPECT_EQ(OutV(X, Y), OutI(X, Y));
+      EXPECT_EQ(OutJ(X, Y), OutI(X, Y));
+    }
 }
 
 TEST(CompileCacheTest, LoweringFlagsAreInTheFingerprint) {
@@ -165,7 +173,7 @@ TEST(CompileCacheTest, LoweringFlagsAreInTheFingerprint) {
   Pipeline Pipe(F);
   EXPECT_NE(Pipe.scheduleFingerprint(Target()),
             Pipe.scheduleFingerprint(Target().withoutSlidingWindow()));
-  EXPECT_EQ(Pipe.scheduleFingerprint(Target::interpreter()),
+  EXPECT_EQ(Pipe.scheduleFingerprint(Target::vm()),
             Pipe.scheduleFingerprint(Target::jit()));
 }
 
@@ -175,16 +183,14 @@ TEST(CompileCacheTest, LoweringFlagsAreInTheFingerprint) {
 
 TEST(TargetTest, ParseRoundTrips) {
   Target T;
-  EXPECT_TRUE(Target::parse("interp", &T));
-  EXPECT_EQ(T.TargetBackend, Backend::Interpreter);
   EXPECT_TRUE(Target::parse("vm", &T));
   EXPECT_EQ(T.TargetBackend, Backend::VmBytecode);
   EXPECT_TRUE(Target::parse("vm_bytecode", &T));
   EXPECT_EQ(T.TargetBackend, Backend::VmBytecode);
   EXPECT_TRUE(Target::parse("jit", &T));
   EXPECT_EQ(T.TargetBackend, Backend::JitC);
-  EXPECT_TRUE(Target::parse("gpu_sim", &T));
-  EXPECT_EQ(T.TargetBackend, Backend::GpuSim);
+  EXPECT_TRUE(Target::parse("jit_c", &T));
+  EXPECT_EQ(T.TargetBackend, Backend::JitC);
   EXPECT_TRUE(Target::parse("jit-no_sliding_window", &T));
   EXPECT_TRUE(T.DisableSlidingWindow);
   EXPECT_TRUE(Target::parse("vm-threads4", &T));
@@ -198,17 +204,44 @@ TEST(TargetTest, ParseRoundTrips) {
   EXPECT_FALSE(Target::parse("cuda", &T));
 }
 
-TEST(TargetTest, GpuSimTargetReportsKernelLaunches) {
+TEST(TargetTest, ParseRejectsRetiredBackends) {
+  // The interpreter is the tests' reference, not a backend, and GPU
+  // schedules run on the JIT, so neither names a target.
+  Target T = Target::jit();
+  for (const char *Name : {"interp", "interpreter", "gpu", "gpu_sim"}) {
+    EXPECT_FALSE(Target::parse(Name, &T)) << Name;
+    EXPECT_EQ(T, Target::jit()) << Name; // left alone on failure
+  }
+}
+
+TEST(TargetTest, DefaultTargetCompilesToTheVm) {
+  Var x("x"), y("y");
+  Func F("td_f");
+  F(x, y) = x * 5 + y;
+  EXPECT_EQ(Target(), Target::vm());
+  CompileCounters Before = Pipeline::compileCounters();
+  std::shared_ptr<const Executable> Exe = Pipeline(F).compile();
+  EXPECT_EQ(Pipeline::compileCounters().BackendCompiles -
+                Before.BackendCompiles,
+            1);
+  EXPECT_EQ(Exe->target().TargetBackend, Backend::VmBytecode);
+  EXPECT_NE(dynamic_cast<const VmExecutable *>(Exe.get()), nullptr);
+}
+
+TEST(TargetTest, JitRunReportsItsKernelLaunches) {
+  // A gpuTile schedule needs no target of its own: the JIT launches its
+  // block loops on the simulated device and counts them per run.
   Var x("x"), y("y"), bx("bx"), by("by"), tx("tx"), ty("ty");
   Func F("tg_gpu");
   F(x, y) = x * 3 + y;
   F.gpuTile(x, y, bx, by, tx, ty, 8, 8);
   Pipeline Pipe(F);
   Buffer<int32_t> Out(32, 16);
-  ExecutionStats Stats =
-      Pipe.realize(Out, ParamBindings(), Target::gpuSim());
-  EXPECT_EQ(Stats.GpuKernelLaunches, 1);
-  EXPECT_EQ(Stats.GpuBlocksExecuted, (32 / 8) * (16 / 8));
+  for (int Run = 0; Run < 2; ++Run) {
+    ExecutionStats Stats = Pipe.realize(Out, ParamBindings(), Target::jit());
+    EXPECT_EQ(Stats.GpuKernelLaunches, 1);
+    EXPECT_EQ(Stats.GpuBlocksExecuted, (32 / 8) * (16 / 8));
+  }
   for (int Y = 0; Y < 16; ++Y)
     for (int X = 0; X < 32; ++X)
       ASSERT_EQ(Out(X, Y), X * 3 + Y);
@@ -221,7 +254,9 @@ TEST(TargetTest, InterpreterStillGathersStats) {
   G(x, y) = F(x, y) * 2;
   F.computeRoot();
   Buffer<int32_t> Out(8, 4);
-  ExecutionStats Stats = Pipeline(G).realize(Out);
+  ParamBindings Params;
+  Params.bind(G.name(), Out);
+  ExecutionStats Stats = interpret(Pipeline(G).lowerPipeline(), Params);
   EXPECT_EQ(Stats.StoresPerBuffer[F.name()], int64_t(8 * 4));
 }
 
@@ -237,13 +272,21 @@ TEST(ParamInferTest, BoundParamsResolveOnBothBackends) {
   P.Offset.set(0.5f);
 
   Pipeline Pipe(P.F);
-  Buffer<float> OutI(16, 8), OutJ(16, 8);
-  Pipe.realize(OutI, ParamBindings(), Target::interpreter());
+  Buffer<float> OutV(16, 8), OutJ(16, 8), OutI(16, 8);
+  Pipe.realize(OutV, ParamBindings(), Target::vm());
   Pipe.realize(OutJ, ParamBindings(), Target::jit());
+  // The reference interpreter, with the same values bound by hand.
+  ParamBindings Ref;
+  Ref.bind(P.In.name(), Input);
+  Ref.bindInt(P.Gain.name(), 3);
+  Ref.bindFloat(P.Offset.name(), 0.5);
+  Ref.bind(P.F.name(), OutI);
+  interpret(Pipe.lowerPipeline(), Ref);
   for (int Y = 0; Y < 8; ++Y)
     for (int X = 0; X < 16; ++X) {
       EXPECT_FLOAT_EQ(OutI(X, Y), float(Input(X, Y)) * 3 + 0.5f);
-      EXPECT_EQ(OutI(X, Y), OutJ(X, Y));
+      EXPECT_EQ(OutV(X, Y), OutI(X, Y));
+      EXPECT_EQ(OutJ(X, Y), OutI(X, Y));
     }
 
   // Re-setting a Param does not touch the schedule fingerprint: the next

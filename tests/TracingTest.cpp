@@ -10,8 +10,8 @@
 //    artifact contains no trace ops, and a traced run produces
 //    bit-identical output to an untraced one.
 //  * Engine agreement: for the paper's Figure-3 blur under breadth-first,
-//    tiled, and sliding-window schedules, the interpreter, the bytecode
-//    VM, and the CodeGenC JIT emit *identical* serial event streams
+//    tiled, and sliding-window schedules, the reference interpreter, the
+//    bytecode VM, and the CodeGenC JIT emit *identical* serial event streams
 //    (Name records excluded — the intern table is process-wide and grows
 //    monotonically across runs).
 //  * Analyzer consistency: per-buffer store lanes summed from the trace
@@ -27,12 +27,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/Apps.h"
+#include "codegen/Interpreter.h"
 #include "lang/ImageParam.h"
 #include "observe/MetricsRegistry.h"
 #include "observe/Profiler.h"
 #include "observe/TraceStream.h"
 #include "runtime/TaskScheduler.h"
 #include "support/DiffTest.h"
+#include "transforms/Instrument.h"
 #include "transforms/Lower.h"
 
 #include <gtest/gtest.h>
@@ -55,14 +57,39 @@ std::string tmpTracePath(const char *Tag) {
          ".bin";
 }
 
-/// Runs \p P on \p T with tracing enabled, streaming to a throwaway file,
+/// An engine under test: a compiled Target, or the reference interpreter.
+/// The interpreter has no executable to instrument, so it walks
+/// instrument()'s output for the same Trace and Profile bits.
+struct Engine {
+  const char *Name;
+  bool Interpret; ///< the reference interpreter; otherwise T's backend
+  Target T;       ///< instrumentation bits (and the backend, if compiled)
+
+  int run(const LoweredPipeline &P, const ParamBindings &PB,
+          ExecutionStats *Stats = nullptr) const {
+    if (!Interpret)
+      return runOnBackend(T, P, PB, Stats);
+    ExecutionStats S = interpret(instrument(P, T), PB);
+    if (Stats)
+      *Stats = std::move(S);
+    return 0;
+  }
+  Engine withTrace() const { return {Name, Interpret, T.withTrace()}; }
+  Engine withProfile() const { return {Name, Interpret, T.withProfile()}; }
+};
+
+const Engine Interpreter{"interpreter", true, Target()};
+const Engine SerialVm{"vm", false, Target::vm().withThreads(1)};
+const Engine Jit{"jit_c", false, Target::jit().withJitFlags("-O0")};
+
+/// Runs \p P on \p E with tracing enabled, streaming to a throwaway file,
 /// and returns the decoded events.
-std::vector<TraceEvent> runTraced(const Target &T, const LoweredPipeline &P,
+std::vector<TraceEvent> runTraced(const Engine &E, const LoweredPipeline &P,
                                   const ParamBindings &PB, const char *Tag,
                                   ExecutionStats *Stats = nullptr) {
   const std::string Path = tmpTracePath(Tag);
   EXPECT_TRUE(traceStreamStart(Path)) << Path;
-  EXPECT_EQ(runOnBackend(T.withTrace(), P, PB, Stats), 0);
+  EXPECT_EQ(E.withTrace().run(P, PB, Stats), 0);
   traceStreamStop();
   std::vector<TraceEvent> Events;
   std::string Error;
@@ -109,11 +136,11 @@ bool eventLess(const TraceEvent &A, const TraceEvent &B) {
          std::tie(B.StageId, B.Kind, B.TypeCode, B.Coords, B.Bits, B.Name);
 }
 
-/// Runs \p P on \p T with the profiler on and returns the per-stage
+/// Runs \p P on \p E with the profiler on and returns the per-stage
 /// invocation counts; with \p Events, the run is also traced into it
 /// (Name records stripped).
 std::map<std::string, int64_t>
-runProfiled(const Target &T, const LoweredPipeline &P,
+runProfiled(const Engine &E, const LoweredPipeline &P,
             const ParamBindings &PB,
             std::vector<TraceEvent> *Events = nullptr) {
   struct ScopedProfiler {
@@ -124,9 +151,9 @@ runProfiled(const Target &T, const LoweredPipeline &P,
     ~ScopedProfiler() { setProfilerEnabled(false); }
   } Scope;
   if (Events)
-    *Events = accessStream(runTraced(T.withProfile(), P, PB, "profiled"));
+    *Events = accessStream(runTraced(E.withProfile(), P, PB, "profiled"));
   else
-    EXPECT_EQ(runOnBackend(T.withProfile(), P, PB), 0);
+    EXPECT_EQ(E.withProfile().run(P, PB), 0);
   std::map<std::string, int64_t> Counts;
   for (const StageProfile &S : profilerReport().Stages)
     Counts[S.Name] = S.Invocations;
@@ -288,17 +315,17 @@ TEST(TracingTest, EnginesEmitIdenticalSerialStreams) {
     S.Apply(B);
     LoweredPipeline P = lower(B.Out.function());
 
-    std::vector<TraceEvent> Interp = accessStream(
-        runTraced(Target::interpreter(), P, Params, "interp"));
-    std::vector<TraceEvent> Vm = accessStream(
-        runTraced(Target::vm().withThreads(1), P, Params, "vm"));
-    std::vector<TraceEvent> Jit = accessStream(runTraced(
-        Target::jit().withJitFlags("-O0"), P, Params, "jit"));
+    std::vector<TraceEvent> Interp =
+        accessStream(runTraced(Interpreter, P, Params, "interp"));
+    std::vector<TraceEvent> Vm =
+        accessStream(runTraced(SerialVm, P, Params, "vm"));
+    std::vector<TraceEvent> FromJit =
+        accessStream(runTraced(Jit, P, Params, "jit"));
 
     ASSERT_FALSE(Interp.empty()) << S.Name;
     expectSameStream(Interp, Vm,
                      (std::string(S.Name) + ": interpreter vs vm").c_str());
-    expectSameStream(Interp, Jit,
+    expectSameStream(Interp, FromJit,
                      (std::string(S.Name) + ": interpreter vs jit_c").c_str());
   }
 }
@@ -315,22 +342,20 @@ TEST(TracingTest, ProfilingAgreesAcrossEnginesAndComposesWithTracing) {
     Params.bind(A.Output.name(), makeAppOutput(A, W, H, &Keep));
 
     std::map<std::string, int64_t> Reference;
-    for (const Target &T : {Target::interpreter(), Target::vm().withThreads(1),
-                            Target::jit().withJitFlags("-O0")}) {
-      const std::string Label =
-          A.Name + " on " + backendName(T.TargetBackend);
-      std::map<std::string, int64_t> Counts = runProfiled(T, P, Params);
+    for (const Engine &E : {Interpreter, SerialVm, Jit}) {
+      const std::string Label = A.Name + " on " + E.Name;
+      std::map<std::string, int64_t> Counts = runProfiled(E, P, Params);
       ASSERT_TRUE(Counts.count(A.Output.name())) << Label;
       if (Reference.empty())
         Reference = Counts;
       EXPECT_EQ(Counts, Reference) << Label;
 
       std::vector<TraceEvent> TraceOnly =
-          accessStream(runTraced(T, P, Params, "trace_only"));
+          accessStream(runTraced(E, P, Params, "trace_only"));
       std::vector<TraceEvent> Both;
-      EXPECT_EQ(runProfiled(T, P, Params, &Both), Counts) << Label;
+      EXPECT_EQ(runProfiled(E, P, Params, &Both), Counts) << Label;
       ASSERT_FALSE(TraceOnly.empty()) << Label;
-      if (T.TargetBackend == Backend::JitC) {
+      if (!E.Interpret && E.T.TargetBackend == Backend::JitC) {
         // Compiled parallel loops always run on the task scheduler's
         // pool, so a jit_c trace is an event multiset.
         std::sort(TraceOnly.begin(), TraceOnly.end(), eventLess);
@@ -360,8 +385,8 @@ TEST(TracingTest, AnalyzerCountsMatchExecutionStats) {
   B.Blurx.computeRoot();
   LoweredPipeline BF = lower(B.Out.function());
   ExecutionStats BFStats;
-  TraceTraffic BFT = trafficOf(runTraced(Target::vm().withThreads(1), BF,
-                                         Params, "bf", &BFStats));
+  TraceTraffic BFT =
+      trafficOf(runTraced(SerialVm, BF, Params, "bf", &BFStats));
   EXPECT_EQ(BFT.LoadLanes, BFStats.LoadsPerBuffer);
   EXPECT_EQ(BFT.StoreLanes, BFStats.StoresPerBuffer);
   ASSERT_GT(BFT.DistinctStored["tt_blurx"], 0);
@@ -377,9 +402,8 @@ TEST(TracingTest, AnalyzerCountsMatchExecutionStats) {
   B.Blurx.computeAt(B.Out, xo);
   LoweredPipeline Tiled = lower(B.Out.function());
   ExecutionStats TiledStats;
-  TraceTraffic TiledT = trafficOf(runTraced(Target::vm().withThreads(1),
-                                            Tiled, Params, "tiled",
-                                            &TiledStats));
+  TraceTraffic TiledT =
+      trafficOf(runTraced(SerialVm, Tiled, Params, "tiled", &TiledStats));
   EXPECT_EQ(TiledT.LoadLanes, TiledStats.LoadsPerBuffer);
   EXPECT_EQ(TiledT.StoreLanes, TiledStats.StoresPerBuffer);
   EXPECT_GT(TiledT.StoreLanes["tt_blurx"], TiledT.DistinctStored["tt_blurx"]);
@@ -399,13 +423,13 @@ TEST(TracingTest, ThreadedTraceIsSerialMultiset) {
   B.Blurx.computeAt(B.Out, xo);
   LoweredPipeline P = lower(B.Out.function());
 
-  std::vector<TraceEvent> Serial = accessStream(
-      runTraced(Target::vm().withThreads(1), P, Params, "serial"));
+  std::vector<TraceEvent> Serial =
+      accessStream(runTraced(SerialVm, P, Params, "serial"));
 
   const int Before = taskSchedulerThreads();
   setTaskSchedulerThreads(4);
-  std::vector<TraceEvent> Threaded = accessStream(
-      runTraced(Target::vm().withThreads(4), P, Params, "threaded"));
+  std::vector<TraceEvent> Threaded = accessStream(runTraced(
+      {"vm", false, Target::vm().withThreads(4)}, P, Params, "threaded"));
   setTaskSchedulerThreads(Before);
 
   // Worker buffers flush in nondeterministic order, but every event of
