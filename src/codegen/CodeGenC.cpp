@@ -203,14 +203,15 @@ public:
         << "#include <stdint.h>\n#include <math.h>\n#include <string.h>\n\n"
         << "typedef struct hl_vtable {\n"
         << "  void *(*Malloc)(int64_t);\n  void (*Free)(void *);\n"
-        << "  void (*ParFor)(int32_t, int32_t, void (*)(int32_t, void *), "
-           "void *);\n"
+        << "  int (*ParFor)(int64_t, int64_t, int, "
+           "void (*)(int64_t, int64_t, int, void *), void *);\n"
         << "  void (*GpuLaunch)(const struct hl_vtable *, int32_t, "
-           "void (*)(int32_t, void *), void *);\n"
+           "void (*)(int64_t, int64_t, int, void *), void *);\n"
         << "  void (*Abort)(const char *);\n"
         << "  void (*Event)(int32_t, int32_t, int32_t, int32_t, "
            "const int32_t *, int32_t, const uint64_t *);\n"
         << "  void *GpuRun;\n"
+        << "  int MaxTasks;\n"
         << "} hl_vtable;\n\n"
         << TypedefText.str() << "\n"
         << HelperText.str() << "\n"
@@ -1270,9 +1271,11 @@ private:
   }
 
   /// Emits a parallel (or simulated-GPU block) loop: a closure struct, a
-  /// body function, and a runtime dispatch call (paper section 4.6). For
-  /// GPU launches, a chain of directly nested GPUBlock loops is fused into
-  /// one launch over the flattened block range.
+  /// body function, and a runtime dispatch call (paper section 4.6). The
+  /// body is a TaskChunkFn: it unpacks the closure once, then runs every
+  /// iteration of its chunk [__begin, __end). For GPU launches, a chain of
+  /// directly nested GPUBlock loops is fused into one launch over the
+  /// flattened block range.
   void emitParallelFor(const For *Op, bool Gpu) {
     std::vector<const For *> Chain = {Op};
     if (Gpu) {
@@ -1360,9 +1363,12 @@ private:
               VarTypes, F.IRName, F.CType));
         }
       }
-      // Decode loop indices from the flattened iteration number. ParFor
-      // passes absolute indices (min..min+extent); GPU launches pass a
-      // flattened block number in [0, total).
+      // The chunk loop. Each iteration decodes its loop indices from the
+      // flattened iteration number: ParFor chunks cover absolute indices
+      // (min..min+extent); GPU launches cover flattened block numbers in
+      // [0, total).
+      line("for (int64_t __i = __begin; __i < __end; ++__i) {");
+      ++Indent;
       std::vector<std::string> IdxNames;
       if (!Gpu) {
         line("int32_t " + sanitize(Chain[0]->Name) + "__idx = __i;");
@@ -1388,6 +1394,8 @@ private:
                 VarTypes, Chain[I]->Name, "int32_t"));
       }
       emitStmt(InnerBody);
+      --Indent;
+      line("}");
     }
 
     Body = SavedBody;
@@ -1395,8 +1403,9 @@ private:
 
     FunctionText << StructDef.str();
     FunctionText << "static void " << FnNameC
-                 << "(int32_t __i, void *__p) {\n  " << StructName
-                 << " *__c = (" << StructName
+                 << "(int64_t __begin, int64_t __end, int __chunk, "
+                    "void *__p) {\n  "
+                 << StructName << " *__c = (" << StructName
                  << " *)__p;\n  const hl_vtable *rt = __c->rt;\n  (void)rt;\n"
                  << FnBody.str() << "}\n\n";
 
@@ -1419,8 +1428,8 @@ private:
       line("rt->GpuLaunch(rt, " + Total + ", " + FnNameC + ", &" + Obj +
            ");");
     } else {
-      line("rt->ParFor(" + Obj + "." + MinNames[0] + ", " + Total + ", " +
-           FnNameC + ", &" + Obj + ");");
+      line("rt->ParFor(" + Obj + "." + MinNames[0] + ", " + Total +
+           ", rt->MaxTasks, " + FnNameC + ", &" + Obj + ");");
     }
     --Indent;
     line("}");

@@ -49,12 +49,14 @@ int CompiledPipeline::run(const ParamBindings &Params,
   IntArgs.push_back(0);
   FloatArgs.push_back(0);
 
-  // The run gets its own copy of the vtable carrying its own GPU counters:
-  // generated code credits every launch to the `rt` it was handed, so
-  // concurrent frames never see each other's launches.
+  // The run gets its own copy of the vtable carrying its own GPU counters
+  // and its Target's chunk budget: generated code credits every launch to
+  // the `rt` it was handed, so concurrent frames never see each other's
+  // launches, and sizes every parallel loop and launch by rt->MaxTasks.
   GpuCounters Gpu;
   RuntimeVTable Rt = *runtimeVTable();
   Rt.GpuRun = &Gpu;
+  Rt.MaxTasks = taskChunkBudget(T.NumThreads);
   int Rc = Fn(&Rt, Bufs.data(), IntArgs.data(), FloatArgs.data());
   if (Stats) {
     ExecutionStats S;

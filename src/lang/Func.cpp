@@ -297,18 +297,3 @@ Func &Func::updateVectorize(int Idx, const Var &V) {
              << " has no dimension " << V.name();
   return *this;
 }
-
-Func &Func::traceLoads() {
-  F.setTraceLoads(true);
-  return *this;
-}
-
-Func &Func::traceStores() {
-  F.setTraceStores(true);
-  return *this;
-}
-
-Func &Func::traceRealizations() {
-  F.setTraceRealizations(true);
-  return *this;
-}

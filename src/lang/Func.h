@@ -183,21 +183,6 @@ public:
   /// Marks a pure dimension of update \p Idx vectorized (whole dimension).
   Func &updateVectorize(int Idx, const Var &V);
 
-  //===--------------------------------------------------------------------===//
-  // Value tracing (observe/TraceStream.h). The flags only take effect when
-  // the pipeline is compiled with Target::withTrace(); they select which
-  // stages instrument() traces. With no per-stage flags set anywhere
-  // in the pipeline, a traced target instruments every stage.
-  //===--------------------------------------------------------------------===//
-
-  /// Emits one trace event per load from this stage's buffer.
-  Func &traceLoads();
-  /// Emits one trace event per store to this stage's buffer.
-  Func &traceStores();
-  /// Emits begin/end trace events bracketing each realization of this
-  /// stage's buffer, carrying its extents.
-  Func &traceRealizations();
-
 private:
   Function F;
 };

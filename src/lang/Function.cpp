@@ -116,29 +116,6 @@ const Schedule &Function::schedule() const {
   return C->Sched;
 }
 
-void Function::setTraceLoads(bool Enable) {
-  internal_assert(defined()) << "setTraceLoads() of undefined Function";
-  C->TraceLoads = Enable;
-}
-
-void Function::setTraceStores(bool Enable) {
-  internal_assert(defined()) << "setTraceStores() of undefined Function";
-  C->TraceStores = Enable;
-}
-
-void Function::setTraceRealizations(bool Enable) {
-  internal_assert(defined()) << "setTraceRealizations() of undefined Function";
-  C->TraceRealizations = Enable;
-}
-
-bool Function::traceLoads() const { return defined() && C->TraceLoads; }
-
-bool Function::traceStores() const { return defined() && C->TraceStores; }
-
-bool Function::traceRealizations() const {
-  return defined() && C->TraceRealizations;
-}
-
 void Function::define(const std::vector<std::string> &Args, Expr Value) {
   internal_assert(defined()) << "define() of undefined Function";
   user_assert(!C->Value.defined())

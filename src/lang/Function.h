@@ -57,15 +57,6 @@ struct FunctionContents {
   std::vector<UpdateDefinition> Updates;
   Schedule Sched;
 
-  /// Value-tracing requests (Func::traceLoads() etc.). Deliberately not part
-  /// of Schedule so Schedule::str() — and with it the lowering fingerprint —
-  /// is unchanged by tracing; the flags are applied by instrument() on a
-  /// copy of the cached lowered pipeline and fingerprinted into the
-  /// executable cache key only (see lang/Pipeline.cpp).
-  bool TraceLoads = false;
-  bool TraceStores = false;
-  bool TraceRealizations = false;
-
   ~FunctionContents();
 };
 
@@ -97,15 +88,6 @@ public:
 
   Schedule &schedule();
   const Schedule &schedule() const;
-
-  /// Value-tracing flags (see FunctionContents). Setters are additive;
-  /// resetSchedule() does not clear them.
-  void setTraceLoads(bool Enable);
-  void setTraceStores(bool Enable);
-  void setTraceRealizations(bool Enable);
-  bool traceLoads() const;
-  bool traceStores() const;
-  bool traceRealizations() const;
 
   /// Installs the pure definition and initializes the default schedule
   /// (row-major loop order over the pure args).

@@ -177,28 +177,17 @@ std::shared_ptr<const Executable> Pipeline::compile(const Target &T) {
   std::string LowerKey = scheduleFingerprint(T);
   // The thread request belongs in the executable key only: it never
   // changes lowering, so every thread count shares one lowered pipeline,
-  // but the executable carries its Target (the VM's dispatch consults
-  // NumThreads at run time), so targets differing in threads must not
-  // alias one cached artifact.
-  // Profile follows the same rule (see Target::Profile): instrumentation
-  // happens in makeExecutable on a copy of the shared lowering, so only
-  // the executable key carries the bit. Trace likewise, except its key
-  // component also folds in every stage's per-Func trace flags — they
-  // select which accesses the instrument pass traces, so flipping a flag
-  // must not alias a differently instrumented cached executable.
-  std::string TraceKey;
-  if (T.Trace) {
-    TraceKey = "#trace";
-    for (const auto &[Name, F] : buildEnvironment(Output.function()))
-      if (F.traceLoads() || F.traceStores() || F.traceRealizations())
-        TraceKey += "," + Name + ":" + (F.traceLoads() ? "l" : "") +
-                    (F.traceStores() ? "s" : "") +
-                    (F.traceRealizations() ? "r" : "");
-  }
+  // but the executable carries its Target (both engines size their
+  // parallel loops by NumThreads at run time), so targets differing in
+  // threads must not alias one cached artifact.
+  // Profile and Trace follow the same rule (see Target::Profile):
+  // instrumentation happens in makeExecutable on a copy of the shared
+  // lowering, so only the executable key carries the bits.
   std::string ExecKey = LowerKey + "##" + backendName(T.TargetBackend) +
                         "#" + T.JitFlags + "#t" +
                         std::to_string(T.NumThreads) +
-                        (T.Profile ? "#profile" : "") + TraceKey;
+                        (T.Profile ? "#profile" : "") +
+                        (T.Trace ? "#trace" : "");
 
   bool Created = false;
   std::shared_ptr<ExecSlot> Slot =

@@ -56,10 +56,11 @@ struct Target {
   /// only), e.g. "-O0" for compile-time-sensitive sweeps.
   std::string JitFlags;
 
-  /// Worker-thread request for parallel loops: 0 inherits the task
-  /// scheduler's pool size (runtime/TaskScheduler.h — HALIDE_NUM_THREADS
-  /// or the hardware concurrency), 1 forces serial execution, N > 1 runs
-  /// parallel loops threaded with chunking sized for N workers. Does not
+  /// Worker-thread request for parallel loops, honored by both engines
+  /// through taskChunkBudget (runtime/TaskScheduler.h): 0 inherits the
+  /// task scheduler's pool size (HALIDE_NUM_THREADS or the hardware
+  /// concurrency), 1 forces serial execution, N > 1 runs parallel loops
+  /// threaded with chunking sized for N workers. Does not
   /// affect lowering — it is folded into the executable cache key only,
   /// never into the lowering fingerprint, so every thread count shares one
   /// lowered pipeline per schedule.
@@ -75,9 +76,9 @@ struct Target {
 
   /// Value-level tracing (src/observe/TraceStream.h): the executable is
   /// instrumented with per-value load/store/realization events at
-  /// backend-compile time (transforms/Instrument.h). Like Profile this
-  /// does not affect lowering — it is folded into the executable cache key
-  /// only (together with the per-stage Func::traceLoads()-style flags), so
+  /// backend-compile time (transforms/Instrument.h); every load, store
+  /// and realization is traced. Like Profile this does not affect
+  /// lowering — it is folded into the executable cache key only, so
   /// trace-on and trace-off targets share one lowered pipeline and an
   /// off-target run is bit-identical, event-free code.
   bool Trace = false;

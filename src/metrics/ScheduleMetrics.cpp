@@ -52,10 +52,6 @@ StrategyMetrics halide::analyzeStrategy(const std::string &Name,
                                         LoweredPipeline &P,
                                         const ParamBindings &Params,
                                         int64_t BreadthFirstOps) {
-  for (const auto &[Stage, F] : P.Env)
-    user_assert(!F.traceLoads() && !F.traceStores() && !F.traceRealizations())
-        << "analyzeStrategy: " << Stage
-        << " selects trace events; the reuse distance needs every buffer";
   // One traced, serial run yields both the counters and the event stream
   // the reuse distance is replayed from.
   const std::string Path = tempDirectory() + "/halide_metrics_" +

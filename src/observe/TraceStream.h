@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The sink for value-level trace events (Func::traceLoads() and friends,
-/// lowered by transforms/Instrument.h into Call::Instrument intrinsics
-/// that all three engines execute), and the one entry point, observeEvent,
+/// The sink for value-level trace events (every load, store and
+/// realization of a Target::Trace executable, lowered by
+/// transforms/Instrument.h into Call::Instrument intrinsics that every
+/// engine executes), and the one entry point, observeEvent,
 /// through which every engine reports both those events and the
 /// profiler's stage enter/exit markers.
 ///

@@ -2,11 +2,10 @@
 
 #include "runtime/GpuSim.h"
 #include "observe/TraceRecorder.h"
-#include "runtime/TaskScheduler.h"
 
 using namespace halide;
 
-void GpuSim::launch(int32_t Blocks, void (*Body)(int32_t, void *),
+void GpuSim::launch(int32_t Blocks, int MaxTasks, TaskChunkFn Body,
                     void *Closure, GpuCounters *Run) {
   Totals.count(Blocks);
   if (Run)
@@ -15,7 +14,7 @@ void GpuSim::launch(int32_t Blocks, void (*Body)(int32_t, void *),
   // Blocks are data parallel; run them on the host task scheduler, which
   // stands in for the SM array. (With one hardware core this degrades
   // gracefully to a serial sweep, preserving semantics.)
-  parallelFor(0, Blocks, Body, Closure);
+  parallelForChunks(0, Blocks, MaxTasks, Body, Closure);
   if (T0) {
     std::vector<TraceArg> Args;
     Args.emplace_back("blocks", int64_t(Blocks));

@@ -8,11 +8,12 @@
 /// A software stand-in for the paper's CUDA device (see DESIGN.md,
 /// substitution 2). Every JIT executable sends its GPU-block loops here
 /// through the runtime vtable; a kernel launch executes its block range on
-/// the host task scheduler. The simulator counts launches and blocks so
-/// benchmarks can report the kernel-graph structure the paper discusses
-/// (e.g. the 58 distinct kernels of the local Laplacian schedule): once
-/// process-wide, and once per run in the counters the JIT hands each run,
-/// so concurrent frames are never credited with each other's launches.
+/// the host task scheduler, one chunk of blocks per task. The simulator
+/// counts launches and blocks so benchmarks can report the kernel-graph
+/// structure the paper discusses (e.g. the 58 distinct kernels of the
+/// local Laplacian schedule): once process-wide, and once per run in the
+/// counters the JIT hands each run, so concurrent frames are never
+/// credited with each other's launches.
 /// Memory is unified: the copy-tracking the paper describes degenerates to
 /// counting logical transfers at kernel boundaries.
 ///
@@ -20,6 +21,8 @@
 
 #ifndef HALIDE_RUNTIME_GPUSIM_H
 #define HALIDE_RUNTIME_GPUSIM_H
+
+#include "runtime/TaskScheduler.h"
 
 #include <atomic>
 #include <cstdint>
@@ -49,10 +52,11 @@ struct GpuCounters {
 /// The simulated GPU device.
 class GpuSim {
 public:
-  /// Launches a kernel over \p Blocks blocks; Body(B, Closure) runs once
-  /// per block (thread loops execute inside the body). The launch counts
-  /// toward the device totals and, when non-null, toward \p Run.
-  void launch(int32_t Blocks, void (*Body)(int32_t, void *), void *Closure,
+  /// Launches a kernel over blocks [0, \p Blocks): parallelForChunks cuts
+  /// the range into at most \p MaxTasks chunks, and Body runs each chunk's
+  /// blocks (thread loops execute inside it). The launch counts toward the
+  /// device totals and, when non-null, toward \p Run.
+  void launch(int32_t Blocks, int MaxTasks, TaskChunkFn Body, void *Closure,
               GpuCounters *Run = nullptr);
 
   /// The device totals since the last resetStats().

@@ -4,7 +4,6 @@
 #include "observe/TraceStream.h"
 #include "runtime/BufferPool.h"
 #include "runtime/GpuSim.h"
-#include "runtime/TaskScheduler.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -78,14 +77,9 @@ void vtableAbort(const char *Message) {
   std::abort();
 }
 
-void vtableParFor(int32_t Min, int32_t Extent,
-                  void (*Body)(int32_t, void *), void *Closure) {
-  parallelFor(Min, Extent, Body, Closure);
-}
-
 void vtableGpuLaunch(const RuntimeVTable *Rt, int32_t Blocks,
-                     void (*Body)(int32_t, void *), void *Closure) {
-  gpuSim().launch(Blocks, Body, Closure, Rt->GpuRun);
+                     TaskChunkFn Body, void *Closure) {
+  gpuSim().launch(Blocks, Rt->MaxTasks, Body, Closure, Rt->GpuRun);
 }
 
 void vtableEvent(int32_t Kind, int32_t StageId, int32_t TypeCode,
@@ -99,8 +93,8 @@ void vtableEvent(int32_t Kind, int32_t StageId, int32_t TypeCode,
 
 const RuntimeVTable *halide::runtimeVTable() {
   static const RuntimeVTable Table = {
-      halideMalloc, halideFree,  vtableParFor,       vtableGpuLaunch,
-      vtableAbort,  vtableEvent, /*GpuRun=*/nullptr,
+      halideMalloc, halideFree,  parallelForChunks,  vtableGpuLaunch,
+      vtableAbort,  vtableEvent, /*GpuRun=*/nullptr, /*MaxTasks=*/0,
   };
   return &Table;
 }

@@ -17,6 +17,7 @@
 #define HALIDE_RUNTIME_RUNTIME_H
 
 #include "runtime/Buffer.h"
+#include "runtime/TaskScheduler.h"
 
 #include <cstdint>
 #include <map>
@@ -80,16 +81,18 @@ struct RuntimeVTable {
   /// Heap allocation for internal buffers (16-byte aligned).
   void *(*Malloc)(int64_t Bytes);
   void (*Free)(void *Ptr);
-  /// Closure-based parallel for: runs Body(I, Closure) for I in
-  /// [Min, Min+Extent) on the work-stealing task scheduler (paper §4.6).
-  void (*ParFor)(int32_t Min, int32_t Extent,
-                 void (*Body)(int32_t, void *), void *Closure);
-  /// Simulated-GPU kernel launch over a flattened block range; semantics
-  /// match ParFor but route through the GPU simulator, which counts the
-  /// launch process-wide and in \p Rt's GpuRun. Generated code passes its
-  /// own `rt`, so the launch is credited to the run that made it.
+  /// Closure-based parallel for (paper §4.6): parallelForChunks itself.
+  /// Generated code passes its run's MaxTasks, and each chunk body loops
+  /// over its own [Begin, End).
+  int (*ParFor)(int64_t Min, int64_t Extent, int MaxTasks, TaskChunkFn Body,
+                void *Closure);
+  /// Simulated-GPU kernel launch over a flattened block range [0, Blocks),
+  /// cut into chunks like ParFor but routed through the GPU simulator,
+  /// which counts the launch process-wide and in \p Rt's GpuRun.
+  /// Generated code passes its own `rt`, so the launch is credited to the
+  /// run that made it and sized by that run's MaxTasks.
   void (*GpuLaunch)(const RuntimeVTable *Rt, int32_t Blocks,
-                    void (*Body)(int32_t, void *), void *Closure);
+                    TaskChunkFn Body, void *Closure);
   /// Aborts execution with a message (failed AssertStmt).
   void (*Abort)(const char *Message);
   /// Instrumentation events (transforms/Instrument.h), emitted by CodeGenC
@@ -105,11 +108,15 @@ struct RuntimeVTable {
   /// JIT run passes its own copy of the table (Jit.cpp). Null in
   /// runtimeVTable(). Generated code only passes it back, through `rt`.
   GpuCounters *GpuRun;
+  /// The run's chunk budget for parallel loops and GPU launches,
+  /// taskChunkBudget(Target::NumThreads), set in each run's copy. 0 (the
+  /// pool default) in runtimeVTable().
+  int MaxTasks;
   // The generated hl_vtable typedef (CodeGenC.cpp) mirrors this layout —
   // keep both in lockstep.
 };
 
-/// The process-wide vtable, with no run's GPU counters attached.
+/// The process-wide vtable, with no run's GPU counters or budget attached.
 const RuntimeVTable *runtimeVTable();
 
 /// 64-byte-aligned heap allocation helpers. Backed by the process-wide

@@ -30,6 +30,10 @@ struct AsyncJobState {
 
 namespace {
 
+/// Chunks per requested thread: enough slack that uneven iterations still
+/// balance across the pool (taskChunkBudget).
+constexpr int ChunksPerThread = 4;
+
 /// One queued async job: the closure plus its completion state.
 struct AsyncTask {
   std::function<void()> Fn;
@@ -324,7 +328,7 @@ int Scheduler::run(int64_t Min, int64_t Extent, int MaxTasks,
   }
 
   if (MaxTasks <= 0)
-    MaxTasks = PoolThreads * 4;
+    MaxTasks = ChunksPerThread * PoolThreads; // taskChunkBudget(0)
   const int NumChunks = int(Extent < MaxTasks ? Extent : MaxTasks);
 
   if (NumChunks == 1 || PoolThreads == 1) {
@@ -485,25 +489,11 @@ int halide::parallelForChunks(int64_t Min, int64_t Extent, int MaxTasks,
   return Scheduler::instance().run(Min, Extent, MaxTasks, Body, Closure);
 }
 
-namespace {
-
-struct ForClosure {
-  void (*Body)(int32_t, void *);
-  void *Closure;
-};
-
-void runForChunk(int64_t Begin, int64_t End, int, void *Closure) {
-  const ForClosure *F = static_cast<const ForClosure *>(Closure);
-  for (int64_t I = Begin; I < End; ++I)
-    F->Body(int32_t(I), F->Closure);
-}
-
-} // namespace
-
-void halide::parallelFor(int32_t Min, int32_t Extent,
-                         void (*Body)(int32_t, void *), void *Closure) {
-  ForClosure F{Body, Closure};
-  parallelForChunks(Min, Extent, /*MaxTasks=*/0, runForChunk, &F);
+int halide::taskChunkBudget(int NumThreads) {
+  if (NumThreads == 1)
+    return 1;
+  return ChunksPerThread *
+         (NumThreads > 0 ? NumThreads : taskSchedulerThreads());
 }
 
 int halide::taskSchedulerThreads() { return Scheduler::instance().threads(); }

@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shared parallel task runtime of paper section 4.6, used by every
-/// backend: parallel loops are lowered to a closure plus a body function,
-/// and the loop's iteration range is split into chunks scheduled over a
+/// The shared parallel task runtime of paper section 4.6, used by both
+/// engines: parallel loops are lowered to a closure plus a body function
+/// that runs a whole chunk of iterations, and parallelForChunks, the one
+/// entry point, splits the loop's range into chunks scheduled over a
 /// work-stealing pool with per-worker deques. A thread that submits a loop
 /// participates in it, and a worker whose own loop is blocked on chunks
 /// stolen by others steals work itself instead of idling or inlining — so
@@ -39,30 +40,33 @@ using TaskChunkFn = void (*)(int64_t Begin, int64_t End, int Chunk,
                              void *Closure);
 
 /// Runs \p Body over [Min, Min+Extent) as up to \p MaxTasks chunks on the
-/// scheduler (MaxTasks <= 0 picks a default of a few chunks per worker).
-/// Returns the number of chunks dispatched (0 when Extent <= 0) — the
-/// partition is deterministic and balanced (chunk C covers
-/// [Extent*C/N, Extent*(C+1)/N)), so chunk indices identify stable
-/// subranges. Blocks until
-/// every chunk has finished; the calling thread executes chunks itself
-/// and steals unrelated work while waiting on stragglers. Safe to call
-/// from within a chunk (nested parallelism).
+/// scheduler (MaxTasks <= 0 takes the pool default, taskChunkBudget(0)).
+/// Returns the number of chunks dispatched, min(Extent, MaxTasks), or 0
+/// when Extent <= 0. The partition is deterministic and balanced (chunk C
+/// covers [Extent*C/N, Extent*(C+1)/N)), so chunk indices identify stable
+/// subranges. Blocks until every chunk has finished; the calling thread
+/// executes chunks itself and steals unrelated work while waiting on
+/// stragglers. A single chunk, or a one-thread pool, runs inline on the
+/// calling thread. Safe to call from within a chunk (nested parallelism).
+/// This is the only way into the scheduler: the VM's task dispatch, the
+/// runtime vtable's ParFor (which points here) and simulated-GPU launches
+/// all call it.
 int parallelForChunks(int64_t Min, int64_t Extent, int MaxTasks,
                       TaskChunkFn Body, void *Closure);
 
-/// Runs Body(I, Closure) for every I in [Min, Min+Extent), distributing
-/// iterations over the pool. This is the entry point compiled pipelines
-/// call through the runtime vtable (CodeGenC/JIT closures); it rides on
-/// parallelForChunks with the default chunking.
-void parallelFor(int32_t Min, int32_t Extent,
-                 void (*Body)(int32_t, void *), void *Closure);
+/// The thread-request rule: the chunk budget (parallelForChunks's
+/// MaxTasks) for a run that asked for \p NumThreads threads
+/// (Target::NumThreads). 1 runs every parallel loop as a single inline
+/// chunk; 0 takes the pool default of four chunks per pool thread; N > 1
+/// allows 4 N chunks. Both engines size their loops by it.
+int taskChunkBudget(int NumThreads);
 
 /// The scheduler's thread count, including the submitting thread.
 int taskSchedulerThreads();
 
 /// Overrides the pool size (0 restores the default). Blocks until every
 /// in-flight parallel loop has drained, then joins and restarts the
-/// workers — concurrent parallelFor calls are held at the gate while the
+/// workers — concurrent top-level loops are held at the gate while the
 /// pool is rebuilt, so reconfiguration cannot race execution. Must not be
 /// called from inside a parallel task.
 void setTaskSchedulerThreads(int Threads);

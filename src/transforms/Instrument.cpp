@@ -50,31 +50,15 @@ Stmt bracketRealization(const std::string &Buf, std::vector<Expr> Extents,
 class Instrument : public IRMutator {
 public:
   Instrument(const std::map<std::string, Function> &Env, const Target &T)
-      : Env(Env), Profile(T.Profile), Trace(T.Trace) {
-    for (const auto &[Name, F] : Env)
-      if (F.traceLoads() || F.traceStores() || F.traceRealizations())
-        TraceAll = false;
-  }
-
-  /// Does the target trace \p Buf's events of the kind \p Requested
-  /// selects (Function::traceLoads and friends)?
-  bool traces(const std::string &Buf,
-              bool (Function::*Requested)() const) const {
-    if (!Trace)
-      return false;
-    auto It = Env.find(Buf);
-    return TraceAll || (It != Env.end() && (It->second.*Requested)());
-  }
+      : Env(Env), Profile(T.Profile), Trace(T.Trace) {}
 
 private:
   const std::map<std::string, Function> &Env;
   const bool Profile, Trace;
-  /// With no per-stage flags anywhere, a traced target traces everything.
-  bool TraceAll = true;
 
   Expr visit(const Load *Op) override {
     Expr E = IRMutator::visit(Op);
-    if (!traces(Op->Name, &Function::traceLoads))
+    if (!Trace)
       return E;
     return event(Op->NodeType, TraceEventKind::TraceLoad, Op->Name, {E});
   }
@@ -82,7 +66,7 @@ private:
   Stmt visit(const Store *Op) override {
     Expr Value = mutate(Op->Value);
     Expr Index = mutate(Op->Index);
-    if (traces(Op->Name, &Function::traceStores))
+    if (Trace)
       return eventStmt(TraceEventKind::TraceStore, Op->Name,
                        {std::move(Value), std::move(Index)});
     if (Value.sameAs(Op->Value) && Index.sameAs(Op->Index))
@@ -92,7 +76,7 @@ private:
 
   Stmt visit(const Allocate *Op) override {
     Stmt Body = mutate(Op->Body);
-    if (traces(Op->Name, &Function::traceRealizations))
+    if (Trace)
       Body = bracketRealization(Op->Name, Op->Extents, std::move(Body));
     if (Body.sameAs(Op->Body))
       return Op;
@@ -173,7 +157,7 @@ LoweredPipeline instrument(const LoweredPipeline &P, const Target &T) {
   // The output buffer is caller-allocated (no Allocate node); bracket the
   // whole pipeline with its realization using the buffer's extent
   // metadata parameters, which every backend can resolve.
-  if (M.traces(OutputName, &Function::traceRealizations)) {
+  if (T.Trace) {
     std::vector<Expr> Extents;
     for (int D = 0; D < P.Output.dimensions(); ++D)
       Extents.push_back(Variable::make(

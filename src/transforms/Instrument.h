@@ -19,16 +19,13 @@
 /// body's statement chain is recognizably "init ; update(0) ; ...", each
 /// update is also bracketed as its own "name.update(k)" sub-stage.
 ///
-/// Trace wraps the selected buffers' memory traffic:
+/// Trace wraps every buffer's memory traffic, input images included:
 ///   - every Load becomes a TraceLoad event wrapping the load,
 ///   - every Store becomes a TraceStore event that performs the store,
 ///   - every Allocate's body is bracketed by TraceBegin(extents...) and
 ///     TraceEnd; the output buffer, which has no Allocate, is bracketed
 ///     around the whole pipeline body using its "<name>.extent.<d>"
 ///     metadata parameters.
-/// Selection follows Func::traceLoads()/traceStores()/traceRealizations():
-/// if no stage in the pipeline requests anything, every buffer is traced
-/// (including input images, which have no Func to carry flags).
 ///
 /// With both bits set, realization events sit outside the profile markers
 /// they share a node with. The pass runs in makeExecutable(), on a copy of

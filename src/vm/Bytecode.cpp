@@ -179,15 +179,7 @@ std::string VmProgram::disassemble() const {
       const VmTaskDesc &T = Tasks[size_t(In.Dst)];
       OS << " task" << In.Dst << " min=r" << In.A << " extent=r" << In.B
          << " counter=r" << T.CounterReg << " body=" << T.BodyStart
-         << " live_in={";
-      for (size_t R = 0; R < T.LiveIn.size(); ++R) {
-        if (R)
-          OS << ",";
-        OS << "r" << T.LiveIn[R].first;
-        if (T.LiveIn[R].second > 1)
-          OS << "+" << T.LiveIn[R].second;
-      }
-      OS << "} -> " << In.Aux;
+         << " -> " << In.Aux;
       break;
     }
     case VmOp::TaskRet:

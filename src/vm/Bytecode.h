@@ -93,11 +93,12 @@ enum class VmOp : uint8_t {
   LoopNext,
 
   /// Dispatch the parallel task Tasks[Dst] over iterations
-  /// [a[0], a[0]+b[0]): each iteration runs the task's body region in an
-  /// execution context seeded from the task's captured registers, with
-  /// the task's counter register set to the iteration index. Iterations
-  /// may run concurrently on the task scheduler (or inline, serially, for
-  /// single-threaded targets). Execution resumes at Aux afterwards.
+  /// [a[0], a[0]+b[0]): each chunk of iterations runs the task's body
+  /// region in an execution context copied from the spawner's, with the
+  /// task's counter register set to the iteration index. Chunks may run
+  /// concurrently on the task scheduler (or the loop runs inline,
+  /// serially, for single-threaded targets). Execution resumes at Aux
+  /// afterwards.
   ParFor,
   /// End of a parallel task's body region: return to the dispatcher.
   TaskRet,
@@ -165,21 +166,17 @@ struct VmBufferDesc {
 
 /// A parallel task: the body of one parallel For loop, extracted into an
 /// entry point a worker thread can execute in its own context. The
-/// closure is explicit — LiveIn lists exactly the register ranges the
-/// body region reads before writing (captured let values and loop
-/// bounds, constants, param registers); a worker context copies those
-/// slots from the spawning context, sets CounterReg to the iteration
-/// index, and executes from BodyStart until TaskRet. Everything else in
-/// the worker's register file is scratch the body writes before reading.
+/// closure is the spawner's whole context: each task chunk starts from a
+/// copy of the spawning context's register file (captured let values and
+/// loop bounds, constants, param registers), sets CounterReg to each
+/// iteration index in turn, and executes from BodyStart until TaskRet.
 /// Buffer-table state is inherited by value the same way: boundary and
 /// already-allocated buffers alias the spawner's storage, while Allocs
-/// inside the body stay private to the worker's context.
+/// inside the body stay private to the chunk's context.
 struct VmTaskDesc {
   uint32_t BodyStart = 0;  ///< first instruction of the body region
   uint32_t BodyEnd = 0;    ///< the body's TaskRet (region is [start, end])
   uint32_t CounterReg = 0; ///< receives the iteration index
-  /// Captured registers as merged, sorted (slot, length) ranges.
-  std::vector<std::pair<uint32_t, uint32_t>> LiveIn;
 };
 
 /// A register initialized from the caller's scalar parameters before each

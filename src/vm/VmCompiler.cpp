@@ -7,7 +7,6 @@
 #include "ir/IROperators.h"
 #include "transforms/Instrument.h"
 
-#include <algorithm>
 #include <map>
 
 using namespace halide;
@@ -202,8 +201,10 @@ private:
     }
     case IRNodeKind::Select:
       return compileSelect(E.as<Select>());
-    case IRNodeKind::Load:
-      return compileLoad(E.as<Load>());
+    case IRNodeKind::Load: {
+      const Load *Op = E.as<Load>();
+      return compileAccess(Op->Name, Op->NodeType, Op->Index, nullptr).Dst;
+    }
     case IRNodeKind::Ramp: {
       const Ramp *Op = E.as<Ramp>();
       uint32_t Base = compileExpr(Op->Base);
@@ -293,35 +294,6 @@ private:
     return In;
   }
 
-  /// A traced memory access: a store of \p StoredValue, or a load when it
-  /// is null. The access compiles exactly as an untraced one (value
-  /// before index, dense form included), followed by a TraceLoad or
-  /// TraceStore event reading the same index and value registers. Returns
-  /// the value register. SignedWrap carries the dense flag, Bits the
-  /// value's trace type code.
-  uint32_t compileTracedAccess(TraceEventKind Kind, const std::string &Buf,
-                               Type T, const Expr &Index,
-                               const Expr *StoredValue) {
-    uint32_t Val = StoredValue ? compileExpr(*StoredValue) : 0;
-    const Ramp *R = asDenseRamp(Index);
-    uint32_t IdxReg = compileExpr(R ? R->Base : Index);
-    VmInstr In;
-    if (StoredValue) {
-      In = elemwise(R ? VmOp::StoreDense : VmOp::Store, T, 0, Val, IdxReg);
-    } else {
-      Val = allocReg(T.Lanes);
-      In = elemwise(R ? VmOp::LoadDense : VmOp::Load, T, Val, IdxReg);
-    }
-    In.Aux = BufScope.get(Buf);
-    emit(In);
-    VmInstr Ev = event(Kind, Buf, IdxReg, uint16_t(T.Lanes));
-    Ev.B = Val;
-    Ev.SignedWrap = R ? 1 : 0;
-    Ev.Bits = traceTypeCode(T.element());
-    emit(Ev);
-    return Val;
-  }
-
   /// Unit-stride ramp index: the dense vector access shape. Such loads
   /// and stores compile only the scalar base and move the whole lane
   /// group per dispatch (LoadDense/StoreDense).
@@ -333,23 +305,45 @@ private:
     return nullptr;
   }
 
-  uint32_t compileLoad(const Load *Op) {
-    int32_t Buf = BufScope.get(Op->Name);
-    Type T = Op->NodeType;
-    if (const Ramp *R = asDenseRamp(Op->Index)) {
-      uint32_t Base = compileExpr(R->Base);
-      uint32_t Dst = allocReg(T.Lanes);
-      VmInstr In = elemwise(VmOp::LoadDense, T, Dst, Base);
-      In.Aux = Buf;
-      emit(In);
-      return Dst;
-    }
-    uint32_t Index = compileExpr(Op->Index);
-    uint32_t Dst = allocReg(T.Lanes);
-    VmInstr In = elemwise(VmOp::Load, T, Dst, Index);
-    In.Aux = Buf;
+  /// Every load and store compiles here: a store of \p StoredValue of
+  /// type \p T to \p Buf at \p Index, or a load when it is null. The
+  /// value comes before the index, matching the interpreter's evaluation
+  /// order, and a unit-stride ramp index compiles only its scalar base
+  /// (the dense form). Returns the emitted instruction: a load's value
+  /// register is its Dst and its index A; a store's value is A, its
+  /// index B.
+  VmInstr compileAccess(const std::string &Buf, Type T, const Expr &Index,
+                        const Expr *StoredValue) {
+    const uint32_t Val = StoredValue ? compileExpr(*StoredValue) : 0;
+    const Ramp *R = asDenseRamp(Index);
+    const uint32_t IdxReg = compileExpr(R ? R->Base : Index);
+    VmInstr In =
+        StoredValue
+            ? elemwise(R ? VmOp::StoreDense : VmOp::Store, T, 0, Val, IdxReg)
+            : elemwise(R ? VmOp::LoadDense : VmOp::Load, T,
+                       allocReg(T.Lanes), IdxReg);
+    In.Aux = BufScope.get(Buf);
     emit(In);
-    return Dst;
+    return In;
+  }
+
+  /// A traced memory access: compileAccess's load or store, followed by a
+  /// TraceLoad or TraceStore event reading the same index and value
+  /// registers. Returns the value register. SignedWrap carries the dense
+  /// flag, Bits the value's trace type code.
+  uint32_t compileTracedAccess(TraceEventKind Kind, const std::string &Buf,
+                               Type T, const Expr &Index,
+                               const Expr *StoredValue) {
+    const VmInstr Access = compileAccess(Buf, T, Index, StoredValue);
+    const uint32_t Val = StoredValue ? Access.A : Access.Dst;
+    VmInstr Ev = event(Kind, Buf, StoredValue ? Access.B : Access.A,
+                       uint16_t(T.Lanes));
+    Ev.B = Val;
+    Ev.SignedWrap =
+        Access.Op == VmOp::LoadDense || Access.Op == VmOp::StoreDense;
+    Ev.Bits = traceTypeCode(T.element());
+    emit(Ev);
+    return Val;
   }
 
   uint32_t compileCall(const Call *Op) {
@@ -433,21 +427,7 @@ private:
       return;
     case IRNodeKind::Store: {
       const Store *Op = S.as<Store>();
-      int32_t Buf = BufScope.get(Op->Name);
-      // Value before index, matching the interpreter's evaluation order.
-      uint32_t Val = compileExpr(Op->Value);
-      if (const Ramp *R = asDenseRamp(Op->Index)) {
-        uint32_t Base = compileExpr(R->Base);
-        VmInstr In =
-            elemwise(VmOp::StoreDense, Op->Value.type(), 0, Val, Base);
-        In.Aux = Buf;
-        emit(In);
-        return;
-      }
-      uint32_t Index = compileExpr(Op->Index);
-      VmInstr In = elemwise(VmOp::Store, Op->Value.type(), 0, Val, Index);
-      In.Aux = Buf;
-      emit(In);
+      compileAccess(Op->Name, Op->Value.type(), Op->Index, &Op->Value);
       return;
     }
     case IRNodeKind::Allocate:
@@ -548,8 +528,8 @@ private:
     if (Op->Kind == ForType::Parallel) {
       // Extract the body into a parallel task entry point: the dispatch
       // loop hands [min, min+extent) to the task scheduler (or runs it
-      // inline for single-threaded targets), with the body's live-in
-      // registers as the explicit closure. GPU loop types stay serial
+      // inline for single-threaded targets), and each chunk starts from a
+      // copy of the spawner's registers. GPU loop types stay serial
       // here: the VM has no device; JIT executables launch those loops on
       // the simulated one (runtime/GpuSim.h).
       compileParallelFor(Op, MinR, ExtR);
@@ -607,135 +587,7 @@ private:
     Ret.Op = VmOp::TaskRet;
     Task.BodyEnd = uint32_t(emit(Ret));
     Prog.Code[PFAt].Aux = int32_t(Prog.Code.size());
-
-    // The explicit closure: every register the body region reads (its
-    // own scratch writes-then-reads included — capturing those too is
-    // harmless and keeps the analysis a single pass), minus the counter,
-    // which the dispatcher sets per iteration. Nested task bodies lie
-    // inside this region, so their captures are transitively included:
-    // whatever an inner task copies from its spawner must be present in
-    // the spawner's context to begin with.
-    std::vector<std::pair<uint32_t, uint32_t>> Reads;
-    for (size_t PC = Task.BodyStart; PC <= Task.BodyEnd; ++PC)
-      forEachSourceRange(Prog.Code[PC], &Reads);
-    Task.LiveIn = mergeRanges(std::move(Reads), Counter);
-    Prog.Tasks[TaskIndex] = std::move(Task);
-  }
-
-  /// Appends the (slot, length) register ranges instruction \p In reads.
-  void forEachSourceRange(const VmInstr &In,
-                          std::vector<std::pair<uint32_t, uint32_t>> *Out) {
-    const uint32_t L = In.Lanes;
-    switch (In.Op) {
-    case VmOp::Mov:
-    case VmOp::NotB:
-    case VmOp::CastIntWrap:
-    case VmOp::CastIntToF:
-    case VmOp::CastUIntToF:
-    case VmOp::CastFToInt:
-    case VmOp::CastFToF:
-    case VmOp::Load:
-      Out->push_back({In.A, L});
-      break;
-    case VmOp::Select:
-      Out->push_back({In.A, L});
-      Out->push_back({In.B, L});
-      Out->push_back({In.C, L});
-      break;
-    case VmOp::Ramp:
-      Out->push_back({In.A, 1});
-      Out->push_back({In.B, 1});
-      break;
-    case VmOp::BroadcastSlot:
-      Out->push_back({In.A, 1});
-      break;
-    case VmOp::Store:
-      Out->push_back({In.A, L});
-      Out->push_back({In.B, L});
-      break;
-    case VmOp::LoadDense:
-      Out->push_back({In.A, 1}); // scalar base register
-      break;
-    case VmOp::StoreDense:
-      Out->push_back({In.A, L}); // value lanes
-      Out->push_back({In.B, 1}); // scalar base register
-      break;
-    case VmOp::Alloc:
-    case VmOp::JumpIfFalse:
-    case VmOp::AssertCond:
-    case VmOp::CountParallel:
-      Out->push_back({In.A, 1});
-      break;
-    case VmOp::LoopNext:
-      Out->push_back({In.A, 1});
-      Out->push_back({In.B, 1});
-      break;
-    case VmOp::ParFor:
-      Out->push_back({In.A, 1});
-      Out->push_back({In.B, 1});
-      break;
-    case VmOp::CallExtern:
-      Out->push_back({In.A, L});
-      if (VmExtern(In.Aux) == VmExtern::Pow)
-        Out->push_back({In.B, L});
-      break;
-    case VmOp::Event:
-      // A traced access reads its index register (a single scalar base in
-      // the dense form, flagged in SignedWrap) and its value lanes; a
-      // TraceBegin its extents. Missing these would leave an event's
-      // registers out of a parallel task's closure.
-      if (TraceEventKind(In.C) == TraceEventKind::TraceLoad ||
-          TraceEventKind(In.C) == TraceEventKind::TraceStore) {
-        Out->push_back({In.A, In.SignedWrap ? 1 : L});
-        Out->push_back({In.B, L});
-      } else if (L) {
-        Out->push_back({In.A, L});
-      }
-      break;
-    case VmOp::Jump:
-    case VmOp::FreeOp:
-    case VmOp::TaskRet:
-    case VmOp::Halt:
-      break;
-    default:
-      // Every remaining op is a two-operand elementwise arithmetic,
-      // comparison, or boolean instruction.
-      Out->push_back({In.A, L});
-      Out->push_back({In.B, L});
-      break;
-    }
-  }
-
-  /// Sorts, merges, and de-overlaps raw ranges; drops \p Exclude (a
-  /// single slot — the task counter, which is written per iteration).
-  static std::vector<std::pair<uint32_t, uint32_t>>
-  mergeRanges(std::vector<std::pair<uint32_t, uint32_t>> Ranges,
-              uint32_t Exclude) {
-    std::sort(Ranges.begin(), Ranges.end());
-    std::vector<std::pair<uint32_t, uint32_t>> Merged;
-    for (const auto &[Start, Len] : Ranges) {
-      uint32_t End = Start + Len;
-      if (!Merged.empty() && Start <= Merged.back().first + Merged.back().second) {
-        uint32_t &MLen = Merged.back().second;
-        if (End > Merged.back().first + MLen)
-          MLen = End - Merged.back().first;
-      } else {
-        Merged.push_back({Start, Len});
-      }
-    }
-    // Carve the excluded slot out of whichever range contains it.
-    std::vector<std::pair<uint32_t, uint32_t>> Out;
-    for (const auto &[Start, Len] : Merged) {
-      if (Exclude < Start || Exclude >= Start + Len) {
-        Out.push_back({Start, Len});
-        continue;
-      }
-      if (Exclude > Start)
-        Out.push_back({Start, Exclude - Start});
-      if (Exclude + 1 < Start + Len)
-        Out.push_back({Exclude + 1, Start + Len - Exclude - 1});
-    }
-    return Out;
+    Prog.Tasks[TaskIndex] = Task;
   }
 
   void compileAllocate(const Allocate *Op) {

@@ -148,8 +148,8 @@ void releaseContext(std::unique_ptr<VmContext> C) {
 class Runner {
 public:
   Runner(const VmProgram &Prog, const std::vector<uint8_t> &Kinds,
-         const std::vector<int> &StageIds, int Threads)
-      : Prog(Prog), Kinds(Kinds), StageIds(StageIds), Threads(Threads) {}
+         const std::vector<int> &StageIds, int MaxTasks)
+      : Prog(Prog), Kinds(Kinds), StageIds(StageIds), MaxTasks(MaxTasks) {}
 
   /// Executes from \p StartPC until Halt or TaskRet.
   void exec(VmContext &C, size_t PC) const;
@@ -166,7 +166,7 @@ private:
   const VmProgram &Prog;
   const std::vector<uint8_t> &Kinds; ///< ElemKind per buffer slot
   const std::vector<int> &StageIds;  ///< stage id per StageNames entry
-  const int Threads; ///< effective thread request (>= 1)
+  const int MaxTasks; ///< the run's chunk budget (taskChunkBudget)
 };
 
 void Runner::exec(VmContext &C, size_t PC) const {
@@ -457,7 +457,7 @@ void Runner::exec(VmContext &C, size_t PC) const {
       const VmTaskDesc &TD = Prog.Tasks[size_t(In.Dst)];
       int64_t Min = R[In.A].I, Extent = R[In.B].I;
       if (Extent > 0) {
-        if (Threads == 1 || Extent == 1) {
+        if (MaxTasks == 1 || Extent == 1) {
           // Serial fallback runs the body regions inline in this
           // context — the execution order, and therefore every counter,
           // is identical to the pre-threading serial loop.
@@ -566,40 +566,36 @@ struct ParClosure {
   const Runner *TheRunner;
   const VmContext *Parent;
   const VmTaskDesc *Task;
-  std::vector<StatsShard> *Shards;
+  StatsShard *Shards; ///< one per chunk the budget allows
 };
 
 void vmRunParChunk(int64_t Begin, int64_t End, int Chunk, void *Closure);
 
 void Runner::dispatchParallel(VmContext &C, const VmTaskDesc &TD,
                               int64_t Min, int64_t Extent) const {
-  // Mirror the scheduler's chunk count so the shard array can be sized
-  // (and merged) deterministically up front.
-  const int MaxTasks = Threads * 4;
-  const int NumChunks = int(Extent < MaxTasks ? Extent : MaxTasks);
-  std::vector<StatsShard> Shards(static_cast<size_t>(NumChunks));
-  ParClosure PC{this, &C, &TD, &Shards};
-  int Dispatched =
+  // One shard per chunk the budget allows; the scheduler reports how many
+  // it cut, and chunk indices are dense from 0.
+  std::vector<StatsShard> Shards(static_cast<size_t>(MaxTasks));
+  ParClosure PC{this, &C, &TD, Shards.data()};
+  const int Chunks =
       parallelForChunks(Min, Extent, MaxTasks, vmRunParChunk, &PC);
-  internal_assert(Dispatched == NumChunks)
-      << "vm: scheduler chunk count diverged from the dispatcher's";
   // Chunk-order merge: the totals come out identical to the serial
   // execution no matter which workers ran which chunks when.
-  for (const StatsShard &S : Shards)
-    C.Shard.merge(S);
+  for (int I = 0; I < Chunks; ++I)
+    C.Shard.merge(Shards[size_t(I)]);
 }
 
 void Runner::runChunk(const VmContext &Parent, const VmTaskDesc &TD,
                       int64_t Begin, int64_t End, StatsShard *Out) const {
-  // A worker context: zeroed registers with the task's live-in ranges
-  // copied from the spawning context, the spawner's buffer table by
-  // value, and a fresh stats shard. Contexts are pooled per worker
+  // A worker context: a copy of the spawner's registers and buffer table
+  // and a fresh stats shard. Copying the whole register file is the
+  // closure: whatever the body reads that it did not write itself (let
+  // values, loop bounds, params, constants) is there, whatever opcode
+  // reads it. The spawner is blocked in this dispatch, so its context
+  // does not change underneath the copy. Contexts are pooled per worker
   // thread so consecutive chunks reuse their storage.
   std::unique_ptr<VmContext> Ctx = acquireContext();
-  Ctx->Regs.assign(Prog.InitialRegs.size(), VmSlot{0});
-  for (const auto &[Slot, Len] : TD.LiveIn)
-    std::copy(Parent.Regs.begin() + Slot, Parent.Regs.begin() + Slot + Len,
-              Ctx->Regs.begin() + Slot);
+  Ctx->Regs = Parent.Regs;
   Ctx->Bufs = Parent.Bufs;
   Ctx->Shard.init(Prog.Buffers.size());
 
@@ -615,7 +611,7 @@ void Runner::runChunk(const VmContext &Parent, const VmTaskDesc &TD,
 void vmRunParChunk(int64_t Begin, int64_t End, int Chunk, void *Closure) {
   const ParClosure *PC = static_cast<const ParClosure *>(Closure);
   PC->TheRunner->runChunk(*PC->Parent, *PC->Task, Begin, End,
-                          &(*PC->Shards)[size_t(Chunk)]);
+                          &PC->Shards[size_t(Chunk)]);
 }
 
 } // namespace
@@ -671,9 +667,7 @@ int VmExecutable::run(const ParamBindings &Params,
 
   Root.Shard.init(NumBufs);
 
-  const int Threads =
-      T.NumThreads > 0 ? T.NumThreads : taskSchedulerThreads();
-  Runner R(Prog, BufKinds, StageIds, Threads < 1 ? 1 : Threads);
+  Runner R(Prog, BufKinds, StageIds, taskChunkBudget(T.NumThreads));
   R.exec(Root, 0);
 
   if (Stats) {

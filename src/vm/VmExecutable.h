@@ -31,15 +31,15 @@
 namespace halide {
 
 /// A pipeline compiled to bytecode, ready to run any number of times.
-/// Parallel For loops are compiled to task entry points with explicit
-/// closures and dispatched over the work-stealing task scheduler
-/// (runtime/TaskScheduler.h), in chunks executed by per-worker contexts
+/// Parallel For loops are compiled to task entry points and dispatched
+/// over the work-stealing task scheduler (runtime/TaskScheduler.h), in
+/// chunks executed by per-worker contexts copied from the spawning one,
 /// whose statistics shards merge deterministically — a threaded run's
 /// output and merged ExecutionStats are bit-identical to a serial run's.
-/// The Target's NumThreads picks the dispatch (1 = serial inline, 0 =
-/// the scheduler's pool size). Simulated-GPU loop types stay serial, and
-/// pipeline assertions abort via user_error, so a completed run always
-/// returns 0.
+/// The Target's NumThreads sets the chunk budget through taskChunkBudget
+/// (1 = serial, inline in the spawning context). Simulated-GPU loop types
+/// stay serial, and pipeline assertions abort via user_error, so a
+/// completed run always returns 0.
 class VmExecutable final : public Executable {
 public:
   VmExecutable(LoweredPipeline P, Target T);

@@ -2,8 +2,8 @@
 //
 // Differential tests between the C backend and the reference interpreter,
 // plus checks that the C backend classifies vector accesses as the paper
-// describes (dense ramp loads vs gathers) and that parallel loops compile
-// to closure dispatch.
+// describes (dense ramp loads vs gathers), that parallel loops compile
+// to closure dispatch, and that the JIT honors the thread request.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,8 +13,11 @@
 #include "lang/ImageParam.h"
 #include "lang/Pipeline.h"
 #include "runtime/GpuSim.h"
+#include "runtime/TaskScheduler.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 using namespace halide;
 
@@ -209,4 +212,37 @@ TEST(JitTest, UpdateStagesRunNatively) {
       ++Want[Input(X, Y)];
   for (int I = 0; I < 256; ++I)
     ASSERT_EQ(Out(I), Want[size_t(I)]) << "bin " << I;
+}
+
+TEST(JitTest, WithThreadsOneRunsEachParallelLoopAsOneChunk) {
+  // The thread request reaches compiled code through the run's vtable
+  // copy: on a 4-thread pool, Target::jit() cuts each parallel loop into
+  // the pool default of 16 chunks, and withThreads(1) runs each loop as a
+  // single chunk, with bit-identical output.
+  struct PoolOfFour {
+    const int Before = taskSchedulerThreads();
+    PoolOfFour() { setTaskSchedulerThreads(4); }
+    ~PoolOfFour() { setTaskSchedulerThreads(Before); }
+  } Pool;
+  Var x("x"), y("y");
+  Func F("jit_t1_f"), G("jit_t1_g");
+  F(x, y) = cast(Float(32), x * 3 + y) * 0.5f;
+  G(x, y) = F(x, y) + F(x + 1, y) * 0.25f;
+  F.computeRoot().parallel(y);
+  G.parallel(y);
+  Pipeline Pipe(G);
+
+  const int W = 40, H = 32;
+  auto Chunks = [&](const Target &T, Buffer<float> &Out) {
+    const int64_t C0 = taskSchedulerStats().ChunksExecuted;
+    Pipe.realize(Out, ParamBindings(), T);
+    return taskSchedulerStats().ChunksExecuted - C0;
+  };
+  Buffer<float> Pooled(W, H), Serial(W, H);
+  EXPECT_EQ(Chunks(Target::jit(), Pooled), 2 * 16);
+  EXPECT_EQ(Chunks(Target::jit().withThreads(1), Serial), 2);
+  for (int Y = 0; Y < H; ++Y)
+    for (int X = 0; X < W; ++X)
+      ASSERT_EQ(std::memcmp(&Pooled(X, Y), &Serial(X, Y), sizeof(float)), 0)
+          << "at (" << X << "," << Y << ")";
 }

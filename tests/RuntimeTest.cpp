@@ -16,6 +16,10 @@
 
 using namespace halide;
 
+// Chunk bodies: every parallel loop reaches the scheduler through
+// parallelForChunks with a TaskChunkFn that runs its whole chunk
+// [Begin, End). MaxTasks 0 takes the pool default.
+
 TEST(TaskSchedulerTest, CoversAllIterations) {
   std::vector<std::atomic<int>> Hits(100);
   for (auto &H : Hits)
@@ -23,12 +27,13 @@ TEST(TaskSchedulerTest, CoversAllIterations) {
   struct Ctx {
     std::vector<std::atomic<int>> *Hits;
   } C{&Hits};
-  parallelFor(0, 100,
-              [](int32_t I, void *P) {
-                auto *Ctx_ = static_cast<Ctx *>(P);
-                (*Ctx_->Hits)[size_t(I)].fetch_add(1);
-              },
-              &C);
+  parallelForChunks(0, 100, 0,
+                    [](int64_t Begin, int64_t End, int, void *P) {
+                      auto *Ctx_ = static_cast<Ctx *>(P);
+                      for (int64_t I = Begin; I < End; ++I)
+                        (*Ctx_->Hits)[size_t(I)].fetch_add(1);
+                    },
+                    &C);
   for (int I = 0; I < 100; ++I)
     EXPECT_EQ(Hits[size_t(I)].load(), 1) << "iteration " << I;
 }
@@ -38,11 +43,12 @@ TEST(TaskSchedulerTest, NonZeroMin) {
   struct Ctx {
     std::atomic<int64_t> *Sum;
   } C{&Sum};
-  parallelFor(10, 5,
-              [](int32_t I, void *P) {
-                static_cast<Ctx *>(P)->Sum->fetch_add(I);
-              },
-              &C);
+  parallelForChunks(10, 5, 0,
+                    [](int64_t Begin, int64_t End, int, void *P) {
+                      for (int64_t I = Begin; I < End; ++I)
+                        static_cast<Ctx *>(P)->Sum->fetch_add(I);
+                    },
+                    &C);
   EXPECT_EQ(Sum.load(), 10 + 11 + 12 + 13 + 14);
 }
 
@@ -51,16 +57,18 @@ TEST(TaskSchedulerTest, NestedParallelism) {
   struct Ctx {
     std::atomic<int> *Count;
   } C{&Count};
-  parallelFor(0, 4,
-              [](int32_t, void *P) {
-                auto *Outer = static_cast<Ctx *>(P);
-                parallelFor(0, 8,
-                            [](int32_t, void *Q) {
-                              static_cast<Ctx *>(Q)->Count->fetch_add(1);
+  parallelForChunks(
+      0, 4, 0,
+      [](int64_t Begin, int64_t End, int, void *P) {
+        for (int64_t I = Begin; I < End; ++I)
+          parallelForChunks(0, 8, 0,
+                            [](int64_t B, int64_t E, int, void *Q) {
+                              static_cast<Ctx *>(Q)->Count->fetch_add(
+                                  int(E - B));
                             },
-                            Outer);
-              },
-              &C);
+                            P);
+      },
+      &C);
   EXPECT_EQ(Count.load(), 32);
 }
 
@@ -68,7 +76,7 @@ TEST(TaskSchedulerTest, NestedLoopsRunOffTheSubmittingThread) {
   // The work-stealing property the single-queue pool lacked: a nested
   // parallel loop's iterations are real tasks other threads execute, not
   // inlined serially on the submitting worker. A barrier holds all four
-  // outer iterations concurrently occupied — which already requires the
+  // outer chunks concurrently occupied — which already requires the
   // workers to have stolen the outer chunks from the submitter's deque —
   // and then each runs a nested loop; the barrier releasing at all
   // proves 4-way outer concurrency, and inner work must land on more
@@ -81,32 +89,34 @@ TEST(TaskSchedulerTest, NestedLoopsRunOffTheSubmittingThread) {
     int Arrived = 0;
     std::set<std::thread::id> Ids;
   } C;
-  parallelFor(0, 4,
-              [](int32_t, void *P) {
-                auto *Ctx_ = static_cast<Ctx *>(P);
-                {
-                  std::unique_lock<std::mutex> Lock(Ctx_->M);
-                  if (++Ctx_->Arrived >= 4)
-                    Ctx_->CV.notify_all();
-                  else
-                    while (Ctx_->Arrived < 4)
-                      Ctx_->CV.wait(Lock);
-                }
-                parallelFor(0, 64,
-                            [](int32_t, void *Q) {
-                              auto *Inner = static_cast<Ctx *>(Q);
-                              std::lock_guard<std::mutex> Lock(Inner->M);
-                              Inner->Ids.insert(std::this_thread::get_id());
-                            },
-                            Ctx_);
-              },
-              &C);
+  parallelForChunks(
+      0, 4, 4,
+      [](int64_t, int64_t, int, void *P) {
+        auto *Ctx_ = static_cast<Ctx *>(P);
+        {
+          std::unique_lock<std::mutex> Lock(Ctx_->M);
+          if (++Ctx_->Arrived >= 4)
+            Ctx_->CV.notify_all();
+          else
+            while (Ctx_->Arrived < 4)
+              Ctx_->CV.wait(Lock);
+        }
+        parallelForChunks(0, 64, 0,
+                          [](int64_t, int64_t, int, void *Q) {
+                            auto *Inner = static_cast<Ctx *>(Q);
+                            std::lock_guard<std::mutex> Lock(Inner->M);
+                            Inner->Ids.insert(std::this_thread::get_id());
+                          },
+                          Ctx_);
+      },
+      &C);
   EXPECT_GT(C.Ids.size(), 1u);
 }
 
 TEST(TaskSchedulerTest, ZeroAndNegativeExtent) {
-  parallelFor(0, 0, [](int32_t, void *) { FAIL(); }, nullptr);
-  parallelFor(0, -5, [](int32_t, void *) { FAIL(); }, nullptr);
+  auto Fail = [](int64_t, int64_t, int, void *) { FAIL(); };
+  EXPECT_EQ(parallelForChunks(0, 0, 0, Fail, nullptr), 0);
+  EXPECT_EQ(parallelForChunks(0, -5, 0, Fail, nullptr), 0);
 }
 
 TEST(TaskSchedulerTest, ChunkPartitionIsDeterministicAndComplete) {
@@ -134,6 +144,19 @@ TEST(TaskSchedulerTest, ChunkPartitionIsDeterministicAndComplete) {
             0);
 }
 
+TEST(TaskSchedulerTest, ChunkBudgetFollowsTheThreadRequest) {
+  // One rule for both engines: 1 thread is one inline chunk, N threads
+  // allow 4 N chunks, 0 takes the pool default of 4 per pool thread —
+  // which is what MaxTasks 0 cuts.
+  EXPECT_EQ(taskChunkBudget(1), 1);
+  EXPECT_EQ(taskChunkBudget(3), 12);
+  EXPECT_EQ(taskChunkBudget(0), 4 * taskSchedulerThreads());
+  auto Nop = [](int64_t, int64_t, int, void *) {};
+  EXPECT_EQ(parallelForChunks(0, 1000, 0, Nop, nullptr),
+            taskChunkBudget(0));
+  EXPECT_EQ(parallelForChunks(0, 1000, taskChunkBudget(1), Nop, nullptr), 1);
+}
+
 TEST(TaskSchedulerTest, ResizeTakesEffectAndRestoresDefault) {
   int Default = taskSchedulerThreads();
   EXPECT_GE(Default, 1);
@@ -141,11 +164,12 @@ TEST(TaskSchedulerTest, ResizeTakesEffectAndRestoresDefault) {
   EXPECT_EQ(taskSchedulerThreads(), 3);
   // Loops still cover every iteration at the new size.
   std::atomic<int> Count{0};
-  parallelFor(0, 50,
-              [](int32_t, void *P) {
-                static_cast<std::atomic<int> *>(P)->fetch_add(1);
-              },
-              &Count);
+  parallelForChunks(0, 50, 0,
+                    [](int64_t Begin, int64_t End, int, void *P) {
+                      static_cast<std::atomic<int> *>(P)->fetch_add(
+                          int(End - Begin));
+                    },
+                    &Count);
   EXPECT_EQ(Count.load(), 50);
   setTaskSchedulerThreads(0);
   EXPECT_EQ(taskSchedulerThreads(), Default);
@@ -162,11 +186,12 @@ TEST(TaskSchedulerTest, ResizeIsLockedAgainstInFlightLoops) {
   for (int S = 0; S < 3; ++S)
     Submitters.emplace_back([&] {
       while (!Done.load()) {
-        parallelFor(0, 64,
-                    [](int32_t, void *P) {
-                      static_cast<std::atomic<int64_t> *>(P)->fetch_add(1);
-                    },
-                    &Total);
+        parallelForChunks(0, 64, 0,
+                          [](int64_t Begin, int64_t End, int, void *P) {
+                            static_cast<std::atomic<int64_t> *>(P)->fetch_add(
+                                End - Begin);
+                          },
+                          &Total);
       }
     });
   for (int N : {2, 4, 1, 3, 0})
@@ -183,28 +208,34 @@ TEST(TaskSchedulerTest, InTaskWorkerReflectsContext) {
   struct Ctx {
     std::atomic<int> InTask{0};
   } C;
-  parallelFor(0, 8,
-              [](int32_t, void *P) {
-                if (inTaskWorker())
-                  static_cast<Ctx *>(P)->InTask.fetch_add(1);
-              },
-              &C);
+  parallelForChunks(0, 8, 0,
+                    [](int64_t Begin, int64_t End, int, void *P) {
+                      if (inTaskWorker())
+                        static_cast<Ctx *>(P)->InTask.fetch_add(
+                            int(End - Begin));
+                    },
+                    &C);
   EXPECT_EQ(C.InTask.load(), 8);
   EXPECT_FALSE(inTaskWorker());
 }
 
 TEST(GpuSimTest, LaunchStats) {
   gpuSim().resetStats();
-  std::atomic<int> Blocks{0};
+  std::vector<std::atomic<int>> Hits(12);
+  for (auto &H : Hits)
+    H = 0;
   struct Ctx {
-    std::atomic<int> *Blocks;
-  } C{&Blocks};
-  gpuSim().launch(12,
-                  [](int32_t, void *P) {
-                    static_cast<Ctx *>(P)->Blocks->fetch_add(1);
+    std::vector<std::atomic<int>> *Hits;
+  } C{&Hits};
+  gpuSim().launch(12, /*MaxTasks=*/0,
+                  [](int64_t Begin, int64_t End, int, void *P) {
+                    auto *Ctx_ = static_cast<Ctx *>(P);
+                    for (int64_t B = Begin; B < End; ++B)
+                      (*Ctx_->Hits)[size_t(B)].fetch_add(1);
                   },
                   &C);
-  EXPECT_EQ(Blocks.load(), 12);
+  for (int B = 0; B < 12; ++B)
+    EXPECT_EQ(Hits[size_t(B)].load(), 1) << "block " << B;
   EXPECT_EQ(gpuSim().stats().KernelLaunches, 1);
   EXPECT_EQ(gpuSim().stats().BlocksExecuted, 12);
 }

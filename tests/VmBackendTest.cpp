@@ -11,10 +11,18 @@
 #include "codegen/Interpreter.h"
 #include "lang/ImageParam.h"
 #include "lang/Pipeline.h"
+#include "observe/TraceStream.h"
 #include "runtime/TaskScheduler.h"
+#include "transforms/Instrument.h"
 #include "vm/VmExecutable.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstring>
+#include <set>
+
+#include <unistd.h>
 
 using namespace halide;
 
@@ -244,8 +252,7 @@ TEST(VmBackendTest, DisassemblyResolvesNames) {
       ASSERT_LT(T.BodyStart, T.BodyEnd);
       ASSERT_LT(size_t(T.BodyEnd), Prog.Code.size());
       ASSERT_EQ(Prog.Code[T.BodyEnd].Op, VmOp::TaskRet);
-      for (const auto &[Slot, Len] : T.LiveIn)
-        ASSERT_LE(size_t(Slot) + Len, Prog.InitialRegs.size());
+      ASSERT_LT(size_t(T.CounterReg), Prog.InitialRegs.size());
     }
   }
 }
@@ -351,10 +358,9 @@ TEST(VmBackendTest, NestedParallelTiles) {
     PV.bind(P.Out.name(), FromVm);
     auto Exe = vmCompile(LP, Target::vm().withThreads(4));
     // The program advertises its extracted tasks (outer tiles + nested
-    // producer), and the listing shows their closures.
+    // producer), and the listing shows their dispatch.
     EXPECT_GE(Exe->program().Tasks.size(), 2u);
     EXPECT_NE(Exe->source().find("par_for"), std::string::npos);
-    EXPECT_NE(Exe->source().find("live_in"), std::string::npos);
     ASSERT_EQ(Exe->run(PV), 0);
   }
   {
@@ -369,6 +375,94 @@ TEST(VmBackendTest, NestedParallelTiles) {
       ASSERT_EQ(FromVmSerial(X, Y), FromVm(X, Y))
           << "threaded vs serial VM at (" << X << "," << Y << ")";
     }
+}
+
+TEST(VmBackendTest, TaskChunksSeeEveryRegisterTheirBodyReads) {
+  // A task chunk starts from a copy of its spawner's registers, so a
+  // threaded body reads the same values as a serial one whatever opcode
+  // reads them. This 4-thread parallel loop reads enclosing lets (the
+  // tile bounds), a two-operand pow, a select, a dense and a gathered
+  // vector load, traced loads and stores, and a nested parallel loop.
+  ScopedPool Pool(4);
+  ImageParam In(Float(32), 2, "vmtc_in");
+  ImageParam Lut(UInt(8), 1, "vmtc_lut");
+  Var x("x"), y("y"), xo("xo"), yo("yo"), xi("xi"), yi("yi");
+  Func Stage("vmtc_stage"), Out("vmtc_out");
+  Stage(x, y) = halide::pow(In(x, y) * 0.5f + 1.0f, In(x, y) + 0.25f);
+  Expr Gathered =
+      In(clamp(cast(Int(32), Lut(x % 16)), 0, In.width() - 1), y);
+  Out(x, y) = select(Stage(x, y) > In(x, y), Stage(x, y), Gathered);
+  Out.tile(x, y, xo, yo, xi, yi, 16, 8).vectorize(xi, 8).parallel(yo);
+  Stage.computeAt(Out, xo).vectorize(x, 8).parallel(y);
+
+  const int W = 64, H = 32;
+  Buffer<float> Input(W, H);
+  Input.fill(
+      [](int X, int Y) { return float((X * 7 + Y * 3) % 29) / 29.0f; });
+  Buffer<uint8_t> Table(16);
+  Table.fill([](int I) { return (I * 37 + 5) % W; });
+  ParamBindings Params;
+  Params.bind(In.name(), Input);
+  Params.bind(Lut.name(), Table);
+
+  LoweredPipeline LP =
+      instrument(lower(Out.function()), Target().withTrace());
+  auto Threaded = vmCompile(LP, Target::vm().withThreads(4));
+  // Every shape is really read inside the outer task's body region.
+  const VmProgram &Prog = Threaded->program();
+  ASSERT_GE(Prog.Tasks.size(), 2u);
+  const VmTaskDesc &Outer = Prog.Tasks[0];
+  std::set<std::string> Shapes;
+  for (size_t PC = Outer.BodyStart; PC < Outer.BodyEnd; ++PC) {
+    const VmInstr &I = Prog.Code[PC];
+    if (I.Op == VmOp::CallExtern && VmExtern(I.Aux) == VmExtern::Pow)
+      Shapes.insert("pow");
+    else if (I.Op == VmOp::Event)
+      Shapes.insert(TraceEventKind(I.C) == TraceEventKind::TraceLoad
+                        ? "traced_load"
+                        : TraceEventKind(I.C) == TraceEventKind::TraceStore
+                              ? "traced_store"
+                              : "event");
+    else
+      Shapes.insert(vmOpName(I.Op));
+  }
+  for (const char *Want : {"pow", "select", "load.dense", "load",
+                           "traced_load", "traced_store", "par_for"})
+    EXPECT_TRUE(Shapes.count(Want)) << Want;
+
+  Buffer<float> FromInterp(W, H), FromVm(W, H), FromSerial(W, H);
+  {
+    ParamBindings PI = Params;
+    PI.bind(Out.name(), FromInterp);
+    interpret(LP, PI);
+  }
+  ExecutionStats ThreadedStats, SerialStats;
+  {
+    ParamBindings PV = Params;
+    PV.bind(Out.name(), FromVm);
+    // With a stream open, the trace events read their registers too.
+    const std::string Path = tempDirectory() + "/vm_task_closure_" +
+                             std::to_string(getpid()) + ".bin";
+    ASSERT_TRUE(traceStreamStart(Path));
+    EXPECT_EQ(Threaded->run(PV, &ThreadedStats), 0);
+    traceStreamStop();
+    std::remove(Path.c_str());
+    EXPECT_EQ(traceStreamStats().EventsDropped, 0);
+  }
+  {
+    ParamBindings PS = Params;
+    PS.bind(Out.name(), FromSerial);
+    ASSERT_EQ(vmCompile(LP, Target::vm().withThreads(1))
+                  ->run(PS, &SerialStats),
+              0);
+  }
+  EXPECT_EQ(std::memcmp(FromInterp.data(), FromVm.data(),
+                        sizeof(float) * W * H),
+            0);
+  EXPECT_EQ(std::memcmp(FromSerial.data(), FromVm.data(),
+                        sizeof(float) * W * H),
+            0);
+  EXPECT_EQ(ThreadedStats, SerialStats);
 }
 
 TEST(VmBackendTest, ThreadTargetsShareOneLoweringButNotExecutables) {
