@@ -354,10 +354,8 @@ int main(int Argc, char **Argv) {
     setTaskSchedulerThreads(Threads);
     T = T.withThreads(Threads);
   }
-  if (Profile) {
-    setProfilerEnabled(true);
+  if (Profile)
     T = T.withProfile();
-  }
   if (!TracePath.empty()) {
     traceSetThreadName("main");
     traceStart();

@@ -1094,7 +1094,7 @@ private:
       emitTraceAccess(Kind, Stage, T, Val, Index.type(), Idx);
       return;
     }
-    // TraceBegin's extents; the other kinds carry no payload.
+    // The kind's payload: TraceBegin's extents, ProfAlloc's size.
     const int Dims = int(Op->Args.size()) - 2;
     std::string Arr = "0";
     if (Dims > 0) {

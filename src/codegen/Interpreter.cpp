@@ -452,7 +452,7 @@ private:
       emitAccessEvent(Kind, Stage, V, Index);
       return Value::intVal(Int(32), 0);
     }
-    std::vector<int32_t> Extents; // TraceBegin's payload; none otherwise
+    std::vector<int32_t> Extents; // TraceBegin's or ProfAlloc's payload
     for (size_t I = 2; I < Op->Args.size(); ++I)
       Extents.push_back(int32_t(eval(Op->Args[I]).scalarInt()));
     observeEvent(Kind, profilerStageId(Stage), 0, 0, Extents.data(),

@@ -389,8 +389,9 @@ struct Call final : ExprNode<Call> {
   ///   - TraceStore *replaces* a Store: payload {Value, Index}. The
   ///     backend evaluates value then index (the untraced Store's order),
   ///     performs the store, then emits the event.
-  ///   - TraceBegin: the realization's extents. TraceEnd, ProfEnter and
-  ///     ProfExit: none.
+  ///   - TraceBegin: the realization's extents. ProfAlloc: the element
+  ///     size in bytes, then the allocation's extents. The other kinds:
+  ///     none.
   /// Every kind but TraceLoad is an Evaluate'd int32 0.
   static const char *const Instrument;
 };

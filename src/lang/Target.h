@@ -67,8 +67,8 @@ struct Target {
   int NumThreads = 0;
 
   /// Per-stage profiling (src/observe/Profiler.h): the executable is
-  /// instrumented with stage enter/exit markers at backend-compile time.
-  /// Like NumThreads this does not affect lowering — it is folded into
+  /// instrumented with stage, chunk and allocation events at
+  /// backend-compile time, and every run of it records. Like NumThreads this does not affect lowering — it is folded into
   /// the executable cache key only, never into the lowering fingerprint,
   /// so profile-on and profile-off targets share one lowered pipeline
   /// and an off-target run is bit-identical, marker-free code.

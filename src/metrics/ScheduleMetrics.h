@@ -44,8 +44,8 @@ struct StrategyMetrics {
 /// the bytecode VM: its ExecutionStats give span, peak memory and
 /// operation counts, and its value trace (streamed to a file under
 /// tempDirectory()) gives the reuse distance. Small sizes advised: the
-/// trace records every access. Every buffer must be traced, so no stage
-/// may set Func::trace*() flags, and no other trace stream may be active.
+/// trace records every access, since a traced target traces every buffer.
+/// No other trace stream may be active.
 /// \p BreadthFirstOps is the memory operation count (loads + stores, a
 /// proxy for arithmetic work) of the reference breadth-first schedule,
 /// used as the work-amplification denominator; pass 0 to skip that

@@ -5,20 +5,17 @@
 //===----------------------------------------------------------------------===//
 
 #include "observe/Profiler.h"
+#include "observe/ShardRegistry.h"
 #include "observe/TraceRecorder.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <mutex>
 #include <unordered_map>
 
 namespace halide {
 
 namespace {
-
-std::atomic<bool> Enabled{false};
 
 int64_t nowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -35,249 +32,201 @@ struct StageSlot {
   int64_t PeakBytes = 0;
 };
 
-struct StackFrame {
-  int StageId;
-  int64_t EnterNs;
-};
+void mergeSlots(std::vector<StageSlot> &Into,
+                const std::vector<StageSlot> &From) {
+  if (Into.size() < From.size())
+    Into.resize(From.size());
+  for (size_t I = 0; I < From.size(); ++I) {
+    Into[I].Invocations += From[I].Invocations;
+    Into[I].SelfNanos += From[I].SelfNanos;
+    Into[I].TotalNanos += From[I].TotalNanos;
+    Into[I].CurBytes += From[I].CurBytes;
+    Into[I].PeakBytes += From[I].PeakBytes;
+  }
+}
 
-struct Shard;
-
-/// Global state: the intern table and the shard registry. Intentionally
-/// leaked (see registry()): TaskScheduler workers are joined during
-/// static destruction, and their thread_local shard destructors must
-/// still find a live registry whatever the construction order was.
-struct Registry {
-  std::mutex Mu;
+/// The profiler sink: the stage-name intern table, the merged totals of
+/// exited threads, and one accumulation shard per thread.
+struct ProfilerSink {
   std::unordered_map<std::string, int> Ids;
   std::vector<std::string> Names;
-  std::vector<Shard *> Live;
-  std::vector<StageSlot> Retired; // merged totals of exited threads
+  std::vector<StageSlot> Retired;
 
-  int intern(const std::string &Name) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Ids.find(Name);
-    if (It != Ids.end())
-      return It->second;
-    int Id = (int)Names.size();
-    Ids.emplace(Name, Id);
-    Names.push_back(Name);
-    return Id;
-  }
+  struct Shard {
+    struct Frame {
+      int StageId;
+      int64_t EnterNs;
+      /// ProfChunk scopes of this same stage opened on top of the frame
+      /// and not yet closed; each absorbs one ProfExit.
+      int Reentries;
+    };
+    struct Allocation {
+      int StageId; // -1 when no stage was active
+      int64_t Bytes;
+    };
+
+    std::vector<StageSlot> Slots;
+    std::vector<Frame> Stack;
+    std::vector<Allocation> Allocations;
+    int64_t BaseNs = 0; // start of the current self-time interval
+
+    StageSlot &slot(int StageId) {
+      if ((int)Slots.size() <= StageId)
+        Slots.resize(StageId + 1);
+      return Slots[StageId];
+    }
+
+    void push(int StageId) {
+      int64_t Now = nowNs();
+      if (!Stack.empty())
+        slot(Stack.back().StageId).SelfNanos += Now - BaseNs;
+      Stack.push_back({StageId, Now, 0});
+      BaseNs = Now;
+      if (traceActive())
+        traceBegin("stage", profilerStageName(StageId));
+    }
+
+    void enterChunk(int StageId) {
+      if (!Stack.empty() && Stack.back().StageId == StageId)
+        ++Stack.back().Reentries;
+      else
+        push(StageId);
+    }
+
+    void exit(int StageId) {
+      if (Stack.empty() || Stack.back().StageId != StageId)
+        return; // mismatched marker; drop rather than corrupt the stack
+      if (Stack.back().Reentries > 0) {
+        --Stack.back().Reentries;
+        return;
+      }
+      int64_t Now = nowNs();
+      StageSlot &S = slot(StageId);
+      S.SelfNanos += Now - BaseNs;
+      S.TotalNanos += Now - Stack.back().EnterNs;
+      Stack.pop_back();
+      BaseNs = Now;
+      if (traceActive())
+        traceEnd();
+    }
+
+    void allocate(const int32_t *Payload, int PayloadLen) {
+      int64_t Bytes = PayloadLen > 0 ? Payload[0] : 0;
+      for (int I = 1; I < PayloadLen; ++I)
+        Bytes *= Payload[I];
+      int StageId = Stack.empty() ? -1 : Stack.back().StageId;
+      Allocations.push_back({StageId, Bytes});
+      if (StageId < 0)
+        return;
+      StageSlot &S = slot(StageId);
+      S.CurBytes += Bytes;
+      S.PeakBytes = std::max(S.PeakBytes, S.CurBytes);
+    }
+
+    void release() {
+      if (Allocations.empty())
+        return;
+      Allocation A = Allocations.back();
+      Allocations.pop_back();
+      if (A.StageId >= 0)
+        slot(A.StageId).CurBytes -= A.Bytes;
+    }
+  };
+
+  void retire(Shard &S) { mergeSlots(Retired, S.Slots); }
 };
 
-Registry &registry() {
-  static Registry *R = new Registry; // never destroyed, by design
-  return *R;
-}
-
-/// One thread's accumulation state. Registered on construction,
-/// merged into Registry::Retired and unregistered on thread exit.
-struct Shard {
-  std::vector<StageSlot> Slots;
-  std::vector<StackFrame> Stack;
-  int64_t BaseNs = 0; // start of the current self-time interval
-  /// Live allocations charged to a stage: ptr -> {stage id, bytes}.
-  std::unordered_map<const void *, std::pair<int, int64_t>> Allocs;
-
-  Shard() {
-    Registry &R = registry();
-    std::lock_guard<std::mutex> Lock(R.Mu);
-    R.Live.push_back(this);
-  }
-
-  ~Shard() {
-    Registry &R = registry();
-    std::lock_guard<std::mutex> Lock(R.Mu);
-    if (R.Retired.size() < Slots.size())
-      R.Retired.resize(Slots.size());
-    for (size_t I = 0; I < Slots.size(); ++I)
-      mergeSlot(R.Retired[I], Slots[I]);
-    R.Live.erase(std::remove(R.Live.begin(), R.Live.end(), this),
-                 R.Live.end());
-  }
-
-  static void mergeSlot(StageSlot &Into, const StageSlot &From) {
-    Into.Invocations += From.Invocations;
-    Into.SelfNanos += From.SelfNanos;
-    Into.TotalNanos += From.TotalNanos;
-    Into.CurBytes += From.CurBytes;
-    Into.PeakBytes += From.PeakBytes;
-  }
-
-  StageSlot &slot(int StageId) {
-    if ((int)Slots.size() <= StageId)
-      Slots.resize(StageId + 1);
-    return Slots[StageId];
-  }
-
-  void enter(int StageId, bool CountInvocation) {
-    int64_t Now = nowNs();
-    if (!Stack.empty())
-      slot(Stack.back().StageId).SelfNanos += Now - BaseNs;
-    Stack.push_back({StageId, Now});
-    BaseNs = Now;
-    if (CountInvocation)
-      slot(StageId).Invocations += 1;
-    if (traceActive())
-      traceBegin("stage", profilerStageName(StageId));
-  }
-
-  void exit(int StageId) {
-    if (Stack.empty() || Stack.back().StageId != StageId)
-      return; // mismatched marker; drop rather than corrupt the stack
-    int64_t Now = nowNs();
-    StageSlot &S = slot(StageId);
-    S.SelfNanos += Now - BaseNs;
-    S.TotalNanos += Now - Stack.back().EnterNs;
-    Stack.pop_back();
-    BaseNs = Now;
-    if (traceActive())
-      traceEnd();
-  }
-
-  void noteAlloc(const void *Ptr, int64_t Bytes) {
-    if (Stack.empty())
-      return;
-    int StageId = Stack.back().StageId;
-    Allocs[Ptr] = {StageId, Bytes};
-    StageSlot &S = slot(StageId);
-    S.CurBytes += Bytes;
-    S.PeakBytes = std::max(S.PeakBytes, S.CurBytes);
-  }
-
-  void noteFree(const void *Ptr) {
-    auto It = Allocs.find(Ptr);
-    if (It == Allocs.end())
-      return; // allocated before profiling began or on another thread
-    slot(It->second.first).CurBytes -= It->second.second;
-    Allocs.erase(It);
-  }
-};
-
-Shard &shard() {
-  static thread_local Shard S;
-  return S;
-}
-
-/// Non-creating view of this thread's shard (null until first use).
-thread_local Shard *ShardView = nullptr;
-
-Shard &shardCreating() {
-  Shard &S = shard();
-  ShardView = &S;
-  return S;
-}
+using ProfilerRegistry = ShardRegistry<ProfilerSink>;
 
 } // namespace
 
-void setProfilerEnabled(bool E) { Enabled.store(E, std::memory_order_relaxed); }
-
-bool profilerEnabled() { return Enabled.load(std::memory_order_relaxed); }
-
 int profilerStageId(const std::string &Name) {
-  return registry().intern(Name);
+  return ProfilerRegistry::locked([&](ProfilerSink &P, auto &) {
+    auto It = P.Ids.find(Name);
+    if (It != P.Ids.end())
+      return It->second;
+    int Id = (int)P.Names.size();
+    P.Ids.emplace(Name, Id);
+    P.Names.push_back(Name);
+    return Id;
+  });
 }
 
 int profilerStageCount() {
-  Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mu);
-  return (int)R.Names.size();
+  return ProfilerRegistry::locked(
+      [](ProfilerSink &P, auto &) { return (int)P.Names.size(); });
 }
 
 std::string profilerStageName(int Id) {
-  Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mu);
-  if (Id < 0 || Id >= (int)R.Names.size())
-    return "?";
-  return R.Names[Id];
+  return ProfilerRegistry::locked([&](ProfilerSink &P, auto &) {
+    if (Id < 0 || Id >= (int)P.Names.size())
+      return std::string("?");
+    return P.Names[Id];
+  });
 }
 
-void profilerEnter(int StageId) {
-  if (!profilerEnabled())
+void profilerEvent(TraceEventKind Kind, int StageId, const int32_t *Payload,
+                   int PayloadLen) {
+  ProfilerSink::Shard &S = ProfilerRegistry::local();
+  switch (Kind) {
+  case TraceEventKind::ProfEnter:
+    S.slot(StageId).Invocations += 1;
+    S.push(StageId);
     return;
-  shardCreating().enter(StageId, /*CountInvocation=*/true);
-}
-
-void profilerEnterChunk(int StageId) {
-  if (!profilerEnabled())
+  case TraceEventKind::ProfChunk:
+    S.enterChunk(StageId);
     return;
-  shardCreating().enter(StageId, /*CountInvocation=*/false);
-}
-
-void profilerExit(int StageId) {
-  if (!profilerEnabled())
+  case TraceEventKind::ProfExit:
+    S.exit(StageId);
     return;
-  if (Shard *S = ShardView)
-    S->exit(StageId);
-}
-
-int profilerCurrentStage() {
-  if (!profilerEnabled())
-    return -1;
-  Shard *S = ShardView;
-  if (!S || S->Stack.empty())
-    return -1;
-  return S->Stack.back().StageId;
-}
-
-void profilerNoteAlloc(const void *Ptr, int64_t Bytes) {
-  if (!profilerEnabled())
+  case TraceEventKind::ProfAlloc:
+    S.allocate(Payload, PayloadLen);
     return;
-  if (Shard *S = ShardView)
-    S->noteAlloc(Ptr, Bytes);
-}
-
-void profilerNoteFree(const void *Ptr) {
-  if (!profilerEnabled())
+  case TraceEventKind::ProfFree:
+    S.release();
     return;
-  if (Shard *S = ShardView)
-    S->noteFree(Ptr);
+  default:
+    return;
+  }
 }
 
 void profilerReset() {
-  Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mu);
-  R.Retired.clear();
-  for (Shard *S : R.Live) {
-    S->Slots.clear();
+  ProfilerRegistry::locked([](ProfilerSink &P, auto &Live) {
+    P.Retired.clear();
     // Leave any in-progress stack alone; its frames re-accumulate from
     // their original enter timestamps when they exit.
-  }
+    for (ProfilerSink::Shard *S : Live)
+      S->Slots.clear();
+  });
 }
 
 ProfileReport profilerReport() {
-  Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mu);
-  std::vector<StageSlot> Merged = R.Retired;
-  if (Merged.size() < R.Names.size())
-    Merged.resize(R.Names.size());
-  for (Shard *S : R.Live) {
-    if (Merged.size() < S->Slots.size())
-      Merged.resize(S->Slots.size());
-    for (size_t I = 0; I < S->Slots.size(); ++I)
-      Shard::mergeSlot(Merged[I], S->Slots[I]);
-  }
-  ProfileReport Report;
-  for (size_t I = 0; I < Merged.size(); ++I) {
-    const StageSlot &S = Merged[I];
-    if (S.Invocations == 0 && S.SelfNanos == 0 && S.TotalNanos == 0 &&
-        S.PeakBytes == 0)
-      continue;
-    StageProfile P;
-    P.Name = I < R.Names.size() ? R.Names[I] : "?";
-    P.Invocations = S.Invocations;
-    P.SelfNanos = S.SelfNanos;
-    P.TotalNanos = S.TotalNanos;
-    P.PeakBytes = S.PeakBytes;
-    Report.Stages.push_back(std::move(P));
-  }
-  std::sort(Report.Stages.begin(), Report.Stages.end(),
-            [](const StageProfile &A, const StageProfile &B) {
-              if (A.SelfNanos != B.SelfNanos)
-                return A.SelfNanos > B.SelfNanos;
-              return A.Name < B.Name;
-            });
-  return Report;
+  return ProfilerRegistry::locked([](ProfilerSink &P, auto &Live) {
+    std::vector<StageSlot> Merged = P.Retired;
+    for (ProfilerSink::Shard *S : Live)
+      mergeSlots(Merged, S->Slots);
+    ProfileReport Report;
+    for (size_t I = 0; I < Merged.size(); ++I) {
+      const StageSlot &S = Merged[I];
+      if (S.Invocations == 0 && S.SelfNanos == 0 && S.TotalNanos == 0 &&
+          S.PeakBytes == 0)
+        continue;
+      StageProfile Row;
+      Row.Name = I < P.Names.size() ? P.Names[I] : "?";
+      Row.Invocations = S.Invocations;
+      Row.SelfNanos = S.SelfNanos;
+      Row.TotalNanos = S.TotalNanos;
+      Row.PeakBytes = S.PeakBytes;
+      Report.Stages.push_back(std::move(Row));
+    }
+    std::sort(Report.Stages.begin(), Report.Stages.end(),
+              [](const StageProfile &A, const StageProfile &B) {
+                if (A.SelfNanos != B.SelfNanos)
+                  return A.SelfNanos > B.SelfNanos;
+                return A.Name < B.Name;
+              });
+    return Report;
+  });
 }
 
 int64_t ProfileReport::totalSelfNanos() const {

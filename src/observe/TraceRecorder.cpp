@@ -5,12 +5,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "observe/TraceRecorder.h"
+#include "observe/ShardRegistry.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <mutex>
 
 namespace halide {
 
@@ -41,59 +40,35 @@ struct Event {
   std::vector<TraceArg> Args;
 };
 
-struct TraceShard;
+/// Tids in order of each thread's first recorded event or name.
+std::atomic<int> NextTid{0};
 
-struct TraceRegistry {
-  std::mutex Mu;
-  std::vector<TraceShard *> Live;
+/// The recorder sink: the clock epoch, and the events and lane names of
+/// exited threads, kept with their tids until the next traceStart.
+struct Recorder {
   std::vector<std::pair<int, std::vector<Event>>> Retired; // tid, events
   std::vector<std::pair<int, std::string>> RetiredNames;   // tid, name
-  int NextTid = 0;
   int64_t EpochNs = 0; // set by the first traceStart
-};
 
-TraceRegistry &registry() {
-  // Intentionally leaked: TaskScheduler workers are joined during static
-  // destruction, and their thread_local TraceShard destructors must
-  // still find a live registry whatever order the singletons were first
-  // touched in (e.g. bench_runner calls setTaskSchedulerThreads before
-  // traceStart, putting the scheduler's teardown after this registry's).
-  static TraceRegistry *R = new TraceRegistry;
-  return *R;
-}
+  struct Shard {
+    int Tid = NextTid.fetch_add(1, std::memory_order_relaxed);
+    std::string Name;
+    std::vector<Event> Events;
+  };
 
-struct TraceShard {
-  int Tid;
-  std::string Name;
-  std::vector<Event> Events;
-
-  TraceShard() {
-    TraceRegistry &R = registry();
-    std::lock_guard<std::mutex> Lock(R.Mu);
-    Tid = R.NextTid++;
-    R.Live.push_back(this);
-  }
-
-  ~TraceShard() {
-    TraceRegistry &R = registry();
-    std::lock_guard<std::mutex> Lock(R.Mu);
-    if (!Events.empty())
-      R.Retired.emplace_back(Tid, std::move(Events));
-    if (!Name.empty())
-      R.RetiredNames.emplace_back(Tid, Name);
-    R.Live.erase(std::remove(R.Live.begin(), R.Live.end(), this),
-                 R.Live.end());
+  void retire(Shard &S) {
+    if (!S.Events.empty())
+      Retired.emplace_back(S.Tid, std::move(S.Events));
+    if (!S.Name.empty())
+      RetiredNames.emplace_back(S.Tid, S.Name);
   }
 };
 
-TraceShard &shard() {
-  static thread_local TraceShard S;
-  return S;
-}
+using RecorderRegistry = ShardRegistry<Recorder>;
 
 void record(Event E) {
   E.TsNs = steadyNs();
-  shard().Events.push_back(std::move(E));
+  RecorderRegistry::local().Events.push_back(std::move(E));
 }
 
 void jsonEscape(std::string &Out, const std::string &S) {
@@ -176,15 +151,13 @@ void writeThreadName(std::string &Out, int Tid, const std::string &Name,
 bool traceActive() { return Active.load(std::memory_order_relaxed); }
 
 void traceStart() {
-  TraceRegistry &R = registry();
-  {
-    std::lock_guard<std::mutex> Lock(R.Mu);
+  RecorderRegistry::locked([](Recorder &R, auto &Live) {
     if (R.EpochNs == 0)
       R.EpochNs = steadyNs();
     R.Retired.clear();
-    for (TraceShard *S : R.Live)
+    for (Recorder::Shard *S : Live)
       S->Events.clear();
-  }
+  });
   Active.store(true, std::memory_order_release);
 }
 
@@ -192,7 +165,9 @@ void traceStop() { Active.store(false, std::memory_order_relaxed); }
 
 int64_t traceNowNs() { return steadyNs(); }
 
-void traceSetThreadName(const std::string &Name) { shard().Name = Name; }
+void traceSetThreadName(const std::string &Name) {
+  RecorderRegistry::local().Name = Name;
+}
 
 void traceBegin(const std::string &Cat, const std::string &Name) {
   if (!traceActive())
@@ -224,7 +199,7 @@ void traceComplete(const std::string &Cat, const std::string &Name,
   E.DurNs = DurNs < 0 ? 0 : DurNs;
   E.Args = std::move(Args);
   E.TsNs = StartNs;
-  shard().Events.push_back(std::move(E));
+  RecorderRegistry::local().Events.push_back(std::move(E));
 }
 
 void traceInstant(const std::string &Cat, const std::string &Name,
@@ -251,23 +226,23 @@ void traceCounter(const std::string &Name, int64_t Value) {
 }
 
 std::string traceWriteJson() {
-  TraceRegistry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mu);
-  std::string Out = "{\"traceEvents\":[\n";
-  bool First = true;
-  for (TraceShard *S : R.Live)
-    if (!S->Name.empty())
-      writeThreadName(Out, S->Tid, S->Name, First);
-  for (const auto &TN : R.RetiredNames)
-    writeThreadName(Out, TN.first, TN.second, First);
-  for (TraceShard *S : R.Live)
-    for (const Event &E : S->Events)
-      writeEvent(Out, S->Tid, E, R.EpochNs, First);
-  for (const auto &TE : R.Retired)
-    for (const Event &E : TE.second)
-      writeEvent(Out, TE.first, E, R.EpochNs, First);
-  Out += "\n]}\n";
-  return Out;
+  return RecorderRegistry::locked([](Recorder &R, auto &Live) {
+    std::string Out = "{\"traceEvents\":[\n";
+    bool First = true;
+    for (Recorder::Shard *S : Live)
+      if (!S->Name.empty())
+        writeThreadName(Out, S->Tid, S->Name, First);
+    for (const auto &TN : R.RetiredNames)
+      writeThreadName(Out, TN.first, TN.second, First);
+    for (Recorder::Shard *S : Live)
+      for (const Event &E : S->Events)
+        writeEvent(Out, S->Tid, E, R.EpochNs, First);
+    for (const auto &TE : R.Retired)
+      for (const Event &E : TE.second)
+        writeEvent(Out, TE.first, E, R.EpochNs, First);
+    Out += "\n]}\n";
+    return Out;
+  });
 }
 
 bool traceWriteFile(const std::string &Path) {

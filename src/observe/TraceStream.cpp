@@ -6,9 +6,8 @@
 
 #include "observe/TraceStream.h"
 #include "observe/Profiler.h"
-#include "support/Util.h"
+#include "observe/ShardRegistry.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,67 +22,44 @@ constexpr size_t FlushThresholdBytes = 64 * 1024;
 
 std::atomic<bool> Active{false};
 
-struct Shard;
+// The stream's budget and counters, read on the emit path without a lock.
+std::atomic<int64_t> MaxBytes{0};
+std::atomic<int64_t> EventsEmitted{0};
+std::atomic<int64_t> EventsDropped{0};
+std::atomic<int64_t> BytesWritten{0};
+/// Bytes admitted past the budget check (buffered or written). Checked
+/// against MaxBytes at emit time so backpressure applies before the
+/// buffers grow, not only at flush.
+std::atomic<int64_t> BytesReserved{0};
 
-/// Global writer state. Intentionally leaked for the same reason as the
-/// profiler registry: worker threads' thread_local shard destructors run
-/// during static destruction and must find a live registry.
+/// The writer sink: the open file, guarded by the registry lock, and one
+/// event buffer per thread.
 struct Writer {
-  std::mutex Mu; // guards File, Live, and the counters' flush side
   FILE *File = nullptr;
-  std::vector<Shard *> Live;
-  int64_t MaxBytes = 0;
 
-  std::atomic<int64_t> EventsEmitted{0};
-  std::atomic<int64_t> EventsDropped{0};
-  std::atomic<int64_t> BytesWritten{0};
-  /// Bytes admitted past the budget check (buffered or written). Checked
-  /// against MaxBytes at emit time so backpressure applies before the
-  /// buffers grow, not only at flush.
-  std::atomic<int64_t> BytesReserved{0};
-};
+  /// One thread's event buffer. Appends are uncontended (thread-local);
+  /// the per-shard mutex only synchronizes against traceStreamStart/Stop
+  /// touching a still-registered shard from another thread.
+  struct Shard {
+    std::mutex Mu;
+    std::vector<uint8_t> Buf;
 
-Writer &writer() {
-  static Writer *W = new Writer; // never destroyed, by design
-  return *W;
-}
-
-/// One thread's event buffer. Appends are uncontended (thread-local); the
-/// per-shard mutex only synchronizes against traceStreamStop flushing a
-/// still-registered shard from another thread.
-struct Shard {
-  std::mutex Mu;
-  std::vector<uint8_t> Buf;
-
-  Shard() {
-    Writer &W = writer();
-    std::lock_guard<std::mutex> Lock(W.Mu);
-    W.Live.push_back(this);
-  }
-
-  ~Shard() {
-    Writer &W = writer();
-    std::lock_guard<std::mutex> Lock(W.Mu);
-    flushLocked(W);
-    W.Live.erase(std::remove(W.Live.begin(), W.Live.end(), this),
-                 W.Live.end());
-  }
-
-  /// Writes the buffer to the file. Caller holds W.Mu.
-  void flushLocked(Writer &W) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (!Buf.empty() && W.File) {
-      size_t N = fwrite(Buf.data(), 1, Buf.size(), W.File);
-      W.BytesWritten.fetch_add((int64_t)N, std::memory_order_relaxed);
+    /// Writes the buffer to \p File. Caller holds the registry lock.
+    void flushLocked(FILE *File) {
+      std::lock_guard<std::mutex> Lock(Mu);
+      if (!Buf.empty() && File) {
+        size_t N = fwrite(Buf.data(), 1, Buf.size(), File);
+        BytesWritten.fetch_add((int64_t)N, std::memory_order_relaxed);
+      }
+      Buf.clear();
     }
-    Buf.clear();
-  }
+  };
+
+  /// An exiting thread's pending events still belong in the file.
+  void retire(Shard &S) { S.flushLocked(File); }
 };
 
-Shard &shard() {
-  static thread_local Shard S;
-  return S;
-}
+using WriterRegistry = ShardRegistry<Writer>;
 
 void append16(std::vector<uint8_t> &B, uint16_t V) {
   B.insert(B.end(), (const uint8_t *)&V, (const uint8_t *)&V + 2);
@@ -152,92 +128,86 @@ double traceDoubleOfBits(uint64_t Bits) {
 }
 
 bool traceStreamStart(const std::string &Path) {
-  Writer &W = writer();
-  std::lock_guard<std::mutex> Lock(W.Mu);
-  if (W.File)
-    return false; // a stream is already active
-  FILE *F = fopen(Path.c_str(), "wb");
-  if (!F)
-    return false;
-  if (fwrite(Magic, 1, sizeof(Magic), F) != sizeof(Magic)) {
-    fclose(F);
-    return false;
-  }
-  W.File = F;
-  W.MaxBytes = maxBytesFromEnv();
-  W.EventsEmitted.store(0, std::memory_order_relaxed);
-  W.EventsDropped.store(0, std::memory_order_relaxed);
-  W.BytesWritten.store(0, std::memory_order_relaxed);
-  W.BytesReserved.store(0, std::memory_order_relaxed);
-  // Drop any events a racing emitter buffered after the previous stop.
-  for (Shard *S : W.Live) {
-    std::lock_guard<std::mutex> SLock(S->Mu);
-    S->Buf.clear();
-  }
-  Active.store(true, std::memory_order_relaxed);
-  return true;
+  return WriterRegistry::locked([&](Writer &W, auto &Live) {
+    if (W.File)
+      return false; // a stream is already active
+    FILE *F = fopen(Path.c_str(), "wb");
+    if (!F)
+      return false;
+    if (fwrite(Magic, 1, sizeof(Magic), F) != sizeof(Magic)) {
+      fclose(F);
+      return false;
+    }
+    W.File = F;
+    MaxBytes.store(maxBytesFromEnv(), std::memory_order_relaxed);
+    EventsEmitted.store(0, std::memory_order_relaxed);
+    EventsDropped.store(0, std::memory_order_relaxed);
+    BytesWritten.store(0, std::memory_order_relaxed);
+    BytesReserved.store(0, std::memory_order_relaxed);
+    // Drop any events a racing emitter buffered after the previous stop.
+    for (Writer::Shard *S : Live) {
+      std::lock_guard<std::mutex> SLock(S->Mu);
+      S->Buf.clear();
+    }
+    Active.store(true, std::memory_order_relaxed);
+    return true;
+  });
 }
 
 void traceStreamStop() {
-  Writer &W = writer();
   Active.store(false, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> Lock(W.Mu);
-  if (!W.File)
-    return;
-  for (Shard *S : W.Live)
-    S->flushLocked(W);
-  // Name records, so readers can resolve stage ids without the process's
-  // intern table. Written directly: stop is single-threaded by contract.
-  std::vector<uint8_t> B;
-  int Count = profilerStageCount();
-  for (int Id = 0; Id < Count; ++Id) {
-    std::string Name = profilerStageName(Id);
-    int Words = (int)((Name.size() + 4) / 4); // >=1 word, NUL-padded
-    std::vector<int32_t> Packed(Words, 0);
-    memcpy(Packed.data(), Name.data(), Name.size());
-    appendRecord(B, Id, TraceEventKind::TraceName, 0, 0, Packed.data(),
-                 Words, nullptr);
-  }
-  size_t N = fwrite(B.data(), 1, B.size(), W.File);
-  W.BytesWritten.fetch_add((int64_t)N, std::memory_order_relaxed);
-  fclose(W.File);
-  W.File = nullptr;
+  WriterRegistry::locked([](Writer &W, auto &Live) {
+    if (!W.File)
+      return;
+    for (Writer::Shard *S : Live)
+      S->flushLocked(W.File);
+    // Name records, so readers can resolve stage ids without the process's
+    // intern table. Written directly: stop is single-threaded by contract.
+    std::vector<uint8_t> B;
+    int Count = profilerStageCount();
+    for (int Id = 0; Id < Count; ++Id) {
+      std::string Name = profilerStageName(Id);
+      int Words = (int)((Name.size() + 4) / 4); // >=1 word, NUL-padded
+      std::vector<int32_t> Packed(Words, 0);
+      memcpy(Packed.data(), Name.data(), Name.size());
+      appendRecord(B, Id, TraceEventKind::TraceName, 0, 0, Packed.data(),
+                   Words, nullptr);
+    }
+    size_t N = fwrite(B.data(), 1, B.size(), W.File);
+    BytesWritten.fetch_add((int64_t)N, std::memory_order_relaxed);
+    fclose(W.File);
+    W.File = nullptr;
+  });
 }
 
 bool traceStreamActive() { return Active.load(std::memory_order_relaxed); }
 
 TraceStreamStats traceStreamStats() {
-  Writer &W = writer();
   TraceStreamStats S;
-  S.EventsEmitted = W.EventsEmitted.load(std::memory_order_relaxed);
-  S.EventsDropped = W.EventsDropped.load(std::memory_order_relaxed);
-  S.BytesWritten = W.BytesWritten.load(std::memory_order_relaxed);
+  S.EventsEmitted = EventsEmitted.load(std::memory_order_relaxed);
+  S.EventsDropped = EventsDropped.load(std::memory_order_relaxed);
+  S.BytesWritten = BytesWritten.load(std::memory_order_relaxed);
   return S;
 }
 
 void observeEvent(TraceEventKind Kind, int StageId, uint8_t TypeCode,
                   int Lanes, const int32_t *Coords, int NumCoords,
                   const uint64_t *Bits) {
-  if (Kind == TraceEventKind::ProfEnter) {
-    profilerEnter(StageId);
-    return;
-  }
-  if (Kind == TraceEventKind::ProfExit) {
-    profilerExit(StageId);
+  if (Kind >= TraceEventKind::ProfEnter) {
+    profilerEvent(Kind, StageId, Coords, NumCoords);
     return;
   }
   if (!traceStreamActive())
     return;
-  Writer &W = writer();
   int64_t RecordBytes = 8 + 4 * (int64_t)NumCoords + 8 * (int64_t)Lanes;
-  if (W.BytesReserved.fetch_add(RecordBytes, std::memory_order_relaxed) +
+  if (BytesReserved.fetch_add(RecordBytes, std::memory_order_relaxed) +
           RecordBytes >
-      W.MaxBytes) {
-    W.BytesReserved.fetch_sub(RecordBytes, std::memory_order_relaxed);
-    W.EventsDropped.fetch_add(1, std::memory_order_relaxed);
+      MaxBytes.load(std::memory_order_relaxed)) {
+    BytesReserved.fetch_sub(RecordBytes, std::memory_order_relaxed);
+    EventsDropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  Shard &S = shard();
+  Writer::Shard &S = WriterRegistry::local();
   bool NeedFlush = false;
   {
     std::lock_guard<std::mutex> SLock(S.Mu);
@@ -245,11 +215,9 @@ void observeEvent(TraceEventKind Kind, int StageId, uint8_t TypeCode,
                  Bits);
     NeedFlush = S.Buf.size() >= FlushThresholdBytes;
   }
-  W.EventsEmitted.fetch_add(1, std::memory_order_relaxed);
-  if (NeedFlush) {
-    std::lock_guard<std::mutex> Lock(W.Mu);
-    S.flushLocked(W);
-  }
+  EventsEmitted.fetch_add(1, std::memory_order_relaxed);
+  if (NeedFlush)
+    WriterRegistry::locked([&](Writer &W, auto &) { S.flushLocked(W.File); });
 }
 
 bool readTraceFile(const std::string &Path, std::vector<TraceEvent> *Out,

@@ -8,9 +8,9 @@
 /// The sink for value-level trace events (every load, store and
 /// realization of a Target::Trace executable, lowered by
 /// transforms/Instrument.h into Call::Instrument intrinsics that every
-/// engine executes), and the one entry point, observeEvent,
-/// through which every engine reports both those events and the
-/// profiler's stage enter/exit markers.
+/// engine executes), and the one entry point, observeEvent, through which
+/// every engine reports both those events and the profiler's stage, chunk
+/// and allocation scopes.
 ///
 /// Binary format ("HLTRACE1", host-endian):
 ///
@@ -32,13 +32,14 @@
 /// carry nothing. Name records (appended on traceStreamStop) map StageId to
 /// a UTF-8 name packed NUL-padded into the Coords words.
 ///
-/// Writer discipline: events append to per-thread buffers that flush to the
-/// file under one mutex (the Profiler shard idiom), so threaded runs
-/// interleave at flush granularity — readers must treat a threaded trace as
-/// an event multiset. A byte budget (HALIDE_TRACE_MAX_MB, default 1024)
-/// applies backpressure: once reached, further events are counted in
-/// EventsDropped instead of written. When no stream is active every emit
-/// returns after one relaxed atomic load.
+/// Writer discipline: events append to per-thread buffers
+/// (observe/ShardRegistry.h) that flush to the file under the registry
+/// lock, so threaded runs interleave at flush granularity — readers must
+/// treat a threaded trace as an event multiset. A byte budget
+/// (HALIDE_TRACE_MAX_MB, default 1024) applies backpressure: once
+/// reached, further events are counted in EventsDropped instead of
+/// written. When no stream is active every emit returns after one relaxed
+/// atomic load.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,8 +56,8 @@
 namespace halide {
 
 /// Instrumentation event kinds. Kinds 0-4 are the record's Kind byte in a
-/// trace file; ProfEnter/ProfExit go to the profiler and never reach a
-/// file.
+/// trace file; kinds 5 and up go to the profiler (observe/Profiler.h) and
+/// never reach a file.
 enum class TraceEventKind : uint8_t {
   TraceLoad = 0,
   TraceStore = 1,
@@ -65,6 +66,9 @@ enum class TraceEventKind : uint8_t {
   TraceName = 4,
   ProfEnter = 5,
   ProfExit = 6,
+  ProfChunk = 7,
+  ProfAlloc = 8,
+  ProfFree = 9,
 };
 
 /// Packs a value type into one byte: (code << 4) | log2(bits), with code
@@ -105,11 +109,11 @@ bool traceStreamActive();
 TraceStreamStats traceStreamStats();
 
 /// The one handler behind every engine's Call::Instrument and the runtime
-/// vtable's Event slot. ProfEnter/ProfExit go to profilerEnter/Exit
-/// (observe/Profiler.h); every other kind appends one record to the
-/// stream, and is a no-op beyond the relaxed Active load when no stream
-/// is active. \p StageId is a profilerStageId. \p Bits may be null when
-/// \p Lanes is 0 (begin/end); the profiler uses neither.
+/// vtable's Event slot. Kinds 5 and up go to profilerEvent with \p Coords
+/// as their payload; every other kind appends one record to the stream,
+/// and is a no-op beyond the relaxed Active load when no stream is
+/// active. \p StageId is a profilerStageId. \p Bits may be null when
+/// \p Lanes is 0 (every kind but loads and stores).
 void observeEvent(TraceEventKind Kind, int StageId, uint8_t TypeCode,
                   int Lanes, const int32_t *Coords, int NumCoords,
                   const uint64_t *Bits);

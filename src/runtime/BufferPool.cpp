@@ -2,7 +2,6 @@
 
 #include "runtime/BufferPool.h"
 
-#include "observe/Profiler.h"
 #include "observe/TraceRecorder.h"
 #include "support/Util.h"
 
@@ -85,21 +84,6 @@ public:
     free(Ptr);
   }
 
-  void clear() {
-    std::vector<void *> ToFree;
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      for (auto &[Class, List] : Free)
-        for (void *Ptr : List)
-          ToFree.push_back(Ptr);
-      Free.clear();
-      Held = 0;
-      Stats.BytesHeld = 0;
-    }
-    for (void *Ptr : ToFree)
-      free(Ptr);
-  }
-
   BufferPoolStats stats() {
     std::lock_guard<std::mutex> Lock(M);
     return Stats;
@@ -107,7 +91,14 @@ public:
 
 private:
   BufferPool() : Capacity(defaultCapacity()) {}
-  ~BufferPool() { clear(); }
+
+  /// Returns the held blocks to the system, so leak-checked suites stay
+  /// clean.
+  ~BufferPool() {
+    for (auto &[Class, List] : Free)
+      for (void *Ptr : List)
+        free(Ptr);
+  }
 
   static int64_t defaultCapacity() {
     if (const char *Env = std::getenv("HALIDE_BUFFER_POOL_MB")) {
@@ -132,21 +123,16 @@ BufferPoolStats halide::bufferPoolStats() {
   return BufferPool::instance().stats();
 }
 
-void halide::clearBufferPool() { BufferPool::instance().clear(); }
-
 void *halide::bufferPoolMalloc(int64_t Bytes) {
   void *Ptr = BufferPool::instance().allocate(Bytes);
-  // Attribute to the profiler stage active on this thread, and sample the
-  // live-bytes counter into the trace so pool traffic is visible as a
-  // chart. Both are single-atomic-load no-ops when observability is off.
-  profilerNoteAlloc(Ptr, Bytes);
+  // Sample the live-bytes counter into the trace so pool traffic is
+  // visible as a chart; one relaxed atomic load when tracing is off.
   if (traceActive())
     traceCounter("pool_bytes_live", bufferPoolStats().BytesLive);
   return Ptr;
 }
 
 void halide::bufferPoolFree(void *Ptr) {
-  profilerNoteFree(Ptr);
   BufferPool::instance().release(Ptr);
   if (traceActive())
     traceCounter("pool_bytes_live", bufferPoolStats().BytesLive);

@@ -7,7 +7,7 @@
 /// \file
 /// The serving runtime's allocator: every halideMalloc/halideFree (internal
 /// pipeline buffers on every engine — the VM's Alloc op, JIT-compiled code
-/// through the runtime vtable, and the reference interpreter's Realize
+/// through the runtime vtable, and the reference interpreter's Allocate
 /// scopes) routes through a process-wide, size-bucketed free-list pool.
 /// Pipelines allocate the same intermediate shapes frame after frame, so
 /// once a pipeline's working set has been seen, steady-state serving
@@ -17,9 +17,11 @@
 ///
 /// Blocks above the pool's held-bytes capacity are returned to the system
 /// on free (oldest buckets are not aged out; eviction is whole-block at
-/// free time, keeping the bookkeeping trivial). clearBufferPool() releases
-/// everything held, and the pool frees its inventory at process exit so
-/// leak-checked suites stay clean.
+/// free time, keeping the bookkeeping trivial). The pool frees its
+/// inventory at process exit so leak-checked suites stay clean. The pool
+/// knows nothing of stages: the profiler charges allocations from the
+/// ProfAlloc/ProfFree events of profiled executables
+/// (transforms/Instrument.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,10 +51,6 @@ struct BufferPoolStats {
 
 /// A copy of the pool's counters, taken under the pool lock.
 BufferPoolStats bufferPoolStats();
-
-/// Returns every held block to the system (live blocks are unaffected).
-/// Counters keep accumulating across clears.
-void clearBufferPool();
 
 /// Pool-aware allocation entry points; halideMalloc/halideFree in
 /// Runtime.h are aliases of these (see Runtime.cpp).

@@ -99,8 +99,9 @@ struct RuntimeVTable {
   /// only for Target::Profile / Target::Trace executables and handed to
   /// observeEvent (observe/TraceStream.h). Kind is a TraceEventKind;
   /// StageId and TypeCode are baked in at codegen time. Coords holds one
-  /// flat index per lane (loads/stores) or the realization extents
-  /// (begin), Bits the normalized value bits per lane.
+  /// flat index per lane (loads/stores) or the kind's payload (the
+  /// realization extents of a TraceBegin, the element size and extents of
+  /// a ProfAlloc), Bits the normalized value bits per lane.
   void (*Event)(int32_t Kind, int32_t StageId, int32_t TypeCode,
                 int32_t Lanes, const int32_t *Coords, int32_t NumCoords,
                 const uint64_t *Bits);

@@ -2,7 +2,6 @@
 
 #include "runtime/TaskScheduler.h"
 
-#include "observe/Profiler.h"
 #include "observe/TraceRecorder.h"
 
 #include <atomic>
@@ -47,10 +46,6 @@ struct Job {
   TaskChunkFn Body = nullptr;
   void *Closure = nullptr;
   std::atomic<int> PendingChunks{0};
-  /// The submitting thread's profiler stage at submission, or -1. Workers
-  /// re-enter it as a chunk scope (no invocation bump) so threaded runs
-  /// charge stage time without double-counting invocations.
-  int ProfileStage = -1;
 };
 
 /// A chunk of some job, sitting in a deque until a thread runs it.
@@ -61,19 +56,13 @@ struct WorkItem {
   int Origin = 0; ///< deque index it was pushed to; != executor => stolen
 };
 
-/// Runs one chunk body with the submitter's profiler stage extended onto
-/// this thread and (when tracing) a "task" span recording the subrange.
-/// Shared by queued-chunk execution and the serial inline path so chunks
-/// are observable regardless of how they were dispatched.
+/// Runs one chunk body, recording a "task" span with its subrange when
+/// tracing. Shared by queued-chunk execution and the serial inline path so
+/// chunks are observable regardless of how they were dispatched.
 void runChunkBody(TaskChunkFn Body, void *Closure, int64_t Begin,
-                  int64_t End, int Chunk, int Stage, bool Stolen) {
-  const bool EnterStage = Stage >= 0 && profilerCurrentStage() != Stage;
+                  int64_t End, int Chunk, bool Stolen) {
   const int64_t T0 = traceActive() ? traceNowNs() : 0;
-  if (EnterStage)
-    profilerEnterChunk(Stage);
   Body(Begin, End, Chunk, Closure);
-  if (EnterStage)
-    profilerExit(Stage);
   if (T0) {
     std::vector<TraceArg> Args;
     Args.emplace_back("begin", Begin);
@@ -268,7 +257,7 @@ private:
     const bool WasInTask = InTask;
     InTask = true;
     runChunkBody(W.TheJob->Body, W.TheJob->Closure, W.Begin, W.End,
-                 W.Chunk, W.TheJob->ProfileStage, Stolen);
+                 W.Chunk, Stolen);
     InTask = WasInTask;
     if (W.TheJob->PendingChunks.fetch_sub(1) == 1) {
       // Last chunk: wake the submitter (and anyone else re-checking).
@@ -334,15 +323,12 @@ int Scheduler::run(int64_t Min, int64_t Extent, int MaxTasks,
   if (NumChunks == 1 || PoolThreads == 1) {
     // Inline execution still honors the partition — callers size
     // per-chunk result slots from it, so every chunk index must fire.
-    // The submitting thread's stage is already current, so the chunk
-    // helper only adds the trace span here.
     const bool WasInTask = InTask;
     InTask = true;
     for (int C = 0; C < NumChunks; ++C) {
       ChunksExecuted.fetch_add(1, std::memory_order_relaxed);
       runChunkBody(Body, Closure, Min + Extent * C / NumChunks,
-                   Min + Extent * (C + 1) / NumChunks, C, /*Stage=*/-1,
-                   /*Stolen=*/false);
+                   Min + Extent * (C + 1) / NumChunks, C, /*Stolen=*/false);
     }
     InTask = WasInTask;
   } else {
@@ -350,7 +336,6 @@ int Scheduler::run(int64_t Min, int64_t Extent, int MaxTasks,
     TheJob.Body = Body;
     TheJob.Closure = Closure;
     TheJob.PendingChunks.store(NumChunks);
-    TheJob.ProfileStage = profilerCurrentStage();
 
     const int MineIdx = SlotIndex >= 0 ? SlotIndex : int(Deques.size()) - 1;
     WorkDeque &Mine = *Deques[size_t(MineIdx)];

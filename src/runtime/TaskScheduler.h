@@ -15,6 +15,12 @@
 /// nested parallel loops (the paper's tile-over-scanline schedules) really
 /// run in parallel rather than serializing on the submitting worker.
 ///
+/// The scheduler carries no observability state from a submitter to the
+/// threads that run its chunks: a profiled executable opens a chunk scope
+/// for its stage at the top of each parallel loop body
+/// (transforms/Instrument.h), and a traced run records each chunk as a
+/// "task" span (observe/TraceRecorder.h).
+///
 /// The pool size counts the submitting thread: size N means N-1 spawned
 /// workers plus the caller. The default is the HALIDE_NUM_THREADS
 /// environment variable when set, otherwise the hardware concurrency.

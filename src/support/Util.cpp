@@ -89,17 +89,6 @@ std::vector<std::string> halide::splitString(const std::string &Str,
   return Result;
 }
 
-std::string halide::replaceAll(std::string Str, const std::string &From,
-                               const std::string &To) {
-  internal_assert(!From.empty()) << "replaceAll with empty pattern";
-  size_t Pos = 0;
-  while ((Pos = Str.find(From, Pos)) != std::string::npos) {
-    Str.replace(Pos, From.size(), To);
-    Pos += To.size();
-  }
-  return Str;
-}
-
 std::string halide::tempDirectory() {
   const char *Dir = std::getenv("TMPDIR");
   return Dir && *Dir ? Dir : "/tmp";

@@ -114,10 +114,6 @@ bool endsWith(const std::string &Str, const std::string &Suffix);
 /// Splits \p Str on character \p Sep. An empty string yields no tokens.
 std::vector<std::string> splitString(const std::string &Str, char Sep);
 
-/// Replaces every occurrence of \p From in \p Str with \p To.
-std::string replaceAll(std::string Str, const std::string &From,
-                       const std::string &To);
-
 /// The directory for scratch files: $TMPDIR, or /tmp when TMPDIR is unset
 /// or empty.
 std::string tempDirectory();

@@ -245,8 +245,6 @@ protected:
 
 } // namespace
 
-Expr halide::cseExpr(const Expr &E) { return cseOne(E); }
-
 Stmt halide::cse(const Stmt &S) {
   CSEStmt Pass;
   return Pass.mutate(S);

@@ -18,10 +18,8 @@
 
 namespace halide {
 
-/// Eliminates common subexpressions within one expression.
-Expr cseExpr(const Expr &E);
-
-/// Applies cseExpr to every statement-level expression in \p S.
+/// Eliminates common subexpressions within every statement-level
+/// expression in \p S.
 Stmt cse(const Stmt &S);
 
 } // namespace halide

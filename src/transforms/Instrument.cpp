@@ -10,6 +10,7 @@
 #include "lang/Function.h"
 #include "transforms/StorageFlattening.h"
 
+#include <utility>
 #include <vector>
 
 namespace halide {
@@ -32,29 +33,45 @@ Stmt eventStmt(TraceEventKind Kind, const std::string &Stage,
   return Evaluate::make(event(Int(32), Kind, Stage, std::move(Payload)));
 }
 
-/// Wraps \p Body in ProfEnter/ProfExit events for \p Stage.
-Stmt bracketStage(const std::string &Stage, Stmt Body) {
-  return Block::make(
-      eventStmt(TraceEventKind::ProfEnter, Stage),
-      Block::make(std::move(Body), eventStmt(TraceEventKind::ProfExit, Stage)));
+/// Wraps \p Body in an \p Open event carrying \p Payload and a \p Close
+/// event, both for \p Stage.
+Stmt bracket(TraceEventKind Open, TraceEventKind Close,
+             const std::string &Stage, Stmt Body,
+             std::vector<Expr> Payload = {}) {
+  return Block::make(eventStmt(Open, Stage, std::move(Payload)),
+                     Block::make(std::move(Body), eventStmt(Close, Stage)));
 }
 
-/// Wraps \p Body in TraceBegin(extents...)/TraceEnd events for \p Buf.
-Stmt bracketRealization(const std::string &Buf, std::vector<Expr> Extents,
-                        Stmt Body) {
-  return Block::make(
-      eventStmt(TraceEventKind::TraceBegin, Buf, std::move(Extents)),
-      Block::make(std::move(Body), eventStmt(TraceEventKind::TraceEnd, Buf)));
+/// Wraps \p Body in ProfEnter/ProfExit events for \p Stage.
+Stmt bracketStage(const std::string &Stage, Stmt Body) {
+  return bracket(TraceEventKind::ProfEnter, TraceEventKind::ProfExit, Stage,
+                 std::move(Body));
+}
+
+/// True when \p Op's body runs as task-scheduler chunks that may land on
+/// another thread: a parallel loop, or the innermost GPU block loop of a
+/// directly nested chain (CodeGenC fuses the chain into one launch, so
+/// nothing may sit between its loops).
+bool runsAsChunks(const For *Op) {
+  if (Op->Kind == ForType::Parallel)
+    return true;
+  const For *Inner = Op->Body.as<For>();
+  return Op->Kind == ForType::GPUBlock &&
+         !(Inner && Inner->Kind == ForType::GPUBlock);
 }
 
 class Instrument : public IRMutator {
 public:
-  Instrument(const std::map<std::string, Function> &Env, const Target &T)
-      : Env(Env), Profile(T.Profile), Trace(T.Trace) {}
+  Instrument(const LoweredPipeline &P, const Target &T)
+      : Env(P.Env), Profile(T.Profile), Trace(T.Trace),
+        Stage(P.Output.name()) {}
 
 private:
   const std::map<std::string, Function> &Env;
   const bool Profile, Trace;
+  /// The innermost stage bracket around the node being mutated: a produce
+  /// node, a "name.update(k)" sub-stage, or the whole-body output bracket.
+  std::string Stage;
 
   Expr visit(const Load *Op) override {
     Expr E = IRMutator::visit(Op);
@@ -76,12 +93,31 @@ private:
 
   Stmt visit(const Allocate *Op) override {
     Stmt Body = mutate(Op->Body);
+    if (Profile) {
+      std::vector<Expr> Size = {IntImm::make(Int(32), Op->ElemType.bytes())};
+      Size.insert(Size.end(), Op->Extents.begin(), Op->Extents.end());
+      Body = bracket(TraceEventKind::ProfAlloc, TraceEventKind::ProfFree,
+                     Op->Name, std::move(Body), std::move(Size));
+    }
     if (Trace)
-      Body = bracketRealization(Op->Name, Op->Extents, std::move(Body));
+      Body = bracket(TraceEventKind::TraceBegin, TraceEventKind::TraceEnd,
+                     Op->Name, std::move(Body), Op->Extents);
     if (Body.sameAs(Op->Body))
       return Op;
     return Allocate::make(Op->Name, Op->ElemType, Op->Extents,
                           std::move(Body), Op->InSharedMemory);
+  }
+
+  /// A chunk body may run on a worker thread, so it re-enters the stage
+  /// around its loop as a chunk scope.
+  Stmt visit(const For *Op) override {
+    Stmt S = IRMutator::visit(Op);
+    if (!Profile || !runsAsChunks(Op))
+      return S;
+    const For *F = S.as<For>();
+    return For::make(F->Name, F->MinExpr, F->Extent, F->Kind,
+                     bracket(TraceEventKind::ProfChunk,
+                             TraceEventKind::ProfExit, Stage, F->Body));
   }
 
   /// Peels the LetStmt preamble of a produce body and flattens the Block
@@ -108,32 +144,40 @@ private:
     // stage resumes accumulating self time).
     if (!Profile || !Op->IsProducer)
       return IRMutator::visit(Op);
-    Stmt Body = bracketUpdates(Op->Name, mutate(Op->Body));
-    return ProducerConsumer::make(Op->Name, true,
-                                  bracketStage(Op->Name, std::move(Body)));
+    return ProducerConsumer::make(
+        Op->Name, true, bracketStage(Op->Name, bracketUpdates(Op)));
   }
 
-  /// Best-effort per-update sub-stages: when the produce body's top Block
-  /// chain (under its LetStmt preamble) has exactly 1 + #updates
-  /// statements, statements 1..N are the update stages in definition
-  /// order; bracket each as "name.update(k)". Anything else (folded
-  /// storage, fused loops) keeps whole-stage attribution only.
-  Stmt bracketUpdates(const std::string &Name, Stmt Body) {
-    auto It = Env.find(Name);
-    if (It == Env.end() || It->second.updates().empty())
-      return Body;
-    size_t NumUpdates = It->second.updates().size();
+  /// Mutates \p S inside the stage bracket \p Name.
+  Stmt mutateInStage(const std::string &Name, const Stmt &S) {
+    std::string Outer = std::exchange(Stage, Name);
+    Stmt Result = mutate(S);
+    Stage = std::move(Outer);
+    return Result;
+  }
+
+  /// Mutates \p Op's produce body, with best-effort per-update
+  /// sub-stages: when the body's top Block chain (under its LetStmt
+  /// preamble) has exactly 1 + #updates statements, statements 1..N are
+  /// the update stages in definition order; bracket each as
+  /// "name.update(k)". Anything else (folded storage, fused loops) keeps
+  /// whole-stage attribution only.
+  Stmt bracketUpdates(const ProducerConsumer *Op) {
+    auto It = Env.find(Op->Name);
+    size_t NumUpdates = It == Env.end() ? 0 : It->second.updates().size();
     std::vector<Stmt> Wrappers, Chain;
-    peel(Body, Wrappers, Chain);
-    if (Chain.size() != 1 + NumUpdates)
-      return Body;
-    for (size_t K = 0; K < NumUpdates; ++K)
-      Chain[1 + K] = bracketStage(Name + ".update(" + std::to_string(K) + ")",
-                                  Chain[1 + K]);
+    peel(Op->Body, Wrappers, Chain);
+    if (NumUpdates == 0 || Chain.size() != 1 + NumUpdates)
+      return mutateInStage(Op->Name, Op->Body);
+    Chain[0] = mutateInStage(Op->Name, Chain[0]);
+    for (size_t K = 0; K < NumUpdates; ++K) {
+      std::string Update = Op->Name + ".update(" + std::to_string(K) + ")";
+      Chain[1 + K] = bracketStage(Update, mutateInStage(Update, Chain[1 + K]));
+    }
     Stmt Rebuilt = Block::make(Chain);
     for (auto W = Wrappers.rbegin(); W != Wrappers.rend(); ++W) {
       const LetStmt *L = W->as<LetStmt>();
-      Rebuilt = LetStmt::make(L->Name, L->Value, Rebuilt);
+      Rebuilt = LetStmt::make(L->Name, mutate(L->Value), Rebuilt);
     }
     return Rebuilt;
   }
@@ -145,7 +189,7 @@ LoweredPipeline instrument(const LoweredPipeline &P, const Target &T) {
   LoweredPipeline Out = P;
   if (!(T.Profile || T.Trace) || !P.Body.defined())
     return Out;
-  Instrument M(P.Env, T);
+  Instrument M(P, T);
   Out.Body = M.mutate(P.Body);
   // The whole pipeline body is the output stage's production: bracket it
   // so time outside any inner producer (the output's own loops) is
@@ -162,8 +206,8 @@ LoweredPipeline instrument(const LoweredPipeline &P, const Target &T) {
     for (int D = 0; D < P.Output.dimensions(); ++D)
       Extents.push_back(Variable::make(
           Int(32), bufferExtentName(OutputName, D), /*IsParam=*/true));
-    Out.Body = bracketRealization(OutputName, std::move(Extents),
-                                  std::move(Out.Body));
+    Out.Body = bracket(TraceEventKind::TraceBegin, TraceEventKind::TraceEnd,
+                       OutputName, std::move(Out.Body), std::move(Extents));
   }
   return Out;
 }

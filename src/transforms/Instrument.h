@@ -10,14 +10,23 @@
 /// event kind (observe/TraceStream.h's TraceEventKind). Every engine runs
 /// it through one handler that reports to observeEvent: the interpreter
 /// in evalCall, the VM through its Event op, and JIT-compiled C through
-/// the runtime vtable's Event slot.
+/// the runtime vtable's Event slot. These events are the profiler's only
+/// input.
 ///
-/// Profile brackets every stage's produce body with ProfEnter/ProfExit
-/// events. With a per-thread stage stack this reproduces real Halide's
-/// produce/update/consume attribution: entering a producer suspends the
-/// enclosing stage's self time (the consume transition). When a produce
-/// body's statement chain is recognizably "init ; update(0) ; ...", each
-/// update is also bracketed as its own "name.update(k)" sub-stage.
+/// Profile emits three kinds of brackets:
+///   - Stages. Every produce body is bracketed with ProfEnter/ProfExit.
+///     With a per-thread stage stack this reproduces real Halide's
+///     produce/update/consume attribution: entering a producer suspends
+///     the enclosing stage's self time (the consume transition). When a
+///     produce body's statement chain is recognizably
+///     "init ; update(0) ; ...", each update is also bracketed as its own
+///     "name.update(k)" sub-stage. The whole body is the output stage's.
+///   - Chunks. The body of every Parallel loop, and of the innermost
+///     GPUBlock loop of a directly nested chain, is bracketed with
+///     ProfChunk/ProfExit naming the innermost stage bracket around the
+///     loop, so a worker thread running the body charges that stage.
+///   - Allocations. Every Allocate body is bracketed with
+///     ProfAlloc(element bytes, extents...)/ProfFree.
 ///
 /// Trace wraps every buffer's memory traffic, input images included:
 ///   - every Load becomes a TraceLoad event wrapping the load,
@@ -27,7 +36,7 @@
 ///     around the whole pipeline body using its "<name>.extent.<d>"
 ///     metadata parameters.
 ///
-/// With both bits set, realization events sit outside the profile markers
+/// With both bits set, realization events sit outside the profile events
 /// they share a node with. The pass runs in makeExecutable(), on a copy of
 /// the cached LoweredPipeline — never inside lower() — so neither bit
 /// enters the lowering fingerprint, instrumented and plain targets share

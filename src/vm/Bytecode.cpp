@@ -92,6 +92,9 @@ const char *eventName(TraceEventKind Kind) {
   switch (Kind) {
   case TraceEventKind::ProfEnter: return "prof_enter";
   case TraceEventKind::ProfExit: return "prof_exit";
+  case TraceEventKind::ProfChunk: return "prof_chunk";
+  case TraceEventKind::ProfAlloc: return "prof_alloc";
+  case TraceEventKind::ProfFree: return "prof_free";
   case TraceEventKind::TraceLoad: return "trace.load";
   case TraceEventKind::TraceStore: return "trace.store";
   case TraceEventKind::TraceBegin: return "trace.begin";
@@ -173,6 +176,8 @@ std::string VmProgram::disassemble() const {
         OS << "[r" << In.A << (In.SignedWrap ? " ..]" : "]") << ", r" << In.B;
       else if (Kind == TraceEventKind::TraceBegin)
         OS << " extents=r" << In.A;
+      else if (Kind == TraceEventKind::ProfAlloc)
+        OS << " size=r" << In.A;
       break;
     }
     case VmOp::ParFor: {

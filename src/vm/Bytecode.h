@@ -120,8 +120,9 @@ enum class VmOp : uint8_t {
   /// memory op: A is its index register (the scalar base register when
   /// SignedWrap is 1, i.e. the dense form), B the value register, Lanes
   /// the lane count and Bits the value's packed trace type code.
-  /// TraceBegin reads Lanes extents from consecutive scalar registers
-  /// starting at A; the other kinds read nothing.
+  /// Every other kind reads its Lanes payload words (TraceBegin's extents,
+  /// ProfAlloc's element size and extents; none for the rest) from
+  /// consecutive scalar registers starting at A.
   Event,
 
   Halt, ///< end of program

@@ -492,8 +492,9 @@ private:
                           &C->Args[2]);
       return;
     }
-    // TraceBegin's extents move into a contiguous scalar register block
-    // so the event can read them as one range.
+    // A payload (TraceBegin's extents, ProfAlloc's size) moves into a
+    // contiguous scalar register block so the event can read it as one
+    // range.
     const int Dims = int(C->Args.size()) - 2;
     uint32_t Base = 0;
     if (Dims > 0) {

@@ -530,7 +530,7 @@ void Runner::exec(VmContext &C, size_t PC) const {
       const int Stage = StageIds[size_t(In.Aux)];
       if (Kind != TraceEventKind::TraceLoad &&
           Kind != TraceEventKind::TraceStore) {
-        // TraceBegin's extents; the other kinds carry no payload.
+        // The kind's payload: TraceBegin's extents, ProfAlloc's size.
         TraceCoords.resize(size_t(L));
         for (int I = 0; I < L; ++I)
           TraceCoords[size_t(I)] = int32_t(R[In.A + I].I);

@@ -11,9 +11,13 @@
 //    markers bracket every produce body and the outermost stage brackets
 //    the whole pipeline.
 //  * Thread-safe merging: a 4-thread run reports the same per-stage
-//    invocation counts as a serial run — workers extend the submitter's
-//    stage as chunk scopes (no invocation bump), so nothing double
-//    counts. (This test is part of the TSan CI job.)
+//    invocation counts as a serial run — each parallel loop body opens
+//    a chunk scope for its stage (no invocation bump), so nothing double
+//    counts, update sub-stages included. (This test is part of the TSan
+//    CI job.)
+//  * Allocation attribution: a stage's peak_bytes is the peak of the
+//    allocations made while it was innermost, equal on a serial run to
+//    the run's ExecutionStats peak on every engine.
 //
 // Plus the trace layer riding on the same markers: a traced realizeAsync
 // emits serve spans (queue_wait / execute) into Chrome trace JSON.
@@ -21,11 +25,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/Apps.h"
+#include "codegen/Interpreter.h"
+#include "lang/ImageParam.h"
 #include "observe/MetricsRegistry.h"
 #include "observe/Profiler.h"
 #include "observe/TraceRecorder.h"
 #include "runtime/TaskScheduler.h"
 #include "support/DiffTest.h"
+#include "transforms/Instrument.h"
+#include "transforms/Lower.h"
 
 #include <gtest/gtest.h>
 
@@ -33,20 +41,11 @@
 #include <chrono>
 #include <map>
 #include <regex>
+#include <sstream>
 
 using namespace halide;
 
 namespace {
-
-/// Scoped master switch so a failing assertion cannot leak an enabled
-/// profiler into unrelated tests.
-struct ScopedProfiler {
-  ScopedProfiler() {
-    profilerReset();
-    setProfilerEnabled(true);
-  }
-  ~ScopedProfiler() { setProfilerEnabled(false); }
-};
 
 int64_t nowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -84,8 +83,47 @@ std::map<std::string, int64_t> invocationsByStage() {
   return M;
 }
 
+std::map<std::string, int64_t> peakBytesByStage() {
+  std::map<std::string, int64_t> M;
+  for (const StageProfile &S : profilerReport().Stages)
+    M[S.Name] = S.PeakBytes;
+  return M;
+}
+
+/// The paper's Figure-3 two-stage blur, owned by the test so it can pick
+/// the schedules (stage names prefixed to stay out of other tests' way).
+struct TwoStageBlur {
+  ImageParam In{UInt(8), 2, "pt_in"};
+  Var x{"x"}, y{"y"};
+  Func Blurx{"pt_blurx"}, Out{"pt_out"};
+  std::vector<Buffer<uint8_t>> Keep;
+
+  TwoStageBlur() {
+    auto InC = [&](Expr X, Expr Y) {
+      return cast(UInt(16), In(clamp(X, 0, In.width() - 1),
+                               clamp(Y, 0, In.height() - 1)));
+    };
+    Blurx(x, y) =
+        cast(UInt(16), (InC(x - 1, y) + InC(x, y) + InC(x + 1, y)) / 3);
+    Out(x, y) = cast(UInt(8),
+                     (Blurx(x, y - 1) + Blurx(x, y) + Blurx(x, y + 1)) / 3);
+  }
+
+  ParamBindings params(int W, int H) {
+    Buffer<uint8_t> Input(W, H);
+    Input.fill([](int X, int Y) { return (X * 23 + Y * 7) % 256; });
+    Buffer<uint8_t> Output(W, H);
+    Keep.push_back(Input);
+    Keep.push_back(Output);
+    ParamBindings P;
+    P.bind(In.name(), Input);
+    P.bind(Out.name(), Output);
+    return P;
+  }
+};
+
 void expectSelfTimesSumToWall(App &A, int W, int H) {
-  ScopedProfiler Scope;
+  profilerReset();
   // Serial VM: one thread, so summed self-time is directly comparable to
   // wall time. A warm-up run first so compile/pool effects are off the
   // clock, then reset and measure.
@@ -147,7 +185,7 @@ TEST(ProfilerTest, ProfileOffIsZeroCost) {
   EXPECT_NE(ExeOn->source().find("prof_enter"), std::string::npos);
 
   // Profiled and unprofiled runs produce bit-identical output.
-  ScopedProfiler Scope;
+  profilerReset();
   const int W = 96, H = 64;
   std::shared_ptr<void> KeepOff, KeepOn;
   RawBuffer OutOff, OutOn;
@@ -185,7 +223,7 @@ TEST(ProfilerTest, ThreadedRunDoesNotDoubleCount) {
   A.ScheduleTuned();
   const int W = 128, H = 96;
 
-  ScopedProfiler Scope;
+  profilerReset();
   timedRuns(A, Target::vm().withThreads(1).withProfile(), W, H, 1);
   std::map<std::string, int64_t> Serial = invocationsByStage();
 
@@ -200,6 +238,106 @@ TEST(ProfilerTest, ThreadedRunDoesNotDoubleCount) {
   // counts, so the threaded histogram is identical to the serial one.
   EXPECT_EQ(Serial, Threaded);
   EXPECT_FALSE(Serial.empty());
+}
+
+TEST(ProfilerTest, PeakBytesChargeTheAllocatingStage) {
+  TwoStageBlur B;
+  const int W = 48, H = 40;
+  ParamBindings Params = B.params(W, H);
+  struct Sched {
+    const char *Name;
+    std::function<void(TwoStageBlur &)> Apply;
+  };
+  const Sched Schedules[] = {
+      {"sliding_window",
+       [](TwoStageBlur &S) { S.Blurx.storeRoot().computeAt(S.Out, S.y); }},
+      {"breadth_first", [](TwoStageBlur &S) { S.Blurx.computeRoot(); }},
+  };
+  for (const Sched &S : Schedules) {
+    B.Out.function().resetSchedule();
+    B.Blurx.function().resetSchedule();
+    S.Apply(B);
+    LoweredPipeline P = lower(B.Out.function());
+
+    // The blurx buffer is allocated around the output stage's loops, so
+    // the output stage owns the whole peak and blurx itself owns none.
+    profilerReset();
+    const Target Vm = Target::vm().withThreads(1).withProfile();
+    ExecutionStats Stats;
+    ASSERT_EQ(runOnBackend(Vm, P, Params, &Stats), 0);
+    ASSERT_GT(Stats.PeakAllocationBytes, 0) << S.Name;
+    std::map<std::string, int64_t> Expected = {
+        {"pt_blurx", 0}, {"pt_out", Stats.PeakAllocationBytes}};
+    EXPECT_EQ(peakBytesByStage(), Expected) << S.Name << " on the VM";
+
+    profilerReset();
+    ASSERT_EQ(runOnBackend(Target::jit().withThreads(1).withJitFlags("-O0")
+                               .withProfile(),
+                           P, Params),
+              0);
+    EXPECT_EQ(peakBytesByStage(), Expected) << S.Name << " on jit_c";
+
+    profilerReset();
+    ExecutionStats RefStats = interpret(instrument(P, Vm), Params);
+    EXPECT_EQ(RefStats.PeakAllocationBytes, Stats.PeakAllocationBytes);
+    EXPECT_EQ(peakBytesByStage(), Expected)
+        << S.Name << " on the reference interpreter";
+  }
+}
+
+TEST(ProfilerTest, ParallelUpdateStageKeepsItsInvocations) {
+  Var x("x"), y("y");
+  Func G("pu_g"), F("pu_f"), Out("pu_out");
+  G(x, y) = x * 3 + y;
+  F(x, y) = x + y * 2;
+  F(x, y) += G(x, y);
+  Out(x, y) = F(x, y) + 1;
+  F.computeRoot().updateParallel(0, y);
+
+  const int W = 32, H = 24;
+  Buffer<int32_t> Output(W, H);
+  ParamBindings Params;
+  Params.bind(Out.name(), Output);
+  Pipeline Pipe(Out);
+
+  profilerReset();
+  ASSERT_EQ(Pipe.compile(Target::vm().withThreads(1).withProfile())
+                ->run(Params),
+            0);
+  std::map<std::string, int64_t> Serial = invocationsByStage();
+  EXPECT_EQ(Serial["pu_f.update(0)"], 1);
+
+  profilerReset();
+  const int Before = taskSchedulerThreads();
+  setTaskSchedulerThreads(4);
+  ASSERT_EQ(Pipe.compile(Target::vm().withThreads(4).withProfile())
+                ->run(Params),
+            0);
+  setTaskSchedulerThreads(Before);
+  EXPECT_EQ(invocationsByStage(), Serial);
+
+  // The update's parallel loop body is one chunk scope naming the
+  // update sub-stage: its first instruction enters the scope and the one
+  // before its task_ret leaves it.
+  std::istringstream Listing(
+      Pipe.compile(Target::vm().withProfile())->source());
+  std::vector<std::string> Lines;
+  for (std::string L; std::getline(Listing, L);)
+    Lines.push_back(L);
+  auto ParFor = std::find_if(Lines.begin(), Lines.end(), [](auto &L) {
+    return L.find("\tpar_for ") != std::string::npos;
+  });
+  ASSERT_NE(ParFor, Lines.end());
+  auto TaskRet = std::find_if(ParFor, Lines.end(), [](auto &L) {
+    return L.find("\ttask_ret") != std::string::npos;
+  });
+  ASSERT_NE(TaskRet, Lines.end());
+  EXPECT_NE(ParFor[1].find("prof_chunk \"pu_f.update(0)\""),
+            std::string::npos)
+      << ParFor[1];
+  EXPECT_NE(TaskRet[-1].find("prof_exit \"pu_f.update(0)\""),
+            std::string::npos)
+      << TaskRet[-1];
 }
 
 TEST(ProfilerTest, TracedServingFrameEmitsSpans) {

@@ -136,20 +136,14 @@ bool eventLess(const TraceEvent &A, const TraceEvent &B) {
          std::tie(B.StageId, B.Kind, B.TypeCode, B.Coords, B.Bits, B.Name);
 }
 
-/// Runs \p P on \p E with the profiler on and returns the per-stage
-/// invocation counts; with \p Events, the run is also traced into it
-/// (Name records stripped).
+/// Runs \p P on \p E profiled and returns the per-stage invocation
+/// counts; with \p Events, the run is also traced into it (Name records
+/// stripped).
 std::map<std::string, int64_t>
 runProfiled(const Engine &E, const LoweredPipeline &P,
             const ParamBindings &PB,
             std::vector<TraceEvent> *Events = nullptr) {
-  struct ScopedProfiler {
-    ScopedProfiler() {
-      profilerReset();
-      setProfilerEnabled(true);
-    }
-    ~ScopedProfiler() { setProfilerEnabled(false); }
-  } Scope;
+  profilerReset();
   if (Events)
     *Events = accessStream(runTraced(E.withProfile(), P, PB, "profiled"));
   else
