@@ -11,11 +11,13 @@ using namespace halide;
 
 namespace {
 
-/// Collects the names of Halide calls in an expression, and the distinct
-/// argument vectors of every Halide and image call.
+/// Collects the Halide calls in an expression (names and held stages), and
+/// the distinct argument vectors of every Halide and image call.
 class CallCollector : public IRVisitor {
 public:
   std::set<std::string> FuncCalls;
+  /// The stages the calls hold; a stage's calls to itself hold none.
+  std::vector<Function> Callees;
   /// All distinct argument vectors per callee (for stencil counting).
   std::map<std::string, std::vector<std::vector<Expr>>> CallArgs;
 
@@ -23,6 +25,8 @@ public:
     IRVisitor::visit(Op);
     if (Op->CallKind == CallType::Halide) {
       FuncCalls.insert(Op->Name);
+      if (Op->Callee.defined())
+        Callees.push_back(Function(Op->Callee));
       recordArgs(Op);
     } else if (Op->CallKind == CallType::Image) {
       recordArgs(Op);
@@ -62,17 +66,17 @@ void collectFromFunction(const Function &F, CallCollector *Collector) {
 }
 
 void buildEnvHelper(const Function &F, std::map<std::string, Function> *Env) {
-  if (Env->count(F.name()))
+  auto [It, Inserted] = Env->emplace(F.name(), F);
+  if (!Inserted) {
+    user_assert(It->second.sameAs(F))
+        << "two different stages of one pipeline are named " << F.name()
+        << "; give each stage its own name";
     return;
-  (*Env)[F.name()] = F;
+  }
   CallCollector Collector;
   collectFromFunction(F, &Collector);
-  for (const std::string &Callee : Collector.FuncCalls) {
-    if (Callee == F.name())
-      continue;
-    Function G = Function::lookup(Callee);
-    buildEnvHelper(G, Env);
-  }
+  for (const Function &Callee : Collector.Callees)
+    buildEnvHelper(Callee, Env);
 }
 
 } // namespace

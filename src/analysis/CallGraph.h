@@ -23,7 +23,9 @@
 
 namespace halide {
 
-/// All functions reachable from \p Output (including Output), keyed by name.
+/// All functions reachable from \p Output (including Output), keyed by name,
+/// found through the stages their calls hold (Call::Callee). Two different
+/// stages with one name are a user error.
 std::map<std::string, Function> buildEnvironment(const Function &Output);
 
 /// Producers-before-consumers order over the environment; Output is last.

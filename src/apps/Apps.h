@@ -28,11 +28,9 @@ namespace halide {
 /// A packaged application pipeline.
 struct App {
   std::string Name;
+  /// The output stage. It owns every stage it reads, through its calls.
   Func Output;
   std::vector<ImageParam> Inputs;
-  /// Handles keeping every intermediate stage alive (Call nodes reference
-  /// stages by name through the process-wide registry).
-  std::vector<Function> KeepAlive;
 
   /// Apply a schedule (each resets all stage schedules first).
   std::function<void()> ScheduleBreadthFirst;

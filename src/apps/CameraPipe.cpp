@@ -110,7 +110,7 @@ App halide::makeCameraPipeApp() {
   A.ScheduleBreadthFirst = [Reset, Fns]() mutable {
     Reset();
     for (Function &F : Fns) {
-      if (F.name() == "camera_pipe" || startsWith(F.name(), "camera_pipe$"))
+      if (F.name() == "camera_pipe")
         continue;
       F.schedule().ComputeLevel = LoopLevel::root();
       F.schedule().StoreLevel = LoopLevel::root();

@@ -25,15 +25,6 @@ App halide::makeLocalLaplacianApp(int Levels, int IntensityLevels) {
 
   Var x("x"), y("y"), k("k");
 
-  // Stages created inside helper lambdas must outlive the factory: Call
-  // nodes reference stages by name through the registry, so every created
-  // Func is retained here.
-  std::vector<Function> Keep;
-  auto Retain = [&Keep](Func F) {
-    Keep.push_back(F.function());
-    return F;
-  };
-
   // Floating point, clamped input.
   Func Floating("ll_float");
   Floating(x, y) = cast(Float(32), In(clamp(x, 0, In.width() - 1),
@@ -63,7 +54,7 @@ App halide::makeLocalLaplacianApp(int Levels, int IntensityLevels) {
   }
 
   auto downsample = [&](Func F, const std::string &Name, bool HasK) {
-    Func DX = Retain(Func(Name + "_dx")), D = Retain(Func(Name));
+    Func DX(Name + "_dx"), D(Name);
     if (HasK) {
       DX(x, y, k) = (F(2 * x - 1, y, k) + 3.0f * (F(2 * x, y, k) +
                                                   F(2 * x + 1, y, k)) +
@@ -87,7 +78,7 @@ App halide::makeLocalLaplacianApp(int Levels, int IntensityLevels) {
     return D;
   };
   auto upsample = [&](Func F, const std::string &Name, bool HasK) {
-    Func UX = Retain(Func(Name + "_ux")), U = Retain(Func(Name));
+    Func UX(Name + "_ux"), U(Name);
     if (HasK) {
       UX(x, y, k) = 0.25f * F((x / 2) - 1 + 2 * (x % 2), y, k) +
                     0.75f * F(x / 2, y, k);
@@ -154,10 +145,6 @@ App halide::makeLocalLaplacianApp(int Levels, int IntensityLevels) {
   Out(x, y) = cast(UInt(16),
                    clamp(OutGPyramid[0](x, y), 0.0f, 1.0f) * 65535.0f);
   A.Output = Out;
-  // Keep every stage alive: Call nodes reference stages by name only.
-  A.KeepAlive = Keep;
-  for (const auto &[StageName, StageFn] : buildEnvironment(Out.function()))
-    A.KeepAlive.push_back(StageFn);
 
   // Schedules operate on the whole environment generically: the graph is
   // too large to schedule stage by name.

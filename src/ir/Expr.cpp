@@ -71,6 +71,18 @@ Expr Variable::make(Type T, const std::string &Name, bool IsParam) {
   return Node;
 }
 
+Expr Variable::makeReduction(const std::string &Name, Expr Min,
+                             Expr Extent) {
+  internal_assert(!Name.empty() && Min.defined() && Extent.defined())
+      << "reduction variable " << Name << " without a name or domain";
+  Variable *Node = new Variable;
+  Node->NodeType = Int(32);
+  Node->Name = Name;
+  Node->ReductionMin = std::move(Min);
+  Node->ReductionExtent = std::move(Extent);
+  return Node;
+}
+
 Expr Not::make(Expr A) {
   internal_assert(A.defined() && A.type().isBool()) << "Not of non-boolean";
   Not *Node = new Not;
@@ -136,7 +148,9 @@ Expr Broadcast::make(Expr Value, int Lanes) {
 const char *const Call::Instrument = "instrument";
 
 Expr Call::make(Type T, const std::string &Name, std::vector<Expr> Args,
-                CallType CallKind) {
+                CallType CallKind, FunctionPtr Callee) {
+  internal_assert(!Callee.defined() || CallKind == CallType::Halide)
+      << "only calls to stages hold a callee: " << Name;
   for (const Expr &Arg : Args)
     internal_assert(Arg.defined()) << "Call to " << Name << " with undef arg";
   if (CallKind == CallType::Halide || CallKind == CallType::Image) {
@@ -150,6 +164,7 @@ Expr Call::make(Type T, const std::string &Name, std::vector<Expr> Args,
   Node->Name = Name;
   Node->Args = std::move(Args);
   Node->CallKind = CallKind;
+  Node->Callee = std::move(Callee);
   return Node;
 }
 
@@ -248,8 +263,7 @@ Stmt Provide::make(const std::string &Name, Expr Value,
 }
 
 Stmt Allocate::make(const std::string &Name, Type ElemType,
-                    std::vector<Expr> Extents, Stmt Body,
-                    bool InSharedMemory) {
+                    std::vector<Expr> Extents, Stmt Body) {
   internal_assert(Body.defined()) << "Allocate of undef body";
   for (const Expr &E : Extents)
     internal_assert(E.defined() && E.type().isScalar())
@@ -259,7 +273,6 @@ Stmt Allocate::make(const std::string &Name, Type ElemType,
   Node->ElemType = ElemType;
   Node->Extents = std::move(Extents);
   Node->Body = Body;
-  Node->InSharedMemory = InSharedMemory;
   return Node;
 }
 

@@ -20,6 +20,7 @@
 #include "support/Util.h"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace halide {
@@ -223,13 +224,21 @@ struct Cast final : ExprNode<Cast> {
   static Expr make(Type T, Expr Value);
 };
 
-/// A named scalar value: loop variables, let bindings, pipeline parameters.
+/// A named scalar value: loop variables, let bindings, pipeline parameters,
+/// and the reduction variables of update definitions.
 struct Variable final : ExprNode<Variable> {
   static constexpr IRNodeKind StaticKind = IRNodeKind::Variable;
   std::string Name;
   /// True for runtime scalar parameters of the pipeline (bound at call time).
   bool IsParam = false;
+  /// The domain [ReductionMin, ReductionMin + ReductionExtent) of a
+  /// reduction variable (an RDom dimension, lang/RDom.h); undefined for
+  /// other variables. Passes neither visit nor rewrite it.
+  Expr ReductionMin, ReductionExtent;
+  bool isReduction() const { return ReductionExtent.defined(); }
   static Expr make(Type T, const std::string &Name, bool IsParam = false);
+  /// An Int(32) reduction variable over [Min, Min + Extent).
+  static Expr makeReduction(const std::string &Name, Expr Min, Expr Extent);
 };
 
 /// Binary operator helper: all arithmetic nodes have operands A and B of the
@@ -360,6 +369,32 @@ struct Broadcast final : ExprNode<Broadcast> {
   static Expr make(Expr Value, int Lanes);
 };
 
+struct FunctionContents;
+
+/// An owning reference to a pipeline stage (lang/Function.h). The IR sees
+/// only the forward declaration: the reference counting is defined in
+/// lang/Function.cpp, next to the stage it counts.
+class FunctionPtr {
+public:
+  FunctionPtr() = default;
+  explicit FunctionPtr(FunctionContents *P);
+  FunctionPtr(const FunctionPtr &Other);
+  FunctionPtr(FunctionPtr &&Other) noexcept
+      : Ptr(std::exchange(Other.Ptr, nullptr)) {}
+  FunctionPtr &operator=(FunctionPtr Other) noexcept {
+    std::swap(Ptr, Other.Ptr);
+    return *this;
+  }
+  ~FunctionPtr();
+
+  FunctionContents *get() const { return Ptr; }
+  FunctionContents *operator->() const { return Ptr; }
+  bool defined() const { return Ptr != nullptr; }
+
+private:
+  FunctionContents *Ptr = nullptr;
+};
+
 /// How a Call node resolves its callee.
 enum class CallType : uint8_t {
   Halide,     ///< A call to another Func in the pipeline (pre-flattening).
@@ -375,8 +410,12 @@ struct Call final : ExprNode<Call> {
   std::string Name;
   std::vector<Expr> Args;
   CallType CallKind;
+  /// The stage a CallType::Halide call reads, so a pipeline's output owns
+  /// every stage it depends on. Undefined for other kinds, and for a
+  /// stage's calls to itself in its updates: no stage owns itself.
+  FunctionPtr Callee;
   static Expr make(Type T, const std::string &Name, std::vector<Expr> Args,
-                   CallType CallKind);
+                   CallType CallKind, FunctionPtr Callee = FunctionPtr());
 
   /// The instrumentation intrinsic, injected by transforms/Instrument.h
   /// when Target::Profile or Target::Trace is set. Args are
@@ -491,12 +530,8 @@ struct Allocate final : StmtNode<Allocate> {
   Type ElemType;
   std::vector<Expr> Extents;
   Stmt Body;
-  /// True if this allocation lives in simulated-GPU shared (per-block)
-  /// memory rather than heap memory.
-  bool InSharedMemory = false;
   static Stmt make(const std::string &Name, Type ElemType,
-                   std::vector<Expr> Extents, Stmt Body,
-                   bool InSharedMemory = false);
+                   std::vector<Expr> Extents, Stmt Body);
 };
 
 /// Multidimensional allocation of a Func's storage over a region, before

@@ -193,7 +193,8 @@ Expr IRMutator::visit(const Call *Op) {
   }
   if (!Changed)
     return Op;
-  return Call::make(Op->NodeType, Op->Name, std::move(NewArgs), Op->CallKind);
+  return Call::make(Op->NodeType, Op->Name, std::move(NewArgs), Op->CallKind,
+                    Op->Callee);
 }
 
 Expr IRMutator::visit(const Let *Op) {
@@ -268,8 +269,7 @@ Stmt IRMutator::visit(const Allocate *Op) {
   Changed |= !Body.sameAs(Op->Body);
   if (!Changed)
     return Op;
-  return Allocate::make(Op->Name, Op->ElemType, std::move(NewExtents), Body,
-                        Op->InSharedMemory);
+  return Allocate::make(Op->Name, Op->ElemType, std::move(NewExtents), Body);
 }
 
 Stmt IRMutator::visit(const Realize *Op) {

@@ -239,10 +239,7 @@ void IRPrinter::visit(const Allocate *Op) {
     OS << " * ";
     print(E);
   }
-  OS << "]";
-  if (Op->InSharedMemory)
-    OS << " in shared";
-  OS << "\n";
+  OS << "]\n";
   print(Op->Body);
 }
 

@@ -1,13 +1,43 @@
 //===-- lang/Func.cpp ----------------------------------------------------------=//
 
 #include "lang/Func.h"
-#include "analysis/Derivatives.h"
+#include "ir/IREquality.h"
 #include "ir/IROperators.h"
+#include "ir/IRVisitor.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 using namespace halide;
+
+namespace {
+
+/// Collects the reduction variables an update definition mentions, with
+/// the domains they carry.
+class RVarCollector : public IRVisitor {
+public:
+  explicit RVarCollector(const std::string &Stage) : Stage(Stage) {}
+
+  std::map<std::string, ReductionVariable> RVars;
+
+  void visit(const Variable *Op) override {
+    if (!Op->isReduction())
+      return;
+    auto [It, Inserted] = RVars.emplace(
+        Op->Name,
+        ReductionVariable{Op->Name, Op->ReductionMin, Op->ReductionExtent});
+    user_assert(Inserted || (equal(It->second.Min, Op->ReductionMin) &&
+                             equal(It->second.Extent, Op->ReductionExtent)))
+        << "update of " << Stage << " uses two different reduction domains "
+        << "named " << Op->Name;
+  }
+
+private:
+  const std::string &Stage;
+};
+
+} // namespace
 
 FuncRef::operator Expr() const {
   user_assert(F.hasPureDefinition())
@@ -17,7 +47,7 @@ FuncRef::operator Expr() const {
   for (const Expr &Arg : Args)
     CallArgs.push_back(cast(Int(32), Arg));
   return Call::make(F.outputType(), F.name(), std::move(CallArgs),
-                    CallType::Halide);
+                    CallType::Halide, F.ptr());
 }
 
 void FuncRef::operator=(Expr Value) {
@@ -30,7 +60,7 @@ void FuncRef::operator=(Expr Value) {
       user_assert(V && !V->IsParam)
           << "pure definition of " << F.name()
           << " requires plain Var arguments";
-      user_assert(!lookupReductionVariable(V->Name))
+      user_assert(!V->isReduction())
           << "pure definition of " << F.name()
           << " may not use reduction variables";
       user_assert(Seen.insert(V->Name).second)
@@ -63,24 +93,15 @@ void FuncRef::defineUpdateFromExpr(Expr Value) {
     UpdateArgs.push_back(cast(Int(32), Arg));
   Value = cast(F.outputType(), Value);
 
-  // Infer the reduction domain: every free variable that is a registered
-  // RVar participates, in registration (declaration) order.
-  std::set<std::string> Free;
+  // Infer the reduction domain from the reduction variables mentioned,
+  // ordered by name (an RDom's dimensions share its name, so x < y).
+  RVarCollector Collector(F.name());
   for (const Expr &Arg : UpdateArgs)
-    for (const std::string &Name : freeVars(Arg))
-      Free.insert(Name);
-  for (const std::string &Name : freeVars(Value))
-    Free.insert(Name);
-
+    Arg.accept(&Collector);
+  Value.accept(&Collector);
   std::vector<ReductionVariable> RVars;
-  for (const std::string &Name : Free)
-    if (const ReductionVariable *RV = lookupReductionVariable(Name))
-      RVars.push_back(*RV);
-  // Deterministic order: by name (RDom dims share a unique base, so x < y).
-  std::sort(RVars.begin(), RVars.end(),
-            [](const ReductionVariable &A, const ReductionVariable &B) {
-              return A.Name < B.Name;
-            });
+  for (const auto &[Name, RV] : Collector.RVars)
+    RVars.push_back(RV);
   F.defineUpdate(UpdateArgs, Value, RVars);
 }
 

@@ -88,8 +88,8 @@ class Func {
 public:
   /// Creates an undefined Func with a fresh unique name.
   Func();
-  /// Creates an undefined Func with the given base name (made unique if
-  /// already taken).
+  /// Creates an undefined Func named \p Name. The name is kept as given:
+  /// each stage of one pipeline needs its own name.
   explicit Func(const std::string &Name);
   /// Wraps an existing internal Function.
   explicit Func(Function F) : F(std::move(F)) {}

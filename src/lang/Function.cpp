@@ -2,63 +2,61 @@
 
 #include "lang/Function.h"
 #include "analysis/Derivatives.h"
+#include "ir/IRMutator.h"
 #include "ir/IROperators.h"
 
 #include <algorithm>
 #include <atomic>
-#include <map>
-#include <mutex>
 #include <set>
 
 using namespace halide;
 
+// Counted with the memory orders of IntrusivePtr (support/Util.h).
+FunctionPtr::FunctionPtr(FunctionContents *P) : Ptr(P) {
+  if (Ptr)
+    Ptr->RefCount.fetch_add(1, std::memory_order_relaxed);
+}
+
+FunctionPtr::FunctionPtr(const FunctionPtr &Other) : FunctionPtr(Other.Ptr) {}
+
+FunctionPtr::~FunctionPtr() {
+  if (Ptr && Ptr->RefCount.fetch_sub(1, std::memory_order_acq_rel) == 1)
+    delete Ptr;
+}
+
 namespace {
 
-/// Live-function registry. Function names are made unique at construction,
-/// so lookups are unambiguous. Guarded by registryMutex(): Funcs are
-/// constructed and destroyed on client threads (serving requests, test
-/// workers) while lowering on another thread resolves Call names. Both are
-/// intentionally leaked: a program that touches the compile cache before
-/// its first Func constructs the cache first, so the cache is destroyed
-/// last, and the Functions its cached pipelines hold unregister here
-/// during that destruction.
-std::mutex &registryMutex() {
-  static std::mutex *M = new std::mutex; // never destroyed, by design
-  return *M;
-}
+/// Drops the callee reference from calls to one stage. A stage's update
+/// definitions may read the stage itself (recursive scans); if those
+/// calls owned it, the stage would own itself and never be freed.
+class DropSelfReferences : public IRMutator {
+public:
+  explicit DropSelfReferences(const FunctionContents *Self) : Self(Self) {}
 
-std::map<std::string, FunctionContents *> &registry() {
-  static auto *Table =
-      new std::map<std::string, FunctionContents *>; // never destroyed
-  return *Table;
-}
+protected:
+  Expr visit(const Call *Op) override {
+    Expr Mutated = IRMutator::visit(Op);
+    const Call *C = Mutated.as<Call>();
+    if (C->Callee.get() != Self)
+      return Mutated;
+    return Call::make(C->NodeType, C->Name, C->Args, C->CallKind);
+  }
 
-std::string registerUnique(const std::string &Base, FunctionContents *FC) {
-  std::lock_guard<std::mutex> Lock(registryMutex());
-  std::string Name = Base;
-  int Suffix = 1;
-  while (registry().count(Name))
-    Name = Base + "$" + std::to_string(Suffix++);
-  registry()[Name] = FC;
-  return Name;
-}
+private:
+  const FunctionContents *Self;
+};
 
 } // namespace
-
-FunctionContents::~FunctionContents() {
-  std::lock_guard<std::mutex> Lock(registryMutex());
-  registry().erase(Name);
-}
 
 Function::Function(const std::string &Name) {
   internal_assert(!Name.empty()) << "Function with empty name";
   internal_assert(Name.find('.') == std::string::npos)
       << "Function names may not contain '.': " << Name;
   FunctionContents *FC = new FunctionContents;
-  FC->Name = registerUnique(Name, FC);
+  FC->Name = Name;
   static std::atomic<int64_t> NextId{0};
   FC->Id = ++NextId;
-  C = IntrusivePtr<FunctionContents>(FC);
+  C = FunctionPtr(FC);
 }
 
 bool Function::defined() const { return C.get() != nullptr; }
@@ -143,10 +141,14 @@ void Function::defineUpdate(const std::vector<Expr> &Args, Expr Value,
   user_assert(Value.defined() && Value.type() == C->Value.type())
       << "update of " << C->Name << " must match the pure definition's type";
 
+  DropSelfReferences Drop(C.get());
   UpdateDefinition Update;
-  Update.Args = Args;
-  Update.Value = Value;
-  Update.RVars = RVars;
+  for (const Expr &Arg : Args)
+    Update.Args.push_back(Drop.mutate(Arg));
+  Update.Value = Drop.mutate(Value);
+  for (const ReductionVariable &RV : RVars)
+    Update.RVars.push_back(
+        {RV.Name, Drop.mutate(RV.Min), Drop.mutate(RV.Extent)});
 
   // Loop order for the update stage: free pure vars (outermost, in reverse
   // arg order for row-major traversal) then reduction vars in declaration
@@ -190,21 +192,4 @@ void Function::resetSchedule() {
   for (UpdateDefinition &U : C->Updates)
     for (Dim &D : U.Dims)
       D.Kind = ForType::Serial;
-}
-
-Function Function::lookup(const std::string &Name) {
-  Function F;
-  internal_assert(tryLookup(Name, &F)) << "unknown function " << Name;
-  return F;
-}
-
-bool Function::tryLookup(const std::string &Name, Function *Out) {
-  std::lock_guard<std::mutex> Lock(registryMutex());
-  auto It = registry().find(Name);
-  if (It == registry().end())
-    return false;
-  Function F;
-  F.C = IntrusivePtr<FunctionContents>(It->second);
-  *Out = F;
-  return true;
 }

@@ -37,44 +37,42 @@ struct UpdateDefinition {
   std::vector<Dim> Dims;
 };
 
-/// Reference-counted payload of a Function. Registered in a process-wide
-/// name table (see Function.cpp) so Call nodes, which store only names, can
-/// be resolved back to functions when building the pipeline environment.
+/// Reference-counted payload of a Function. Owned by every Func handle to
+/// the stage and by every Call to it (Call::Callee), so a pipeline's
+/// output keeps alive each stage it depends on.
 struct FunctionContents {
   /// Atomic: Func handles are captured by in-flight async frames and
-  /// copied across threads (see IntrusivePtr in support/Util.h).
+  /// copied across threads (see FunctionPtr in ir/Expr.h).
   mutable std::atomic<int> RefCount{0};
 
   std::string Name;
-  /// Process-unique serial number. Names are unique only among *live*
-  /// functions — once a Function dies its name can be reused by a stage
-  /// with a different definition — so identity-sensitive consumers (the
-  /// compile cache's schedule fingerprint) key on this id, never on the
-  /// name alone.
+  /// Process-unique serial number. Stages of different pipelines may share
+  /// a name, so identity-sensitive consumers (the compile cache's schedule
+  /// fingerprint) key on this id, never on the name alone.
   int64_t Id = 0;
   std::vector<std::string> Args;
   Expr Value;
   std::vector<UpdateDefinition> Updates;
   Schedule Sched;
-
-  ~FunctionContents();
 };
 
 /// A shared handle to a pipeline stage. Copies alias the same stage.
 class Function {
 public:
   Function() = default;
-  /// Creates a new, undefined function. The name is made process-unique if
-  /// it collides with an existing live function.
+  /// Creates a new, undefined function named \p Name. The name is kept as
+  /// given; only stages of one pipeline need distinct names.
   explicit Function(const std::string &Name);
+  /// The stage a Halide Call holds (Call::Callee).
+  explicit Function(FunctionPtr P) : C(std::move(P)) {}
 
   bool defined() const;
   bool hasPureDefinition() const;
   bool hasUpdateDefinition() const;
 
   const std::string &name() const;
-  /// Process-unique serial number of this stage (stable across renames,
-  /// never reused by another Function in the same process).
+  /// Process-unique serial number of this stage, never reused by another
+  /// Function in the same process.
   int64_t id() const;
   /// The pure argument names, in definition order (x innermost by default).
   const std::vector<std::string> &args() const;
@@ -97,19 +95,18 @@ public:
   /// compute/store inlined (or root if the function has updates). Used by
   /// the autotuner between candidate schedules.
   void resetSchedule();
-  /// Appends an update definition.
+  /// Appends an update definition. Calls to this stage itself in \p Args,
+  /// \p Value and the RVar bounds drop their callee reference, so the
+  /// stage does not own itself.
   void defineUpdate(const std::vector<Expr> &Args, Expr Value,
                     const std::vector<ReductionVariable> &RVars);
 
+  /// An owning reference to this stage, for the Calls that read it.
+  const FunctionPtr &ptr() const { return C; }
   bool sameAs(const Function &Other) const { return C.get() == Other.C.get(); }
 
-  /// Looks up a live function by (unique) name; asserts on failure.
-  static Function lookup(const std::string &Name);
-  /// Returns true and fills \p Out if a live function has this name.
-  static bool tryLookup(const std::string &Name, Function *Out);
-
 private:
-  IntrusivePtr<FunctionContents> C;
+  FunctionPtr C;
 };
 
 } // namespace halide

@@ -72,12 +72,11 @@ CompileCache &cache() {
   return C;
 }
 
-/// Serializes lowering itself. Lowering touches process-wide state that
-/// is individually locked but must be mutually consistent across a whole
-/// lowering (the Function registry, unique-name counters, shared IR
-/// construction), so two lowerings never interleave. Backend compiles
-/// (the cc subprocess, bytecode emission) happen outside this lock and do
-/// run concurrently.
+/// Serializes lowering itself. Lowering bumps the process-wide
+/// bounds-sharing counters (Bounds::statistics()) and reads stage
+/// definitions and schedules that several pipelines may share, so two
+/// lowerings never interleave. Backend compiles (the cc subprocess,
+/// bytecode emission) happen outside this lock and do run concurrently.
 std::mutex &loweringMutex() {
   static std::mutex M;
   return M;
@@ -129,9 +128,9 @@ std::string Pipeline::scheduleFingerprint(const Target &T) const {
   OS << Output.name();
   for (const auto &[Name, F] : Env) {
     const Schedule &S = F.schedule();
-    // Name#id: names are unique only among live functions, so the
-    // process-unique id keeps a dead stage's cache entries from aliasing
-    // a new stage that reused its name with a different definition.
+    // Name#id: stages of different pipelines may share a name, so the
+    // process-unique id keeps one stage's cache entries from aliasing
+    // another stage of that name with a different definition.
     OS << "|" << Name << "#" << F.id() << "{" << S.str();
     for (const BoundConstraint &B : S.Bounds)
       OS << " bound(" << B.Var << "," << exprToString(B.Min) << ","

@@ -4,84 +4,46 @@
 #include "ir/IROperators.h"
 #include "support/Util.h"
 
-#include <map>
-
 using namespace halide;
 
-namespace {
-
-/// Registry of all reduction variables ever created, so update definitions
-/// can recover the iteration bounds of the RVars they mention. Entries are
-/// tiny (name + two Exprs) and RDoms are few, so the registry is append-only.
-std::map<std::string, ReductionVariable> &rvarRegistry() {
-  static std::map<std::string, ReductionVariable> Table;
-  return Table;
-}
-
-/// Returns a reduction-domain base name not used before.
-std::string uniqueRDomBase(const std::string &Requested) {
-  std::string Base =
-      Requested.empty() ? uniqueName("r") : Requested;
-  while (rvarRegistry().count(Base + "$x"))
-    Base = uniqueName(Base + "_");
-  return Base;
-}
-
-void registerRVar(const ReductionVariable &RV) {
-  rvarRegistry()[RV.Name] = RV;
-}
-
-} // namespace
-
-const ReductionVariable *halide::lookupReductionVariable(
-    const std::string &Name) {
-  auto It = rvarRegistry().find(Name);
-  return It == rvarRegistry().end() ? nullptr : &It->second;
-}
-
 RVar::operator Expr() const {
-  internal_assert(!VarName.empty()) << "use of undefined RVar";
-  return Variable::make(Int(32), VarName);
+  internal_assert(!Dim.Name.empty()) << "use of undefined RVar";
+  return Variable::makeReduction(Dim.Name, Dim.Min, Dim.Extent);
 }
 
 RDom::RDom(Expr Min, Expr Extent, const std::string &Name) {
-  std::string Base = uniqueRDomBase(Name);
+  std::string Base = Name.empty() ? uniqueName("r") : Name;
   Dims.push_back({Base + "$x", cast(Int(32), Min), cast(Int(32), Extent)});
-  registerRVar(Dims.back());
   initAccessors();
 }
 
 RDom::RDom(Expr MinX, Expr ExtentX, Expr MinY, Expr ExtentY,
            const std::string &Name) {
-  std::string Base = uniqueRDomBase(Name);
+  std::string Base = Name.empty() ? uniqueName("r") : Name;
   Dims.push_back({Base + "$x", cast(Int(32), MinX), cast(Int(32), ExtentX)});
   Dims.push_back({Base + "$y", cast(Int(32), MinY), cast(Int(32), ExtentY)});
-  registerRVar(Dims[0]);
-  registerRVar(Dims[1]);
   initAccessors();
 }
 
 RDom::RDom(const std::vector<ReductionVariable> &InitDims) : Dims(InitDims) {
-  for (const ReductionVariable &RV : Dims)
-    registerRVar(RV);
   initAccessors();
 }
 
 void RDom::initAccessors() {
   if (Dims.size() > 0)
-    x = RVar(Dims[0].Name);
+    x = RVar(Dims[0]);
   if (Dims.size() > 1)
-    y = RVar(Dims[1].Name);
+    y = RVar(Dims[1]);
   if (Dims.size() > 2)
-    z = RVar(Dims[2].Name);
+    z = RVar(Dims[2]);
   if (Dims.size() > 3)
-    w = RVar(Dims[3].Name);
+    w = RVar(Dims[3]);
 }
 
 RDom::operator Expr() const {
   internal_assert(Dims.size() == 1)
       << "only 1-D RDoms convert implicitly to Expr";
-  return Variable::make(Int(32), Dims[0].Name);
+  return x;
 }
 
 RDom::operator RVar() const {

@@ -28,22 +28,25 @@ struct ReductionVariable {
   Expr Min, Extent;
 };
 
-/// A named reduction dimension; converts to a Variable expression.
+/// One dimension of an RDom. Converts to a Variable that carries the
+/// dimension's bounds (Variable::ReductionMin/ReductionExtent), which is
+/// how an update definition learns its reduction domain.
 class RVar {
 public:
   RVar() = default;
-  explicit RVar(const std::string &Name) : VarName(Name) {}
+  explicit RVar(ReductionVariable Dim) : Dim(std::move(Dim)) {}
 
-  const std::string &name() const { return VarName; }
+  const std::string &name() const { return Dim.Name; }
   operator Expr() const;
 
 private:
-  std::string VarName;
+  ReductionVariable Dim;
 };
 
 /// A multidimensional reduction domain. Dimensions are iterated in
 /// lexicographic order, later dimensions innermost: for a 2-D RDom r,
-/// r.y is the outer loop and r.x the inner one.
+/// r.y is the outer loop and r.x the inner one. An RDom named "r" names
+/// its dimensions "r$x", "r$y"; an unnamed one takes a fresh name.
 class RDom {
 public:
   RDom() = default;
@@ -71,11 +74,6 @@ private:
   void initAccessors();
   std::vector<ReductionVariable> Dims;
 };
-
-/// Looks up the registered reduction variable with the given name; returns
-/// null if the name does not belong to any RDom. Used when inferring the
-/// reduction domain of an update definition from the RVars it mentions.
-const ReductionVariable *lookupReductionVariable(const std::string &Name);
 
 } // namespace halide
 

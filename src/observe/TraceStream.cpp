@@ -121,12 +121,6 @@ uint64_t traceBitsOfDouble(double V) {
   return B;
 }
 
-double traceDoubleOfBits(uint64_t Bits) {
-  double V;
-  memcpy(&V, &Bits, sizeof(V));
-  return V;
-}
-
 bool traceStreamStart(const std::string &Path) {
   return WriterRegistry::locked([&](Writer &W, auto &Live) {
     if (W.File)

@@ -83,7 +83,6 @@ std::string traceTypeCodeStr(uint8_t Code);
 /// non-negative), floats store the bit pattern of the double value.
 inline uint64_t traceBitsOfInt(int64_t V) { return (uint64_t)V; }
 uint64_t traceBitsOfDouble(double V);
-double traceDoubleOfBits(uint64_t Bits);
 
 /// Counters for the current (or, after stop, the most recent) stream.
 /// Mirrored into the metrics registry as trace.events_emitted /

@@ -227,8 +227,7 @@ protected:
     Stmt Body = mutate(Op->Body);
     if (!Changed && Body.sameAs(Op->Body))
       return Op;
-    return Allocate::make(Op->Name, Op->ElemType, std::move(Extents), Body,
-                          Op->InSharedMemory);
+    return Allocate::make(Op->Name, Op->ElemType, std::move(Extents), Body);
   }
 
   Stmt visit(const IfThenElse *Op) override {

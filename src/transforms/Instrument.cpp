@@ -105,7 +105,7 @@ private:
     if (Body.sameAs(Op->Body))
       return Op;
     return Allocate::make(Op->Name, Op->ElemType, Op->Extents,
-                          std::move(Body), Op->InSharedMemory);
+                          std::move(Body));
   }
 
   /// A chunk body may run on a worker thread, so it re-enters the stage

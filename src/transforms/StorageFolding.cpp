@@ -112,7 +112,8 @@ protected:
       return Mutated;
     std::vector<Expr> Args = C->Args;
     Args[Dim] = Args[Dim] % makeConst(Int(32), Factor);
-    return Call::make(C->NodeType, C->Name, std::move(Args), C->CallKind);
+    return Call::make(C->NodeType, C->Name, std::move(Args), C->CallKind,
+                      C->Callee);
   }
 
   Stmt visit(const Provide *Op) override {

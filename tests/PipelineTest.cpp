@@ -3,6 +3,8 @@
 #include "lang/ImageParam.h"
 #include "lang/Pipeline.h"
 #include "analysis/CallGraph.h"
+#include "apps/Apps.h"
+#include "codegen/CodeGenC.h"
 #include "codegen/Interpreter.h"
 
 #include <gtest/gtest.h>
@@ -37,13 +39,6 @@ TEST(FuncTest, PureDefinitionBasics) {
   ASSERT_EQ(S.Dims.size(), 2u);
   EXPECT_EQ(S.Dims[0].Var, "y");
   EXPECT_EQ(S.Dims[1].Var, "x");
-}
-
-TEST(FuncTest, UniqueNames) {
-  Func A("collide"), B("collide");
-  EXPECT_NE(A.name(), B.name());
-  Function Found = Function::lookup(B.name());
-  EXPECT_TRUE(Found.sameAs(B.function()));
 }
 
 TEST(FuncTest, CallGraph) {
@@ -219,4 +214,83 @@ TEST(LoweringTest, ReorderChangesLoopNesting) {
   Buffer<int32_t> Out(4, 4);
   Pipeline(P.G).realize(Out);
   EXPECT_EQ(Out(2, 2), (2 + 20) + 2 * (3 + 20));
+}
+
+//===----------------------------------------------------------------------===//
+// Stage lifetime and names: a pipeline owns its stages through its calls,
+// and a stage's name means something only within its pipeline.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Builds producer -> out and returns only the output, so the output's
+/// call is the producer's only owner.
+Func producerConsumerPipeline() {
+  Var x("x"), y("y");
+  Func Producer("producer"), Out("out");
+  Producer(x, y) = x + y;
+  Out(x, y) = Producer(x, y) * 2;
+  Producer.computeRoot();
+  return Out;
+}
+
+void expectProducerConsumerOutput(const Func &Out, const Target &T) {
+  Buffer<int32_t> Result(5, 4);
+  Pipeline(Out).realize(Result, ParamBindings(), T);
+  for (int Y = 0; Y < 4; ++Y)
+    for (int X = 0; X < 5; ++X)
+      EXPECT_EQ(Result(X, Y), 2 * (X + Y)) << "at (" << X << ", " << Y << ")";
+}
+
+/// The lowered text and C of \p A's tuned schedule.
+std::pair<std::string, std::string> tunedProgram(App &A) {
+  A.ScheduleTuned();
+  Pipeline P(A.Output);
+  return {P.loweredText(), codegenC(P.lowerPipeline(), "hl_pipeline")};
+}
+
+} // namespace
+
+TEST(StageLifetimeTest, HelperBuiltPipelineRealizesOnBothEngines) {
+  Func Out = producerConsumerPipeline();
+  expectProducerConsumerOutput(Out, Target::vm());
+  expectProducerConsumerOutput(Out, Target::jit());
+}
+
+TEST(StageLifetimeTest, UnrelatedFuncWithAStageNameLeavesPipelineAlone) {
+  Func Out = producerConsumerPipeline();
+  Var x("x"), y("y");
+  Func Unrelated("producer");
+  Unrelated(x, y) = (x + y) * 60;
+  expectProducerConsumerOutput(Out, Target::vm());
+}
+
+TEST(StageLifetimeTest, SecondLiveInstanceOfAnAppCompilesLikeTheFirst) {
+  // Stage and RVar names do not depend on what else is alive, so an app
+  // built while another instance lives compiles to the same program.
+  std::vector<std::function<App()>> Makers = {
+      makeHistogramEqualizeApp, [] { return makeLocalLaplacianApp(3); }};
+  for (const auto &Make : Makers) {
+    App First = Make();
+    App Second = Make();
+    SCOPED_TRACE(First.Name);
+    auto [FirstText, FirstC] = tunedProgram(First);
+    auto [SecondText, SecondC] = tunedProgram(Second);
+    // Sizes, not contents: the texts run to hundreds of kilobytes.
+    EXPECT_TRUE(FirstText == SecondText)
+        << "lowered text differs (" << FirstText.size() << " vs "
+        << SecondText.size() << " bytes)";
+    EXPECT_TRUE(FirstC == SecondC) << "C differs (" << FirstC.size()
+                                   << " vs " << SecondC.size() << " bytes)";
+  }
+}
+
+TEST(StageLifetimeTest, TwoStagesWithOneNameAreAUserError) {
+  Var x("x");
+  Func A("twin"), B("twin"), Out("twin_sum");
+  A(x) = x;
+  B(x) = x + 1;
+  Out(x) = A(x) + B(x);
+  EXPECT_DEATH(Pipeline(Out).loweredText(),
+               "two different stages of one pipeline are named twin");
 }

@@ -1,9 +1,12 @@
 //===-- tests/ReductionTest.cpp - Update definitions & RDoms ------------------===//
 
+#include "apps/Apps.h"
 #include "lang/ImageParam.h"
 #include "lang/Pipeline.h"
 
 #include <gtest/gtest.h>
+
+#include <thread>
 
 using namespace halide;
 
@@ -160,4 +163,27 @@ TEST(ReductionTest, HistogramEqualizationEndToEnd) {
       R8 = R8 < 0 ? 0 : (R8 > 255 ? 255 : R8);
       ASSERT_EQ(int(Got(X, Y)), int(uint8_t(R8))) << X << "," << Y;
     }
+}
+
+TEST(ConcurrentBuildTest, RDomAppsBuildAndLowerOnTwoThreads) {
+  // histeq and bilateral_grid both define updates over RDoms. Built and
+  // lowered on two threads at once, each lowers to the program a serial
+  // build gives.
+  std::vector<std::function<App()>> Makers = {makeHistogramEqualizeApp,
+                                              makeBilateralGridApp};
+  auto tunedText = [](const std::function<App()> &Make) {
+    App A = Make();
+    A.ScheduleTuned();
+    return Pipeline(A.Output).loweredText();
+  };
+  std::string Concurrent[2];
+  std::thread Workers[2];
+  for (int I = 0; I < 2; ++I)
+    Workers[I] = std::thread(
+        [&, I] { Concurrent[I] = tunedText(Makers[size_t(I)]); });
+  for (std::thread &W : Workers)
+    W.join();
+  for (int I = 0; I < 2; ++I)
+    EXPECT_TRUE(Concurrent[I] == tunedText(Makers[size_t(I)]))
+        << "app " << I << " lowered differently on a worker thread";
 }

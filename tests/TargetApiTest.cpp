@@ -112,12 +112,10 @@ TEST(CompileCacheTest, ScheduleTouchInvalidatesFingerprint) {
 }
 
 TEST(CompileCacheTest, ReusedNameWithNewDefinitionDoesNotAlias) {
-  // Function names are unique only among *live* stages. Cached artifacts
-  // pin their stages alive (so a colliding new stage would be suffixed),
-  // but once the cache is cleared the name genuinely recycles — and the
-  // fingerprint's process-unique function id must keep any survivors
-  // (e.g. an Executable still held by a caller) from aliasing the new
-  // definition.
+  // Stages of different pipelines may share a name. The first stage's
+  // artifacts stay in the compile cache, so the fingerprint's
+  // process-unique function id is all that keeps the second definition
+  // from being served the first one's program.
   Buffer<int32_t> Out1(8), Out2(8);
   {
     Var x("x");
@@ -125,7 +123,6 @@ TEST(CompileCacheTest, ReusedNameWithNewDefinitionDoesNotAlias) {
     F(x) = x * 2;
     Pipeline(F).realize(Out1, ParamBindings(), Target::jit());
   }
-  Pipeline::clearCompileCache(); // unpins the first stage; name recycles
   {
     Var x("x");
     Func F("cr_f");

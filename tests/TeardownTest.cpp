@@ -1,12 +1,12 @@
 //===-- tests/TeardownTest.cpp - Static destruction order -------------------===//
 //
 // A program that touches the compile cache before it creates any Func
-// constructs the cache before the Function registry, so at exit the cache
-// is destroyed after the registry, and the Functions held by its cached
-// pipelines unregister during that destruction. This test is that
-// program, alone in its binary so nothing else constructs the registry
-// first; under AddressSanitizer it fails at exit unless the registry
-// outlives every static.
+// constructs the cache first, so at exit the cache is destroyed after
+// every static constructed later, and the Functions held by its cached
+// pipelines are freed during that destruction. This test is that
+// program, alone in its binary so nothing else constructs a static
+// first; under AddressSanitizer it fails at exit if freeing a stage
+// touches a static already destroyed.
 //
 //===----------------------------------------------------------------------===//
 
