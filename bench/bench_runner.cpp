@@ -39,10 +39,11 @@
 // (vector_width in the JSON; 1 = scalar), so SIMD regressions show up in
 // the baseline. --novec demotes each schedule's vectorized loops to
 // serial before compiling (splits intact — the same loop structure minus
-// the lanes), and --jit-flags overrides the C backend's host-compiler
-// flags: together they isolate the emitted SIMD's contribution, e.g.
+// the lanes), and --jit-flags are appended to the C backend's
+// host-compiler flags, so they win: together they isolate the emitted
+// SIMD's contribution, e.g.
 //   bench_runner --backend=jit --app=blur [--novec]
-//                --jit-flags "-O3 -fno-tree-vectorize"
+//                --jit-flags "-fno-tree-vectorize -fno-tree-slp-vectorize"
 //
 // Usage: bench_runner [--backend vm|jit] [--threads N]
 //                     [--json <path>] [--width W] [--height H]

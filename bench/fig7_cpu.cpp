@@ -10,6 +10,7 @@
 
 #include "apps/Apps.h"
 #include "metrics/ScheduleMetrics.h"
+#include "runtime/TaskScheduler.h"
 
 #include <cstdio>
 #include <memory>
@@ -79,7 +80,8 @@ int main() {
   }
   std::printf(
       "\nshape to check (paper, 4-core + SIMD): tuned Halide >= expert "
-      "baseline, >> naive C++ and breadth-first Halide. On this single-core "
-      "container speedups come from locality and fusion only.\n");
+      "baseline, >> naive C++ and breadth-first Halide. Halide ran on a "
+      "%d-thread task pool; the baselines are serial.\n",
+      taskSchedulerThreads());
   return 0;
 }

@@ -911,8 +911,23 @@ private:
         return "(" + SA + " / " + SB + ")";
       return vectorOpHelper(T, "div") + "(" + SA + ", " + SB + ")";
     }
-    if (T.isScalar())
+    if (T.isScalar()) {
+      // A positive power-of-two divisor 2^k is an arithmetic shift and a
+      // mask: both are floor division and floor modulo on two's-complement
+      // integers (GCC and clang shift signed values arithmetically).
+      int64_t Divisor;
+      if (asConstInt(B, &Divisor) && Divisor > 0 &&
+          (Divisor & (Divisor - 1)) == 0) {
+        std::string CT = scalarCType(T);
+        if (IsMod)
+          return "((" + CT + ")(" + SA + " & (" + CT + ")" +
+                 std::to_string(Divisor - 1) + (T.Bits == 64 ? "LL" : "") +
+                 "))";
+        return "((" + CT + ")(" + SA + " >> " +
+               std::to_string(__builtin_ctzll(uint64_t(Divisor))) + "))";
+      }
       return scalarDivHelper(T, IsMod) + "(" + SA + ", " + SB + ")";
+    }
     std::string Helper = vectorOpHelper(T, IsMod ? "mod" : "fdiv");
     return Helper + "(" + SA + ", " + SB + ")";
   }

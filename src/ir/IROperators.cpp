@@ -225,7 +225,12 @@ int64_t halide::floorDiv(int64_t A, int64_t B) {
 int64_t halide::floorMod(int64_t A, int64_t B) {
   if (B == 0)
     return 0;
-  return A - floorDiv(A, B) * B;
+  // The truncated remainder moved to the divisor's sign; unlike
+  // A - floorDiv(A, B) * B, nothing here overflows near INT64_MIN/MAX.
+  int64_t R = A % B;
+  if (R != 0 && ((R < 0) != (B < 0)))
+    R += B;
+  return R;
 }
 
 int64_t halide::wrapToType(int64_t Value, Type T) {

@@ -49,13 +49,15 @@ constexpr int ConcurrentFrames = 4;
 /// Schedules the trace-parity leg re-runs traced.
 constexpr int TraceParityChecks = 1;
 
-/// C-backend host-compiler flags: -O0 because this harness checks
-/// correctness, not speed (the vectorized schedules emit large translation
-/// units that -O3 compiles an order of magnitude slower).
-/// HALIDE_DIFF_JIT_FLAGS overrides them so CI can pin the flags per job —
-/// notably "-O2 -fno-tree-vectorize", which proves the emitted vector code
-/// carries the SIMD rather than the host compiler's auto-vectorizer: the
-/// C leg must still reproduce the VM bit-for-bit.
+/// C-backend host-compiler flags, appended after the JIT's own
+/// "-O2 -ftree-vectorize -fvect-cost-model=dynamic": -O0 because this
+/// harness checks correctness, not speed (the vectorized schedules emit
+/// large translation units that the optimizing level compiles 2-5x
+/// slower). HALIDE_DIFF_JIT_FLAGS replaces them so CI can pin the
+/// flags per job — notably "-fno-tree-vectorize -fno-tree-slp-vectorize",
+/// the JIT's level minus both host vectorizers, which proves the emitted
+/// vector code carries the SIMD rather than the host compiler's
+/// auto-vectorizer: the C leg must still reproduce the VM bit-for-bit.
 std::string diffJitFlags() {
   const char *Env = std::getenv("HALIDE_DIFF_JIT_FLAGS");
   return Env && *Env ? Env : "-O0";

@@ -39,7 +39,12 @@ inline int64_t vmFloorDiv(int64_t A, int64_t B) {
 inline int64_t vmFloorMod(int64_t A, int64_t B) {
   if (B == 0)
     return 0;
-  return A - vmFloorDiv(A, B) * B;
+  // The truncated remainder moved to the divisor's sign; unlike
+  // A - floorDiv(A, B) * B, nothing here overflows near INT64_MIN/MAX.
+  int64_t R = A % B;
+  if (R != 0 && ((R < 0) != (B < 0)))
+    R += B;
+  return R;
 }
 
 /// Float arithmetic computes in double and, for 32-bit elements, rounds

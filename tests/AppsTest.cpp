@@ -2,7 +2,8 @@
 //
 // For every paper app: the tuned (and GPU) schedules must produce output
 // identical to the breadth-first schedule — the schedule can never change
-// the meaning of the algorithm.
+// the meaning of the algorithm. And jit_c, built with the production
+// host-cc flags, must reproduce the VM for every app and schedule.
 //
 //===----------------------------------------------------------------------===//
 
@@ -186,5 +187,31 @@ TEST(AppsTest, LoweringTwiceGivesIdenticalTextAndC) {
           << Text[1].size() << " bytes)";
       EXPECT_TRUE(C[0] == C[1]) << "C differs (" << C[0].size() << " vs "
                                 << C[1].size() << " bytes)";
+    }
+}
+
+TEST(AppsTest, JitAtDefaultFlagsMatchesVm) {
+  // DifferentialScheduleTest's C leg compiles at -O0, and the cases above
+  // compare jit_c only with itself. Here C built with the host-cc flags
+  // every jit_c compile uses must reproduce the VM bit for bit.
+  std::vector<App> Apps = paperApps(/*LocalLaplacianLevels=*/4);
+  Apps.push_back(makeHistogramEqualizeApp());
+  const int W = 128, H = 96;
+  for (App &A : Apps)
+    for (bool Tuned : {true, false}) {
+      SCOPED_TRACE(A.Name + (Tuned ? " tuned" : " breadth_first"));
+      (Tuned ? A.ScheduleTuned : A.ScheduleBreadthFirst)();
+      ParamBindings Inputs = A.MakeInputs(W, H);
+      std::shared_ptr<void> KeepVm, KeepJit;
+      RawBuffer OutVm = makeOutput(A, W, H, &KeepVm);
+      RawBuffer OutJit = makeOutput(A, W, H, &KeepJit);
+      for (auto [T, Out] : {std::pair{Target::vm(), &OutVm},
+                            std::pair{Target::jit(), &OutJit}}) {
+        ParamBindings P = Inputs;
+        P.bind(A.Output.name(), *Out);
+        ASSERT_EQ(Pipeline(A.Output).compile(T)->run(P), 0);
+      }
+      int64_t Bytes = OutVm.numElements() * OutVm.ElemType.bytes();
+      EXPECT_EQ(std::memcmp(OutVm.Host, OutJit.Host, size_t(Bytes)), 0);
     }
 }

@@ -13,6 +13,9 @@
 //  - Vector floor div/mod semantics agree bit for bit across the
 //    interpreter, the VM, and compiled C, including negative numerators
 //    and denominators and division by zero inside Ramp'd expressions.
+//  - Scalar division and remainder by a positive power-of-two constant
+//    compile to a shift and a mask, with floor semantics over each
+//    integer type's full range on jit_c at the default flags and at -O0.
 //  - Vectorizing a split whose extent is not divisible by the factor is
 //    safe on internal (padded) funcs and rejected on outputs — at
 //    lowering time when the bound is static, at run time otherwise.
@@ -23,13 +26,16 @@
 #include "codegen/Interpreter.h"
 #include "codegen/Jit.h"
 #include "lang/ImageParam.h"
+#include "lang/Param.h"
 #include "lang/Pipeline.h"
+#include "transforms/Substitute.h"
 #include "vm/VmCompiler.h"
 #include "vm/VmExecutable.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 using namespace halide;
 
@@ -274,6 +280,157 @@ TEST(VectorSimdTest, VectorDivModFloorSemanticsParity) {
       ASSERT_EQ(FromInterp(X, Y), FromJit(X, Y))
           << "interp vs jit at (" << X << "," << Y << ")";
     }
+}
+
+namespace {
+
+/// Numerators spanning T's whole range, negatives included: every value
+/// of an 8- or 16-bit type; for wider types both ends, the neighbourhood
+/// of zero and of +-each divisor, and an even spread in between.
+template <typename T>
+std::vector<T> divModNumerators(const std::vector<int64_t> &Divisors) {
+  const int64_t Min = int64_t(std::numeric_limits<T>::min());
+  const int64_t Max = int64_t(std::numeric_limits<T>::max());
+  std::vector<T> Values;
+  if (sizeof(T) <= 2) {
+    for (int64_t V = Min; V <= Max; ++V)
+      Values.push_back(T(V));
+    return Values;
+  }
+  auto Add = [&](int64_t V) {
+    if (V >= Min && V <= Max)
+      Values.push_back(T(V));
+  };
+  for (int64_t D = 0; D < 3; ++D) {
+    Add(Min + D);
+    Add(Max - D);
+  }
+  for (int64_t V = -20; V <= 20; ++V)
+    Add(V);
+  for (int64_t D : Divisors)
+    for (int64_t M : {-2, -1, 1, 2})
+      for (int64_t Off : {-1, 0, 1}) {
+        int64_t V; // M * D + Off, skipped where int64_t overflows
+        if (!__builtin_mul_overflow(M, D, &V) &&
+            !__builtin_add_overflow(V, Off, &V))
+          Add(V);
+      }
+  const uint64_t Step = (uint64_t(Max) - uint64_t(Min)) / 4096;
+  for (uint64_t I = 0; I <= 4096; ++I)
+    Values.push_back(T(int64_t(uint64_t(Min) + Step * I)));
+  return Values;
+}
+
+/// Floor division (IsMod false) or floor remainder of A by a nonzero B.
+int64_t floorDivMod(int64_t A, int64_t B, bool IsMod) {
+  int64_t Q = A / B, R = A % B;
+  if (R != 0 && ((R < 0) != (B < 0))) {
+    Q -= 1;
+    R += B;
+  }
+  return IsMod ? R : Q;
+}
+
+/// Row 2i of the output is In(x) / Divisors[i] and row 2i+1 is
+/// In(x) % Divisors[i]. The divisors are Params while lowering (so no
+/// simplification folds `/ 1` or `% 1` away) and become constants of
+/// type T in the lowered statement, which is what codegen and the VM see.
+/// Checks the emitted C for helper calls (\p ExpectHelpers), then runs the
+/// program on the VM and on jit_c at the default flags and at -O0: the VM
+/// must equal floor semantics and both jit_c builds must equal the VM.
+template <typename T>
+void checkScalarDivMod(const std::string &Tag,
+                       const std::vector<int64_t> &Divisors,
+                       bool ExpectHelpers) {
+  const Type Ty = typeOf<T>();
+  SCOPED_TRACE(Tag + (ExpectHelpers ? " helper divisors" : " powers of two"));
+  const std::string Prefix =
+      "sdm_" + Tag + (ExpectHelpers ? "_helper" : "_pow2");
+  ImageParam In(Ty, 1, Prefix + "_in");
+  Var x("x"), j("j");
+  std::map<std::string, Expr> Constants;
+  Expr Value = makeZero(Ty);
+  for (size_t I = Divisors.size(); I-- > 0;) {
+    Param<T> D(Prefix + "_d" + std::to_string(I));
+    ASSERT_TRUE(Ty.canRepresent(Divisors[I]));
+    Constants[D.name()] = makeConst(Ty, Divisors[I]);
+    Value = select(Expr(j) == int(2 * I), In(x) / D,
+                   select(Expr(j) == int(2 * I + 1), In(x) % D, Value));
+  }
+  Func F(Prefix + "_out");
+  F(x, j) = Value;
+
+  LoweredPipeline LP = lower(F.function());
+  LP.Body = substitute(Constants, LP.Body);
+  LP.Scalars.clear();
+
+  std::string Source = codegenC(LP, "test_fn");
+  if (ExpectHelpers) {
+    EXPECT_NE(Source.find("hl_div_" + Tag + "("), std::string::npos);
+    EXPECT_NE(Source.find("hl_mod_" + Tag + "("), std::string::npos);
+  } else {
+    EXPECT_EQ(Source.find("hl_div_"), std::string::npos) << Source;
+    EXPECT_EQ(Source.find("hl_mod_"), std::string::npos) << Source;
+  }
+
+  const std::vector<T> Nums = divModNumerators<T>(Divisors);
+  const int N = int(Nums.size()), Rows = int(2 * Divisors.size());
+  Buffer<T> Input(N);
+  for (int X = 0; X < N; ++X)
+    Input(X) = Nums[size_t(X)];
+  auto Run = [&](const Executable &E, Buffer<T> &Out) {
+    ParamBindings P;
+    P.bind(In.name(), Input);
+    P.bind(F.name(), Out);
+    ASSERT_EQ(E.run(P), 0);
+  };
+  Buffer<T> FromVm(N, Rows), FromJit(N, Rows), FromJitO0(N, Rows);
+  Run(*vmCompile(LP, Target::vm()), FromVm);
+  Run(*jitCompile(LP), FromJit);
+  Run(*jitCompile(LP, Target::jit().withJitFlags("-O0")), FromJitO0);
+  for (int Row = 0; Row < Rows; ++Row)
+    for (int X = 0; X < N; ++X) {
+      const int64_t D = Divisors[size_t(Row / 2)], A = int64_t(Nums[size_t(X)]);
+      ASSERT_EQ(FromVm(X, Row), T(floorDivMod(A, D, Row % 2 == 1)))
+          << "vm: " << A << (Row % 2 ? " % " : " / ") << D;
+      ASSERT_EQ(FromJit(X, Row), FromVm(X, Row))
+          << "jit_c: " << A << (Row % 2 ? " % " : " / ") << D;
+      ASSERT_EQ(FromJitO0(X, Row), FromVm(X, Row))
+          << "jit_c -O0: " << A << (Row % 2 ? " % " : " / ") << D;
+    }
+}
+
+template <typename T> void checkScalarDivModForType(const std::string &Tag) {
+  const Type Ty = typeOf<T>();
+  std::vector<int64_t> PowersOfTwo;
+  for (int64_t D : {int64_t(1), int64_t(2), int64_t(8), int64_t(1) << 30})
+    if (Ty.canRepresent(D))
+      PowersOfTwo.push_back(D);
+  // The largest power of two T holds: the widest shift and mask.
+  const int64_t Largest = int64_t(1) << (Ty.Bits - (Ty.isInt() ? 2 : 1));
+  if (Largest != PowersOfTwo.back())
+    PowersOfTwo.push_back(Largest);
+  checkScalarDivMod<T>(Tag, PowersOfTwo, /*ExpectHelpers=*/false);
+  // A negative power of two and a positive non-power keep the helper.
+  std::vector<int64_t> Others = {6};
+  if (Ty.isInt())
+    Others.push_back(-8);
+  checkScalarDivMod<T>(Tag, Others, /*ExpectHelpers=*/true);
+}
+
+} // namespace
+
+TEST(VectorSimdTest, ScalarPowerOfTwoDivModIsShiftAndMask) {
+  // A positive power-of-two divisor compiles to a shift and a mask
+  // instead of the branchy floor helpers, and must keep floor semantics
+  // over every type's full range, negative numerators included.
+  checkScalarDivModForType<int8_t>("i8");
+  checkScalarDivModForType<int16_t>("i16");
+  checkScalarDivModForType<int32_t>("i32");
+  checkScalarDivModForType<int64_t>("i64");
+  checkScalarDivModForType<uint8_t>("u8");
+  checkScalarDivModForType<uint16_t>("u16");
+  checkScalarDivModForType<uint32_t>("u32");
 }
 
 TEST(VectorSimdTest, NonDivisibleVectorizedInternalUpdateStageIsSafe) {
