@@ -23,10 +23,11 @@
 
 namespace halide {
 
-/// Process-wide observability for the bounds-sharing layer (the ExprLedger
+/// Per-thread observability for the bounds-sharing layer (the ExprLedger
 /// in Interval.h): how often interval endpoints were interned, reused, or
-/// left inline. Tests assert on these counters to keep the sharing layer
-/// honest; they are diagnostics, not part of any result.
+/// left inline on the calling thread. Tests assert on these counters to
+/// keep the sharing layer honest; they are diagnostics, not part of any
+/// result.
 class Bounds {
 public:
   static BoundsStatistics statistics();

@@ -18,6 +18,8 @@ public:
   std::set<std::string> FuncCalls;
   /// The stages the calls hold; a stage's calls to itself hold none.
   std::vector<Function> Callees;
+  /// The parameters its Variables and image calls read.
+  std::vector<ParameterPtr> Params;
   /// All distinct argument vectors per callee (for stencil counting).
   std::map<std::string, std::vector<std::vector<Expr>>> CallArgs;
 
@@ -29,8 +31,15 @@ public:
         Callees.push_back(Function(Op->Callee));
       recordArgs(Op);
     } else if (Op->CallKind == CallType::Image) {
+      if (Op->Param.defined())
+        Params.push_back(Op->Param);
       recordArgs(Op);
     }
+  }
+
+  void visit(const Variable *Op) override {
+    if (Op->Param.defined())
+      Params.push_back(Op->Param);
   }
 
 private:
@@ -65,7 +74,8 @@ void collectFromFunction(const Function &F, CallCollector *Collector) {
   }
 }
 
-void buildEnvHelper(const Function &F, std::map<std::string, Function> *Env) {
+void buildEnvHelper(const Function &F, std::map<std::string, Function> *Env,
+                    std::map<std::string, ParameterPtr> *Params) {
   auto [It, Inserted] = Env->emplace(F.name(), F);
   if (!Inserted) {
     user_assert(It->second.sameAs(F))
@@ -75,16 +85,31 @@ void buildEnvHelper(const Function &F, std::map<std::string, Function> *Env) {
   }
   CallCollector Collector;
   collectFromFunction(F, &Collector);
+  // Split factors and bounds may read parameters too.
+  for (const Split &S : F.schedule().Splits)
+    S.Factor.accept(&Collector);
+  for (const BoundConstraint &B : F.schedule().Bounds) {
+    B.Min.accept(&Collector);
+    B.Extent.accept(&Collector);
+  }
+  for (const ParameterPtr &P : Collector.Params) {
+    auto [PIt, PInserted] = Params->emplace(P->Name, P);
+    user_assert(PInserted || PIt->second.get() == P.get())
+        << "two different parameters of one pipeline are named " << P->Name
+        << "; give each parameter its own name";
+  }
   for (const Function &Callee : Collector.Callees)
-    buildEnvHelper(Callee, Env);
+    buildEnvHelper(Callee, Env, Params);
 }
 
 } // namespace
 
-std::map<std::string, Function> halide::buildEnvironment(
-    const Function &Output) {
+std::map<std::string, Function>
+halide::buildEnvironment(const Function &Output,
+                         std::map<std::string, ParameterPtr> *Params) {
   std::map<std::string, Function> Env;
-  buildEnvHelper(Output, &Env);
+  std::map<std::string, ParameterPtr> Unused;
+  buildEnvHelper(Output, &Env, Params ? Params : &Unused);
   return Env;
 }
 

@@ -16,6 +16,7 @@
 #define HALIDE_ANALYSIS_CALLGRAPH_H
 
 #include "lang/Function.h"
+#include "lang/Param.h"
 
 #include <map>
 #include <string>
@@ -24,9 +25,13 @@
 namespace halide {
 
 /// All functions reachable from \p Output (including Output), keyed by name,
-/// found through the stages their calls hold (Call::Callee). Two different
-/// stages with one name are a user error.
-std::map<std::string, Function> buildEnvironment(const Function &Output);
+/// found through the stages their calls hold (Call::Callee). When \p Params
+/// is given, it receives the parameters those stages' definitions and
+/// schedules read, keyed by name. Two different stages, or two different
+/// parameters, with one name are a user error.
+std::map<std::string, Function>
+buildEnvironment(const Function &Output,
+                 std::map<std::string, ParameterPtr> *Params = nullptr);
 
 /// Producers-before-consumers order over the environment; Output is last.
 /// Asserts the call graph is acyclic.

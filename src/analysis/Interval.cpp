@@ -58,7 +58,7 @@ void Box::include(const Box &Other) {
 //===----------------------------------------------------------------------===//
 
 BoundsStatistics &halide::detail::boundsSharingCounters() {
-  static BoundsStatistics Counters;
+  thread_local BoundsStatistics Counters;
   return Counters;
 }
 

@@ -70,8 +70,8 @@ struct BoundsStatistics {
 };
 
 namespace detail {
-/// Process-wide counters behind Bounds::statistics(); reset through
-/// Bounds::resetStatistics().
+/// The calling thread's counters behind Bounds::statistics(); reset
+/// through Bounds::resetStatistics().
 BoundsStatistics &boundsSharingCounters();
 } // namespace detail
 

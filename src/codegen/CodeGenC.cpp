@@ -29,6 +29,11 @@ std::string scalarCType(Type T) {
          std::to_string(T.Bits) + "_t";
 }
 
+/// The <stdint.h> macro naming a signed integer type's minimum.
+std::string intMinMacro(Type T) {
+  return "INT" + std::to_string(T.Bits) + "_MIN";
+}
+
 /// Short mangled tag of a scalar type ("i32", "u8", "f32", "b").
 std::string typeTag(Type T) {
   if (T.isBool())
@@ -282,7 +287,10 @@ private:
     Def << "static inline " << CT << " " << Name << "(" << CT << " a, "
         << CT << " b) {\n  if (b == 0) return 0;\n";
     if (T.isInt()) {
-      Def << "  " << CT << " q = a / b;\n  " << CT << " r = a - q * b;\n"
+      // The minimum over -1 divides by 1 instead: the minimum is its
+      // wrapped quotient and 0 its remainder, where a / b would trap.
+      Def << "  if (b == -1 && a == " << intMinMacro(T) << ") b = 1;\n"
+          << "  " << CT << " q = a / b;\n  " << CT << " r = a - q * b;\n"
           << "  if (r != 0 && ((r < 0) != (b < 0))) { q -= 1; r += b; }\n"
           << "  return " << (IsMod ? "r" : "q") << ";\n}";
     } else {
@@ -388,12 +396,15 @@ private:
     case VecShape::FloorMod: {
       bool IsMod = Rule->Shape == VecShape::FloorMod;
       // Branch-free: substitute 1 for zero divisors, divide, then zero the
-      // affected lanes; signed types additionally floor-adjust lanes whose
-      // remainder sign differs from the divisor's.
-      Def << "  " << VT << " bz = (" << VT << ")(b == 0);\n"
-          << "  " << VT << " bs = b | (bz & 1);\n";
+      // affected lanes; signed types additionally substitute 1 for -1
+      // under the minimum (as in the scalar helper) and floor-adjust lanes
+      // whose remainder sign differs from the divisor's.
+      Def << "  " << VT << " bz = (" << VT << ")(b == 0);\n";
       if (T.element().isInt()) {
-        Def << "  " << VT << " q = a / bs;\n"
+        Def << "  " << VT << " bm = (" << VT << ")((a == "
+            << intMinMacro(T.element()) << ") & (b == -1));\n"
+            << "  " << VT << " bs = (b & ~bm) | ((bz | bm) & 1);\n"
+            << "  " << VT << " q = a / bs;\n"
             << "  " << VT << " r = a - q * bs;\n"
             << "  " << VT << " adj = (" << VT
             << ")((r != 0) & ((r ^ bs) < 0));\n";
@@ -402,7 +413,8 @@ private:
         else
           Def << "  q += adj;\n  return q & ~bz;\n}";
       } else {
-        Def << "  return (a " << (IsMod ? "%" : "/") << " bs) & ~bz;\n}";
+        Def << "  " << VT << " bs = b | (bz & 1);\n"
+            << "  return (a " << (IsMod ? "%" : "/") << " bs) & ~bz;\n}";
       }
       break;
     }

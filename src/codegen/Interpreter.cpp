@@ -331,12 +331,12 @@ private:
   Value evalVariable(const Variable *Op) {
     if (Vars.contains(Op->Name))
       return Vars.get(Op->Name);
-    double Scalar;
-    if (Params.lookupScalar(Op->Name, &Scalar)) {
-      if (Op->NodeType.isFloat())
-        return Value::floatVal(Op->NodeType, Scalar);
-      return Value::intVal(Op->NodeType, int64_t(Scalar));
-    }
+    double FloatScalar = 0;
+    if (Op->NodeType.isFloat() && Params.lookupFloat(Op->Name, &FloatScalar))
+      return Value::floatVal(Op->NodeType, FloatScalar);
+    int64_t IntScalar = 0;
+    if (!Op->NodeType.isFloat() && Params.lookupInt(Op->Name, &IntScalar))
+      return Value::intVal(Op->NodeType, IntScalar);
     internal_error << "interpreter: unbound variable " << Op->Name;
     return Value();
   }

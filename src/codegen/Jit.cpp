@@ -37,13 +37,10 @@ int CompiledPipeline::run(const ParamBindings &Params,
     }
   }
   for (const ScalarArg &Arg : P.Scalars) {
-    double Value;
-    user_assert(Params.lookupScalar(Arg.Name, &Value))
-        << "scalar parameter " << Arg.Name << " is unbound";
-    if (Arg.ArgType.isFloat())
-      FloatArgs.push_back(Value);
-    else
-      IntArgs.push_back(int64_t(Value));
+    bool Bound = Arg.ArgType.isFloat()
+                     ? Params.lookupFloat(Arg.Name, &FloatArgs.emplace_back())
+                     : Params.lookupInt(Arg.Name, &IntArgs.emplace_back());
+    user_assert(Bound) << "scalar parameter " << Arg.Name << " is unbound";
   }
   // Never pass null array pointers.
   IntArgs.push_back(0);

@@ -62,12 +62,14 @@ Expr Cast::make(Type T, Expr Value) {
   return Node;
 }
 
-Expr Variable::make(Type T, const std::string &Name, bool IsParam) {
+Expr Variable::make(Type T, const std::string &Name, bool IsParam,
+                    ParameterPtr Param) {
   internal_assert(!Name.empty()) << "Variable with empty name";
   Variable *Node = new Variable;
   Node->NodeType = T;
   Node->Name = Name;
   Node->IsParam = IsParam;
+  Node->Param = std::move(Param);
   return Node;
 }
 
@@ -148,9 +150,11 @@ Expr Broadcast::make(Expr Value, int Lanes) {
 const char *const Call::Instrument = "instrument";
 
 Expr Call::make(Type T, const std::string &Name, std::vector<Expr> Args,
-                CallType CallKind, FunctionPtr Callee) {
+                CallType CallKind, FunctionPtr Callee, ParameterPtr Param) {
   internal_assert(!Callee.defined() || CallKind == CallType::Halide)
       << "only calls to stages hold a callee: " << Name;
+  internal_assert(!Param.defined() || CallKind == CallType::Image)
+      << "only image calls hold a parameter: " << Name;
   for (const Expr &Arg : Args)
     internal_assert(Arg.defined()) << "Call to " << Name << " with undef arg";
   if (CallKind == CallType::Halide || CallKind == CallType::Image) {
@@ -165,6 +169,7 @@ Expr Call::make(Type T, const std::string &Name, std::vector<Expr> Args,
   Node->Args = std::move(Args);
   Node->CallKind = CallKind;
   Node->Callee = std::move(Callee);
+  Node->Param = std::move(Param);
   return Node;
 }
 

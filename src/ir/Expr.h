@@ -185,6 +185,49 @@ struct Range {
 
 using Region = std::vector<Range>;
 
+struct FunctionContents;
+struct ParameterContents;
+
+void retainContents(FunctionContents *P);
+void releaseContents(FunctionContents *P);
+void retainContents(ParameterContents *P);
+void releaseContents(ParameterContents *P);
+
+/// An owning reference to contents the IR sees only as a forward
+/// declaration: a pipeline stage (FunctionPtr, lang/Function.h) or a
+/// pipeline parameter (ParameterPtr, lang/Param.h). The reference counting
+/// is defined next to what it counts, in lang/Function.cpp and
+/// lang/Param.cpp.
+template <typename ContentsT> class ContentsPtr {
+public:
+  ContentsPtr() = default;
+  explicit ContentsPtr(ContentsT *P) : Ptr(P) {
+    if (Ptr)
+      retainContents(Ptr);
+  }
+  ContentsPtr(const ContentsPtr &Other) : ContentsPtr(Other.Ptr) {}
+  ContentsPtr(ContentsPtr &&Other) noexcept
+      : Ptr(std::exchange(Other.Ptr, nullptr)) {}
+  ContentsPtr &operator=(ContentsPtr Other) noexcept {
+    std::swap(Ptr, Other.Ptr);
+    return *this;
+  }
+  ~ContentsPtr() {
+    if (Ptr)
+      releaseContents(Ptr);
+  }
+
+  ContentsT *get() const { return Ptr; }
+  ContentsT *operator->() const { return Ptr; }
+  bool defined() const { return Ptr != nullptr; }
+
+private:
+  ContentsT *Ptr = nullptr;
+};
+
+using FunctionPtr = ContentsPtr<FunctionContents>;
+using ParameterPtr = ContentsPtr<ParameterContents>;
+
 //===----------------------------------------------------------------------===//
 // Expression nodes
 //===----------------------------------------------------------------------===//
@@ -231,12 +274,16 @@ struct Variable final : ExprNode<Variable> {
   std::string Name;
   /// True for runtime scalar parameters of the pipeline (bound at call time).
   bool IsParam = false;
+  /// The Param<T> a scalar parameter reads (lang/Param.h); undefined for
+  /// other variables, buffer metadata included.
+  ParameterPtr Param;
   /// The domain [ReductionMin, ReductionMin + ReductionExtent) of a
   /// reduction variable (an RDom dimension, lang/RDom.h); undefined for
   /// other variables. Passes neither visit nor rewrite it.
   Expr ReductionMin, ReductionExtent;
   bool isReduction() const { return ReductionExtent.defined(); }
-  static Expr make(Type T, const std::string &Name, bool IsParam = false);
+  static Expr make(Type T, const std::string &Name, bool IsParam = false,
+                   ParameterPtr Param = ParameterPtr());
   /// An Int(32) reduction variable over [Min, Min + Extent).
   static Expr makeReduction(const std::string &Name, Expr Min, Expr Extent);
 };
@@ -369,32 +416,6 @@ struct Broadcast final : ExprNode<Broadcast> {
   static Expr make(Expr Value, int Lanes);
 };
 
-struct FunctionContents;
-
-/// An owning reference to a pipeline stage (lang/Function.h). The IR sees
-/// only the forward declaration: the reference counting is defined in
-/// lang/Function.cpp, next to the stage it counts.
-class FunctionPtr {
-public:
-  FunctionPtr() = default;
-  explicit FunctionPtr(FunctionContents *P);
-  FunctionPtr(const FunctionPtr &Other);
-  FunctionPtr(FunctionPtr &&Other) noexcept
-      : Ptr(std::exchange(Other.Ptr, nullptr)) {}
-  FunctionPtr &operator=(FunctionPtr Other) noexcept {
-    std::swap(Ptr, Other.Ptr);
-    return *this;
-  }
-  ~FunctionPtr();
-
-  FunctionContents *get() const { return Ptr; }
-  FunctionContents *operator->() const { return Ptr; }
-  bool defined() const { return Ptr != nullptr; }
-
-private:
-  FunctionContents *Ptr = nullptr;
-};
-
 /// How a Call node resolves its callee.
 enum class CallType : uint8_t {
   Halide,     ///< A call to another Func in the pipeline (pre-flattening).
@@ -414,8 +435,12 @@ struct Call final : ExprNode<Call> {
   /// every stage it depends on. Undefined for other kinds, and for a
   /// stage's calls to itself in its updates: no stage owns itself.
   FunctionPtr Callee;
+  /// The ImageParam a CallType::Image call reads (lang/ImageParam.h), so a
+  /// pipeline owns its inputs. Undefined for other kinds.
+  ParameterPtr Param;
   static Expr make(Type T, const std::string &Name, std::vector<Expr> Args,
-                   CallType CallKind, FunctionPtr Callee = FunctionPtr());
+                   CallType CallKind, FunctionPtr Callee = FunctionPtr(),
+                   ParameterPtr Param = ParameterPtr());
 
   /// The instrumentation intrinsic, injected by transforms/Instrument.h
   /// when Target::Profile or Target::Trace is set. Args are

@@ -194,7 +194,7 @@ Expr IRMutator::visit(const Call *Op) {
   if (!Changed)
     return Op;
   return Call::make(Op->NodeType, Op->Name, std::move(NewArgs), Op->CallKind,
-                    Op->Callee);
+                    Op->Callee, Op->Param);
 }
 
 Expr IRMutator::visit(const Let *Op) {

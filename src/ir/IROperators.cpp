@@ -216,6 +216,9 @@ void halide::matchTypes(Expr &A, Expr &B) {
 int64_t halide::floorDiv(int64_t A, int64_t B) {
   if (B == 0)
     return 0;
+  // INT64_MIN / -1 wraps to INT64_MIN, which is INT64_MIN / 1.
+  if (B == -1 && A == INT64_MIN)
+    B = 1;
   int64_t Q = A / B;
   if ((A % B != 0) && ((A < 0) != (B < 0)))
     --Q;
@@ -223,7 +226,7 @@ int64_t halide::floorDiv(int64_t A, int64_t B) {
 }
 
 int64_t halide::floorMod(int64_t A, int64_t B) {
-  if (B == 0)
+  if (B == 0 || B == -1)
     return 0;
   // The truncated remainder moved to the divisor's sign; unlike
   // A - floorDiv(A, B) * B, nothing here overflows near INT64_MIN/MAX.
@@ -265,7 +268,7 @@ Expr foldBinary(ArithOp Op, const Expr &A, const Expr &B) {
       R = wrapToType(IA * IB, T);
       break;
     case ArithOp::Div:
-      R = floorDiv(IA, IB);
+      R = wrapToType(floorDiv(IA, IB), T);
       break;
     case ArithOp::Mod:
       R = floorMod(IA, IB);

@@ -134,9 +134,11 @@ Expr lerp(Expr Zero, Expr One, Expr Weight);
 // Integer semantics shared by constant folding, the interpreter, and the C
 // backend's emitted helpers.
 
-/// Division rounding toward negative infinity; x/0 is defined as 0.
+/// Division rounding toward negative infinity; x/0 is defined as 0, and a
+/// type's minimum divided by -1 wraps to that minimum (callers wrap the
+/// int64 result to narrower types).
 int64_t floorDiv(int64_t A, int64_t B);
-/// Remainder matching floorDiv (sign of the divisor); x%0 is 0.
+/// Remainder matching floorDiv (sign of the divisor); x%0 and x%-1 are 0.
 int64_t floorMod(int64_t A, int64_t B);
 /// Wraps a value to the representable range of an integer type
 /// (two's complement truncation).

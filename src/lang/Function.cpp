@@ -12,16 +12,13 @@
 using namespace halide;
 
 // Counted with the memory orders of IntrusivePtr (support/Util.h).
-FunctionPtr::FunctionPtr(FunctionContents *P) : Ptr(P) {
-  if (Ptr)
-    Ptr->RefCount.fetch_add(1, std::memory_order_relaxed);
+void halide::retainContents(FunctionContents *P) {
+  P->RefCount.fetch_add(1, std::memory_order_relaxed);
 }
 
-FunctionPtr::FunctionPtr(const FunctionPtr &Other) : FunctionPtr(Other.Ptr) {}
-
-FunctionPtr::~FunctionPtr() {
-  if (Ptr && Ptr->RefCount.fetch_sub(1, std::memory_order_acq_rel) == 1)
-    delete Ptr;
+void halide::releaseContents(FunctionContents *P) {
+  if (P->RefCount.fetch_sub(1, std::memory_order_acq_rel) == 1)
+    delete P;
 }
 
 namespace {

@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runtime-bound pipeline inputs: ImageParam (the paper's UniformImage) for
-/// input images, and Param<T> for scalar parameters. Both are bound to
-/// concrete buffers/values when the pipeline is executed.
+/// Runtime-bound input images: ImageParam (the paper's UniformImage). Like
+/// a Param<T> (lang/Param.h), an ImageParam is a handle to one parameter,
+/// which every load from it owns; set() binds the buffer the pipeline's
+/// realizations read until the next set() or reset().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,10 +30,10 @@ public:
   ImageParam() = default;
   ImageParam(Type ElemType, int Dimensions, const std::string &Name = "");
 
-  const std::string &name() const { return ParamName; }
-  Type type() const { return ElemType; }
-  int dimensions() const { return Dims; }
-  bool defined() const { return !ParamName.empty(); }
+  const std::string &name() const { return P->Name; }
+  Type type() const { return P->DeclaredType; }
+  int dimensions() const { return P->Dimensions; }
+  bool defined() const { return P.defined(); }
 
   /// Loads a pixel. Coordinates are cast to Int(32).
   Expr operator()(Expr X) const;
@@ -48,16 +49,15 @@ public:
   Expr channels() const { return extent(2); }
 
   /// Binds the input image subsequent realizations read. The buffer must
-  /// match the declared element type and dimensionality (user_error).
+  /// match the declared element type and dimensionality (user_error). The
+  /// parameter keeps the buffer's storage alive while it is bound.
   void set(const RawBuffer &B);
   template <typename T> void set(const Buffer<T> &B) { set(B.raw()); }
   /// Clears any bound image; realize() then requires an explicit binding.
   void reset();
 
 private:
-  std::string ParamName;
-  Type ElemType;
-  int Dims = 0;
+  ParameterPtr P;
 };
 
 } // namespace halide

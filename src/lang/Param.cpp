@@ -2,87 +2,59 @@
 
 #include "lang/Param.h"
 
-#include <map>
 #include <mutex>
 
 using namespace halide;
 
 namespace {
 
-/// The process-wide parameter registry. Entries persist for the process
-/// lifetime (parameters are few and small); declarations are overwritten
-/// when a name is reused, so stale values from a discarded Param cannot
-/// leak into a new pipeline that reuses the name.
-///
-/// Guarded by registryMutex(): Param::set() on one thread races an
-/// in-flight realize() resolving bindings on another, so every access
-/// copies under the lock. Realize-time resolution goes further and takes
-/// one snapshot of the whole registry (snapshotParams), so a single frame
-/// never observes a half-applied group of set() calls.
-std::mutex &registryMutex() {
+/// Guards every parameter's Value. One lock for all of them: a frame
+/// copies its pipeline's values under one acquisition, so it never sees
+/// half of a group of set() calls made on another thread.
+std::mutex &valueMutex() {
   static std::mutex M;
   return M;
 }
 
-std::map<std::string, ParamValue> &paramRegistry() {
-  static std::map<std::string, ParamValue> Registry;
-  return Registry;
-}
-
 } // namespace
 
-void halide::declareParam(const std::string &Name, Type DeclaredType,
-                          bool IsImage, int Dimensions) {
-  ParamValue PV;
-  PV.DeclaredType = DeclaredType;
-  PV.IsImage = IsImage;
-  PV.Dimensions = Dimensions;
-  std::lock_guard<std::mutex> Lock(registryMutex());
-  paramRegistry()[Name] = PV;
+// Counted with the memory orders of IntrusivePtr (support/Util.h).
+void halide::retainContents(ParameterContents *P) {
+  P->RefCount.fetch_add(1, std::memory_order_relaxed);
 }
 
-void halide::setParamValue(const std::string &Name, Type DeclaredType,
-                           int64_t IntValue, double FloatValue) {
-  std::lock_guard<std::mutex> Lock(registryMutex());
-  auto It = paramRegistry().find(Name);
-  internal_assert(It != paramRegistry().end())
-      << "set of undeclared param " << Name;
-  internal_assert(It->second.DeclaredType == DeclaredType &&
-                  !It->second.IsImage)
-      << "set of param " << Name << " with mismatched declaration";
-  It->second.HasValue = true;
-  It->second.IntValue = IntValue;
-  It->second.FloatValue = FloatValue;
+void halide::releaseContents(ParameterContents *P) {
+  if (P->RefCount.fetch_sub(1, std::memory_order_acq_rel) == 1)
+    delete P;
 }
 
-void halide::setParamImage(const std::string &Name, const RawBuffer &Image) {
-  std::lock_guard<std::mutex> Lock(registryMutex());
-  auto It = paramRegistry().find(Name);
-  internal_assert(It != paramRegistry().end() && It->second.IsImage)
-      << "set of undeclared image param " << Name;
-  It->second.HasValue = true;
-  It->second.Image = Image;
+void ParameterContents::set(ParamValue V) {
+  std::lock_guard<std::mutex> Lock(valueMutex());
+  std::swap(Value, V);
 }
 
-void halide::clearParamValue(const std::string &Name) {
-  std::lock_guard<std::mutex> Lock(registryMutex());
-  auto It = paramRegistry().find(Name);
-  if (It == paramRegistry().end())
-    return;
-  It->second.HasValue = false;
-  It->second.Image = RawBuffer();
+ParamValue ParameterContents::get() const {
+  std::lock_guard<std::mutex> Lock(valueMutex());
+  return Value;
 }
 
-bool halide::getParamValue(const std::string &Name, ParamValue *Out) {
-  std::lock_guard<std::mutex> Lock(registryMutex());
-  auto It = paramRegistry().find(Name);
-  if (It == paramRegistry().end())
-    return false;
-  *Out = It->second;
-  return true;
-}
-
-std::map<std::string, ParamValue> halide::snapshotParams() {
-  std::lock_guard<std::mutex> Lock(registryMutex());
-  return paramRegistry();
+void halide::bindParameterValues(
+    const std::map<std::string, ParameterPtr> &Params,
+    ParamBindings *Bindings) {
+  std::lock_guard<std::mutex> Lock(valueMutex());
+  for (const auto &[Name, P] : Params) {
+    const ParamValue &V = P->Value;
+    int64_t IntValue = 0;
+    double FloatValue = 0;
+    if (!V.HasValue || Bindings->hasBuffer(Name) ||
+        Bindings->lookupInt(Name, &IntValue) ||
+        Bindings->lookupFloat(Name, &FloatValue))
+      continue; // unbound, or bound explicitly
+    if (P->Dimensions > 0)
+      Bindings->bind(Name, V.Image);
+    else if (P->DeclaredType.isFloat())
+      Bindings->bindFloat(Name, V.FloatValue);
+    else
+      Bindings->bindInt(Name, V.IntValue);
+  }
 }

@@ -5,14 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Typed scalar runtime parameters (the paper's uniforms) with bound
-/// values: a Param<T> both appears symbolically in pipeline definitions
-/// and carries the concrete value the next realize() will use, so call
-/// sites no longer hand-build name->value ParamBindings (those remain the
-/// internal ABI between Pipeline and the back ends). Values live in a
-/// process-wide registry keyed by the parameter's unique name, mirroring
-/// how Function resolves Call names; Pipeline::realize consults it for
-/// every argument the caller did not bind explicitly.
+/// Typed scalar runtime parameters (the paper's uniforms). A Param<T>, like
+/// an ImageParam (lang/ImageParam.h), is a handle to one
+/// ParameterContents: its name, type and dimensions, and the value its
+/// last set() bound. The Variables and image Calls that read a parameter
+/// own it (ParameterPtr, ir/Expr.h), so a pipeline finds its parameters in
+/// its own definitions and no table keeps them by name. Pipeline::realize
+/// binds every argument the caller did not bind explicitly from those
+/// parameters' values; name->value ParamBindings remain the internal ABI
+/// between Pipeline and the back ends.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,91 +21,84 @@
 #define HALIDE_LANG_PARAM_H
 
 #include "ir/IROperators.h"
-#include "runtime/Buffer.h"
+#include "runtime/Runtime.h"
 
+#include <atomic>
 #include <map>
 #include <string>
+#include <type_traits>
 
 namespace halide {
 
-/// One registered runtime parameter: its declaration (from constructing a
-/// Param<T> or ImageParam) and, once set, its current value.
+/// The value bound to a parameter: a scalar in its declared type's
+/// representation, or an image.
 struct ParamValue {
-  Type DeclaredType;
-  bool IsImage = false;
-  int Dimensions = 0; ///< image params only
   bool HasValue = false;
-  int64_t IntValue = 0;    ///< scalar, integer types
-  double FloatValue = 0;   ///< scalar, float types
-  RawBuffer Image;         ///< image params (shares the caller's storage)
+  int64_t IntValue = 0;  ///< integer scalars (unsigned ones as their bits)
+  double FloatValue = 0; ///< float scalars
+  RawBuffer Image;       ///< images (shares the caller's storage)
 };
 
-/// Declares (or re-declares) a parameter in the process-wide registry.
-/// Re-declaring an existing name resets any bound value.
-void declareParam(const std::string &Name, Type DeclaredType, bool IsImage,
-                  int Dimensions);
+/// One pipeline parameter, owned by its Param<T> or ImageParam handles and
+/// by every Variable and Call that reads it.
+struct ParameterContents {
+  /// Atomic: parameters are captured by in-flight async frames and
+  /// copied across threads (see ContentsPtr in ir/Expr.h).
+  mutable std::atomic<int> RefCount{0};
 
-/// Binds a scalar value. \p DeclaredType must match the declaration.
-void setParamValue(const std::string &Name, Type DeclaredType,
-                   int64_t IntValue, double FloatValue);
+  std::string Name;
+  Type DeclaredType; ///< a scalar's type, or an image's element type
+  int Dimensions;    ///< an image's rank; 0 for a scalar
+  /// Read and written only under one process-wide lock (Param.cpp), so
+  /// the values bindParameterValues copies come from a single instant.
+  ParamValue Value;
 
-/// Binds an image. Type/dimension checks happen at the ImageParam wrapper.
-void setParamImage(const std::string &Name, const RawBuffer &Image);
+  ParameterContents(std::string Name, Type DeclaredType, int Dimensions)
+      : Name(std::move(Name)), DeclaredType(DeclaredType),
+        Dimensions(Dimensions) {}
+  void set(ParamValue V);
+  ParamValue get() const;
+};
 
-/// Clears a bound value but keeps the declaration.
-void clearParamValue(const std::string &Name);
-
-/// Copies a declared parameter's current state into \p Out under the
-/// registry lock; false if the name was never declared. All registry
-/// accessors are thread-safe — set() during an in-flight realize() is
-/// well-defined (the frame sees either the old or the new value, decided
-/// by its per-realize snapshot, never a torn mix).
-bool getParamValue(const std::string &Name, ParamValue *Out);
-
-/// One consistent copy of the whole registry, taken under the lock.
-/// Pipeline::realize resolves every unbound argument from a single
-/// snapshot so a frame observes one coherent generation of bindings even
-/// while other threads keep calling set().
-std::map<std::string, ParamValue> snapshotParams();
+/// Adds the bound values of \p Params to \p Bindings, skipping names the
+/// caller bound explicitly and parameters with no value. The values are
+/// read under one acquisition of the parameter lock, so a frame sees them
+/// as of a single instant even while other threads call set().
+void bindParameterValues(const std::map<std::string, ParameterPtr> &Params,
+                         ParamBindings *Bindings);
 
 /// A scalar runtime parameter (the paper's uniforms). Symbolic in
 /// definitions; set() binds the value used by subsequent realizations.
+/// Copies alias one parameter.
 template <typename T> class Param {
 public:
-  Param() : ParamName(uniqueName("p")) { declare(); }
-  explicit Param(const std::string &Name) : ParamName(Name) { declare(); }
+  Param() : Param(uniqueName("p")) {}
+  explicit Param(const std::string &Name)
+      : P(new ParameterContents(Name, typeOf<T>(), 0)) {}
   /// Declares and immediately binds \p Initial.
-  Param(const std::string &Name, T Initial) : ParamName(Name) {
-    declare();
-    set(Initial);
-  }
+  Param(const std::string &Name, T Initial) : Param(Name) { set(Initial); }
 
-  const std::string &name() const { return ParamName; }
-  Type type() const { return typeOf<T>(); }
+  const std::string &name() const { return P->Name; }
+  Type type() const { return P->DeclaredType; }
 
   /// Binds the value subsequent realizations observe.
   void set(T Value) {
-    setParamValue(ParamName, type(), int64_t(Value), double(Value));
+    P->set(std::is_floating_point_v<T>
+               ? ParamValue{true, 0, double(Value), {}}
+               : ParamValue{true, int64_t(Value), 0, {}});
   }
   /// Returns the bound value; aborts (user_error) if unbound.
-  T get() const;
-
-  operator Expr() const {
-    return Variable::make(typeOf<T>(), ParamName, /*IsParam=*/true);
+  T get() const {
+    ParamValue V = P->get();
+    user_assert(V.HasValue) << "Param " << name() << " read before set()";
+    return std::is_floating_point_v<T> ? T(V.FloatValue) : T(V.IntValue);
   }
 
+  operator Expr() const { return Variable::make(type(), name(), true, P); }
+
 private:
-  void declare() { declareParam(ParamName, type(), /*IsImage=*/false, 0); }
-
-  std::string ParamName;
+  ParameterPtr P;
 };
-
-template <typename T> T Param<T>::get() const {
-  ParamValue PV;
-  user_assert(getParamValue(ParamName, &PV) && PV.HasValue)
-      << "Param " << ParamName << " read before set()";
-  return type().isFloat() ? T(PV.FloatValue) : T(PV.IntValue);
-}
 
 } // namespace halide
 

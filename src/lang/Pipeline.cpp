@@ -72,16 +72,6 @@ CompileCache &cache() {
   return C;
 }
 
-/// Serializes lowering itself. Lowering bumps the process-wide
-/// bounds-sharing counters (Bounds::statistics()) and reads stage
-/// definitions and schedules that several pipelines may share, so two
-/// lowerings never interleave. Backend compiles (the cc subprocess,
-/// bytecode emission) happen outside this lock and do run concurrently.
-std::mutex &loweringMutex() {
-  static std::mutex M;
-  return M;
-}
-
 /// Looks up Key's slot under a shared lock; on miss, inserts a fresh slot
 /// under an exclusive lock (evicting wholesale at capacity). Returns the
 /// slot and whether this caller created it (and so must fill it).
@@ -122,8 +112,10 @@ void appendDims(std::ostringstream &OS, const std::vector<Dim> &Dims) {
 
 } // namespace
 
-std::string Pipeline::scheduleFingerprint(const Target &T) const {
-  std::map<std::string, Function> Env = buildEnvironment(Output.function());
+std::string Pipeline::scheduleFingerprint(
+    const Target &T, std::map<std::string, ParameterPtr> *Params) const {
+  std::map<std::string, Function> Env =
+      buildEnvironment(Output.function(), Params);
   std::ostringstream OS;
   OS << Output.name();
   for (const auto &[Name, F] : Env) {
@@ -159,11 +151,11 @@ Pipeline::cachedLowered(const std::string &LowerKey, const Target &T) {
     return Slot->await();
   C.Lowerings.fetch_add(1);
   int64_t TraceT0 = traceActive() ? traceNowNs() : 0;
-  std::shared_ptr<const LoweredPipeline> LP;
-  {
-    std::lock_guard<std::mutex> Lock(loweringMutex());
-    LP = std::make_shared<const LoweredPipeline>(lower(Output.function(), T));
-  }
+  // Lowering shares no mutable state with other threads (its counters are
+  // per-thread, its names per-call, and the stages two pipelines share are
+  // only read), so unrelated pipelines lower in parallel.
+  auto LP =
+      std::make_shared<const LoweredPipeline>(lower(Output.function(), T));
   if (TraceT0)
     traceComplete("compile", "lower " + Output.name(), TraceT0,
                   traceNowNs() - TraceT0);
@@ -172,8 +164,12 @@ Pipeline::cachedLowered(const std::string &LowerKey, const Target &T) {
 }
 
 std::shared_ptr<const Executable> Pipeline::compile(const Target &T) {
+  return compileKeyed(scheduleFingerprint(T), T);
+}
+
+std::shared_ptr<const Executable>
+Pipeline::compileKeyed(const std::string &LowerKey, const Target &T) {
   CompileCache &C = cache();
-  std::string LowerKey = scheduleFingerprint(T);
   // The thread request belongs in the executable key only: it never
   // changes lowering, so every thread count shares one lowered pipeline,
   // but the executable carries its Target (both engines size their
@@ -243,31 +239,15 @@ std::vector<Argument> Pipeline::inferArguments(const Target &T) {
 
 namespace {
 
-/// Completes \p Full against the pipeline's signature: every buffer and
-/// scalar the caller did not bind explicitly is resolved from \p Snap, a
-/// registry snapshot taken once per frame (so one frame never sees a
-/// half-updated registry when another thread is rebinding Params), with
-/// clear user_errors naming the argument on the unbound and type-mismatch
-/// paths.
-void bindInferredArguments(const LoweredPipeline &LP,
-                           const std::map<std::string, ParamValue> &Snap,
-                           ParamBindings *Full) {
-  auto lookup = [&Snap](const std::string &Name) -> const ParamValue * {
-    auto It = Snap.find(Name);
-    return It == Snap.end() ? nullptr : &It->second;
-  };
+/// Checks \p Args against the pipeline's signature, with user_errors
+/// naming the argument on the unbound and type-mismatch paths.
+void checkArguments(const LoweredPipeline &LP, const ParamBindings &Args) {
   for (const BufferArg &Arg : LP.Buffers) {
-    if (!Full->hasBuffer(Arg.Name)) {
-      user_assert(!Arg.IsOutput)
-          << "output buffer '" << Arg.Name << "' is unbound";
-      const ParamValue *PV = lookup(Arg.Name);
-      user_assert(PV && PV->HasValue)
-          << "input image '" << Arg.Name
-          << "' is unbound: call ImageParam::set(buffer) before realize, "
-             "or bind it explicitly in the ParamBindings";
-      Full->bind(Arg.Name, PV->Image);
-    }
-    const RawBuffer &B = Full->buffer(Arg.Name);
+    user_assert(Args.hasBuffer(Arg.Name))
+        << "input image '" << Arg.Name
+        << "' is unbound: call ImageParam::set(buffer) before realize, "
+           "or bind it explicitly in the ParamBindings";
+    const RawBuffer &B = Args.buffer(Arg.Name);
     user_assert(B.ElemType == Arg.ElemType)
         << (Arg.IsOutput ? "output" : "input") << " buffer '" << Arg.Name
         << "' has element type " << B.ElemType.str()
@@ -278,53 +258,44 @@ void bindInferredArguments(const LoweredPipeline &LP,
         << Arg.Dimensions << " dimensions";
   }
   for (const ScalarArg &Arg : LP.Scalars) {
-    double Ignored;
-    if (Full->lookupScalar(Arg.Name, &Ignored))
-      continue; // bound explicitly
-    const ParamValue *PV = lookup(Arg.Name);
-    user_assert(PV)
+    int64_t IntValue = 0;
+    double FloatValue = 0;
+    user_assert(Arg.ArgType.isFloat() ? Args.lookupFloat(Arg.Name, &FloatValue)
+                                      : Args.lookupInt(Arg.Name, &IntValue))
         << "scalar parameter '" << Arg.Name
-        << "' is unbound: no Param with that name exists; construct a "
-           "Param and set() it, or bind the value explicitly";
-    user_assert(!PV->IsImage)
-        << "parameter '" << Arg.Name
-        << "' is an ImageParam but the pipeline expects a scalar";
-    user_assert(PV->DeclaredType == Arg.ArgType)
-        << "scalar parameter '" << Arg.Name << "' is declared "
-        << PV->DeclaredType.str() << " but the pipeline expects "
-        << Arg.ArgType.str();
-    user_assert(PV->HasValue) << "scalar parameter '" << Arg.Name
-                              << "' is unbound: call set() before realize";
-    if (Arg.ArgType.isFloat())
-      Full->bindFloat(Arg.Name, PV->FloatValue);
-    else
-      Full->bindInt(Arg.Name, PV->IntValue);
+        << "' is unbound: call set() on its Param before realize, or bind "
+           "it explicitly in the ParamBindings";
   }
 }
 
 } // namespace
 
-ExecutionStats Pipeline::realizeWithSnapshot(
-    RawBuffer Out, const ParamBindings &Params,
-    const std::map<std::string, ParamValue> &ParamSnapshot, const Target &T) {
-  user_assert(Out.defined()) << "realize into an undefined buffer";
-  std::shared_ptr<const Executable> Exe = compile(T);
-  const LoweredPipeline &LP = Exe->pipeline();
-
-  ParamBindings Full = Params;
-  Full.bind(LP.Name, Out);
-  bindInferredArguments(LP, ParamSnapshot, &Full);
-
-  ExecutionStats Stats;
-  int Rc = Exe->run(Full, &Stats);
-  user_assert(Rc == 0) << "pipeline " << LP.Name << " on target " << T.str()
-                       << " failed with exit code " << Rc;
-  return Stats;
+auto Pipeline::prepareFrame(RawBuffer Out, const ParamBindings &Params,
+                            const Target &T) {
+  std::map<std::string, ParameterPtr> Ps;
+  std::string LowerKey = scheduleFingerprint(T, &Ps);
+  ParamBindings Args = Params;
+  bindParameterValues(Ps, &Args);
+  Args.bind(Output.name(), Out);
+  // The frame holds its own Pipeline (a cheap Func handle copy), so it
+  // stays valid even if this Pipeline object dies first.
+  return [Self = *this, LowerKey = std::move(LowerKey), Args = std::move(Args),
+          T]() mutable {
+    std::shared_ptr<const Executable> Exe = Self.compileKeyed(LowerKey, T);
+    const LoweredPipeline &LP = Exe->pipeline();
+    checkArguments(LP, Args);
+    ExecutionStats Stats;
+    int Rc = Exe->run(Args, &Stats);
+    user_assert(Rc == 0) << "pipeline " << LP.Name << " on target "
+                         << T.str() << " failed with exit code " << Rc;
+    return Stats;
+  };
 }
 
 ExecutionStats Pipeline::realize(RawBuffer Out, const ParamBindings &Params,
                                  const Target &T) {
-  return realizeWithSnapshot(Out, Params, snapshotParams(), T);
+  user_assert(Out.defined()) << "realize into an undefined buffer";
+  return prepareFrame(Out, Params, T)();
 }
 
 FrameFuture Pipeline::realizeAsync(RawBuffer Out, const ParamBindings &Params,
@@ -332,27 +303,22 @@ FrameFuture Pipeline::realizeAsync(RawBuffer Out, const ParamBindings &Params,
   user_assert(Out.defined()) << "realizeAsync into an undefined buffer";
   FrameFuture Future;
   Future.Stats = std::make_shared<ExecutionStats>();
-  // Snapshot the Param registry NOW: the frame sees the bindings as of
-  // submission no matter when a worker gets to it.
-  auto Snap = std::make_shared<std::map<std::string, ParamValue>>(
-      snapshotParams());
-  // The closure holds its own Func handle (a cheap intrusive-ptr copy), so
-  // the frame stays valid even if this Pipeline object dies first.
-  Func OutputCopy = Output;
+  // Prepare the frame NOW: it sees the parameter values as of submission
+  // no matter when a worker gets to it.
+  auto Run = prepareFrame(Out, Params, T);
+  std::string Name = Output.name();
   std::shared_ptr<ExecutionStats> Stats = Future.Stats;
   int64_t FrameSeq = metricsNoteFrameSubmitted();
   int64_t SubmitNs = traceActive() ? traceNowNs() : 0;
   Future.Job = submitAsyncJob(
-      [OutputCopy, Out, Params, T, Snap, Stats, FrameSeq, SubmitNs,
+      [Run = std::move(Run), Name, Stats, FrameSeq, SubmitNs,
        Priority]() mutable {
         // Split the frame's life into queue-wait (submission to pickup)
         // and execute spans so serving traces show where latency lives.
         int64_t StartNs = SubmitNs && traceActive() ? traceNowNs() : 0;
-        Pipeline P(OutputCopy);
-        *Stats = P.realizeWithSnapshot(Out, Params, *Snap, T);
+        *Stats = Run();
         if (StartNs) {
-          std::string Frame =
-              OutputCopy.name() + " frame " + std::to_string(FrameSeq);
+          std::string Frame = Name + " frame " + std::to_string(FrameSeq);
           std::vector<TraceArg> Args;
           Args.emplace_back("frame", FrameSeq);
           Args.emplace_back("priority", (int64_t)Priority);

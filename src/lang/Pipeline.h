@@ -11,21 +11,21 @@
 /// result under a schedule+options fingerprint so an unchanged pipeline is
 /// compiled once and run over many frames (paper section 4, Figure 5).
 /// Pipeline::realize dispatches through that cache and resolves every
-/// pipeline argument the caller did not bind explicitly from the Param<T>
-/// / ImageParam registry; name->value ParamBindings remain the internal
-/// ABI between Pipeline and the back ends.
+/// pipeline argument the caller did not bind explicitly from the
+/// pipeline's own Param<T> / ImageParam parameters, which the fingerprint's
+/// walk of its definitions collects; name->value ParamBindings remain the
+/// internal ABI between Pipeline and the back ends.
 ///
-/// The cache and registry are safe to use from many threads at once: the
-/// cache is a shared_mutex-guarded map of per-entry once-compile latches
-/// (a stampede of identical compiles does one lowering and one backend
-/// compile while the rest wait, and a slow JIT of one pipeline never
-/// serializes compiles of unrelated ones), and each realize snapshots the
-/// Param registry once for a consistent per-frame view of its bindings.
-/// realizeAsync queues a frame as an async job on the task scheduler and
-/// returns a FrameFuture, which is what turns the library into a serving
-/// runtime: many in-flight frames share the worker pool under per-request
-/// priorities. Schedules must not be mutated while any frame of the
-/// pipeline is in flight.
+/// The cache is safe to use from many threads at once: it is a
+/// shared_mutex-guarded map of per-entry once-compile latches (a stampede
+/// of identical compiles does one lowering and one backend compile while
+/// the rest wait), and compiles of different pipelines, lowering included,
+/// run in parallel. Each frame reads its parameters' values once, for a
+/// consistent per-frame view of them. realizeAsync queues a frame as an
+/// async job on the task scheduler and returns a FrameFuture, which is
+/// what turns the library into a serving runtime: many in-flight frames
+/// share the worker pool under per-request priorities. Schedules must not
+/// be mutated while any frame of the pipeline is in flight.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -122,12 +122,13 @@ public:
 
   /// Compiles (through the cache) and executes on \p T's backend, writing
   /// into \p Out (which also determines the requested output region).
-  /// Arguments not bound in \p Params are resolved from Param<T> /
-  /// ImageParam bound values; a missing or type-mismatched argument is a
-  /// user_error naming it. Aborts (user_error) if the pipeline reports a
-  /// nonzero exit code. Each call re-fingerprints the schedules (O(number
-  /// of stages)) to detect schedule changes; frame loops that know the
-  /// schedule is frozen can hold the compile() result and call run().
+  /// Arguments not bound in \p Params are resolved from the values bound
+  /// to the pipeline's Param<T>s and ImageParams, read at one instant; a
+  /// missing or type-mismatched argument is a user_error naming it.
+  /// Aborts (user_error) if the pipeline reports a nonzero exit code. Each
+  /// call re-fingerprints the schedules (O(number of stages)) to detect
+  /// schedule changes; frame loops that know the schedule is frozen can
+  /// hold the compile() result and call run().
   ExecutionStats realize(RawBuffer Out,
                          const ParamBindings &Params = ParamBindings(),
                          const Target &T = Target());
@@ -142,11 +143,11 @@ public:
   /// Queues one frame on the task scheduler and returns immediately. The
   /// frame compiles (through the cache) and runs on whichever thread picks
   /// it up; higher \p Priority frames run first, ties in submission order.
-  /// The Param registry is snapshotted here, at submission — later set()
-  /// calls do not affect this frame. The caller must keep \p Out's
-  /// allocation alive until the future reports done, must not realize two
-  /// in-flight frames into the same buffer, and must not mutate the
-  /// pipeline's schedules while frames are in flight.
+  /// The pipeline's parameter values are read here, at submission —
+  /// later set() calls do not affect this frame. The caller must keep
+  /// \p Out's allocation alive until the future reports done, must not
+  /// realize two in-flight frames into the same buffer, and must not mutate
+  /// the pipeline's schedules while frames are in flight.
   FrameFuture realizeAsync(RawBuffer Out,
                            const ParamBindings &Params = ParamBindings(),
                            const Target &T = Target(), int Priority = 0);
@@ -160,8 +161,11 @@ public:
 
   /// The cache key for the current schedules under \p T's feature flags:
   /// every stage's Schedule::str() (plus bounds and update-stage loop
-  /// orders) concatenated with the Target's lowering options.
-  std::string scheduleFingerprint(const Target &T = Target()) const;
+  /// orders) concatenated with the Target's lowering options. The same
+  /// walk collects the pipeline's parameters into \p Params when given.
+  std::string scheduleFingerprint(
+      const Target &T = Target(),
+      std::map<std::string, ParameterPtr> *Params = nullptr) const;
 
   /// Process-wide compile-cache statistics, read atomically (tests and
   /// benchmarks assert on deltas; returned by value so callers get a
@@ -176,10 +180,14 @@ private:
   std::shared_ptr<const LoweredPipeline>
   cachedLowered(const std::string &LowerKey, const Target &T);
 
-  ExecutionStats realizeWithSnapshot(
-      RawBuffer Out, const ParamBindings &Params,
-      const std::map<std::string, ParamValue> &ParamSnapshot,
-      const Target &T);
+  /// compile() under a fingerprint the caller already computed.
+  std::shared_ptr<const Executable> compileKeyed(const std::string &LowerKey,
+                                                 const Target &T);
+
+  /// Walks the definitions once and reads the parameters' values now;
+  /// returns the frame, which compiles (through the cache) and runs.
+  auto prepareFrame(RawBuffer Out, const ParamBindings &Params,
+                    const Target &T);
 
   Func Output;
 };

@@ -11,15 +11,10 @@
 
 using namespace halide;
 
-bool ParamBindings::lookupScalar(const std::string &Name, double *Out) const {
+bool ParamBindings::lookupInt(const std::string &Name, int64_t *Out) const {
   auto IntIt = IntScalars.find(Name);
   if (IntIt != IntScalars.end()) {
-    *Out = double(IntIt->second);
-    return true;
-  }
-  auto FloatIt = FloatScalars.find(Name);
-  if (FloatIt != FloatScalars.end()) {
-    *Out = FloatIt->second;
+    *Out = IntIt->second;
     return true;
   }
   // Buffer metadata: "<buf>.min.<d>" etc.
@@ -48,6 +43,14 @@ bool ParamBindings::lookupScalar(const std::string &Name, double *Out) const {
     return true;
   }
   return false;
+}
+
+bool ParamBindings::lookupFloat(const std::string &Name, double *Out) const {
+  auto It = FloatScalars.find(Name);
+  if (It == FloatScalars.end())
+    return false;
+  *Out = It->second;
+  return true;
 }
 
 int64_t halide::checkBoundaryBuffer(const std::string &Name,

@@ -52,11 +52,12 @@ public:
     return It->second;
   }
 
-  /// Resolves a scalar parameter: either a user scalar or buffer metadata
-  /// of the form "<buf>.min.<d>" / ".extent.<d>" / ".stride.<d>".
-  bool lookupScalar(const std::string &Name, double *Out) const;
-
-  const std::map<std::string, RawBuffer> &buffers() const { return Buffers; }
+  /// Resolves an integer scalar parameter: a user scalar bound with
+  /// bindInt, or buffer metadata of the form "<buf>.min.<d>" /
+  /// ".extent.<d>" / ".stride.<d>".
+  bool lookupInt(const std::string &Name, int64_t *Out) const;
+  /// Resolves a float scalar parameter bound with bindFloat.
+  bool lookupFloat(const std::string &Name, double *Out) const;
 
 private:
   std::map<std::string, RawBuffer> Buffers;

@@ -30,6 +30,9 @@ inline int64_t wrapBits(int64_t Value, int Bits, bool Signed) {
 inline int64_t vmFloorDiv(int64_t A, int64_t B) {
   if (B == 0)
     return 0;
+  // INT64_MIN / -1 wraps to INT64_MIN, which is INT64_MIN / 1.
+  if (B == -1 && A == INT64_MIN)
+    B = 1;
   int64_t Q = A / B;
   if ((A % B != 0) && ((A < 0) != (B < 0)))
     --Q;
@@ -37,7 +40,7 @@ inline int64_t vmFloorDiv(int64_t A, int64_t B) {
 }
 
 inline int64_t vmFloorMod(int64_t A, int64_t B) {
-  if (B == 0)
+  if (B == 0 || B == -1)
     return 0;
   // The truncated remainder moved to the divisor's sign; unlike
   // A - floorDiv(A, B) * B, nothing here overflows near INT64_MIN/MAX.
@@ -661,13 +664,12 @@ int VmExecutable::run(const ParamBindings &Params,
   }
 
   for (const VmParamInit &PI : Prog.Params) {
-    double Scalar;
-    internal_assert(Params.lookupScalar(PI.Name, &Scalar))
-        << "vm: unbound parameter " << PI.Name;
-    if (PI.IsFloat)
-      Root.Regs[PI.Slot].F = Scalar;
-    else
-      Root.Regs[PI.Slot].I = wrapBits(int64_t(Scalar), PI.Bits, PI.SignedWrap);
+    VmSlot &Slot = Root.Regs[PI.Slot];
+    bool Bound = PI.IsFloat ? Params.lookupFloat(PI.Name, &Slot.F)
+                            : Params.lookupInt(PI.Name, &Slot.I);
+    internal_assert(Bound) << "vm: unbound parameter " << PI.Name;
+    if (!PI.IsFloat)
+      Slot.I = wrapBits(Slot.I, PI.Bits, PI.SignedWrap);
   }
 
   Root.Shard.init(NumBufs);

@@ -40,6 +40,26 @@ TEST(IROperatorsTest, FloorDivisionSemantics) {
   EXPECT_EQ(V, 1);
 }
 
+TEST(IROperatorsTest, MinimumOverMinusOneWraps) {
+  // A type's minimum divided by -1 wraps to the minimum, as on both
+  // engines, and its remainder is 0; folding must neither trap nor build
+  // an immediate its type cannot hold.
+  EXPECT_EQ(floorDiv(INT64_MIN, -1), INT64_MIN);
+  EXPECT_EQ(floorMod(INT64_MIN, -1), 0);
+  for (int Bits : {8, 16, 32, 64}) {
+    SCOPED_TRACE("int" + std::to_string(Bits));
+    const Type T = Int(Bits);
+    const Expr MinusOne = makeConst(T, int64_t(-1));
+    int64_t V;
+    ASSERT_TRUE(asConstInt(makeTypeMin(T) / MinusOne, &V));
+    EXPECT_EQ(V, T.intMin());
+    ASSERT_TRUE(asConstInt(makeTypeMin(T) % MinusOne, &V));
+    EXPECT_EQ(V, 0);
+    ASSERT_TRUE(asConstInt(makeTypeMax(T) / MinusOne, &V));
+    EXPECT_EQ(V, -T.intMax());
+  }
+}
+
 TEST(IROperatorsTest, WrapToType) {
   EXPECT_EQ(wrapToType(256, UInt(8)), 0);
   EXPECT_EQ(wrapToType(257, UInt(8)), 1);
@@ -133,7 +153,8 @@ TEST(IROperatorsTest, MathFunctions) {
   EXPECT_EQ(F, 2.0);
   // Integer args promote to float.
   EXPECT_EQ(halide::sqrt(var("x")).type(), Float(32));
-  const Call *C = halide::pow(Expr(2.0f), var("x")).as<Call>();
+  Expr Pow = halide::pow(Expr(2.0f), var("x"));
+  const Call *C = Pow.as<Call>();
   ASSERT_NE(C, nullptr);
   EXPECT_EQ(C->Name, "pow");
   EXPECT_EQ(C->CallKind, CallType::PureExtern);

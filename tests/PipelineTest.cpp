@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <limits>
+
 using namespace halide;
 
 namespace {
@@ -93,6 +96,41 @@ TEST(PipelineTest, ScalarParams) {
   // The lowered pipeline advertises the scalar args.
   LoweredPipeline LP = Pipe.lowerPipeline();
   EXPECT_EQ(LP.Scalars.size(), 2u);
+}
+
+TEST(PipelineTest, ScalarParamsArriveExactly) {
+  // Integer parameters travel as integers and float ones as floats, so
+  // no value is rounded through a double or cast out of its type's range.
+  Var x("x");
+  Param<int64_t> I("exact_i");
+  Param<float> F("exact_f");
+  Func FI("exact_i_out"), FF("exact_f_out");
+  FI(x) = Expr(I);
+  FF(x) = Expr(F);
+  for (int64_t V : {INT64_MIN, INT64_MAX, (int64_t(1) << 53) + 1}) {
+    I.set(V);
+    EXPECT_EQ(I.get(), V);
+    for (const Target &T : {Target::vm(), Target::jit()}) {
+      Buffer<int64_t> Out(2);
+      Pipeline(FI).realize(Out, ParamBindings(), T);
+      EXPECT_EQ(Out(1), V) << T.str();
+    }
+    Buffer<int64_t> Out(2);
+    ParamBindings Params;
+    Params.bindInt(I.name(), V);
+    Params.bind(FI.name(), Out);
+    interpret(Pipeline(FI).lowerPipeline(), Params);
+    EXPECT_EQ(Out(1), V) << "interpreter";
+  }
+  for (float V : {3e38f, -std::numeric_limits<float>::infinity()}) {
+    F.set(V);
+    EXPECT_EQ(F.get(), V);
+    for (const Target &T : {Target::vm(), Target::jit()}) {
+      Buffer<float> Out(2);
+      Pipeline(FF).realize(Out, ParamBindings(), T);
+      EXPECT_EQ(Out(1), V) << T.str();
+    }
+  }
 }
 
 TEST(PipelineTest, ImageParamMetadata) {
@@ -293,4 +331,110 @@ TEST(StageLifetimeTest, TwoStagesWithOneNameAreAUserError) {
   Out(x) = A(x) + B(x);
   EXPECT_DEATH(Pipeline(Out).loweredText(),
                "two different stages of one pipeline are named twin");
+}
+
+//===----------------------------------------------------------------------===//
+// Parameter lifetime and names: a pipeline owns the parameters it reads,
+// and a parameter's name means something only within its pipeline.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The fastest of \p Frames VM frames of \p Pipe, in seconds.
+double fastestVmFrame(Pipeline &Pipe, Buffer<int32_t> &Out, int Frames) {
+  double Best = 1e9;
+  for (int I = 0; I < Frames; ++I) {
+    auto Start = std::chrono::steady_clock::now();
+    Pipe.realize(Out, ParamBindings(), Target::vm());
+    Best = std::min(Best, std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - Start)
+                              .count());
+  }
+  return Best;
+}
+
+} // namespace
+
+TEST(ParamLifetimeTest, FrameCostDoesNotGrowWithUnrelatedParams) {
+  Var x("x");
+  Param<int32_t> K("plt_cost_k", 5);
+  Func F("plt_cost");
+  F(x) = x + K;
+  Pipeline Pipe(F);
+  Buffer<int32_t> Out(16);
+  const double Before = fastestVmFrame(Pipe, Out, 50);
+  for (int I = 0; I < 100000; ++I)
+    Param<int32_t> Unrelated("plt_unrelated" + std::to_string(I));
+  const double After = fastestVmFrame(Pipe, Out, 50);
+  EXPECT_LE(After, 10 * Before)
+      << "fastest frame " << Before * 1e6 << " us before, " << After * 1e6
+      << " us after";
+  EXPECT_EQ(Out(3), 8);
+}
+
+TEST(ParamLifetimeTest, UnrelatedParamWithTheSameNameLeavesBindingIntact) {
+  Var x("x");
+  Param<int32_t> K("plt_shared", 3);
+  Func F("plt_named");
+  F(x) = x * K;
+  Pipeline Pipe(F);
+  Buffer<int32_t> Out(4);
+  Pipe.realize(Out, ParamBindings(), Target::vm());
+  EXPECT_EQ(Out(2), 6);
+  // Another pipeline's parameter with the same name, unbound and then
+  // bound, is a different parameter.
+  Param<int32_t> Other("plt_shared");
+  for (int Round = 0; Round < 2; ++Round) {
+    for (const Target &T : {Target::vm(), Target::jit()}) {
+      Out.fillConstant(0);
+      Pipe.realize(Out, ParamBindings(), T);
+      EXPECT_EQ(Out(2), 6) << T.str() << " round " << Round;
+    }
+    Other.set(100);
+  }
+  EXPECT_EQ(K.get(), 3);
+}
+
+TEST(ParamLifetimeTest, ParamsReadOnlyBySchedulesResolve) {
+  // A parameter that only a schedule reads (a split factor, a bound) is
+  // one of the pipeline's parameters like any other.
+  Var x("x"), xo("xo"), xi("xi");
+  Param<int32_t> Factor("plt_factor", 4), Extent("plt_extent", 8);
+  Func F("plt_sched_f"), G("plt_sched_g");
+  F(x) = x * 2;
+  G(x) = F(x) + 1;
+  F.computeRoot().bound(x, 0, Extent);
+  G.split(x, xo, xi, Factor);
+  Buffer<int32_t> Out(8);
+  Pipeline(G).realize(Out, ParamBindings(), Target::vm());
+  for (int X = 0; X < 8; ++X)
+    EXPECT_EQ(Out(X), 2 * X + 1) << "at " << X;
+}
+
+TEST(ParamLifetimeTest, BoundImageIsFreedWithItsLastHandle) {
+  int Released = 0;
+  {
+    ImageParam In(UInt(8), 2, "plt_in");
+    {
+      Buffer<uint8_t> Pixels(8, 4);
+      Pixels.fillConstant(7);
+      RawBuffer Raw = Pixels.raw();
+      // Wraps the pixels' owner so that its release is counted.
+      Raw.Owner = std::shared_ptr<void>(
+          Raw.Host, [Keep = Raw.Owner, &Released](void *) { ++Released; });
+      In.set(Raw);
+    }
+    Var x("x"), y("y");
+    Func F("plt_read");
+    F(x, y) = In(x, y) + 1;
+    Buffer<uint8_t> Out(8, 4);
+    Pipeline(F).realize(Out, ParamBindings(), Target::vm());
+    EXPECT_EQ(Out(3, 2), 8);
+    EXPECT_EQ(Released, 0);
+  }
+  // The Buffer, the ImageParam and the Func are gone; the compiled
+  // pipeline still holds the definitions, and so the parameter, until the
+  // cache lets it go.
+  Pipeline::clearCompileCache();
+  EXPECT_EQ(Released, 1);
 }

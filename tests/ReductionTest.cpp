@@ -1,6 +1,8 @@
 //===-- tests/ReductionTest.cpp - Update definitions & RDoms ------------------===//
 
+#include "analysis/Bounds.h"
 #include "apps/Apps.h"
+#include "ir/IRPrinter.h"
 #include "lang/ImageParam.h"
 #include "lang/Pipeline.h"
 
@@ -186,4 +188,44 @@ TEST(ConcurrentBuildTest, RDomAppsBuildAndLowerOnTwoThreads) {
   for (int I = 0; I < 2; ++I)
     EXPECT_TRUE(Concurrent[I] == tunedText(Makers[size_t(I)]))
         << "app " << I << " lowered differently on a worker thread";
+}
+
+TEST(ConcurrentBuildTest, TwoPipelinesCompileColdOnTwoThreads) {
+  // Cold compiles of two different pipelines on two threads lower at the
+  // same time: each gives the program a serial compile gives, and each
+  // thread's bounds-sharing counters count only its own lowering.
+  std::vector<std::function<App()>> Makers = {
+      [] { return makeLocalLaplacianApp(3); }, makeInterpolateApp};
+  struct Compiled {
+    std::string Text;
+    uint64_t BoundsHits = 0, BoundsMisses = 0;
+  };
+  auto compileCold = [](const std::function<App()> &Make) {
+    App A = Make();
+    A.ScheduleTuned();
+    const BoundsStatistics Before = Bounds::statistics();
+    std::shared_ptr<const Executable> Exe =
+        Pipeline(A.Output).compile(Target::vm());
+    const BoundsStatistics After = Bounds::statistics();
+    return Compiled{stmtToString(Exe->pipeline().Body),
+                    After.CacheHits - Before.CacheHits,
+                    After.CacheMisses - Before.CacheMisses};
+  };
+  Pipeline::clearCompileCache();
+  Compiled Concurrent[2];
+  std::thread Workers[2];
+  for (int I = 0; I < 2; ++I)
+    Workers[I] = std::thread(
+        [&, I] { Concurrent[I] = compileCold(Makers[size_t(I)]); });
+  for (std::thread &W : Workers)
+    W.join();
+  for (int I = 0; I < 2; ++I) {
+    const Compiled Serial = compileCold(Makers[size_t(I)]);
+    EXPECT_TRUE(Concurrent[I].Text == Serial.Text)
+        << "app " << I << " compiled differently on a worker thread";
+    EXPECT_EQ(Concurrent[I].BoundsHits, Serial.BoundsHits) << "app " << I;
+    EXPECT_EQ(Concurrent[I].BoundsMisses, Serial.BoundsMisses)
+        << "app " << I;
+    EXPECT_GT(Serial.BoundsMisses, 0u) << "app " << I;
+  }
 }

@@ -283,19 +283,19 @@ TEST(ParamBindingsTest, MetadataLookup) {
   B.setMin(2, 3);
   ParamBindings P;
   P.bind("img", B);
-  double V;
-  EXPECT_TRUE(P.lookupScalar("img.extent.0", &V));
+  int64_t V;
+  EXPECT_TRUE(P.lookupInt("img.extent.0", &V));
   EXPECT_EQ(V, 6);
-  EXPECT_TRUE(P.lookupScalar("img.min.1", &V));
+  EXPECT_TRUE(P.lookupInt("img.min.1", &V));
   EXPECT_EQ(V, 3);
-  EXPECT_TRUE(P.lookupScalar("img.stride.1", &V));
+  EXPECT_TRUE(P.lookupInt("img.stride.1", &V));
   EXPECT_EQ(V, 6);
   // Dimensions beyond rank read as degenerate.
-  EXPECT_TRUE(P.lookupScalar("img.extent.2", &V));
+  EXPECT_TRUE(P.lookupInt("img.extent.2", &V));
   EXPECT_EQ(V, 1);
-  EXPECT_FALSE(P.lookupScalar("other.extent.0", &V));
+  EXPECT_FALSE(P.lookupInt("other.extent.0", &V));
   P.bindInt("k", 42);
-  EXPECT_TRUE(P.lookupScalar("k", &V));
+  EXPECT_TRUE(P.lookupInt("k", &V));
   EXPECT_EQ(V, 42);
 }
 

@@ -6,7 +6,8 @@
 // share one pipeline or mix several; concurrent JIT frames of GPU
 // schedules each report only their own simulated-GPU launches; queued jobs
 // run highest-priority first; the buffer pool makes steady-state serving
-// allocation-free; the
+// allocation-free; set() on another thread gives each in-flight frame
+// exactly one value; the
 // JIT leaves no scratch directories behind; and a compile stampede of N
 // identical requests does one lowering and one backend compile while the
 // other N-1 wait as cache hits.
@@ -119,6 +120,58 @@ TEST(ServingTest, ConcurrentFramesOfOnePipelineMatchSequential) {
       for (int X = 0; X < W; ++X)
         ASSERT_EQ(Outs[size_t(F)](X, Y), Ref(X, Y))
             << "frame " << F << " at (" << X << "," << Y << ")";
+  }
+}
+
+TEST(ServingTest, SetDuringAsyncFramesGivesEachFrameOneValue) {
+  // One thread keeps calling set() with increasing values while this one
+  // submits frames of the same pipeline and the scheduler's workers run
+  // them. Each frame copies the value at submission, so every frame
+  // computes with exactly one of the values set, never a mix, and later
+  // submissions never see older values.
+  const int W = 32, H = 8, Frames = 24;
+  Param<int32_t> K("srv_set_k", 0);
+  Var x("x"), y("y");
+  Func F("srv_set_out");
+  F(x, y) = K * (x + 1) + y;
+  F.parallel(y);
+  Pipeline Pipe(F);
+  Pipe.compile(Target::vm());
+
+  std::atomic<bool> Done{false};
+  std::atomic<int32_t> LastSet{0};
+  std::thread Setter([&] {
+    for (int32_t V = 1; !Done.load(); ++V) {
+      K.set(V);
+      LastSet.store(V);
+    }
+  });
+  std::vector<Buffer<int32_t>> Outs;
+  for (int I = 0; I < Frames; ++I)
+    Outs.emplace_back(W, H);
+  std::vector<FrameFuture> Futures;
+  for (int I = 0; I < Frames; ++I) {
+    // Let the setter move on between submissions.
+    for (int32_t Seen = LastSet.load(); LastSet.load() == Seen;)
+      std::this_thread::yield();
+    Futures.push_back(
+        Pipe.realizeAsync(Outs[size_t(I)], ParamBindings(), Target::vm()));
+  }
+  for (FrameFuture &Future : Futures)
+    Future.wait();
+  Done.store(true);
+  Setter.join();
+
+  int32_t Previous = 0;
+  for (int I = 0; I < Frames; ++I) {
+    const int32_t Value = Outs[size_t(I)](0, 0);
+    ASSERT_GE(Value, Previous) << "frame " << I;
+    ASSERT_LE(Value, LastSet.load()) << "frame " << I;
+    for (int Y = 0; Y < H; ++Y)
+      for (int X = 0; X < W; ++X)
+        ASSERT_EQ(Outs[size_t(I)](X, Y), Value * (X + 1) + Y)
+            << "frame " << I << " at (" << X << "," << Y << ")";
+    Previous = Value;
   }
 }
 

@@ -3,8 +3,8 @@
 // The unified execution API: Target-directed dispatch, the compiled-
 // pipeline cache (compile-once-run-many, fingerprint invalidation on
 // schedule changes), Param<T>/ImageParam argument inference with clear
-// user_errors on the unbound and type-mismatch paths, and the TileSpec /
-// variadic scheduling sugar.
+// user_errors on the unbound, type-mismatch and same-name paths, and the
+// TileSpec / variadic scheduling sugar.
 //
 //===----------------------------------------------------------------------===//
 
@@ -305,7 +305,7 @@ TEST(ParamInferTest, ExplicitBindingsStillWinOverRegistry) {
   P.Gain.set(2);
   P.Offset.set(0.0f);
   ParamBindings Explicit;
-  Explicit.bindInt(P.Gain.name(), 7); // overrides the registry value
+  Explicit.bindInt(P.Gain.name(), 7); // overrides the Param's value
   Buffer<float> Out(8, 8);
   Pipeline(P.F).realize(Out, Explicit);
   EXPECT_FLOAT_EQ(Out(2, 3), float(Input(2, 3)) * 7);
@@ -351,19 +351,16 @@ TEST(ParamInferDeathTest, UnboundImageNamesTheArgument) {
                "input image 'pd_b_in' is unbound");
 }
 
-TEST(ParamInferDeathTest, ScalarTypeMismatchNamesTheArgument) {
+TEST(ParamInferDeathTest, TwoParametersWithOneNameAreAUserError) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ParamPipe P("pd_c");
-  P.In.set(makeInput(8, 8));
-  P.Offset.set(0.0f);
-  // Re-declare the gain under the same name with the wrong type: the
-  // pipeline was built expecting int32.
-  Param<float> WrongGain(P.Gain.name());
-  WrongGain.set(2.0f);
-  Buffer<float> Out(8, 8);
-  EXPECT_DEATH(Pipeline(P.F).realize(Out),
-               "scalar parameter 'pd_c_gain' is declared float32 but the "
-               "pipeline expects int32");
+  Var x("x");
+  Param<int32_t> A("pd_c_twin", 1), B("pd_c_twin", 2);
+  Func F("pd_c_out");
+  F(x) = x * A + B;
+  Buffer<int32_t> Out(4);
+  EXPECT_DEATH(Pipeline(F).realize(Out),
+               "two different parameters of one pipeline are named "
+               "pd_c_twin");
 }
 
 TEST(ParamInferDeathTest, ImageParamTypeMismatchNamesTheParam) {

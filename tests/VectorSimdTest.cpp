@@ -16,6 +16,8 @@
 //  - Scalar division and remainder by a positive power-of-two constant
 //    compile to a shift and a mask, with floor semantics over each
 //    integer type's full range on jit_c at the default flags and at -O0.
+//  - A signed type's minimum divided by -1 wraps to the minimum, with
+//    remainder 0, scalar and vectorized, on the VM and on jit_c.
 //  - Vectorizing a split whose extent is not divisible by the factor is
 //    safe on internal (padded) funcs and rejected on outputs — at
 //    lowering time when the bound is static, at run time otherwise.
@@ -418,7 +420,54 @@ template <typename T> void checkScalarDivModForType(const std::string &Tag) {
   checkScalarDivMod<T>(Tag, Others, /*ExpectHelpers=*/true);
 }
 
+/// Row 0 of the output is In(x) / D and row 1 is In(x) % D, with D a
+/// Param bound to -1, so each engine divides at run time (scalar, or by a
+/// splat when \p VectorLanes is nonzero). The minimum must wrap to itself
+/// and every remainder be 0 on the VM and on jit_c.
+template <typename T>
+void checkMinimumOverMinusOne(const std::string &Tag, int VectorLanes) {
+  const std::string Prefix =
+      "mom_" + Tag + (VectorLanes ? "_vec" : "_scalar");
+  SCOPED_TRACE(Prefix);
+  constexpr T Min = std::numeric_limits<T>::min();
+  constexpr T Max = std::numeric_limits<T>::max();
+  const std::vector<T> Nums = {Min, T(Min + 1), T(-1), T(0), T(1), T(Max)};
+  const int N = 16;
+  ImageParam In(typeOf<T>(), 1, Prefix + "_in");
+  Buffer<T> Input(N);
+  for (int X = 0; X < N; ++X)
+    Input(X) = Nums[size_t(X) % Nums.size()];
+  In.set(Input);
+  Param<T> D(Prefix + "_d", T(-1));
+  Var x("x"), j("j");
+  Func F(Prefix + "_out");
+  F(x, j) = select(Expr(j) == 0, In(x) / D, In(x) % D);
+  if (VectorLanes)
+    F.vectorize(x, VectorLanes);
+  for (const Target &Tgt : {Target::vm(), Target::jit()}) {
+    Buffer<T> Out(N, 2);
+    Pipeline(F).realize(Out, ParamBindings(), Tgt);
+    for (int X = 0; X < N; ++X) {
+      const T A = Input(X);
+      const T Quotient = A == Min ? Min : T(-A);
+      ASSERT_EQ(Out(X, 0), Quotient) << Tgt.str() << ": " << +A << " / -1";
+      ASSERT_EQ(Out(X, 1), T(0)) << Tgt.str() << ": " << +A << " % -1";
+    }
+  }
+}
+
 } // namespace
+
+TEST(VectorSimdTest, MinimumOverMinusOneWraps) {
+  // Hardware division traps on the minimum over -1; every engine defines
+  // it instead, as the wrapped quotient (the minimum) and remainder 0.
+  for (int Lanes : {0, 8}) {
+    checkMinimumOverMinusOne<int8_t>("i8", Lanes);
+    checkMinimumOverMinusOne<int16_t>("i16", Lanes);
+    checkMinimumOverMinusOne<int32_t>("i32", Lanes);
+    checkMinimumOverMinusOne<int64_t>("i64", Lanes);
+  }
+}
 
 TEST(VectorSimdTest, ScalarPowerOfTwoDivModIsShiftAndMask) {
   // A positive power-of-two divisor compiles to a shift and a mask
