@@ -39,16 +39,17 @@
 // (vector_width in the JSON; 1 = scalar), so SIMD regressions show up in
 // the baseline. --novec demotes each schedule's vectorized loops to
 // serial before compiling (splits intact — the same loop structure minus
-// the lanes), and --jit-flags are appended to the C backend's
-// host-compiler flags, so they win: together they isolate the emitted
-// SIMD's contribution, e.g.
+// the lanes), and --jit-flags are split on whitespace and appended to
+// the C backend's host-compiler arguments, so they win (no shell runs:
+// quotes and other shell syntax reach the compiler as they are).
+// Together they isolate the emitted SIMD's contribution, e.g.
 //   bench_runner --backend=jit --app=blur [--novec]
 //                --jit-flags "-fno-tree-vectorize -fno-tree-slp-vectorize"
 //
 // Usage: bench_runner [--backend vm|jit] [--threads N]
 //                     [--json <path>] [--width W] [--height H]
 //                     [--iters N] [--no-thread-sweep] [--novec]
-//                     [--jit-flags <flags>] [--app <name>]
+//                     [--jit-flags "<flag> <flag>..."] [--app <name>]
 //                     [--serve] [--serve-clients N] [--serve-frames M]
 //                     [--profile] [--trace <path>] [--value-trace <path>]
 //
@@ -322,7 +323,8 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr,
                    "usage: %s [--backend vm|jit] [--threads N] "
                    "[--json <path>] [--width W] [--height H] [--iters N] "
-                   "[--no-thread-sweep] [--novec] [--jit-flags <flags>] "
+                   "[--no-thread-sweep] [--novec] "
+                   "[--jit-flags \"<flag> <flag>...\"] "
                    "[--app <name>] [--serve] "
                    "[--serve-clients N] [--serve-frames M] [--profile] "
                    "[--trace <path>] [--value-trace <path>]\n",

@@ -29,10 +29,40 @@ std::string scalarCType(Type T) {
          std::to_string(T.Bits) + "_t";
 }
 
-/// The <stdint.h> macro naming a signed integer type's minimum.
+/// The prelude's macro naming a signed integer type's minimum.
 std::string intMinMacro(Type T) {
   return "INT" + std::to_string(T.Bits) + "_MIN";
 }
+
+/// All the generated code uses of <stdint.h>, <math.h> and <string.h>,
+/// declared through macros GCC and clang predefine: reading those
+/// headers took more than a third of a one-function compile. The math
+/// functions are the ones scalarMathName and float floor-mod emit. The
+/// object is linked without libc (codegen/Jit.cpp), so memcpy and libm
+/// resolve against the host process when it is loaded.
+constexpr const char *Prelude =
+    "typedef __INT8_TYPE__ int8_t;\n"
+    "typedef __INT16_TYPE__ int16_t;\n"
+    "typedef __INT32_TYPE__ int32_t;\n"
+    "typedef __INT64_TYPE__ int64_t;\n"
+    "typedef __UINT8_TYPE__ uint8_t;\n"
+    "typedef __UINT16_TYPE__ uint16_t;\n"
+    "typedef __UINT32_TYPE__ uint32_t;\n"
+    "typedef __UINT64_TYPE__ uint64_t;\n"
+    "#define INT8_MIN (-__INT8_MAX__ - 1)\n"
+    "#define INT16_MIN (-__INT16_MAX__ - 1)\n"
+    "#define INT32_MIN (-__INT32_MAX__ - 1)\n"
+    "#define INT64_MIN (-__INT64_MAX__ - 1)\n"
+    "void *memcpy(void *restrict, const void *restrict, __SIZE_TYPE__);\n"
+    "float sqrtf(float); double sqrt(double);\n"
+    "float sinf(float); double sin(double);\n"
+    "float cosf(float); double cos(double);\n"
+    "float expf(float); double exp(double);\n"
+    "float logf(float); double log(double);\n"
+    "float powf(float, float); double pow(double, double);\n"
+    "float floorf(float); double floor(double);\n"
+    "float ceilf(float); double ceil(double);\n"
+    "float nearbyintf(float); double nearbyint(double);\n";
 
 /// Short mangled tag of a scalar type ("i32", "u8", "f32", "b").
 std::string typeTag(Type T) {
@@ -205,7 +235,7 @@ public:
     std::ostringstream Out;
     Out << "/* Generated by the halide-pldi13-repro compiler. Do not edit. "
            "*/\n"
-        << "#include <stdint.h>\n#include <math.h>\n#include <string.h>\n\n"
+        << Prelude << "\n"
         << "typedef struct hl_vtable {\n"
         << "  void *(*Malloc)(int64_t);\n  void (*Free)(void *);\n"
         << "  int (*ParFor)(int64_t, int64_t, int, "
@@ -749,6 +779,8 @@ private:
     return Name;
   }
 
+  /// The libm function for math call \p Fn on \p Elem. Every name it can
+  /// return must be declared in Prelude.
   static std::string scalarMathName(const std::string &Fn, Type Elem) {
     std::string Base = Fn == "round" ? "nearbyint" : Fn;
     return Elem.Bits == 32 ? Base + "f" : Base;
@@ -892,8 +924,25 @@ private:
   std::string emitDivMod(const Expr &E, bool IsMod) {
     const Expr &A = IsMod ? Expr(E.as<Mod>()->A) : Expr(E.as<Div>()->A);
     const Expr &B = IsMod ? Expr(E.as<Mod>()->B) : Expr(E.as<Div>()->B);
-    std::string SA = emit(A), SB = emit(B);
     Type T = E.type();
+    // A positive power-of-two divisor 2^k (on native vectors, a splat of
+    // one) is an arithmetic shift and a mask: both are floor division and
+    // floor modulo on two's-complement integers (GCC and clang shift
+    // signed values arithmetically, lane by lane on vectors).
+    int64_t Divisor;
+    if (!T.isFloat() && (T.isScalar() || nativeVectorOk(T)) &&
+        asConstInt(B, &Divisor) && Divisor > 0 &&
+        (Divisor & (Divisor - 1)) == 0) {
+      std::string SA = emit(A);
+      std::string CT = scalarCType(T.element());
+      if (IsMod)
+        return "((" + cTypeOf(T) + ")(" + SA + " & (" + CT + ")" +
+               std::to_string(Divisor - 1) + (T.Bits == 64 ? "LL" : "") +
+               "))";
+      return "((" + cTypeOf(T) + ")(" + SA + " >> " +
+             std::to_string(__builtin_ctzll(uint64_t(Divisor))) + "))";
+    }
+    std::string SA = emit(A), SB = emit(B);
     if (T.isFloat()) {
       if (IsMod) {
         // Floor-mod on floats: a - floor(a/b)*b.
@@ -923,23 +972,8 @@ private:
         return "(" + SA + " / " + SB + ")";
       return vectorOpHelper(T, "div") + "(" + SA + ", " + SB + ")";
     }
-    if (T.isScalar()) {
-      // A positive power-of-two divisor 2^k is an arithmetic shift and a
-      // mask: both are floor division and floor modulo on two's-complement
-      // integers (GCC and clang shift signed values arithmetically).
-      int64_t Divisor;
-      if (asConstInt(B, &Divisor) && Divisor > 0 &&
-          (Divisor & (Divisor - 1)) == 0) {
-        std::string CT = scalarCType(T);
-        if (IsMod)
-          return "((" + CT + ")(" + SA + " & (" + CT + ")" +
-                 std::to_string(Divisor - 1) + (T.Bits == 64 ? "LL" : "") +
-                 "))";
-        return "((" + CT + ")(" + SA + " >> " +
-               std::to_string(__builtin_ctzll(uint64_t(Divisor))) + "))";
-      }
+    if (T.isScalar())
       return scalarDivHelper(T, IsMod) + "(" + SA + ", " + SB + ")";
-    }
     std::string Helper = vectorOpHelper(T, IsMod ? "mod" : "fdiv");
     return Helper + "(" + SA + ", " + SB + ")";
   }

@@ -5,10 +5,16 @@
 #include "runtime/Buffer.h"
 #include "runtime/GpuSim.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <dlfcn.h>
+#include <fcntl.h>
 #include <fstream>
+#include <spawn.h>
+#include <sstream>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace halide;
@@ -99,12 +105,35 @@ private:
   bool Kept = false;
 };
 
-/// \p S as one single-quoted shell word.
-std::string shellQuote(const std::string &S) {
-  std::string Quoted = "'";
-  for (char C : S)
-    Quoted += C == '\'' ? std::string("'\\''") : std::string(1, C);
-  return Quoted + "'";
+/// Runs the host C compiler with \p Args (argv[0] included), its stderr
+/// written to \p LogPath. No shell runs, so each argument reaches cc
+/// as one word whatever it contains. Returns whether cc exited with
+/// status 0; aborts if it could not be started.
+bool runHostCompiler(const std::vector<std::string> &Args,
+                     const std::string &LogPath) {
+  std::vector<char *> Argv;
+  for (const std::string &A : Args)
+    Argv.push_back(const_cast<char *>(A.c_str()));
+  Argv.push_back(nullptr);
+  pid_t Pid;
+  posix_spawn_file_actions_t Actions;
+  int Err = posix_spawn_file_actions_init(&Actions);
+  if (Err == 0) {
+    Err = posix_spawn_file_actions_addopen(&Actions, STDERR_FILENO,
+                                           LogPath.c_str(),
+                                           O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (Err == 0)
+      Err = posix_spawnp(&Pid, Argv[0], &Actions, nullptr, Argv.data(),
+                         environ);
+    posix_spawn_file_actions_destroy(&Actions);
+  }
+  user_assert(Err == 0) << "could not start the host C compiler " << Args[0]
+                        << ": " << std::strerror(Err);
+  int Status;
+  while (waitpid(Pid, &Status, 0) < 0)
+    user_assert(errno == EINTR)
+        << "waiting for the host C compiler: " << std::strerror(errno);
+  return WIFEXITED(Status) && WEXITSTATUS(Status) == 0;
 }
 
 } // namespace
@@ -134,18 +163,23 @@ std::shared_ptr<CompiledPipeline> halide::jitCompile(const LoweredPipeline &P,
   // -ffp-contract=off keeps float results bit-identical across schedules
   // (FMA contraction would otherwise round differently per loop shape),
   // preserving the paper's "all valid schedules generate correct code"
-  // property at the bit level. JitFlags come last, so they win.
-  std::string Cmd = "cc -O2 -ftree-vectorize -fvect-cost-model=dynamic "
-                    "-march=native -fno-math-errno "
-                    "-ffp-contract=off -fPIC -shared " +
-                    T.JitFlags + " -o " + shellQuote(SoPath) + " " +
-                    shellQuote(CPath) + " -lm 2> " +
-                    shellQuote(Temp.path("cc.log"));
-  int Rc = std::system(Cmd.c_str());
-  if (Rc != 0) {
+  // property at the bit level. -nostdlib links no crt files, libc or
+  // libm: the source includes no header (CodeGenC's prelude), and its few
+  // undefined symbols (memcpy, memset, libm) resolve against the host
+  // process at dlopen. JitFlags come last, so they win.
+  std::vector<std::string> Args = {
+      "cc", "-O2", "-ftree-vectorize", "-fvect-cost-model=dynamic",
+      "-march=native", "-fno-math-errno", "-ffp-contract=off", "-fPIC",
+      "-shared", "-nostdlib"};
+  std::istringstream Flags(T.JitFlags);
+  for (std::string Flag; Flags >> Flag;)
+    Args.push_back(Flag);
+  Args.insert(Args.end(), {"-o", SoPath, CPath});
+  std::string LogPath = Temp.path("cc.log");
+  if (!runHostCompiler(Args, LogPath)) {
     std::string Log;
     {
-      std::ifstream In(Temp.path("cc.log"));
+      std::ifstream In(LogPath);
       std::string Line;
       while (std::getline(In, Line))
         Log += Line + "\n";

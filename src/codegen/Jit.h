@@ -8,7 +8,9 @@
 /// JIT execution of lowered pipelines: the C backend's output is compiled
 /// with the host C compiler into a shared object and loaded with dlopen
 /// (DESIGN.md substitution 1 for the paper's LLVM JIT). The entry point
-/// receives the runtime vtable, so the shared object is self-contained.
+/// receives the runtime vtable, so the shared object is self-contained:
+/// it is linked without libc, and its few library calls (memcpy, memset,
+/// libm) bind to the host process when it is loaded.
 /// CompiledPipeline implements the common Executable interface. GPU-block
 /// loops launch on the simulated device (runtime/GpuSim.h), and each run
 /// reports its own launch statistics through ExecutionStats.
@@ -52,9 +54,9 @@ private:
   std::string Source;
 };
 
-/// Emits C for \p P, compiles it with the host compiler (appending
-/// \p T.JitFlags to the command line), and loads it. Aborts (user_error)
-/// if the host compiler fails.
+/// Emits C for \p P, compiles it with the host compiler (\p T.JitFlags,
+/// split on whitespace, follow the default flags), and loads it. Aborts
+/// (user_error) if the host compiler fails, with its diagnostics.
 std::shared_ptr<CompiledPipeline> jitCompile(const LoweredPipeline &P,
                                              const Target &T = Target::jit());
 

@@ -52,8 +52,10 @@ struct Target {
   /// Skip storage folding (for ablation benchmarks).
   bool DisableStorageFolding = false;
 
-  /// Extra flags appended to the host C compiler command line (JitC
-  /// only), e.g. "-O0" for compile-time-sensitive sweeps.
+  /// Extra flags for the host C compiler (JitC only), e.g. "-O0" for
+  /// compile-time-sensitive sweeps. They are split on whitespace and
+  /// passed after the default flags, so they win. No shell runs: quotes,
+  /// variables and redirections reach the compiler as they are.
   std::string JitFlags;
 
   /// Worker-thread request for parallel loops, honored by both engines
@@ -90,6 +92,7 @@ struct Target {
   static Target jit() { return Target(Backend::JitC); }
 
   /// Fluent option setters (Targets are tiny; pass-by-value chaining).
+  /// \p Flags are whitespace-separated host-compiler flags (JitFlags).
   Target withJitFlags(std::string Flags) const {
     Target T = *this;
     T.JitFlags = std::move(Flags);

@@ -7,7 +7,6 @@
 #include "transforms/Instrument.h"
 
 #include "ir/IRMutator.h"
-#include "lang/Function.h"
 #include "transforms/StorageFlattening.h"
 
 #include <utility>
@@ -63,11 +62,11 @@ bool runsAsChunks(const For *Op) {
 class Instrument : public IRMutator {
 public:
   Instrument(const LoweredPipeline &P, const Target &T)
-      : Env(P.Env), Profile(T.Profile), Trace(T.Trace),
-        Stage(P.Output.name()) {}
+      : UpdateCounts(P.UpdateCounts), Profile(T.Profile), Trace(T.Trace),
+        Stage(P.Name) {}
 
 private:
-  const std::map<std::string, Function> &Env;
+  const std::map<std::string, size_t> &UpdateCounts;
   const bool Profile, Trace;
   /// The innermost stage bracket around the node being mutated: a produce
   /// node, a "name.update(k)" sub-stage, or the whole-body output bracket.
@@ -163,8 +162,8 @@ private:
   /// "name.update(k)". Anything else (folded storage, fused loops) keeps
   /// whole-stage attribution only.
   Stmt bracketUpdates(const ProducerConsumer *Op) {
-    auto It = Env.find(Op->Name);
-    size_t NumUpdates = It == Env.end() ? 0 : It->second.updates().size();
+    auto It = UpdateCounts.find(Op->Name);
+    size_t NumUpdates = It == UpdateCounts.end() ? 0 : It->second;
     std::vector<Stmt> Wrappers, Chain;
     peel(Op->Body, Wrappers, Chain);
     if (NumUpdates == 0 || Chain.size() != 1 + NumUpdates)
@@ -194,7 +193,7 @@ LoweredPipeline instrument(const LoweredPipeline &P, const Target &T) {
   // The whole pipeline body is the output stage's production: bracket it
   // so time outside any inner producer (the output's own loops) is
   // attributed to the output stage rather than lost.
-  const std::string &OutputName = P.Output.name();
+  const std::string &OutputName = P.Name;
   const ProducerConsumer *PC = P.Body.as<ProducerConsumer>();
   if (T.Profile && !(PC && PC->IsProducer && PC->Name == OutputName))
     Out.Body = bracketStage(OutputName, std::move(Out.Body));
@@ -203,7 +202,7 @@ LoweredPipeline instrument(const LoweredPipeline &P, const Target &T) {
   // metadata parameters, which every backend can resolve.
   if (T.Trace) {
     std::vector<Expr> Extents;
-    for (int D = 0; D < P.Output.dimensions(); ++D)
+    for (int D = 0; D < P.Buffers[0].Dimensions; ++D)
       Extents.push_back(Variable::make(
           Int(32), bufferExtentName(OutputName, D), /*IsParam=*/true));
     Out.Body = bracket(TraceEventKind::TraceBegin, TraceEventKind::TraceEnd,

@@ -83,21 +83,23 @@ LoweredPipeline halide::lower(const Function &Output, const Target &T) {
 
   LoweredPipeline Result;
   Result.Name = Output.name();
-  Result.Output = Output;
-  Result.Env = buildEnvironment(Output);
-  std::vector<std::string> Order = realizationOrder(Output, Result.Env);
+  std::map<std::string, Function> Env = buildEnvironment(Output);
+  std::vector<std::string> Order = realizationOrder(Output, Env);
 
-  for (const auto &[Name, F] : Result.Env)
+  for (const auto &[Name, F] : Env) {
     user_assert(F.hasPureDefinition())
         << "function " << Name << " is called but never defined";
+    if (!F.updates().empty())
+      Result.UpdateCounts[Name] = F.updates().size();
+  }
 
   // Section 4.1: loop synthesis and injection of realizations.
   Stmt S = runPass("scheduleFunctions", [&] {
-    return scheduleFunctions(Output, Order, Result.Env);
+    return scheduleFunctions(Output, Order, Env);
   });
 
   // Total fusion of inline-scheduled stages.
-  S = runPass("inlineCalls", [&] { return inlineCalls(S, Result.Env); });
+  S = runPass("inlineCalls", [&] { return inlineCalls(S, Env); });
 
   // Record input images and scalar parameters while calls are still visible.
   CollectArgs Args;
@@ -112,7 +114,7 @@ LoweredPipeline halide::lower(const Function &Output, const Target &T) {
   // preamble rather than copies at every use site, which keeps lowering
   // polynomial in pipeline depth (deep pyramids used to blow up here).
   S = runPass("boundsInference",
-              [&] { return boundsInference(S, Result.Env); });
+              [&] { return boundsInference(S, Env); });
 
   // Section 4.3: reuse and memory optimizations. These run before global
   // simplification: they pattern-match the bounds-let preambles (including
@@ -120,10 +122,10 @@ LoweredPipeline halide::lower(const Function &Output, const Target &T) {
   // simplification would otherwise inline away or drop.
   if (!T.DisableSlidingWindow)
     S = runPass("slidingWindow",
-                [&] { return slidingWindow(S, Result.Env); });
+                [&] { return slidingWindow(S, Env); });
   if (!T.DisableStorageFolding)
     S = runPass("storageFolding",
-                [&] { return storageFolding(S, Result.Env); });
+                [&] { return storageFolding(S, Env); });
   S = runPass("simplify", [&] { return simplify(S); });
 
   // Section 4.4: flattening to one-dimensional buffers.
@@ -131,7 +133,7 @@ LoweredPipeline halide::lower(const Function &Output, const Target &T) {
   for (const auto &[Name, Info] : Args.Images)
     ImageNames.insert(Name);
   S = runPass("storageFlattening", [&] {
-    return storageFlattening(S, Output.name(), ImageNames, Result.Env);
+    return storageFlattening(S, Output.name(), ImageNames, Env);
   });
   S = runPass("simplify", [&] { return simplify(S); });
 

@@ -40,9 +40,11 @@ struct ScalarArg {
 };
 
 /// A fully lowered pipeline: the statement plus its argument signature.
+/// It holds no stage: a cached lowering keeps no Function, and so no
+/// parameter or bound image, alive.
 struct LoweredPipeline {
+  /// The output stage's name.
   std::string Name;
-  Function Output;
   Stmt Body;
   /// Buffer arguments: the output buffer first, then input images in name
   /// order. Metadata parameters "<name>.min.<d>" / ".extent.<d>" /
@@ -50,7 +52,9 @@ struct LoweredPipeline {
   std::vector<BufferArg> Buffers;
   /// User scalar parameters, in name order.
   std::vector<ScalarArg> Scalars;
-  std::map<std::string, Function> Env;
+  /// The number of update definitions of each stage that has any, by
+  /// name (instrument() brackets each update as its own sub-stage).
+  std::map<std::string, size_t> UpdateCounts;
 };
 
 /// Lowers the pipeline producing \p Output. Only the Target's feature

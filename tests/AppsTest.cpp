@@ -67,6 +67,24 @@ void expectSameOutput(App &A, const std::function<void()> &SchedA,
       << A.Name << ": " << Label;
 }
 
+/// Runs \p A under its current schedule on the VM and on \p Jit at a
+/// 128x96 frame; the two outputs must be equal byte for byte.
+void expectJitMatchesVm(App &A, const Target &Jit) {
+  const int W = 128, H = 96;
+  ParamBindings Inputs = A.MakeInputs(W, H);
+  std::shared_ptr<void> KeepVm, KeepJit;
+  RawBuffer OutVm = makeOutput(A, W, H, &KeepVm);
+  RawBuffer OutJit = makeOutput(A, W, H, &KeepJit);
+  for (auto [T, Out] :
+       {std::pair{Target::vm(), &OutVm}, std::pair{Jit, &OutJit}}) {
+    ParamBindings P = Inputs;
+    P.bind(A.Output.name(), *Out);
+    ASSERT_EQ(Pipeline(A.Output).compile(T)->run(P), 0);
+  }
+  int64_t Bytes = OutVm.numElements() * OutVm.ElemType.bytes();
+  EXPECT_EQ(std::memcmp(OutVm.Host, OutJit.Host, size_t(Bytes)), 0);
+}
+
 } // namespace
 
 TEST(AppsTest, BlurTunedMatchesBreadthFirst) {
@@ -196,22 +214,29 @@ TEST(AppsTest, JitAtDefaultFlagsMatchesVm) {
   // every jit_c compile uses must reproduce the VM bit for bit.
   std::vector<App> Apps = paperApps(/*LocalLaplacianLevels=*/4);
   Apps.push_back(makeHistogramEqualizeApp());
-  const int W = 128, H = 96;
   for (App &A : Apps)
     for (bool Tuned : {true, false}) {
       SCOPED_TRACE(A.Name + (Tuned ? " tuned" : " breadth_first"));
       (Tuned ? A.ScheduleTuned : A.ScheduleBreadthFirst)();
-      ParamBindings Inputs = A.MakeInputs(W, H);
-      std::shared_ptr<void> KeepVm, KeepJit;
-      RawBuffer OutVm = makeOutput(A, W, H, &KeepVm);
-      RawBuffer OutJit = makeOutput(A, W, H, &KeepJit);
-      for (auto [T, Out] : {std::pair{Target::vm(), &OutVm},
-                            std::pair{Target::jit(), &OutJit}}) {
-        ParamBindings P = Inputs;
-        P.bind(A.Output.name(), *Out);
-        ASSERT_EQ(Pipeline(A.Output).compile(T)->run(P), 0);
-      }
-      int64_t Bytes = OutVm.numElements() * OutVm.ElemType.bytes();
-      EXPECT_EQ(std::memcmp(OutVm.Host, OutJit.Host, size_t(Bytes)), 0);
+      expectJitMatchesVm(A, Target::jit());
+    }
+}
+
+TEST(AppsTest, EmittedCNeedsNoSystemHeader) {
+  // The generated C declares what it uses itself: it compiles with no
+  // system include directory at all, and the object, linked without
+  // libc, loads and reproduces the VM under every schedule.
+  std::vector<App> Apps = paperApps(/*LocalLaplacianLevels=*/4);
+  Apps.push_back(makeHistogramEqualizeApp());
+  for (App &A : Apps)
+    for (auto [Name, Apply] :
+         {std::pair{"breadth_first", A.ScheduleBreadthFirst},
+          std::pair{"tuned", A.ScheduleTuned},
+          std::pair{"gpu", A.ScheduleGpu}}) {
+      if (!Apply)
+        continue;
+      SCOPED_TRACE(A.Name + " " + Name);
+      Apply();
+      expectJitMatchesVm(A, Target::jit().withJitFlags("-nostdinc"));
     }
 }

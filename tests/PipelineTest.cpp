@@ -432,9 +432,10 @@ TEST(ParamLifetimeTest, BoundImageIsFreedWithItsLastHandle) {
     EXPECT_EQ(Out(3, 2), 8);
     EXPECT_EQ(Released, 0);
   }
-  // The Buffer, the ImageParam and the Func are gone; the compiled
-  // pipeline still holds the definitions, and so the parameter, until the
-  // cache lets it go.
+  // The Buffer, the ImageParam and the Func are gone. The cached
+  // lowering and executable hold no stage, so nothing holds the
+  // parameter or its image any more.
+  EXPECT_EQ(Released, 1);
   Pipeline::clearCompileCache();
   EXPECT_EQ(Released, 1);
 }

@@ -8,7 +8,8 @@
 // run highest-priority first; the buffer pool makes steady-state serving
 // allocation-free; set() on another thread gives each in-flight frame
 // exactly one value; the
-// JIT leaves no scratch directories behind; and a compile stampede of N
+// JIT leaves no scratch directories behind and reports a failing host
+// compiler's diagnostic; and a compile stampede of N
 // identical requests does one lowering and one backend compile while the
 // other N-1 wait as cache hits.
 //
@@ -25,6 +26,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <dirent.h>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -338,7 +340,7 @@ TEST(ServingTest, ResizeDrainsQueuedAsyncJobs) {
 TEST(ServingTest, JitLeavesNoTempDirsBehind) {
   // A private TMPDIR, so JIT compiles in concurrently running test
   // processes cannot change the count. The space in its name checks that
-  // the host-compiler command quotes the scratch paths.
+  // the scratch paths reach the host compiler as single arguments.
   const char *Outer = std::getenv("TMPDIR");
   std::string Private =
       std::string(Outer && *Outer ? Outer : "/tmp") + "/hl serving XXXXXX";
@@ -376,6 +378,44 @@ TEST(ServingTest, JitScratchDirFollowsTmpdir) {
         Pipeline(P.Out).realize(Out, Params, Target::jit());
       },
       "could not create JIT temp directory /nonexistent/hl_tmpdir/hl_jit_");
+}
+
+TEST(ServingTest, HostCompilerFailureReportsItself) {
+  // The host compiler runs without a shell, its stderr captured through
+  // the spawn: a flag it rejects must still abort the compile with cc's
+  // own diagnostic and the path of the source it kept.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Each dying child re-runs this body and keeps its scratch directory.
+  // With TMPDIR pointing into a private directory first, every child's
+  // directory lands inside it.
+  const char *Outer = std::getenv("TMPDIR");
+  const std::string Saved = Outer ? Outer : "";
+  std::string Private =
+      std::string(Outer && *Outer ? Outer : "/tmp") + "/hl_ccfail_XXXXXX";
+  ASSERT_NE(mkdtemp(Private.data()), nullptr);
+  setenv("TMPDIR", Private.c_str(), 1);
+
+  ServePipe P("srv_ccfail");
+  Buffer<float> Input = makeInput(32, 24);
+  ParamBindings Params;
+  Params.bind(P.In.name(), Input);
+  Buffer<float> Out(32, 24);
+  EXPECT_DEATH(Pipeline(P.Out).realize(
+                   Out, Params, Target::jit().withJitFlags("-fno-such-flag")),
+               "host C compiler failed.*-fno-such-flag.*source left at");
+  // A compiler that cannot be started is named in the abort.
+  EXPECT_DEATH(
+      {
+        setenv("PATH", "/nonexistent/hl_no_cc", 1);
+        Pipeline(P.Out).realize(Out, Params, Target::jit());
+      },
+      "could not start the host C compiler cc: No such file");
+
+  if (Outer)
+    setenv("TMPDIR", Saved.c_str(), 1);
+  else
+    unsetenv("TMPDIR");
+  std::filesystem::remove_all(Private);
 }
 
 TEST(CompileStampedeTest, StampedeCompilesOnceAndHitsNMinusOne) {

@@ -334,20 +334,23 @@ int64_t floorDivMod(int64_t A, int64_t B, bool IsMod) {
 }
 
 /// Row 2i of the output is In(x) / Divisors[i] and row 2i+1 is
-/// In(x) % Divisors[i]. The divisors are Params while lowering (so no
-/// simplification folds `/ 1` or `% 1` away) and become constants of
-/// type T in the lowered statement, which is what codegen and the VM see.
-/// Checks the emitted C for helper calls (\p ExpectHelpers), then runs the
-/// program on the VM and on jit_c at the default flags and at -O0: the VM
-/// must equal floor semantics and both jit_c builds must equal the VM.
+/// In(x) % Divisors[i], vectorized over x by \p VectorLanes when nonzero
+/// (the divisors are then splats). The divisors are Params while lowering
+/// (so no simplification folds `/ 1` or `% 1` away) and become constants
+/// of type T in the lowered statement, which is what codegen and the VM
+/// see. Checks the emitted C for helper calls (\p ExpectHelpers), then
+/// runs the program on the VM and on jit_c at the default flags and at
+/// -O0: the VM must equal floor semantics and both jit_c builds must
+/// equal the VM.
 template <typename T>
-void checkScalarDivMod(const std::string &Tag,
-                       const std::vector<int64_t> &Divisors,
-                       bool ExpectHelpers) {
+void checkDivMod(const std::string &Tag, const std::vector<int64_t> &Divisors,
+                 bool ExpectHelpers, int VectorLanes) {
   const Type Ty = typeOf<T>();
-  SCOPED_TRACE(Tag + (ExpectHelpers ? " helper divisors" : " powers of two"));
-  const std::string Prefix =
-      "sdm_" + Tag + (ExpectHelpers ? "_helper" : "_pow2");
+  SCOPED_TRACE(Tag + (ExpectHelpers ? " helper divisors" : " powers of two") +
+               (VectorLanes ? " vectorized" : " scalar"));
+  const std::string Prefix = "sdm_" + Tag +
+                             (ExpectHelpers ? "_helper" : "_pow2") +
+                             (VectorLanes ? "_vec" : "");
   ImageParam In(Ty, 1, Prefix + "_in");
   Var x("x"), j("j");
   std::map<std::string, Expr> Constants;
@@ -361,21 +364,34 @@ void checkScalarDivMod(const std::string &Tag,
   }
   Func F(Prefix + "_out");
   F(x, j) = Value;
+  if (VectorLanes)
+    F.vectorize(x, VectorLanes);
 
   LoweredPipeline LP = lower(F.function());
   LP.Body = substitute(Constants, LP.Body);
   LP.Scalars.clear();
 
   std::string Source = codegenC(LP, "test_fn");
+  // The floor helpers: hl_div_i32 / hl_mod_i32, or hl_i32x8_fdiv /
+  // hl_i32x8_mod on vectors.
+  const std::string Vec = "hl_" + Tag + "x" + std::to_string(VectorLanes);
+  const std::string DivHelper =
+      VectorLanes ? Vec + "_fdiv(" : "hl_div_" + Tag + "(";
+  const std::string ModHelper =
+      VectorLanes ? Vec + "_mod(" : "hl_mod_" + Tag + "(";
   if (ExpectHelpers) {
-    EXPECT_NE(Source.find("hl_div_" + Tag + "("), std::string::npos);
-    EXPECT_NE(Source.find("hl_mod_" + Tag + "("), std::string::npos);
+    EXPECT_NE(Source.find(DivHelper), std::string::npos);
+    EXPECT_NE(Source.find(ModHelper), std::string::npos);
   } else {
-    EXPECT_EQ(Source.find("hl_div_"), std::string::npos) << Source;
-    EXPECT_EQ(Source.find("hl_mod_"), std::string::npos) << Source;
+    for (const char *Helper : {"hl_div_", "hl_mod_", "_fdiv(", "_mod("})
+      EXPECT_EQ(Source.find(Helper), std::string::npos)
+          << Helper << "\n" << Source;
   }
 
-  const std::vector<T> Nums = divModNumerators<T>(Divisors);
+  std::vector<T> Nums = divModNumerators<T>(Divisors);
+  // The output extent must be a multiple of the vector width.
+  while (VectorLanes && Nums.size() % size_t(VectorLanes))
+    Nums.push_back(Nums.back());
   const int N = int(Nums.size()), Rows = int(2 * Divisors.size());
   Buffer<T> Input(N);
   for (int X = 0; X < N; ++X)
@@ -402,7 +418,8 @@ void checkScalarDivMod(const std::string &Tag,
     }
 }
 
-template <typename T> void checkScalarDivModForType(const std::string &Tag) {
+template <typename T>
+void checkDivModForType(const std::string &Tag, int VectorLanes) {
   const Type Ty = typeOf<T>();
   std::vector<int64_t> PowersOfTwo;
   for (int64_t D : {int64_t(1), int64_t(2), int64_t(8), int64_t(1) << 30})
@@ -412,12 +429,12 @@ template <typename T> void checkScalarDivModForType(const std::string &Tag) {
   const int64_t Largest = int64_t(1) << (Ty.Bits - (Ty.isInt() ? 2 : 1));
   if (Largest != PowersOfTwo.back())
     PowersOfTwo.push_back(Largest);
-  checkScalarDivMod<T>(Tag, PowersOfTwo, /*ExpectHelpers=*/false);
+  checkDivMod<T>(Tag, PowersOfTwo, /*ExpectHelpers=*/false, VectorLanes);
   // A negative power of two and a positive non-power keep the helper.
   std::vector<int64_t> Others = {6};
   if (Ty.isInt())
     Others.push_back(-8);
-  checkScalarDivMod<T>(Tag, Others, /*ExpectHelpers=*/true);
+  checkDivMod<T>(Tag, Others, /*ExpectHelpers=*/true, VectorLanes);
 }
 
 /// Row 0 of the output is In(x) / D and row 1 is In(x) % D, with D a
@@ -473,13 +490,25 @@ TEST(VectorSimdTest, ScalarPowerOfTwoDivModIsShiftAndMask) {
   // A positive power-of-two divisor compiles to a shift and a mask
   // instead of the branchy floor helpers, and must keep floor semantics
   // over every type's full range, negative numerators included.
-  checkScalarDivModForType<int8_t>("i8");
-  checkScalarDivModForType<int16_t>("i16");
-  checkScalarDivModForType<int32_t>("i32");
-  checkScalarDivModForType<int64_t>("i64");
-  checkScalarDivModForType<uint8_t>("u8");
-  checkScalarDivModForType<uint16_t>("u16");
-  checkScalarDivModForType<uint32_t>("u32");
+  checkDivModForType<int8_t>("i8", 0);
+  checkDivModForType<int16_t>("i16", 0);
+  checkDivModForType<int32_t>("i32", 0);
+  checkDivModForType<int64_t>("i64", 0);
+  checkDivModForType<uint8_t>("u8", 0);
+  checkDivModForType<uint16_t>("u16", 0);
+  checkDivModForType<uint32_t>("u32", 0);
+}
+
+TEST(VectorSimdTest, VectorPowerOfTwoDivModIsShiftAndMask) {
+  // The same on native vectors: a splat of a positive power of two is a
+  // lanewise shift and mask, and other splats keep the floor helpers.
+  checkDivModForType<int8_t>("i8", 8);
+  checkDivModForType<int16_t>("i16", 8);
+  checkDivModForType<int32_t>("i32", 8);
+  checkDivModForType<int64_t>("i64", 8);
+  checkDivModForType<uint8_t>("u8", 8);
+  checkDivModForType<uint16_t>("u16", 8);
+  checkDivModForType<uint32_t>("u32", 8);
 }
 
 TEST(VectorSimdTest, NonDivisibleVectorizedInternalUpdateStageIsSafe) {
