@@ -6,12 +6,15 @@
 // optimization PRs benchmark themselves against (BENCH_seed.json at the
 // repo root holds the seed trajectory).
 //
-// --threads=N sets both the task scheduler's pool size and the Target's
+// --threads=N sets both the task scheduler's pool size and every run's
 // thread request, and is recorded in every row. A built-in threads sweep
 // additionally times the parallel (tuned) schedules of blur and
 // local_laplacian on the bytecode VM serially and at 4 threads, so the
 // parallel-runtime speedup is part of the tracked trajectory
-// (--no-thread-sweep skips it).
+// (--no-thread-sweep skips it). A thread request belongs to the run, so
+// the sweep's rows share one compiled executable per program, and the
+// JSON's backend_compiles (Pipeline::compileCounters) counts one backend
+// compile per distinct (app, schedule, backend).
 //
 // --serve switches to throughput mode: N client threads (--serve-clients)
 // each submit M frames (--serve-frames) of every app's tuned schedule
@@ -95,8 +98,9 @@ struct BenchRow {
 bool ScalarizeSchedules = false;
 
 void runOne(App &A, const char *ScheduleName,
-            const std::function<void()> &Apply, const Target &T, int W,
-            int H, int Iters, std::vector<BenchRow> *Rows) {
+            const std::function<void()> &Apply, const Target &T,
+            int Threads, int W, int H, int Iters,
+            std::vector<BenchRow> *Rows) {
   if (!Apply)
     return;
   Apply();
@@ -107,12 +111,12 @@ void runOne(App &A, const char *ScheduleName,
   std::shared_ptr<void> Keep;
   RawBuffer Out = makeAppOutput(A, W, H, &Keep);
   Params.bind(A.Output.name(), Out);
-  double Ms = benchmarkMs(*Exe, Params, Iters);
+  double Ms = benchmarkMs(*Exe, Params, Iters, Threads);
   BenchRow Row;
   Row.App = A.Name;
   Row.Schedule = ScheduleName;
   Row.BackendName = backendName(T.TargetBackend);
-  Row.Threads = T.NumThreads > 0 ? T.NumThreads : taskSchedulerThreads();
+  Row.Threads = Threads > 0 ? Threads : taskSchedulerThreads();
   Row.VecWidth = scheduleVectorWidth(A.Output.function());
   Row.Width = W;
   Row.Height = H;
@@ -227,8 +231,8 @@ void runThreadsSweep(std::vector<App> &Apps, int W, int H, int Iters,
       continue;
     for (int N : {1, 4}) {
       setTaskSchedulerThreads(N);
-      runOne(A, "tuned", A.ScheduleTuned, Target::vm().withThreads(N), W,
-             H, Iters, Rows);
+      runOne(A, "tuned", A.ScheduleTuned, Target::vm(), N, W, H, Iters,
+             Rows);
     }
   }
   setTaskSchedulerThreads(Before);
@@ -353,10 +357,12 @@ int main(int Argc, char **Argv) {
                  "not comparable against that baseline\n",
                  BaselineThreads, HostThreads);
 
-  if (Threads > 0) {
+  if (Threads > 0)
     setTaskSchedulerThreads(Threads);
-    T = T.withThreads(Threads);
-  }
+  // Every run gets the thread request: --threads, else a "-threads<N>"
+  // the --backend text named.
+  const int Request = Threads > 0 ? Threads : T.NumThreads;
+  T = T.withThreads(0);
   if (Profile)
     T = T.withProfile();
   if (!TracePath.empty()) {
@@ -388,16 +394,17 @@ int main(int Argc, char **Argv) {
     for (App &A : Apps) {
       if (!AppFilter.empty() && A.Name != AppFilter)
         continue;
-      runServe(A, T, W, H, ServeClients, ServeFrames, &ServeRows);
+      runServe(A, T.withThreads(Request), W, H, ServeClients, ServeFrames,
+               &ServeRows);
     }
   } else {
     for (App &A : Apps) {
       if (!AppFilter.empty() && A.Name != AppFilter)
         continue;
-      runOne(A, "breadth_first", A.ScheduleBreadthFirst, T, W, H, Iters,
-             &Rows);
-      runOne(A, "tuned", A.ScheduleTuned, T, W, H, Iters, &Rows);
-      runOne(A, "gpu_sim", A.ScheduleGpu, T, W, H, Iters, &Rows);
+      runOne(A, "breadth_first", A.ScheduleBreadthFirst, T, Request, W, H,
+             Iters, &Rows);
+      runOne(A, "tuned", A.ScheduleTuned, T, Request, W, H, Iters, &Rows);
+      runOne(A, "gpu_sim", A.ScheduleGpu, T, Request, W, H, Iters, &Rows);
     }
     if (ThreadSweep && AppFilter.empty())
       runThreadsSweep(Apps, W, H, Iters, &Rows);
@@ -442,7 +449,9 @@ int main(int Argc, char **Argv) {
          << ",\n  \"baseline_host_threads\": " << BaselineThreads
          << ",\n  \"baseline_host_threads_mismatch\": "
          << (BaselineMismatch ? "true" : "false") << ",\n  \"backend\": \""
-         << backendName(T.TargetBackend) << "\",\n  \"results\": [\n";
+         << backendName(T.TargetBackend) << "\",\n  \"backend_compiles\": "
+         << Pipeline::compileCounters().BackendCompiles
+         << ",\n  \"results\": [\n";
     for (size_t I = 0; I < Rows.size(); ++I) {
       const BenchRow &R = Rows[I];
       Json << "    {\"app\": \"" << R.App << "\", \"schedule\": \""

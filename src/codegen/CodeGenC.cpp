@@ -1540,8 +1540,8 @@ private:
           VarTypes, IRName, CType));
     };
 
-    // Buffers and their metadata.
-    int Slot = 0;
+    // The packed arguments, in LoweredPipeline's layout: each buffer and
+    // its metadata, then the scalar parameters.
     for (size_t I = 0; I < P.Buffers.size(); ++I) {
       const BufferArg &Arg = P.Buffers[I];
       std::string CT = scalarCType(Arg.ElemType);
@@ -1559,22 +1559,20 @@ private:
               Arg.Name + "." + Kinds[K] + "." + std::to_string(D);
           std::string MName = freshName(IRName);
           line("const int32_t " + MName + " = (int32_t)iargs[" +
-               std::to_string(Slot++) + "];");
+               std::to_string(LoweredPipeline::metadataSlot(I, D) + K) +
+               "];");
           bindVar(IRName, MName, "int32_t");
         }
       }
     }
-    // Scalar parameters: ints continue in iargs, floats use fargs.
-    int FloatSlot = 0;
-    for (const ScalarArg &Arg : P.Scalars) {
+    const std::vector<ArgSlot> Slots = P.scalarSlots();
+    for (size_t I = 0; I < P.Scalars.size(); ++I) {
+      const ScalarArg &Arg = P.Scalars[I];
       std::string CT = scalarCType(Arg.ArgType);
       std::string CName = freshName(Arg.Name);
-      if (Arg.ArgType.isFloat())
-        line("const " + CT + " " + CName + " = (" + CT + ")fargs[" +
-             std::to_string(FloatSlot++) + "];");
-      else
-        line("const " + CT + " " + CName + " = (" + CT + ")iargs[" +
-             std::to_string(Slot++) + "];");
+      line("const " + CT + " " + CName + " = (" + CT + ")" +
+           (Slots[I].IsFloat ? "fargs[" : "iargs[") +
+           std::to_string(Slots[I].Index) + "];");
       bindVar(Arg.Name, CName, CT);
     }
 

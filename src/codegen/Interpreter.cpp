@@ -2,6 +2,7 @@
 
 #include "codegen/Interpreter.h"
 #include "analysis/Scope.h"
+#include "codegen/Executable.h"
 #include "ir/IROperators.h"
 #include "ir/IRPrinter.h"
 #include "observe/Profiler.h"
@@ -55,17 +56,15 @@ struct BufferSlot {
 class Interp {
 public:
   Interp(const LoweredPipeline &P, const ParamBindings &Params)
-      : P(P), Params(Params) {}
+      : P(P), Args(bindArguments(P, Params)), ArgSlots(P.argumentSlots()) {}
 
   ExecutionStats run() {
-    // Bind boundary buffers.
-    for (const BufferArg &Arg : P.Buffers) {
-      const RawBuffer &Raw = Params.buffer(Arg.Name);
+    for (size_t I = 0; I < P.Buffers.size(); ++I) {
       BufferSlot Slot;
-      Slot.SizeElems = checkBoundaryBuffer(Arg.Name, Raw, Arg.ElemType);
-      Slot.Data = Raw.Host;
-      Slot.ElemType = Raw.ElemType;
-      Buffers.push(Arg.Name, Slot);
+      Slot.SizeElems = Args.BufElems[I];
+      Slot.Data = Args.Bufs[I];
+      Slot.ElemType = P.Buffers[I].ElemType;
+      Buffers.push(P.Buffers[I].Name, Slot);
     }
     exec(P.Body);
     return Stats;
@@ -331,14 +330,13 @@ private:
   Value evalVariable(const Variable *Op) {
     if (Vars.contains(Op->Name))
       return Vars.get(Op->Name);
-    double FloatScalar = 0;
-    if (Op->NodeType.isFloat() && Params.lookupFloat(Op->Name, &FloatScalar))
-      return Value::floatVal(Op->NodeType, FloatScalar);
-    int64_t IntScalar = 0;
-    if (!Op->NodeType.isFloat() && Params.lookupInt(Op->Name, &IntScalar))
-      return Value::intVal(Op->NodeType, IntScalar);
-    internal_error << "interpreter: unbound variable " << Op->Name;
-    return Value();
+    auto It = ArgSlots.find(Op->Name);
+    internal_assert(It != ArgSlots.end())
+        << "interpreter: unbound variable " << Op->Name;
+    const size_t Index = size_t(It->second.Index);
+    return It->second.IsFloat
+               ? Value::floatVal(Op->NodeType, Args.FloatArgs[Index])
+               : Value::intVal(Op->NodeType, Args.IntArgs[Index]);
   }
 
   Value evalSelect(const Select *Op) {
@@ -691,7 +689,8 @@ private:
   }
 
   const LoweredPipeline &P;
-  const ParamBindings &Params;
+  const BoundArgs Args;
+  const std::map<std::string, ArgSlot> ArgSlots;
   Scope<Value> Vars;
   Scope<BufferSlot> Buffers;
   ExecutionStats Stats;

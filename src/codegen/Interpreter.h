@@ -26,6 +26,7 @@
 namespace halide {
 
 /// Executes a lowered pipeline against concrete parameter bindings,
+/// which it checks and packs like Executable::run (bindArguments),
 /// returning execution statistics. Aborts (via user_error) on failed
 /// pipeline assertions or out-of-bounds accesses.
 ExecutionStats interpret(const LoweredPipeline &P,

@@ -2,7 +2,6 @@
 
 #include "codegen/Jit.h"
 #include "codegen/CodeGenC.h"
-#include "runtime/Buffer.h"
 #include "runtime/GpuSim.h"
 
 #include <cerrno>
@@ -19,48 +18,18 @@
 
 using namespace halide;
 
-int CompiledPipeline::run(const ParamBindings &Params,
-                          ExecutionStats *Stats) const {
-  internal_assert(Fn) << "run of invalid CompiledPipeline";
-  std::vector<void *> Bufs;
-  std::vector<int64_t> IntArgs;
-  std::vector<double> FloatArgs;
-
-  for (const BufferArg &Arg : P.Buffers) {
-    const RawBuffer &Raw = Params.buffer(Arg.Name);
-    checkBoundaryBuffer(Arg.Name, Raw, Arg.ElemType);
-    Bufs.push_back(Raw.Host);
-    for (int D = 0; D < MaxBufferDims; ++D) {
-      if (D < Raw.Dimensions) {
-        IntArgs.push_back(Raw.Dim[D].Min);
-        IntArgs.push_back(Raw.Dim[D].Extent);
-        IntArgs.push_back(Raw.Dim[D].Stride);
-      } else {
-        IntArgs.push_back(0);
-        IntArgs.push_back(1);
-        IntArgs.push_back(0);
-      }
-    }
-  }
-  for (const ScalarArg &Arg : P.Scalars) {
-    bool Bound = Arg.ArgType.isFloat()
-                     ? Params.lookupFloat(Arg.Name, &FloatArgs.emplace_back())
-                     : Params.lookupInt(Arg.Name, &IntArgs.emplace_back());
-    user_assert(Bound) << "scalar parameter " << Arg.Name << " is unbound";
-  }
-  // Never pass null array pointers.
-  IntArgs.push_back(0);
-  FloatArgs.push_back(0);
-
+int CompiledPipeline::execute(const BoundArgs &Args, int MaxTasks,
+                              ExecutionStats *Stats) const {
   // The run gets its own copy of the vtable carrying its own GPU counters
-  // and its Target's chunk budget: generated code credits every launch to
-  // the `rt` it was handed, so concurrent frames never see each other's
-  // launches, and sizes every parallel loop and launch by rt->MaxTasks.
+  // and chunk budget: generated code credits every launch to the `rt` it
+  // was handed, so concurrent frames never see each other's launches, and
+  // sizes every parallel loop and launch by rt->MaxTasks.
   GpuCounters Gpu;
   RuntimeVTable Rt = *runtimeVTable();
   Rt.GpuRun = &Gpu;
-  Rt.MaxTasks = taskChunkBudget(T.NumThreads);
-  int Rc = Fn(&Rt, Bufs.data(), IntArgs.data(), FloatArgs.data());
+  Rt.MaxTasks = MaxTasks;
+  int Rc = Fn(&Rt, Args.Bufs.data(), Args.IntArgs.data(),
+              Args.FloatArgs.data());
   if (Stats) {
     ExecutionStats S;
     S.GpuKernelLaunches = Gpu.KernelLaunches;
@@ -142,7 +111,7 @@ std::shared_ptr<CompiledPipeline> halide::jitCompile(const LoweredPipeline &P,
                                                      const Target &T) {
   user_assert(T.TargetBackend == Backend::JitC)
       << "jitCompile on a " << backendName(T.TargetBackend) << " Target";
-  std::shared_ptr<CompiledPipeline> Result(new CompiledPipeline(P, T));
+  std::shared_ptr<CompiledPipeline> Result(new CompiledPipeline(P));
 
   std::string FnName = "hl_pipeline";
   Result->Source = codegenC(P, FnName);

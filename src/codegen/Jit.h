@@ -27,15 +27,10 @@
 
 namespace halide {
 
-/// A natively compiled pipeline, ready to run.
+/// A natively compiled pipeline, ready to run. A run's Stats receive its
+/// simulated-GPU kernel launches and blocks.
 class CompiledPipeline final : public Executable {
 public:
-  /// Executes the pipeline; all buffers and scalars must be bound in
-  /// \p Params. Returns the pipeline's exit code (0 on success). \p Stats
-  /// receives this run's simulated-GPU kernel launches and blocks.
-  int run(const ParamBindings &Params,
-          ExecutionStats *Stats = nullptr) const override;
-
   /// The generated C source (for inspection and tests).
   const std::string &source() const override { return Source; }
 
@@ -43,10 +38,12 @@ private:
   friend std::shared_ptr<CompiledPipeline> jitCompile(const LoweredPipeline &,
                                                       const Target &);
 
-  CompiledPipeline(LoweredPipeline P, Target T)
-      : Executable(std::move(P), std::move(T)) {}
+  explicit CompiledPipeline(LoweredPipeline P) : Executable(std::move(P)) {}
 
-  using EntryPoint = int32_t (*)(const RuntimeVTable *, void **,
+  int execute(const BoundArgs &Args, int MaxTasks,
+              ExecutionStats *Stats) const override;
+
+  using EntryPoint = int32_t (*)(const RuntimeVTable *, void *const *,
                                  const int64_t *, const double *);
 
   std::shared_ptr<void> Handle; // dlopen handle, closed on destruction

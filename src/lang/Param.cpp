@@ -46,7 +46,7 @@ void halide::bindParameterValues(
     const ParamValue &V = P->Value;
     int64_t IntValue = 0;
     double FloatValue = 0;
-    if (!V.HasValue || Bindings->hasBuffer(Name) ||
+    if (!V.HasValue || Bindings->buffer(Name) ||
         Bindings->lookupInt(Name, &IntValue) ||
         Bindings->lookupFloat(Name, &FloatValue))
       continue; // unbound, or bound explicitly

@@ -164,25 +164,22 @@ Pipeline::cachedLowered(const std::string &LowerKey, const Target &T) {
 }
 
 std::shared_ptr<const Executable> Pipeline::compile(const Target &T) {
+  user_assert(T.NumThreads == 0)
+      << "cannot compile " << Output.name() << " for a thread request ("
+      << T.str() << "): pass the request to Executable::run";
   return compileKeyed(scheduleFingerprint(T), T);
 }
 
 std::shared_ptr<const Executable>
 Pipeline::compileKeyed(const std::string &LowerKey, const Target &T) {
   CompileCache &C = cache();
-  // The thread request belongs in the executable key only: it never
-  // changes lowering, so every thread count shares one lowered pipeline,
-  // but the executable carries its Target (both engines size their
-  // parallel loops by NumThreads at run time), so targets differing in
-  // threads must not alias one cached artifact.
-  // Profile and Trace follow the same rule (see Target::Profile):
-  // instrumentation happens in makeExecutable on a copy of the shared
-  // lowering, so only the executable key carries the bits.
-  std::string ExecKey = LowerKey + "##" + backendName(T.TargetBackend) +
-                        "#" + T.JitFlags + "#t" +
-                        std::to_string(T.NumThreads) +
-                        (T.Profile ? "#profile" : "") +
-                        (T.Trace ? "#trace" : "");
+  // The executable key adds what changes the code to the lowering key:
+  // the engine, jit_c's host-compiler flags, and instrumentation, which
+  // makeExecutable applies to a copy of the shared lowering.
+  std::string ExecKey =
+      LowerKey + "##" + backendName(T.TargetBackend) +
+      (T.TargetBackend == Backend::JitC ? "#" + T.JitFlags : "") +
+      (T.Profile ? "#profile" : "") + (T.Trace ? "#trace" : "");
 
   bool Created = false;
   std::shared_ptr<ExecSlot> Slot =
@@ -237,39 +234,6 @@ std::vector<Argument> Pipeline::inferArguments(const Target &T) {
   return Args;
 }
 
-namespace {
-
-/// Checks \p Args against the pipeline's signature, with user_errors
-/// naming the argument on the unbound and type-mismatch paths.
-void checkArguments(const LoweredPipeline &LP, const ParamBindings &Args) {
-  for (const BufferArg &Arg : LP.Buffers) {
-    user_assert(Args.hasBuffer(Arg.Name))
-        << "input image '" << Arg.Name
-        << "' is unbound: call ImageParam::set(buffer) before realize, "
-           "or bind it explicitly in the ParamBindings";
-    const RawBuffer &B = Args.buffer(Arg.Name);
-    user_assert(B.ElemType == Arg.ElemType)
-        << (Arg.IsOutput ? "output" : "input") << " buffer '" << Arg.Name
-        << "' has element type " << B.ElemType.str()
-        << " but the pipeline expects " << Arg.ElemType.str();
-    user_assert(B.Dimensions == Arg.Dimensions)
-        << (Arg.IsOutput ? "output" : "input") << " buffer '" << Arg.Name
-        << "' is " << B.Dimensions << "-dimensional but the pipeline expects "
-        << Arg.Dimensions << " dimensions";
-  }
-  for (const ScalarArg &Arg : LP.Scalars) {
-    int64_t IntValue = 0;
-    double FloatValue = 0;
-    user_assert(Arg.ArgType.isFloat() ? Args.lookupFloat(Arg.Name, &FloatValue)
-                                      : Args.lookupInt(Arg.Name, &IntValue))
-        << "scalar parameter '" << Arg.Name
-        << "' is unbound: call set() on its Param before realize, or bind "
-           "it explicitly in the ParamBindings";
-  }
-}
-
-} // namespace
-
 auto Pipeline::prepareFrame(RawBuffer Out, const ParamBindings &Params,
                             const Target &T) {
   std::map<std::string, ParameterPtr> Ps;
@@ -281,13 +245,12 @@ auto Pipeline::prepareFrame(RawBuffer Out, const ParamBindings &Params,
   // stays valid even if this Pipeline object dies first.
   return [Self = *this, LowerKey = std::move(LowerKey), Args = std::move(Args),
           T]() mutable {
-    std::shared_ptr<const Executable> Exe = Self.compileKeyed(LowerKey, T);
-    const LoweredPipeline &LP = Exe->pipeline();
-    checkArguments(LP, Args);
+    auto Exe = Self.compileKeyed(LowerKey, T.withThreads(0));
     ExecutionStats Stats;
-    int Rc = Exe->run(Args, &Stats);
-    user_assert(Rc == 0) << "pipeline " << LP.Name << " on target "
-                         << T.str() << " failed with exit code " << Rc;
+    int Rc = Exe->run(Args, &Stats, T.NumThreads);
+    user_assert(Rc == 0) << "pipeline " << Exe->pipeline().Name
+                         << " on target " << T.str()
+                         << " failed with exit code " << Rc;
     return Stats;
   };
 }

@@ -9,12 +9,12 @@
 /// ends: Pipeline::compile(Target) lowers the output Func with its current
 /// schedules and hands it to the backend the Target names, caching the
 /// result under a schedule+options fingerprint so an unchanged pipeline is
-/// compiled once and run over many frames (paper section 4, Figure 5).
-/// Pipeline::realize dispatches through that cache and resolves every
+/// compiled once and run over many frames (paper section 4, Figure 5),
+/// whatever thread count each run asks for. Pipeline::realize dispatches through that cache and resolves every
 /// pipeline argument the caller did not bind explicitly from the
 /// pipeline's own Param<T> / ImageParam parameters, which the fingerprint's
-/// walk of its definitions collects; name->value ParamBindings remain the
-/// internal ABI between Pipeline and the back ends.
+/// walk of its definitions collects, into the name->value ParamBindings
+/// that Executable::run checks and packs.
 ///
 /// The cache is safe to use from many threads at once: it is a
 /// shared_mutex-guarded map of per-entry once-compile latches (a stampede
@@ -108,6 +108,7 @@ public:
   /// Compiles for \p T (lowering with the Funcs' current schedules), or
   /// returns the cached artifact when an identical pipeline was already
   /// compiled. The artifact stays valid even if schedules change later.
+  /// A thread request in \p T is a user_error: it belongs to run().
   std::shared_ptr<const Executable> compile(const Target &T = Target());
 
   /// The lowered pipeline for \p T (cached by the same fingerprint).
@@ -122,6 +123,7 @@ public:
 
   /// Compiles (through the cache) and executes on \p T's backend, writing
   /// into \p Out (which also determines the requested output region).
+  /// \p T's NumThreads is the run's thread request.
   /// Arguments not bound in \p Params are resolved from the values bound
   /// to the pipeline's Param<T>s and ImageParams, read at one instant; a
   /// missing or type-mismatched argument is a user_error naming it.

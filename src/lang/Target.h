@@ -9,10 +9,10 @@
 /// engine (the bytecode VM or the C-source JIT) plus the feature flags that
 /// used to live in LowerOptions. A GPU schedule (Func::gpuTile) needs no
 /// target of its own: every JIT executable routes GPU-block loops to the
-/// simulated device. A Target is part of the compile-cache key, so two
-/// realizations with the same schedules and the same Target share one
-/// compiled artifact (paper section 4, Figure 5: compile once, run over
-/// many frames).
+/// simulated device. A Target but its thread request is part of the
+/// compile-cache key, so two realizations with the same schedules and the
+/// same Target share one compiled artifact (paper section 4, Figure 5:
+/// compile once, run over many frames).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,22 +58,21 @@ struct Target {
   /// variables and redirections reach the compiler as they are.
   std::string JitFlags;
 
-  /// Worker-thread request for parallel loops, honored by both engines
-  /// through taskChunkBudget (runtime/TaskScheduler.h): 0 inherits the
-  /// task scheduler's pool size (HALIDE_NUM_THREADS or the hardware
-  /// concurrency), 1 forces serial execution, N > 1 runs parallel loops
-  /// threaded with chunking sized for N workers. Does not
-  /// affect lowering — it is folded into the executable cache key only,
-  /// never into the lowering fingerprint, so every thread count shares one
-  /// lowered pipeline per schedule.
+  /// A realize's worker-thread request, which realize passes to
+  /// Executable::run: 0 inherits the task scheduler's pool size
+  /// (HALIDE_NUM_THREADS or the hardware concurrency), 1 forces serial
+  /// execution, N > 1 runs parallel loops threaded with chunking sized for
+  /// N workers (taskChunkBudget, runtime/TaskScheduler.h). It is in no
+  /// cache key; Pipeline::compile and makeExecutable reject it.
   int NumThreads = 0;
 
   /// Per-stage profiling (src/observe/Profiler.h): the executable is
   /// instrumented with stage, chunk and allocation events at
-  /// backend-compile time, and every run of it records. Like NumThreads this does not affect lowering — it is folded into
-  /// the executable cache key only, never into the lowering fingerprint,
-  /// so profile-on and profile-off targets share one lowered pipeline
-  /// and an off-target run is bit-identical, marker-free code.
+  /// backend-compile time, and every run of it records. This does not
+  /// affect lowering — it is folded into the executable cache key only,
+  /// never into the lowering fingerprint, so profile-on and profile-off
+  /// targets share one lowered pipeline and an off-target run is
+  /// bit-identical, marker-free code.
   bool Profile = false;
 
   /// Value-level tracing (src/observe/TraceStream.h): the executable is
@@ -124,8 +123,7 @@ struct Target {
     return T;
   }
 
-  /// Canonical textual form, e.g. "jit_c-no_sliding_window". Used in logs
-  /// and as part of compile-cache keys.
+  /// Canonical textual form, e.g. "jit_c-no_sliding_window", for logs.
   std::string str() const;
 
   /// The lowering-relevant portion of str(): backend excluded, so the VM

@@ -60,8 +60,8 @@ StrategyMetrics halide::analyzeStrategy(const std::string &Name,
       << "analyzeStrategy: cannot open a value trace at " << Path
       << " (is another trace stream active?)";
   ExecutionStats Stats;
-  makeExecutable(P, Target::vm().withThreads(1).withTrace())
-      ->run(Params, &Stats);
+  makeExecutable(P, Target::vm().withTrace())
+      ->run(Params, &Stats, /*NumThreads=*/1);
   traceStreamStop();
   std::vector<TraceEvent> Events;
   std::string Error;
@@ -85,15 +85,16 @@ StrategyMetrics halide::analyzeStrategy(const std::string &Name,
 }
 
 double halide::benchmarkMs(const Executable &Exe,
-                           const ParamBindings &Params, int Iters) {
+                           const ParamBindings &Params, int Iters,
+                           int NumThreads) {
   internal_assert(Iters >= 1);
   // Warm-up run (page faults, thread pool spin-up).
-  Exe.run(Params);
+  Exe.run(Params, nullptr, NumThreads);
   std::vector<double> Times;
   Times.reserve(size_t(Iters));
   for (int I = 0; I < Iters; ++I) {
     auto Start = std::chrono::steady_clock::now();
-    Exe.run(Params);
+    Exe.run(Params, nullptr, NumThreads);
     auto End = std::chrono::steady_clock::now();
     Times.push_back(
         std::chrono::duration<double, std::milli>(End - Start).count());

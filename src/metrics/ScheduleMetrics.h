@@ -55,9 +55,10 @@ StrategyMetrics analyzeStrategy(const std::string &Name, LoweredPipeline &P,
                                 int64_t BreadthFirstOps);
 
 /// Median wall-clock milliseconds of \p Iters runs of a compiled pipeline
-/// (any Executable: the VM or the JIT).
+/// (any Executable: the VM or the JIT), each with the thread request
+/// \p NumThreads.
 double benchmarkMs(const class Executable &Exe, const ParamBindings &Params,
-                   int Iters = 5);
+                   int Iters = 5, int NumThreads = 0);
 
 } // namespace halide
 

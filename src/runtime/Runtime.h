@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The runtime contract between compiled pipelines and the host: parameter
-/// bindings (buffers and scalars), the boundary-buffer check every executor
-/// applies to them, the function-pointer table passed to JIT-compiled code
+/// The runtime contract between compiled pipelines and the host: a run's
+/// arguments by name (buffers and scalars; Executable::run packs them for
+/// the engines), the function-pointer table passed to JIT-compiled code
 /// (so generated code needs no link-time symbols), and small allocation
 /// helpers.
 ///
@@ -43,35 +43,26 @@ public:
     FloatScalars[Name] = Value;
   }
 
-  bool hasBuffer(const std::string &Name) const {
-    return Buffers.count(Name) > 0;
-  }
-  const RawBuffer &buffer(const std::string &Name) const {
+  /// The buffer bound to \p Name, or null.
+  const RawBuffer *buffer(const std::string &Name) const {
     auto It = Buffers.find(Name);
-    internal_assert(It != Buffers.end()) << "unbound buffer " << Name;
-    return It->second;
+    return It == Buffers.end() ? nullptr : &It->second;
   }
-
-  /// Resolves an integer scalar parameter: a user scalar bound with
-  /// bindInt, or buffer metadata of the form "<buf>.min.<d>" /
-  /// ".extent.<d>" / ".stride.<d>".
-  bool lookupInt(const std::string &Name, int64_t *Out) const;
-  /// Resolves a float scalar parameter bound with bindFloat.
-  bool lookupFloat(const std::string &Name, double *Out) const;
+  /// Reads the scalar bound to \p Name with bindInt / bindFloat.
+  bool lookupInt(const std::string &Name, int64_t *Out) const {
+    auto It = IntScalars.find(Name);
+    return It != IntScalars.end() && (*Out = It->second, true);
+  }
+  bool lookupFloat(const std::string &Name, double *Out) const {
+    auto It = FloatScalars.find(Name);
+    return It != FloatScalars.end() && (*Out = It->second, true);
+  }
 
 private:
   std::map<std::string, RawBuffer> Buffers;
   std::map<std::string, int64_t> IntScalars;
   std::map<std::string, double> FloatScalars;
 };
-
-/// Checks \p Raw, bound to the pipeline buffer \p Name, against the
-/// element type \p ElemType the pipeline expects: the buffer must be
-/// defined, of that type, and dense in dimension 0. Fails with a user_error
-/// naming the buffer. Returns the buffer's size in elements (its largest
-/// flat index plus one), which bounds-checking executors use.
-int64_t checkBoundaryBuffer(const std::string &Name, const RawBuffer &Raw,
-                            const Type &ElemType);
 
 struct GpuCounters;
 
@@ -111,8 +102,8 @@ struct RuntimeVTable {
   /// runtimeVTable(). Generated code only passes it back, through `rt`.
   GpuCounters *GpuRun;
   /// The run's chunk budget for parallel loops and GPU launches,
-  /// taskChunkBudget(Target::NumThreads), set in each run's copy. 0 (the
-  /// pool default) in runtimeVTable().
+  /// taskChunkBudget(NumThreads of Executable::run), set in each run's
+  /// copy. 0 (the pool default) in runtimeVTable().
   int MaxTasks;
   // The generated hl_vtable typedef (CodeGenC.cpp) mirrors this layout —
   // keep both in lockstep.

@@ -61,8 +61,8 @@ int parallelForChunks(int64_t Min, int64_t Extent, int MaxTasks,
                       TaskChunkFn Body, void *Closure);
 
 /// The thread-request rule: the chunk budget (parallelForChunks's
-/// MaxTasks) for a run that asked for \p NumThreads threads
-/// (Target::NumThreads). 1 runs every parallel loop as a single inline
+/// MaxTasks) for a run that asked for \p NumThreads threads (the request
+/// passed to Executable::run). 1 runs every parallel loop as a single inline
 /// chunk; 0 takes the pool default of four chunks per pool thread; N > 1
 /// allows 4 N chunks. Both engines size their loops by it.
 int taskChunkBudget(int NumThreads);

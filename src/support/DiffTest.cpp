@@ -75,9 +75,9 @@ std::string statsSummary(const ExecutionStats &S) {
 } // namespace
 
 int halide::runOnBackend(const Target &T, const LoweredPipeline &P,
-                         const ParamBindings &Params,
-                         ExecutionStats *Stats) {
-  return makeExecutable(P, T)->run(Params, Stats);
+                         const ParamBindings &Params, ExecutionStats *Stats,
+                         int NumThreads) {
+  return makeExecutable(P, T)->run(Params, Stats, NumThreads);
 }
 
 bool halide::scalarizeVectorLoops(const Function &Output) {
@@ -279,7 +279,6 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
   // the threaded, trace-parity and scalar-vs-vector legs compare. Each
   // schedule's primary run is pinned to one thread.
   const Target Exec = Target::vm();
-  const Target ExecSerial = Exec.withThreads(1);
   const std::string ExecName = backendName(Exec.TargetBackend);
 
   ScheduleSpace Space(A.Output.function());
@@ -356,6 +355,8 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
     std::string Desc = Space.describe(G);
     Space.apply(G);
     LoweredPipeline P = Pipe.lowerPipeline();
+    // One VM executable serves the serial, threaded and concurrent legs.
+    std::shared_ptr<const Executable> VmExe = makeExecutable(P, Exec);
 
     ExecutionStats SerialStats;
     std::shared_ptr<void> KeepExec;
@@ -363,7 +364,7 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
     {
       ParamBindings PB = Inputs;
       PB.bind(A.Output.name(), OutExec);
-      int Rc = runOnBackend(ExecSerial, P, PB, &SerialStats);
+      int Rc = VmExe->run(PB, &SerialStats, /*NumThreads=*/1);
       std::string Detail;
       if (Rc != 0)
         R.Mismatches.push_back({Desc, ExecName + " exit code",
@@ -373,7 +374,7 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
       else if (int(Cases.size()) < ConcurrentFrames) {
         ConcurrentCase CC;
         CC.Desc = Desc;
-        CC.Exe = makeExecutable(P, ExecSerial);
+        CC.Exe = VmExe;
         CC.KeepOut = KeepExec;
         CC.SerialOut = OutExec;
         CC.SerialStats = SerialStats;
@@ -390,8 +391,7 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
       ParamBindings PB = Inputs;
       PB.bind(A.Output.name(), OutThr);
       ExecutionStats ThrStats;
-      int Rc = runOnBackend(Exec.withThreads(ThreadedVmThreads), P, PB,
-                            &ThrStats);
+      int Rc = VmExe->run(PB, &ThrStats, ThreadedVmThreads);
       std::string Detail;
       if (Rc != 0)
         R.Mismatches.push_back(
@@ -461,7 +461,7 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
                                 "traceStreamStart(" + TracePath +
                                     ") failed"});
       } else {
-        int Rc = runOnBackend(ExecSerial.withTrace(), P, PB);
+        int Rc = runOnBackend(Exec.withTrace(), P, PB, nullptr, 1);
         traceStreamStop();
         std::vector<TraceEvent> Events;
         std::string Detail;
@@ -519,7 +519,7 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
       ParamBindings PB = Inputs;
       PB.bind(A.Output.name(), OutScalar);
       ExecutionStats ScalarStats;
-      int Rc = runOnBackend(ExecSerial, PS, PB, &ScalarStats);
+      int Rc = runOnBackend(Exec, PS, PB, &ScalarStats, 1);
       std::string Detail;
       if (Rc != 0)
         R.Mismatches.push_back(
@@ -539,10 +539,11 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
     ++ScheduleIndex;
   }
 
-  // The concurrent-serving leg: every retained executable runs again as
-  // an async job, all in flight at once on the shared task scheduler with
-  // mixed priorities — the serving runtime's configuration. Each frame
-  // must reproduce its sequential run bit for bit (zero tolerance) with
+  // The concurrent-serving leg: every retained executable runs serially
+  // again as an async job, all in flight at once on the shared task
+  // scheduler with mixed priorities — the serving runtime's
+  // configuration. Each frame must
+  // reproduce its sequential run bit for bit (zero tolerance) with
   // identical merged ExecutionStats: concurrency must be invisible in the
   // results.
   if (Cases.size() > 1) {
@@ -565,8 +566,9 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
       const ParamBindings *PB = &Bindings[I];
       Frame *F = &Frames[I];
       Jobs.push_back(
-          submitAsyncJob([Exe, PB, F] { F->Rc = Exe->run(*PB, &F->Stats); },
-                         /*Priority=*/int(I % 3)));
+          submitAsyncJob(
+              [Exe, PB, F] { F->Rc = Exe->run(*PB, &F->Stats, 1); },
+              /*Priority=*/int(I % 3)));
     }
     for (const AsyncJob &J : Jobs)
       J.wait();

@@ -18,8 +18,8 @@
 /// reproduce the VM's output for it bit-for-bit, and the reference
 /// interpreter (codegen/Interpreter.h) spot-checks a prefix of the sample
 /// bit-for-bit. On top of that,
-/// every sampled schedule is checked serial-vs-parallel: the threaded VM
-/// (4 threads) must reproduce the serial VM's output bit-for-bit with
+/// every sampled schedule is checked serial-vs-parallel: its VM executable
+/// run with 4 threads must reproduce its serial run bit-for-bit with
 /// identical merged ExecutionStats. A concurrency leg re-runs the first
 /// four schedules' executables as simultaneous async jobs on the task
 /// scheduler — the serving configuration — and requires every frame to
@@ -57,10 +57,11 @@ namespace halide {
 /// user_error on internal pipeline assertions; the JIT reports them
 /// through the exit code. Compiles fresh on every call — the schedule
 /// sweep wants per-schedule artifacts, not the process cache.
-/// \p Stats, when non-null, receives the backend's execution counters.
+/// \p Stats, when non-null, receives the backend's execution counters;
+/// \p NumThreads is the run's thread request.
 int runOnBackend(const Target &T, const LoweredPipeline &P,
-                 const ParamBindings &Params,
-                 ExecutionStats *Stats = nullptr);
+                 const ParamBindings &Params, ExecutionStats *Stats = nullptr,
+                 int NumThreads = 0);
 
 /// The frame sizes of a differential run.
 struct DiffOptions {

@@ -5,6 +5,7 @@
 #include "ir/IROperators.h"
 #include "ir/IRVisitor.h"
 #include "observe/TraceRecorder.h"
+#include "runtime/Buffer.h"
 #include "transforms/BoundsInference.h"
 #include "transforms/CSE.h"
 #include "transforms/Inline.h"
@@ -42,19 +43,6 @@ public:
       ScalarParams[Op->Name] = Op->NodeType;
   }
 };
-
-/// True if \p Name is a buffer metadata parameter for one of \p Buffers.
-bool isBufferMetadata(const std::string &Name,
-                      const std::set<std::string> &Buffers) {
-  for (const char *Suffix : {".min.", ".extent.", ".stride."}) {
-    size_t Pos = Name.rfind(Suffix);
-    if (Pos == std::string::npos)
-      continue;
-    if (Buffers.count(Name.substr(0, Pos)))
-      return true;
-  }
-  return false;
-}
 
 /// Runs one lowering pass. While a trace is recording, the pass becomes a
 /// "compile" span named after it that carries its output's IR node count;
@@ -188,20 +176,47 @@ LoweredPipeline halide::lower(const Function &Output, const Target &T) {
   }
 
   Result.Body = S;
+  // A parameter only a schedule reads (a bound, a split factor) enters the
+  // statement with bounds inference, after the first collection.
+  S.accept(&Args);
 
   // Argument signature: output buffer, input images (name order), scalars
-  // (name order, excluding buffer metadata).
+  // (name order, excluding the buffers' metadata).
   Result.Buffers.push_back(
       {Output.name(), Output.outputType(), Output.dimensions(), true});
-  std::set<std::string> BufferNames = {Output.name()};
-  for (const auto &[Name, Info] : Args.Images) {
+  for (const auto &[Name, Info] : Args.Images)
     Result.Buffers.push_back({Name, Info.first, Info.second, false});
-    BufferNames.insert(Name);
-  }
-  for (const auto &[Name, T] : Args.ScalarParams) {
-    if (isBufferMetadata(Name, BufferNames))
-      continue;
-    Result.Scalars.push_back({Name, T});
-  }
+  const std::map<std::string, ArgSlot> Metadata = Result.argumentSlots();
+  for (const auto &[Name, T] : Args.ScalarParams)
+    if (!Metadata.count(Name))
+      Result.Scalars.push_back({Name, T});
   return Result;
+}
+
+int LoweredPipeline::metadataSlot(size_t Buffer, int D) {
+  return int(Buffer * MaxBufferDims + size_t(D)) * 3;
+}
+
+std::vector<ArgSlot> LoweredPipeline::scalarSlots() const {
+  int NextInt = metadataSlot(Buffers.size(), 0), NextFloat = 0;
+  std::vector<ArgSlot> Slots;
+  for (const ScalarArg &S : Scalars)
+    Slots.push_back(S.ArgType.isFloat() ? ArgSlot{true, NextFloat++}
+                                        : ArgSlot{false, NextInt++});
+  return Slots;
+}
+
+std::map<std::string, ArgSlot> LoweredPipeline::argumentSlots() const {
+  std::map<std::string, ArgSlot> Slots;
+  for (size_t B = 0; B < Buffers.size(); ++B)
+    for (int D = 0; D < MaxBufferDims; ++D) {
+      const int Min = metadataSlot(B, D);
+      Slots[bufferMinName(Buffers[B].Name, D)] = {false, Min};
+      Slots[bufferExtentName(Buffers[B].Name, D)] = {false, Min + 1};
+      Slots[bufferStrideName(Buffers[B].Name, D)] = {false, Min + 2};
+    }
+  const std::vector<ArgSlot> ScalarSlots = scalarSlots();
+  for (size_t I = 0; I < Scalars.size(); ++I)
+    Slots[Scalars[I].Name] = ScalarSlots[I];
+  return Slots;
 }

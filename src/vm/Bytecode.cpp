@@ -119,7 +119,9 @@ std::string VmProgram::disassemble() const {
                                  : ", internal")
        << ")\n";
   for (const VmParamInit &P : Params)
-    OS << "; param r" << P.Slot << " = " << P.Name << "\n";
+    OS << "; param r" << P.Slot << " = "
+       << (P.Arg.IsFloat ? "fargs[" : "iargs[") << P.Arg.Index << "] "
+       << P.Name << "\n";
   for (size_t I = 0; I < Code.size(); ++I) {
     const VmInstr &In = Code[I];
     OS << I << ":\t"

@@ -22,6 +22,7 @@
 #define HALIDE_VM_BYTECODE_H
 
 #include "ir/Type.h"
+#include "transforms/Lower.h"
 
 #include <cstdint>
 #include <string>
@@ -156,8 +157,9 @@ union VmSlot {
   double F;
 };
 
-/// A buffer referenced by the program: a pipeline boundary buffer (bound
-/// from the ParamBindings each run) or an internal allocation site.
+/// A buffer referenced by the program: a pipeline boundary buffer (the
+/// first ones, each at its index in a run's packed Bufs) or an internal
+/// allocation site.
 struct VmBufferDesc {
   std::string Name;
   Type ElemType;          ///< scalar element type
@@ -180,12 +182,12 @@ struct VmTaskDesc {
   uint32_t CounterReg = 0; ///< receives the iteration index
 };
 
-/// A register initialized from the caller's scalar parameters before each
-/// run (user scalars and "<buf>.min.<d>"-style buffer metadata).
+/// A register loaded before each run from the run's packed arguments
+/// (LoweredPipeline's layout): a user scalar or a buffer's metadata.
 struct VmParamInit {
-  std::string Name;
+  std::string Name; ///< what lowered code calls it (for the listing)
   uint32_t Slot = 0;
-  bool IsFloat = false;
+  ArgSlot Arg; ///< where it sits in the packed arguments
   /// Integer params are wrapped to this width/signedness on binding (the
   /// interpreter does the same when materializing a parameter Value).
   uint8_t Bits = 32;

@@ -15,11 +15,13 @@ namespace {
 
 class Compiler {
 public:
-  explicit Compiler(const LoweredPipeline &P) : P(P) {}
+  explicit Compiler(const LoweredPipeline &P)
+      : P(P), ArgSlots(P.argumentSlots()) {}
 
   VmProgram compile() {
-    // Boundary buffers occupy the first buffer-table slots; internal
-    // Allocate sites are appended as they are encountered.
+    // Boundary buffers occupy the first buffer-table slots, as in a run's
+    // packed Bufs; internal Allocate sites are appended as they are
+    // encountered.
     for (const BufferArg &Arg : P.Buffers) {
       VmBufferDesc Desc;
       Desc.Name = Arg.Name;
@@ -96,10 +98,12 @@ private:
     auto It = ParamSlots.find(Name);
     if (It != ParamSlots.end())
       return It->second;
+    auto Arg = ArgSlots.find(Name);
+    internal_assert(Arg != ArgSlots.end()) << "vm: unbound variable " << Name;
     VmParamInit Init;
     Init.Name = Name;
     Init.Slot = allocReg(1);
-    Init.IsFloat = T.isFloat();
+    Init.Arg = Arg->second;
     Init.Bits = uint8_t(T.Bits);
     Init.SignedWrap = T.isInt();
     Prog.Params.push_back(Init);
@@ -625,6 +629,7 @@ private:
   }
 
   const LoweredPipeline &P;
+  const std::map<std::string, ArgSlot> ArgSlots;
   VmProgram Prog;
   uint32_t RegCount = 0;
   Scope<uint32_t> Vars;     ///< let/loop variable -> register slot

@@ -624,8 +624,7 @@ void vmRunParChunk(int64_t Begin, int64_t End, int Chunk, void *Closure) {
 
 } // namespace
 
-VmExecutable::VmExecutable(LoweredPipeline LP, Target T)
-    : Executable(std::move(LP), std::move(T)) {
+VmExecutable::VmExecutable(LoweredPipeline LP) : Executable(std::move(LP)) {
   Prog = compileToBytecode(P);
   BufKinds.reserve(Prog.Buffers.size());
   for (const VmBufferDesc &Desc : Prog.Buffers)
@@ -635,46 +634,40 @@ VmExecutable::VmExecutable(LoweredPipeline LP, Target T)
     StageIds.push_back(profilerStageId(Name));
 }
 
-std::shared_ptr<const VmExecutable> halide::vmCompile(
-    const LoweredPipeline &P, const Target &T) {
-  return std::make_shared<VmExecutable>(P, T);
+std::shared_ptr<const VmExecutable>
+halide::vmCompile(const LoweredPipeline &P) {
+  return std::make_shared<VmExecutable>(P);
 }
 
-int VmExecutable::run(const ParamBindings &Params,
-                      ExecutionStats *Stats) const {
+int VmExecutable::execute(const BoundArgs &Args, int MaxTasks,
+                          ExecutionStats *Stats) const {
   // Root context: the register file starts from the compiled template
-  // (constants pre-materialized), buffers and scalar params are resolved
-  // from the bindings once, up front. Contexts come from the per-thread
-  // pool, so a steady-state frame loop reuses the same register file and
-  // buffer table instead of reallocating them every frame.
+  // (constants pre-materialized), then takes the packed arguments. Contexts
+  // come from the per-thread pool, so a steady-state frame loop reuses the
+  // same register file and buffer table instead of reallocating them.
   std::unique_ptr<VmContext> RootPtr = acquireContext();
   VmContext &Root = *RootPtr;
   Root.Regs = Prog.InitialRegs;
 
   const size_t NumBufs = Prog.Buffers.size();
   Root.Bufs.assign(NumBufs, RtBuf{});
-  for (size_t BI = 0; BI < NumBufs; ++BI) {
-    const VmBufferDesc &Desc = Prog.Buffers[BI];
-    if (!Desc.IsBoundary)
-      continue;
-    const RawBuffer &Raw = Params.buffer(Desc.Name);
-    RtBuf &B = Root.Bufs[BI];
-    B.SizeElems = checkBoundaryBuffer(Desc.Name, Raw, Desc.ElemType);
-    B.Data = Raw.Host;
+  for (size_t BI = 0; BI < Args.Bufs.size(); ++BI) {
+    Root.Bufs[BI].Data = Args.Bufs[BI];
+    Root.Bufs[BI].SizeElems = Args.BufElems[BI];
   }
 
   for (const VmParamInit &PI : Prog.Params) {
     VmSlot &Slot = Root.Regs[PI.Slot];
-    bool Bound = PI.IsFloat ? Params.lookupFloat(PI.Name, &Slot.F)
-                            : Params.lookupInt(PI.Name, &Slot.I);
-    internal_assert(Bound) << "vm: unbound parameter " << PI.Name;
-    if (!PI.IsFloat)
-      Slot.I = wrapBits(Slot.I, PI.Bits, PI.SignedWrap);
+    if (PI.Arg.IsFloat)
+      Slot.F = Args.FloatArgs[size_t(PI.Arg.Index)];
+    else
+      Slot.I = wrapBits(Args.IntArgs[size_t(PI.Arg.Index)], PI.Bits,
+                        PI.SignedWrap);
   }
 
   Root.Shard.init(NumBufs);
 
-  Runner R(Prog, BufKinds, StageIds, taskChunkBudget(T.NumThreads));
+  Runner R(Prog, BufKinds, StageIds, MaxTasks);
   R.exec(Root, 0);
 
   if (Stats) {

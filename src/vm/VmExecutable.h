@@ -36,16 +36,13 @@ namespace halide {
 /// chunks executed by per-worker contexts copied from the spawning one,
 /// whose statistics shards merge deterministically — a threaded run's
 /// output and merged ExecutionStats are bit-identical to a serial run's.
-/// The Target's NumThreads sets the chunk budget through taskChunkBudget
-/// (1 = serial, inline in the spawning context). Simulated-GPU loop types
-/// stay serial, and pipeline assertions abort via user_error, so a
-/// completed run always returns 0.
+/// Each run's thread request sets its chunk budget through
+/// taskChunkBudget (1 = serial, inline in the spawning context).
+/// Simulated-GPU loop types stay serial, and pipeline assertions abort via
+/// user_error, so a completed run always returns 0.
 class VmExecutable final : public Executable {
 public:
-  VmExecutable(LoweredPipeline P, Target T);
-
-  int run(const ParamBindings &Params,
-          ExecutionStats *Stats = nullptr) const override;
+  explicit VmExecutable(LoweredPipeline P);
 
   /// The disassembled bytecode (the VM's "generated source"), produced
   /// on first request: the compile path that feeds the schedule sweeps
@@ -59,6 +56,9 @@ public:
   const VmProgram &program() const { return Prog; }
 
 private:
+  int execute(const BoundArgs &Args, int MaxTasks,
+              ExecutionStats *Stats) const override;
+
   VmProgram Prog;
   /// Per-buffer element kinds (vm/VmExecutable.cpp's ElemKind), computed
   /// at compile time so runs do not rebuild the table per frame.
@@ -71,9 +71,8 @@ private:
   mutable std::string Listing;
 };
 
-/// Compiles \p P to bytecode for target \p T.
-std::shared_ptr<const VmExecutable> vmCompile(const LoweredPipeline &P,
-                                              const Target &T);
+/// Compiles \p P to bytecode.
+std::shared_ptr<const VmExecutable> vmCompile(const LoweredPipeline &P);
 
 } // namespace halide
 

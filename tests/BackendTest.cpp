@@ -214,6 +214,34 @@ TEST(JitTest, UpdateStagesRunNatively) {
     ASSERT_EQ(Out(I), Want[size_t(I)]) << "bin " << I;
 }
 
+TEST(JitTest, ThreadRequestsShareOneExecutable) {
+  // The jit_c twin of VmBackendTest.ThreadRequestsShareOneExecutable:
+  // the default request and 1, 2 and 4 threads cost one lowering and one
+  // host compile, and compute the same output.
+  Var x("x"), y("y");
+  Func F("jit_tt_f"), G("jit_tt_g");
+  F(x, y) = x + y * 5;
+  G(x, y) = F(x, y) + F(x + 1, y);
+  F.computeRoot().parallel(y);
+  G.parallel(y);
+  Pipeline Pipe(G);
+
+  CompileCounters Before = Pipeline::compileCounters();
+  Buffer<int32_t> Want(32, 16);
+  Pipe.realize(Want, ParamBindings(), Target::jit());
+  for (int Threads : {1, 2, 4}) {
+    Buffer<int32_t> Out(32, 16);
+    Pipe.realize(Out, ParamBindings(), Target::jit().withThreads(Threads));
+    for (int Y = 0; Y < 16; ++Y)
+      for (int X = 0; X < 32; ++X)
+        ASSERT_EQ(Out(X, Y), Want(X, Y)) << Threads << " threads";
+  }
+  const CompileCounters After = Pipeline::compileCounters();
+  EXPECT_EQ(After.Lowerings - Before.Lowerings, 1);
+  EXPECT_EQ(After.BackendCompiles - Before.BackendCompiles, 1);
+  EXPECT_EQ(After.CacheHits - Before.CacheHits, 3);
+}
+
 TEST(JitTest, WithThreadsOneRunsEachParallelLoopAsOneChunk) {
   // The thread request reaches compiled code through the run's vtable
   // copy: on a 4-thread pool, Target::jit() cuts each parallel loop into

@@ -397,7 +397,7 @@ TEST(ParamLifetimeTest, UnrelatedParamWithTheSameNameLeavesBindingIntact) {
 
 TEST(ParamLifetimeTest, ParamsReadOnlyBySchedulesResolve) {
   // A parameter that only a schedule reads (a split factor, a bound) is
-  // one of the pipeline's parameters like any other.
+  // one of the pipeline's parameters like any other, on both engines.
   Var x("x"), xo("xo"), xi("xi");
   Param<int32_t> Factor("plt_factor", 4), Extent("plt_extent", 8);
   Func F("plt_sched_f"), G("plt_sched_g");
@@ -405,10 +405,12 @@ TEST(ParamLifetimeTest, ParamsReadOnlyBySchedulesResolve) {
   G(x) = F(x) + 1;
   F.computeRoot().bound(x, 0, Extent);
   G.split(x, xo, xi, Factor);
-  Buffer<int32_t> Out(8);
-  Pipeline(G).realize(Out, ParamBindings(), Target::vm());
-  for (int X = 0; X < 8; ++X)
-    EXPECT_EQ(Out(X), 2 * X + 1) << "at " << X;
+  for (const Target &T : {Target::vm(), Target::jit()}) {
+    Buffer<int32_t> Out(8);
+    Pipeline(G).realize(Out, ParamBindings(), T);
+    for (int X = 0; X < 8; ++X)
+      EXPECT_EQ(Out(X), 2 * X + 1) << "at " << X << " on " << T.str();
+  }
 }
 
 TEST(ParamLifetimeTest, BoundImageIsFreedWithItsLastHandle) {

@@ -53,10 +53,11 @@ int64_t nowNs() {
       .count();
 }
 
-/// Realizes \p A at W x H on \p T \p Iters times and returns the summed
-/// wall nanoseconds of the run() calls alone (compile excluded).
-int64_t timedRuns(App &A, const Target &T, int W, int H, int Iters,
-                  RawBuffer *OutBuf = nullptr,
+/// Realizes \p A at W x H on \p T \p Iters times, each run with the
+/// thread request \p Threads, and returns the summed wall nanoseconds of
+/// the run() calls alone (compile excluded).
+int64_t timedRuns(App &A, const Target &T, int Threads, int W, int H,
+                  int Iters, RawBuffer *OutBuf = nullptr,
                   std::shared_ptr<void> *KeepOut = nullptr) {
   std::shared_ptr<const Executable> Exe = Pipeline(A.Output).compile(T);
   ParamBindings Params = A.MakeInputs(W, H);
@@ -66,7 +67,7 @@ int64_t timedRuns(App &A, const Target &T, int W, int H, int Iters,
   int64_t Wall = 0;
   for (int I = 0; I < Iters; ++I) {
     const int64_t T0 = nowNs();
-    EXPECT_EQ(Exe->run(Params), 0);
+    EXPECT_EQ(Exe->run(Params, nullptr, Threads), 0);
     Wall += nowNs() - T0;
   }
   if (OutBuf) {
@@ -127,10 +128,10 @@ void expectSelfTimesSumToWall(App &A, int W, int H) {
   // Serial VM: one thread, so summed self-time is directly comparable to
   // wall time. A warm-up run first so compile/pool effects are off the
   // clock, then reset and measure.
-  const Target T = Target::vm().withThreads(1).withProfile();
-  timedRuns(A, T, W, H, 1);
+  const Target T = Target::vm().withProfile();
+  timedRuns(A, T, 1, W, H, 1);
   profilerReset();
-  const int64_t WallNs = timedRuns(A, T, W, H, 3);
+  const int64_t WallNs = timedRuns(A, T, 1, W, H, 3);
   ProfileReport R = profilerReport();
   const int64_t SelfSum = R.totalSelfNanos();
   ASSERT_GT(WallNs, 0) << A.Name;
@@ -189,8 +190,8 @@ TEST(ProfilerTest, ProfileOffIsZeroCost) {
   const int W = 96, H = 64;
   std::shared_ptr<void> KeepOff, KeepOn;
   RawBuffer OutOff, OutOn;
-  timedRuns(A, Off, W, H, 1, &OutOff, &KeepOff);
-  timedRuns(A, On, W, H, 1, &OutOn, &KeepOn);
+  timedRuns(A, Off, 0, W, H, 1, &OutOff, &KeepOff);
+  timedRuns(A, On, 0, W, H, 1, &OutOn, &KeepOn);
   std::string Detail;
   EXPECT_TRUE(buffersMatch(OutOff, OutOn, 0.0, 0, &Detail)) << Detail;
 }
@@ -224,13 +225,13 @@ TEST(ProfilerTest, ThreadedRunDoesNotDoubleCount) {
   const int W = 128, H = 96;
 
   profilerReset();
-  timedRuns(A, Target::vm().withThreads(1).withProfile(), W, H, 1);
+  timedRuns(A, Target::vm().withProfile(), 1, W, H, 1);
   std::map<std::string, int64_t> Serial = invocationsByStage();
 
   profilerReset();
   const int Before = taskSchedulerThreads();
   setTaskSchedulerThreads(4);
-  timedRuns(A, Target::vm().withThreads(4).withProfile(), W, H, 1);
+  timedRuns(A, Target::vm().withProfile(), 4, W, H, 1);
   setTaskSchedulerThreads(Before);
   std::map<std::string, int64_t> Threaded = invocationsByStage();
 
@@ -262,18 +263,17 @@ TEST(ProfilerTest, PeakBytesChargeTheAllocatingStage) {
     // The blurx buffer is allocated around the output stage's loops, so
     // the output stage owns the whole peak and blurx itself owns none.
     profilerReset();
-    const Target Vm = Target::vm().withThreads(1).withProfile();
+    const Target Vm = Target::vm().withProfile();
     ExecutionStats Stats;
-    ASSERT_EQ(runOnBackend(Vm, P, Params, &Stats), 0);
+    ASSERT_EQ(runOnBackend(Vm, P, Params, &Stats, 1), 0);
     ASSERT_GT(Stats.PeakAllocationBytes, 0) << S.Name;
     std::map<std::string, int64_t> Expected = {
         {"pt_blurx", 0}, {"pt_out", Stats.PeakAllocationBytes}};
     EXPECT_EQ(peakBytesByStage(), Expected) << S.Name << " on the VM";
 
     profilerReset();
-    ASSERT_EQ(runOnBackend(Target::jit().withThreads(1).withJitFlags("-O0")
-                               .withProfile(),
-                           P, Params),
+    ASSERT_EQ(runOnBackend(Target::jit().withJitFlags("-O0").withProfile(),
+                           P, Params, nullptr, 1),
               0);
     EXPECT_EQ(peakBytesByStage(), Expected) << S.Name << " on jit_c";
 
@@ -301,8 +301,7 @@ TEST(ProfilerTest, ParallelUpdateStageKeepsItsInvocations) {
   Pipeline Pipe(Out);
 
   profilerReset();
-  ASSERT_EQ(Pipe.compile(Target::vm().withThreads(1).withProfile())
-                ->run(Params),
+  ASSERT_EQ(Pipe.compile(Target::vm().withProfile())->run(Params, nullptr, 1),
             0);
   std::map<std::string, int64_t> Serial = invocationsByStage();
   EXPECT_EQ(Serial["pu_f.update(0)"], 1);
@@ -310,8 +309,7 @@ TEST(ProfilerTest, ParallelUpdateStageKeepsItsInvocations) {
   profilerReset();
   const int Before = taskSchedulerThreads();
   setTaskSchedulerThreads(4);
-  ASSERT_EQ(Pipe.compile(Target::vm().withThreads(4).withProfile())
-                ->run(Params),
+  ASSERT_EQ(Pipe.compile(Target::vm().withProfile())->run(Params, nullptr, 4),
             0);
   setTaskSchedulerThreads(Before);
   EXPECT_EQ(invocationsByStage(), Serial);

@@ -1,5 +1,9 @@
 //===-- tests/RuntimeTest.cpp - Task scheduler, GPU sim, buffers ---------------===//
 
+#include "codegen/Executable.h"
+#include "lang/Func.h"
+#include "lang/ImageParam.h"
+#include "lang/Param.h"
 #include "runtime/Buffer.h"
 #include "runtime/GpuSim.h"
 #include "runtime/Runtime.h"
@@ -278,25 +282,60 @@ TEST(BufferTest, RawKeepsStorageAlive) {
   EXPECT_EQ(static_cast<uint8_t *>(Raw.Host)[0], 77);
 }
 
-TEST(ParamBindingsTest, MetadataLookup) {
-  Buffer<float> B(6, 4);
-  B.setMin(2, 3);
+TEST(ParamBindingsTest, PackedLayout) {
+  // A run's arguments are packed once, in the layout the signature
+  // defines: one pointer per buffer (output first); then for each buffer
+  // MaxBufferDims x (min, extent, stride), dimensions past its rank as
+  // (0, 1, 0); then the integer scalars; the float scalars on their own.
+  ImageParam In(Float(32), 2, "pl_in");
+  Param<int32_t> K("pl_k");
+  Param<float> Gain("pl_gain");
+  Var x("x"), y("y");
+  Func F("pl_out");
+  F(x, y) = In(x, y) * Gain + cast<float>(K);
+  LoweredPipeline LP = lower(F.function());
+  ASSERT_EQ(LP.Buffers.size(), 2u);
+  ASSERT_EQ(LP.Scalars.size(), 2u);
+
+  Buffer<float> Input(6, 4), Out(5, 3);
+  Input.setMin(2, 3);
   ParamBindings P;
-  P.bind("img", B);
-  int64_t V;
-  EXPECT_TRUE(P.lookupInt("img.extent.0", &V));
-  EXPECT_EQ(V, 6);
-  EXPECT_TRUE(P.lookupInt("img.min.1", &V));
-  EXPECT_EQ(V, 3);
-  EXPECT_TRUE(P.lookupInt("img.stride.1", &V));
-  EXPECT_EQ(V, 6);
-  // Dimensions beyond rank read as degenerate.
-  EXPECT_TRUE(P.lookupInt("img.extent.2", &V));
-  EXPECT_EQ(V, 1);
-  EXPECT_FALSE(P.lookupInt("other.extent.0", &V));
-  P.bindInt("k", 42);
-  EXPECT_TRUE(P.lookupInt("k", &V));
-  EXPECT_EQ(V, 42);
+  P.bind(In.name(), Input);
+  P.bind(F.name(), Out);
+  P.bindInt(K.name(), 42);
+  P.bindFloat(Gain.name(), 0.5);
+  BoundArgs Args = bindArguments(LP, P);
+
+  ASSERT_EQ(Args.Bufs.size(), 2u);
+  EXPECT_EQ(Args.Bufs[0], Out.raw().Host);
+  EXPECT_EQ(Args.Bufs[1], Input.raw().Host);
+  const int In0 = LoweredPipeline::metadataSlot(1, 0);
+  const int In1 = LoweredPipeline::metadataSlot(1, 1);
+  const int In2 = LoweredPipeline::metadataSlot(1, 2);
+  EXPECT_EQ(In0, 3 * MaxBufferDims);
+  EXPECT_EQ(std::vector<int64_t>(&Args.IntArgs[In0], &Args.IntArgs[In0] + 9),
+            (std::vector<int64_t>{2, 6, 1, 3, 4, 6, 0, 1, 0}));
+  EXPECT_EQ(In1, In0 + 3);
+  EXPECT_EQ(In2, In0 + 6);
+  EXPECT_EQ(Args.IntArgs[size_t(LoweredPipeline::metadataSlot(0, 1) + 1)],
+            3); // the output's extent in y
+  // The integer scalar follows every buffer's metadata.
+  ASSERT_EQ(Args.IntArgs.size(), size_t(6 * MaxBufferDims + 1));
+  EXPECT_EQ(Args.IntArgs.back(), 42);
+  EXPECT_EQ(Args.FloatArgs, std::vector<double>{0.5});
+  // Sizes in elements, for bounds-checking executors.
+  EXPECT_EQ(Args.BufElems, (std::vector<int64_t>{15, 24}));
+
+  // The engines find each parameter lowered code reads by name there.
+  std::map<std::string, ArgSlot> Slots = LP.argumentSlots();
+  EXPECT_EQ(Slots[In.name() + ".extent.1"].Index, In1 + 1);
+  EXPECT_FALSE(Slots[In.name() + ".extent.1"].IsFloat);
+  EXPECT_EQ(Slots[F.name() + ".stride.3"].Index,
+            LoweredPipeline::metadataSlot(0, 3) + 2);
+  EXPECT_EQ(Slots[K.name()].Index, 6 * MaxBufferDims);
+  EXPECT_FALSE(Slots[K.name()].IsFloat);
+  EXPECT_EQ(Slots[Gain.name()].Index, 0);
+  EXPECT_TRUE(Slots[Gain.name()].IsFloat);
 }
 
 TEST(RuntimeVTableTest, MallocAlignment) {

@@ -3,7 +3,8 @@
 // The pipeline-as-a-service layer: realizeAsync frames queued as async
 // jobs on the work-stealing scheduler must be bit-identical (output and
 // ExecutionStats) to sequential realizes, whether the in-flight frames
-// share one pipeline or mix several; concurrent JIT frames of GPU
+// share one pipeline or mix several, and frames that mix thread requests
+// share one executable; concurrent JIT frames of GPU
 // schedules each report only their own simulated-GPU launches; queued jobs
 // run highest-priority first; the buffer pool makes steady-state serving
 // allocation-free; set() on another thread gives each in-flight frame
@@ -25,6 +26,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <dirent.h>
 #include <filesystem>
 #include <mutex>
@@ -123,6 +125,45 @@ TEST(ServingTest, ConcurrentFramesOfOnePipelineMatchSequential) {
         ASSERT_EQ(Outs[size_t(F)](X, Y), Ref(X, Y))
             << "frame " << F << " at (" << X << "," << Y << ")";
   }
+}
+
+TEST(ServingTest, MixedThreadRequestsShareOneExecutable) {
+  // In-flight frames of one pipeline that alternate a serial and a
+  // 4-thread request share one compiled executable per engine: the
+  // request belongs to each run. Every frame matches the first bit for
+  // bit, and so do the VM's stats.
+  const int W = 64, H = 48, Frames = 8;
+  const int Before = taskSchedulerThreads();
+  setTaskSchedulerThreads(4);
+  ServePipe P("srv_mixed", /*Variant=*/1);
+  Buffer<float> Input = makeInput(W, H);
+  ParamBindings Params;
+  Params.bind(P.In.name(), Input);
+  Pipeline Pipe(P.Out);
+  for (const Target &T : {Target::vm(), Target::jit()}) {
+    const CompileCounters C0 = Pipeline::compileCounters();
+    std::vector<Buffer<float>> Outs;
+    for (int F = 0; F < Frames; ++F)
+      Outs.emplace_back(W, H);
+    std::vector<FrameFuture> Futures;
+    for (int F = 0; F < Frames; ++F)
+      Futures.push_back(Pipe.realizeAsync(Outs[size_t(F)], Params,
+                                          T.withThreads(F % 2 ? 4 : 1)));
+    std::vector<ExecutionStats> Stats;
+    for (const FrameFuture &Future : Futures)
+      Stats.push_back(Future.wait());
+    EXPECT_EQ(Pipeline::compileCounters().BackendCompiles - C0.BackendCompiles,
+              1)
+        << T.str();
+    for (int F = 1; F < Frames; ++F) {
+      EXPECT_EQ(std::memcmp(Outs[size_t(F)].data(), Outs[0].data(),
+                            sizeof(float) * W * H),
+                0)
+          << T.str() << " frame " << F;
+      EXPECT_EQ(Stats[size_t(F)], Stats[0]) << T.str() << " frame " << F;
+    }
+  }
+  setTaskSchedulerThreads(Before);
 }
 
 TEST(ServingTest, SetDuringAsyncFramesGivesEachFrameOneValue) {

@@ -221,7 +221,6 @@ TEST(TargetTest, DefaultTargetCompilesToTheVm) {
   EXPECT_EQ(Pipeline::compileCounters().BackendCompiles -
                 Before.BackendCompiles,
             1);
-  EXPECT_EQ(Exe->target().TargetBackend, Backend::VmBytecode);
   EXPECT_NE(dynamic_cast<const VmExecutable *>(Exe.get()), nullptr);
 }
 
@@ -380,6 +379,90 @@ TEST(ParamInferDeathTest, OutputBufferTypeMismatch) {
   Buffer<int32_t> Out(4, 4); // pipeline produces float32
   EXPECT_DEATH(Pipeline(F).realize(Out),
                "output buffer 'pd_e_out' has element type int32");
+}
+
+//===----------------------------------------------------------------------===//
+// One binding step: a direct Executable::run checks its arguments exactly
+// as realize does, on both engines, and a thread request goes to the run.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// F(x, y) = In(x, y) + K, for binding a run's arguments by hand.
+struct BindPipe {
+  ImageParam In;
+  Param<int32_t> K;
+  Var x{"x"}, y{"y"};
+  Func F;
+
+  explicit BindPipe(const std::string &Tag)
+      : In(UInt(8), 2, Tag + "_in"), K(Tag + "_k"), F(Tag + "_f") {
+    F(x, y) = In(x, y) + cast<uint8_t>(K);
+  }
+};
+
+/// Expects both a direct run and a realize of \p F into \p Out, with
+/// \p Params, to die with \p Message on \p Tgt.
+template <typename T>
+void expectRunAndRealizeDie(const Func &F, const Target &Tgt,
+                            Buffer<T> &Out, const ParamBindings &Params,
+                            const std::string &Message) {
+  std::shared_ptr<const Executable> Exe = Pipeline(F).compile(Tgt);
+  ParamBindings WithOut = Params;
+  WithOut.bind(F.name(), Out);
+  EXPECT_DEATH(Exe->run(WithOut), Message) << Tgt.str();
+  EXPECT_DEATH(Pipeline(F).realize(Out, Params, Tgt), Message) << Tgt.str();
+}
+
+} // namespace
+
+TEST(BindingDeathTest, DirectRunChecksArgumentsLikeRealize) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  BindPipe P("pa");
+  Buffer<uint8_t> Input(16, 8);
+  Input.fillConstant(3);
+  ParamBindings Bound;
+  Bound.bind(P.In.name(), Input);
+  Bound.bindInt(P.K.name(), 1);
+  for (const Target &T : {Target::vm(), Target::jit()}) {
+    Buffer<uint8_t> Flat(128), Deep(16, 8, 3);
+    expectRunAndRealizeDie(P.F, T, Flat, Bound,
+                           "output buffer 'pa_f' is 1-dimensional but the "
+                           "pipeline expects 2 dimensions");
+    expectRunAndRealizeDie(P.F, T, Deep, Bound,
+                           "output buffer 'pa_f' is 3-dimensional but the "
+                           "pipeline expects 2 dimensions");
+
+    Buffer<uint8_t> Out(16, 8);
+    ParamBindings NoK;
+    NoK.bind(P.In.name(), Input);
+    expectRunAndRealizeDie(P.F, T, Out, NoK,
+                           "scalar parameter 'pa_k' is unbound");
+    ParamBindings FloatK = NoK;
+    FloatK.bindFloat(P.K.name(), 1.0);
+    expectRunAndRealizeDie(P.F, T, Out, FloatK,
+                           "scalar parameter 'pa_k' is bound to a float but "
+                           "the pipeline expects int32");
+
+    // A run with no output at all names it too.
+    EXPECT_DEATH(Pipeline(P.F).compile(T)->run(Bound),
+                 "output buffer 'pa_f' is unbound")
+        << T.str();
+  }
+}
+
+TEST(BindingDeathTest, CompileRejectsAThreadRequest) {
+  // An executable serves every thread count, so a compile that asked for
+  // one would silently drop it; the request goes to the run instead.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Var x("x");
+  Func F("pa_threads");
+  F(x) = x * 2;
+  EXPECT_DEATH(Pipeline(F).compile(Target::vm().withThreads(2)),
+               "pass the request to Executable::run");
+  EXPECT_DEATH(makeExecutable(lower(F.function()),
+                              Target::jit().withThreads(1)),
+               "pass the request to Executable::run");
 }
 
 //===----------------------------------------------------------------------===//

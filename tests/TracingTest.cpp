@@ -64,22 +64,27 @@ struct Engine {
   const char *Name;
   bool Interpret; ///< the reference interpreter; otherwise T's backend
   Target T;       ///< instrumentation bits (and the backend, if compiled)
+  int Threads = 0; ///< each compiled run's thread request
 
   int run(const LoweredPipeline &P, const ParamBindings &PB,
           ExecutionStats *Stats = nullptr) const {
     if (!Interpret)
-      return runOnBackend(T, P, PB, Stats);
+      return runOnBackend(T, P, PB, Stats, Threads);
     ExecutionStats S = interpret(instrument(P, T), PB);
     if (Stats)
       *Stats = std::move(S);
     return 0;
   }
-  Engine withTrace() const { return {Name, Interpret, T.withTrace()}; }
-  Engine withProfile() const { return {Name, Interpret, T.withProfile()}; }
+  Engine withTrace() const {
+    return {Name, Interpret, T.withTrace(), Threads};
+  }
+  Engine withProfile() const {
+    return {Name, Interpret, T.withProfile(), Threads};
+  }
 };
 
 const Engine Interpreter{"interpreter", true, Target()};
-const Engine SerialVm{"vm", false, Target::vm().withThreads(1)};
+const Engine SerialVm{"vm", false, Target::vm(), 1};
 const Engine Jit{"jit_c", false, Target::jit().withJitFlags("-O0")};
 
 /// Runs \p P on \p E with tracing enabled, streaming to a throwaway file,
@@ -423,7 +428,7 @@ TEST(TracingTest, ThreadedTraceIsSerialMultiset) {
   const int Before = taskSchedulerThreads();
   setTaskSchedulerThreads(4);
   std::vector<TraceEvent> Threaded = accessStream(runTraced(
-      {"vm", false, Target::vm().withThreads(4)}, P, Params, "threaded"));
+      {"vm", false, Target::vm(), 4}, P, Params, "threaded"));
   setTaskSchedulerThreads(Before);
 
   // Worker buffers flush in nondeterministic order, but every event of

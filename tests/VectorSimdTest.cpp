@@ -104,7 +104,7 @@ TEST(VectorSimdTest, ReversedRampExecutesCorrectlyOnAllBackends) {
   {
     ParamBindings P;
     P.bind(F.name(), FromVm);
-    ASSERT_EQ(vmCompile(LP, Target::vm())->run(P), 0);
+    ASSERT_EQ(vmCompile(LP)->run(P), 0);
   }
   {
     ParamBindings P;
@@ -184,7 +184,7 @@ TEST(VectorSimdTest, ClampedRampExecutesCorrectlyAtBoundaries) {
   {
     ParamBindings P = Params;
     P.bind(F.name(), FromVm);
-    ASSERT_EQ(vmCompile(LP, Target::vm())->run(P), 0);
+    ASSERT_EQ(vmCompile(LP)->run(P), 0);
   }
   {
     ParamBindings P = Params;
@@ -210,7 +210,7 @@ TEST(VectorSimdTest, VmCompilesUnitStrideRampsToDenseOps) {
   Src.computeRoot().vectorize(x, 8);
   F(x) = Src(x) * 2;
   F.vectorize(x, 8);
-  auto Exe = vmCompile(lower(F.function()), Target::vm());
+  auto Exe = vmCompile(lower(F.function()));
   std::string Listing = Exe->program().disassemble();
   EXPECT_NE(Listing.find("load.dense"), std::string::npos);
   EXPECT_NE(Listing.find("store.dense"), std::string::npos);
@@ -221,7 +221,7 @@ TEST(VectorSimdTest, VmCompilesUnitStrideRampsToDenseOps) {
   {
     ParamBindings P;
     P.bind(F.name(), FromVm);
-    ASSERT_EQ(vmCompile(LP, Target::vm())->run(P), 0);
+    ASSERT_EQ(vmCompile(LP)->run(P), 0);
   }
   {
     ParamBindings P;
@@ -268,7 +268,7 @@ TEST(VectorSimdTest, VectorDivModFloorSemanticsParity) {
   {
     ParamBindings P = Params;
     P.bind(F.name(), FromVm);
-    ASSERT_EQ(vmCompile(LP, Target::vm())->run(P), 0);
+    ASSERT_EQ(vmCompile(LP)->run(P), 0);
   }
   {
     ParamBindings P = Params;
@@ -403,7 +403,7 @@ void checkDivMod(const std::string &Tag, const std::vector<int64_t> &Divisors,
     ASSERT_EQ(E.run(P), 0);
   };
   Buffer<T> FromVm(N, Rows), FromJit(N, Rows), FromJitO0(N, Rows);
-  Run(*vmCompile(LP, Target::vm()), FromVm);
+  Run(*vmCompile(LP), FromVm);
   Run(*jitCompile(LP), FromJit);
   Run(*jitCompile(LP, Target::jit().withJitFlags("-O0")), FromJitO0);
   for (int Row = 0; Row < Rows; ++Row)
@@ -546,7 +546,7 @@ TEST(VectorSimdTest, NonDivisibleVectorizedInternalUpdateStageIsSafe) {
   {
     ParamBindings P = Params;
     P.bind(Out.name(), FromVm);
-    ASSERT_EQ(vmCompile(LP, Target::vm())->run(P), 0);
+    ASSERT_EQ(vmCompile(LP)->run(P), 0);
   }
   {
     ParamBindings P = Params;

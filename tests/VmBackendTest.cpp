@@ -97,7 +97,7 @@ TEST_P(VmParityTest, VmMatchesInterpreter) {
   {
     ParamBindings PV = Params;
     PV.bind(P.Out.name(), FromVm);
-    auto VP = vmCompile(LP, Target::vm());
+    auto VP = vmCompile(LP);
     ASSERT_EQ(VP->run(PV), 0);
   }
   for (int Y = 0; Y < H; ++Y)
@@ -135,7 +135,7 @@ TEST(VmBackendTest, IntegerDivisionSemantics) {
   {
     ParamBindings PV = Params;
     PV.bind(F.name(), FromVm);
-    ASSERT_EQ(vmCompile(LP, Target::vm())->run(PV), 0);
+    ASSERT_EQ(vmCompile(LP)->run(PV), 0);
   }
   for (int X = 0; X < N; ++X)
     ASSERT_EQ(FromInterp(X), FromVm(X)) << "at " << X;
@@ -166,7 +166,7 @@ TEST(VmBackendTest, ExternMathMatchesInterpreter) {
   {
     ParamBindings PV = Params;
     PV.bind(F.name(), FromVm);
-    ASSERT_EQ(vmCompile(LP, Target::vm())->run(PV), 0);
+    ASSERT_EQ(vmCompile(LP)->run(PV), 0);
   }
   for (int X = 0; X < N; ++X)
     ASSERT_EQ(FromInterp(X), FromVm(X)) << "at " << X; // bit-exact
@@ -178,7 +178,7 @@ TEST(VmBackendTest, ScalarParamsThreadThrough) {
   Param<float> S("vm_s");
   Func F("vm_params");
   F(x) = cast(Float(32), x + K) * S;
-  auto VP = vmCompile(lower(F.function()), Target::vm());
+  auto VP = vmCompile(lower(F.function()));
   Buffer<float> Out(8);
   ParamBindings Params;
   Params.bind(F.name(), Out);
@@ -211,7 +211,7 @@ TEST(VmBackendTest, UpdateStagesExecute) {
   ParamBindings Params;
   Params.bind("vm_hist_in", Input);
   Params.bind(Hist.name(), Out);
-  ASSERT_EQ(vmCompile(lower(Hist.function()), Target::vm())->run(Params), 0);
+  ASSERT_EQ(vmCompile(lower(Hist.function()))->run(Params), 0);
 
   std::vector<uint32_t> Want(256, 0);
   for (int Y = 0; Y < H; ++Y)
@@ -227,7 +227,7 @@ TEST(VmBackendTest, DisassemblyResolvesNames) {
   F(x, y) = x + y;
   G(x, y) = F(x, y) * 2;
   F.computeRoot();
-  auto VP = vmCompile(lower(G.function()), Target::vm());
+  auto VP = vmCompile(lower(G.function()));
   const std::string &Listing = VP->source();
   // Buffers appear as pre-resolved table slots, loops as fused back-edges.
   EXPECT_NE(Listing.find("vm_disasm_f"), std::string::npos);
@@ -312,7 +312,7 @@ TEST(VmBackendTest, ParallelHistogramUpdateStages) {
   {
     ParamBindings PV = Params;
     PV.bind(Cum.name(), FromVm);
-    ASSERT_EQ(vmCompile(LP, Target::vm().withThreads(4))->run(PV), 0);
+    ASSERT_EQ(vmCompile(LP)->run(PV, nullptr, 4), 0);
   }
   std::vector<uint32_t> Want(256, 0);
   for (int Y = 0; Y < H; ++Y)
@@ -356,17 +356,15 @@ TEST(VmBackendTest, NestedParallelTiles) {
   {
     ParamBindings PV = Params;
     PV.bind(P.Out.name(), FromVm);
-    auto Exe = vmCompile(LP, Target::vm().withThreads(4));
+    auto Exe = vmCompile(LP);
     // The program advertises its extracted tasks (outer tiles + nested
     // producer), and the listing shows their dispatch.
     EXPECT_GE(Exe->program().Tasks.size(), 2u);
     EXPECT_NE(Exe->source().find("par_for"), std::string::npos);
-    ASSERT_EQ(Exe->run(PV), 0);
-  }
-  {
-    ParamBindings PV = Params;
-    PV.bind(P.Out.name(), FromVmSerial);
-    ASSERT_EQ(vmCompile(LP, Target::vm().withThreads(1))->run(PV), 0);
+    ASSERT_EQ(Exe->run(PV, nullptr, 4), 0);
+    ParamBindings PS = Params;
+    PS.bind(P.Out.name(), FromVmSerial);
+    ASSERT_EQ(Exe->run(PS, nullptr, 1), 0);
   }
   for (int Y = 0; Y < H; ++Y)
     for (int X = 0; X < W; ++X) {
@@ -407,9 +405,9 @@ TEST(VmBackendTest, TaskChunksSeeEveryRegisterTheirBodyReads) {
 
   LoweredPipeline LP =
       instrument(lower(Out.function()), Target().withTrace());
-  auto Threaded = vmCompile(LP, Target::vm().withThreads(4));
+  auto Exe = vmCompile(LP);
   // Every shape is really read inside the outer task's body region.
-  const VmProgram &Prog = Threaded->program();
+  const VmProgram &Prog = Exe->program();
   ASSERT_GE(Prog.Tasks.size(), 2u);
   const VmTaskDesc &Outer = Prog.Tasks[0];
   std::set<std::string> Shapes;
@@ -444,7 +442,7 @@ TEST(VmBackendTest, TaskChunksSeeEveryRegisterTheirBodyReads) {
     const std::string Path = tempDirectory() + "/vm_task_closure_" +
                              std::to_string(getpid()) + ".bin";
     ASSERT_TRUE(traceStreamStart(Path));
-    EXPECT_EQ(Threaded->run(PV, &ThreadedStats), 0);
+    EXPECT_EQ(Exe->run(PV, &ThreadedStats, 4), 0);
     traceStreamStop();
     std::remove(Path.c_str());
     EXPECT_EQ(traceStreamStats().EventsDropped, 0);
@@ -452,9 +450,7 @@ TEST(VmBackendTest, TaskChunksSeeEveryRegisterTheirBodyReads) {
   {
     ParamBindings PS = Params;
     PS.bind(Out.name(), FromSerial);
-    ASSERT_EQ(vmCompile(LP, Target::vm().withThreads(1))
-                  ->run(PS, &SerialStats),
-              0);
+    ASSERT_EQ(Exe->run(PS, &SerialStats, 1), 0);
   }
   EXPECT_EQ(std::memcmp(FromInterp.data(), FromVm.data(),
                         sizeof(float) * W * H),
@@ -465,10 +461,12 @@ TEST(VmBackendTest, TaskChunksSeeEveryRegisterTheirBodyReads) {
   EXPECT_EQ(ThreadedStats, SerialStats);
 }
 
-TEST(VmBackendTest, ThreadTargetsShareOneLoweringButNotExecutables) {
-  // withThreads is an execution knob: it must not re-lower, but two
-  // thread counts cannot alias one cached executable (the artifact
-  // carries its Target, whose NumThreads drives dispatch).
+TEST(VmBackendTest, ThreadRequestsShareOneExecutable) {
+  // A thread request belongs to the run, not to the compiled program:
+  // realizing one schedule with the default request and with 1, 2 and 4
+  // threads lowers once and compiles once, and every request computes
+  // the same output.
+  ScopedPool Pool(4);
   Var x("x"), y("y");
   Func F("vmtt_f"), G("vmtt_g");
   F(x, y) = x + y * 5;
@@ -476,17 +474,21 @@ TEST(VmBackendTest, ThreadTargetsShareOneLoweringButNotExecutables) {
   F.computeRoot().parallel(y);
   G.parallel(y);
   Pipeline Pipe(G);
-  Buffer<int32_t> Out1(32, 16), Out2(32, 16);
 
   CompileCounters Before = Pipeline::compileCounters();
-  Pipe.realize(Out1, ParamBindings(), Target::vm().withThreads(1));
-  Pipe.realize(Out2, ParamBindings(), Target::vm().withThreads(4));
-  const CompileCounters &After = Pipeline::compileCounters();
+  Buffer<int32_t> Want(32, 16);
+  Pipe.realize(Want, ParamBindings(), Target::vm());
+  for (int Threads : {1, 2, 4}) {
+    Buffer<int32_t> Out(32, 16);
+    Pipe.realize(Out, ParamBindings(), Target::vm().withThreads(Threads));
+    for (int Y = 0; Y < 16; ++Y)
+      for (int X = 0; X < 32; ++X)
+        ASSERT_EQ(Out(X, Y), Want(X, Y)) << Threads << " threads";
+  }
+  const CompileCounters After = Pipeline::compileCounters();
   EXPECT_EQ(After.Lowerings - Before.Lowerings, 1);
-  EXPECT_EQ(After.BackendCompiles - Before.BackendCompiles, 2);
-  for (int Y = 0; Y < 16; ++Y)
-    for (int X = 0; X < 32; ++X)
-      EXPECT_EQ(Out1(X, Y), Out2(X, Y));
+  EXPECT_EQ(After.BackendCompiles - Before.BackendCompiles, 1);
+  EXPECT_EQ(After.CacheHits - Before.CacheHits, 3);
 }
 
 //===----------------------------------------------------------------------===//
