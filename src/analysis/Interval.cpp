@@ -1,6 +1,7 @@
 //===-- analysis/Interval.cpp -----------------------------------------------=//
 
 #include "analysis/Interval.h"
+#include "analysis/Derivatives.h"
 #include "ir/IREquality.h"
 #include "ir/IROperators.h"
 #include "ir/IRVisitor.h"
@@ -171,4 +172,28 @@ void ExprLedger::substituteInDefs(const std::map<std::string, Expr> &Bindings) {
   for (auto &Entry : Defs)
     Entry.second = substitute(Bindings, Entry.second);
   Memo.clear();
+}
+
+std::vector<std::pair<std::string, Expr>>
+ExprLedger::defsUsedBy(const std::vector<Expr> &Roots) const {
+  std::set<std::string> Needed;
+  auto CollectFrom = [&](const Expr &E) {
+    for (const std::string &V : freeVars(E))
+      if (contains(V))
+        Needed.insert(V);
+  };
+  for (const Expr &E : Roots)
+    CollectFrom(E);
+  std::vector<char> Keep(Defs.size(), 0);
+  for (size_t I = Defs.size(); I-- > 0;) {
+    if (!Needed.count(Defs[I].first))
+      continue;
+    Keep[I] = 1;
+    CollectFrom(Defs[I].second);
+  }
+  std::vector<std::pair<std::string, Expr>> Used;
+  for (size_t I = 0; I < Defs.size(); ++I)
+    if (Keep[I])
+      Used.push_back(Defs[I]);
+  return Used;
 }

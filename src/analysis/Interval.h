@@ -120,6 +120,10 @@ public:
   const std::vector<std::pair<std::string, Expr>> &defs() const {
     return Defs;
   }
+  /// The definitions \p Roots reference, directly or through other
+  /// definitions, in creation order.
+  std::vector<std::pair<std::string, Expr>>
+  defsUsedBy(const std::vector<Expr> &Roots) const;
 
   /// True when \p E is cheaper to duplicate at each use site than to bind
   /// to a name (node count at or under a small threshold). Exposed so

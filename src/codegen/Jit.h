@@ -8,9 +8,12 @@
 /// JIT execution of lowered pipelines: the C backend's output is compiled
 /// with the host C compiler into a shared object and loaded with dlopen
 /// (DESIGN.md substitution 1 for the paper's LLVM JIT). The entry point
-/// receives the runtime vtable, so the shared object is self-contained:
-/// it is linked without libc, and its few library calls (memcpy, memset,
-/// libm) bind to the host process when it is loaded.
+/// receives a run's packed arguments (bufs, iargs, fargs: the layout
+/// LoweredPipeline defines) and a copy of the runtime vtable carrying the
+/// run's chunk budget, so the shared object is self-contained and serves
+/// every thread count: it is linked without libc, and its few library
+/// calls (memcpy, memset, libm) bind to the host process when it is
+/// loaded.
 /// CompiledPipeline implements the common Executable interface. GPU-block
 /// loops launch on the simulated device (runtime/GpuSim.h), and each run
 /// reports its own launch statistics through ExecutionStats.

@@ -17,39 +17,6 @@ using namespace halide;
 
 namespace {
 
-/// Prefixes \p Lets with the ledger definitions their values
-/// (transitively) reference, in creation order, dropping definitions
-/// nothing uses.
-std::vector<std::pair<std::string, Expr>>
-prependLedgerDefs(const ExprLedger &Ledger,
-                  std::vector<std::pair<std::string, Expr>> Lets) {
-  const auto &Defs = Ledger.defs();
-  if (Defs.empty())
-    return Lets;
-  std::set<std::string> Needed;
-  auto CollectFrom = [&](const Expr &E) {
-    for (const std::string &V : freeVars(E))
-      if (Ledger.contains(V))
-        Needed.insert(V);
-  };
-  for (const auto &[Name, Value] : Lets)
-    CollectFrom(Value);
-  std::vector<char> Keep(Defs.size(), 0);
-  for (size_t I = Defs.size(); I-- > 0;) {
-    if (!Needed.count(Defs[I].first))
-      continue;
-    Keep[I] = 1;
-    CollectFrom(Defs[I].second);
-  }
-  std::vector<std::pair<std::string, Expr>> Result;
-  for (size_t I = 0; I < Defs.size(); ++I)
-    if (Keep[I])
-      Result.push_back(Defs[I]);
-  Result.insert(Result.end(), std::make_move_iterator(Lets.begin()),
-                std::make_move_iterator(Lets.end()));
-  return Result;
-}
-
 /// Finds the unique produce / consume ProducerConsumer nodes for a name.
 class FindProduceConsume : public IRVisitor {
 public:
@@ -285,7 +252,11 @@ protected:
     // The ledger definitions the min/extent chain (transitively) uses
     // become real LetStmts above it, in creation order — later
     // definitions may reference earlier ones, never the reverse.
-    Lets = prependLedgerDefs(Ledger, std::move(Lets));
+    std::vector<Expr> Values;
+    for (const auto &[Name, Value] : Lets)
+      Values.push_back(Value);
+    std::vector<std::pair<std::string, Expr>> Used = Ledger.defsUsedBy(Values);
+    Lets.insert(Lets.begin(), Used.begin(), Used.end());
 
     WrapProduce Wrapper(Op->Name, Lets);
     Body = Wrapper.mutate(Body);

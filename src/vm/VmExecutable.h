@@ -7,9 +7,11 @@
 /// \file
 /// The VmBytecode backend: a lowered pipeline compiled once to a flat
 /// bytecode program (vm/VmCompiler.h) and executed by a dispatch loop on
-/// every run; the default engine. It implements the common Executable
-/// interface, so Pipeline::compile(Target::vm()) caches it by schedule
-/// fingerprint exactly like the JIT, and it gathers the same
+/// every run; the default engine. Its parameter registers and boundary
+/// buffers name positions in a run's packed arguments, not names. It
+/// implements the common Executable interface, so
+/// Pipeline::compile(Target::vm()) caches it by schedule fingerprint
+/// exactly like the JIT, and it gathers the same
 /// ExecutionStats (loads/stores per buffer, peak allocation, parallel
 /// iterations) the reference interpreter does — at a fraction of the
 /// per-operation cost, which is what lets the differential suite and the

@@ -451,6 +451,42 @@ TEST(BindingDeathTest, DirectRunChecksArgumentsLikeRealize) {
   }
 }
 
+TEST(InputBoundsDeathTest, InputMustCoverTheRegionRead) {
+  // F reads In over F's own region, so a run whose input does not cover
+  // it stops before the first read, with one message on both engines
+  // naming the input and the dimension. Before these asserts the VM
+  // aborted on an internal bounds check and jit_c read out of bounds.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ImageParam In(UInt(8), 2, "pb_in");
+  Var x("x"), y("y");
+  Func F("pb_f");
+  F(x, y) = In(x, y) + cast<uint8_t>(1);
+  Buffer<uint8_t> Input(16, 8);
+  Input.fillConstant(3);
+  In.set(Input);
+  for (const Target &T : {Target::vm(), Target::jit()}) {
+    Buffer<uint8_t> Fits(16, 8);
+    Pipeline(F).realize(Fits, ParamBindings(), T);
+    EXPECT_EQ(Fits(15, 7), 4) << T.str();
+
+    Buffer<uint8_t> Wide(64, 8), Tall(16, 9), Shifted(16, 8);
+    Shifted.setMin(1, 0);
+    const std::string Dim = "input image pb_in does not cover the region the "
+                            "pipeline reads in dimension ";
+    EXPECT_DEATH(Pipeline(F).realize(Wide, ParamBindings(), T), Dim + "0")
+        << T.str();
+    EXPECT_DEATH(Pipeline(F).realize(Tall, ParamBindings(), T), Dim + "1")
+        << T.str();
+    EXPECT_DEATH(Pipeline(F).realize(Shifted, ParamBindings(), T), Dim + "0")
+        << T.str();
+  }
+  // Far past the input, jit_c used to die of SIGSEGV instead.
+  Buffer<uint8_t> Huge(1000000, 8);
+  EXPECT_DEATH(Pipeline(F).realize(Huge, ParamBindings(), Target::jit()),
+               "input image pb_in does not cover the region the pipeline "
+               "reads in dimension 0");
+}
+
 TEST(BindingDeathTest, CompileRejectsAThreadRequest) {
   // An executable serves every thread count, so a compile that asked for
   // one would silently drop it; the request goes to the run instead.
