@@ -15,8 +15,7 @@ BoundArgs halide::bindArguments(const LoweredPipeline &P,
       size_t(LoweredPipeline::metadataSlot(P.Buffers.size(), 0)));
   for (size_t I = 0; I < P.Buffers.size(); ++I) {
     const BufferArg &Arg = P.Buffers[I];
-    const std::string Role =
-        (Arg.IsOutput ? "output buffer '" : "input buffer '") + Arg.Name;
+    const char *Role = Arg.IsOutput ? "output buffer '" : "input buffer '";
     const RawBuffer *B = Params.buffer(Arg.Name);
     user_assert(B && B->defined())
         << (Arg.IsOutput ? "output buffer '" : "input image '") << Arg.Name
@@ -25,14 +24,14 @@ BoundArgs halide::bindArguments(const LoweredPipeline &P,
                          : "call ImageParam::set(buffer) before realize")
         << ", or bind it explicitly in the ParamBindings";
     user_assert(B->ElemType == Arg.ElemType)
-        << Role << "' has element type " << B->ElemType.str()
+        << Role << Arg.Name << "' has element type " << B->ElemType.str()
         << " but the pipeline expects " << Arg.ElemType.str();
     user_assert(B->Dimensions == Arg.Dimensions)
-        << Role << "' is " << B->Dimensions
+        << Role << Arg.Name << "' is " << B->Dimensions
         << "-dimensional but the pipeline expects " << Arg.Dimensions
         << " dimensions";
     user_assert(B->Dim[0].Stride == 1)
-        << Role << "' must be dense in dimension 0 (stride 1)";
+        << Role << Arg.Name << "' must be dense in dimension 0 (stride 1)";
     Args.Bufs.push_back(B->Host);
     int64_t MaxIndex = 0;
     for (int D = 0; D < MaxBufferDims; ++D) {
@@ -51,22 +50,20 @@ BoundArgs halide::bindArguments(const LoweredPipeline &P,
   const std::vector<ArgSlot> Slots = P.scalarSlots();
   for (size_t I = 0; I < P.Scalars.size(); ++I) {
     const ScalarArg &Arg = P.Scalars[I];
-    int64_t Int = 0;
-    double Float = 0;
-    const bool AsInt = Params.lookupInt(Arg.Name, &Int);
-    const bool AsFloat = Params.lookupFloat(Arg.Name, &Float);
-    user_assert(AsInt || AsFloat)
+    const int64_t *Int = Params.intScalar(Arg.Name);
+    const double *Float = Params.floatScalar(Arg.Name);
+    user_assert(Int || Float)
         << "scalar parameter '" << Arg.Name
         << "' is unbound: call set() on its Param before realize, or bind "
            "it explicitly in the ParamBindings";
-    user_assert(Slots[I].IsFloat ? AsFloat : AsInt)
+    user_assert(Slots[I].IsFloat ? Float != nullptr : Int != nullptr)
         << "scalar parameter '" << Arg.Name << "' is bound to "
-        << (AsInt ? "an integer" : "a float") << " but the pipeline expects "
+        << (Int ? "an integer" : "a float") << " but the pipeline expects "
         << Arg.ArgType.str();
     if (Slots[I].IsFloat)
-      Args.FloatArgs.push_back(Float);
+      Args.FloatArgs.push_back(*Float);
     else
-      Args.IntArgs.push_back(Int);
+      Args.IntArgs.push_back(*Int);
   }
   return Args;
 }

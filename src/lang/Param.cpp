@@ -44,11 +44,8 @@ void halide::bindParameterValues(
   std::lock_guard<std::mutex> Lock(valueMutex());
   for (const auto &[Name, P] : Params) {
     const ParamValue &V = P->Value;
-    int64_t IntValue = 0;
-    double FloatValue = 0;
-    if (!V.HasValue || Bindings->buffer(Name) ||
-        Bindings->lookupInt(Name, &IntValue) ||
-        Bindings->lookupFloat(Name, &FloatValue))
+    if (!V.HasValue || Bindings->buffer(Name) || Bindings->intScalar(Name) ||
+        Bindings->floatScalar(Name))
       continue; // unbound, or bound explicitly
     if (P->Dimensions > 0)
       Bindings->bind(Name, V.Image);

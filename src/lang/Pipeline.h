@@ -10,11 +10,12 @@
 /// schedules and hands it to the backend the Target names, caching the
 /// result under a schedule+options fingerprint so an unchanged pipeline is
 /// compiled once and run over many frames (paper section 4, Figure 5),
-/// whatever thread count each run asks for. Pipeline::realize dispatches through that cache and resolves every
-/// pipeline argument the caller did not bind explicitly from the
-/// pipeline's own Param<T> / ImageParam parameters, which the fingerprint's
-/// walk of its definitions collects, into the name->value ParamBindings
-/// that Executable::run checks and packs.
+/// whatever thread count each run asks for. Pipeline::realize dispatches
+/// through that cache and resolves every pipeline argument the caller did
+/// not bind explicitly from the pipeline's own Param<T> / ImageParam
+/// parameters, which the fingerprint's walk of its definitions collects,
+/// into the name->value ParamBindings that Executable::run checks and
+/// packs.
 ///
 /// The cache is safe to use from many threads at once: it is a
 /// shared_mutex-guarded map of per-entry once-compile latches (a stampede

@@ -9,7 +9,7 @@
 /// engine (the bytecode VM or the C-source JIT) plus the feature flags that
 /// used to live in LowerOptions. A GPU schedule (Func::gpuTile) needs no
 /// target of its own: every JIT executable routes GPU-block loops to the
-/// simulated device. A Target but its thread request is part of the
+/// simulated device. A Target, except its thread request, is part of the
 /// compile-cache key, so two realizations with the same schedules and the
 /// same Target share one compiled artifact (paper section 4, Figure 5:
 /// compile once, run over many frames).

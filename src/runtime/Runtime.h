@@ -48,14 +48,14 @@ public:
     auto It = Buffers.find(Name);
     return It == Buffers.end() ? nullptr : &It->second;
   }
-  /// Reads the scalar bound to \p Name with bindInt / bindFloat.
-  bool lookupInt(const std::string &Name, int64_t *Out) const {
+  /// The scalar bound to \p Name with bindInt / bindFloat, or null.
+  const int64_t *intScalar(const std::string &Name) const {
     auto It = IntScalars.find(Name);
-    return It != IntScalars.end() && (*Out = It->second, true);
+    return It == IntScalars.end() ? nullptr : &It->second;
   }
-  bool lookupFloat(const std::string &Name, double *Out) const {
+  const double *floatScalar(const std::string &Name) const {
     auto It = FloatScalars.find(Name);
-    return It != FloatScalars.end() && (*Out = It->second, true);
+    return It == FloatScalars.end() ? nullptr : &It->second;
   }
 
 private:
