@@ -78,8 +78,8 @@ private:
 /// per tile has its min and extent bound by separate lets of the tile's
 /// loop variable; ranged one by one they lose the terms that cancel in
 /// min + extent, so the region read through them would double. Lets
-/// outside every loop have nothing to range, and larger values stay lets
-/// too, which keeps the copy polynomial in size.
+/// outside every loop have nothing to range and stay as they are, and
+/// larger values stay lets too, which keeps the copy polynomial in size.
 class InlineSmallLets : public IRMutator {
 public:
   explicit InlineSmallLets(const Stmt &S) { S.accept(&Reads); }
@@ -88,7 +88,9 @@ private:
   using IRMutator::visit;
 
   template <typename LetT> auto inlineLet(const LetT *Op) {
-    Expr Value = simplify(mutate(Op->Value));
+    Expr Value = mutate(Op->Value);
+    if (Loops > 0)
+      Value = simplify(Value);
     const bool Small = Loops > 0 && !irNodeCountExceeds(Value, 64);
     ScopedBinding<Expr> Bind(Values, Op->Name, Small ? Value : Expr());
     auto Body = mutate(Op->Body);
