@@ -454,8 +454,8 @@ TEST(BindingDeathTest, DirectRunChecksArgumentsLikeRealize) {
 TEST(InputBoundsDeathTest, InputMustCoverTheRegionRead) {
   // F reads In over F's own region, so a run whose input does not cover
   // it stops before the first read, with one message on both engines
-  // naming the input and the dimension. Before these asserts the VM
-  // aborted on an internal bounds check and jit_c read out of bounds.
+  // naming the input and the dimension: without the check the VM stops
+  // on an internal bounds check and jit_c reads out of bounds.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ImageParam In(UInt(8), 2, "pb_in");
   Var x("x"), y("y");
@@ -480,7 +480,7 @@ TEST(InputBoundsDeathTest, InputMustCoverTheRegionRead) {
     EXPECT_DEATH(Pipeline(F).realize(Shifted, ParamBindings(), T), Dim + "0")
         << T.str();
   }
-  // Far past the input, jit_c used to die of SIGSEGV instead.
+  // Far past the input, an unchecked jit_c read dies of SIGSEGV.
   Buffer<uint8_t> Huge(1000000, 8);
   EXPECT_DEATH(Pipeline(F).realize(Huge, ParamBindings(), Target::jit()),
                "input image pb_in does not cover the region the pipeline "
