@@ -4,7 +4,10 @@
 #include "ir/IREquality.h"
 #include "ir/IROperators.h"
 #include "ir/IRVisitor.h"
+#include "transforms/Simplify.h"
+#include "transforms/Substitute.h"
 
+#include <optional>
 #include <unordered_set>
 
 using namespace halide;
@@ -373,6 +376,13 @@ private:
 /// and loops that enclose a matching access are ranged (MarkEnclosing):
 /// the rest of the statement — typically every other stage of the
 /// pipeline — costs a plain traversal instead of interval analysis.
+///
+/// Lets are correlated before they are ranged. A tiled stage's min and
+/// extent are separate lets of the tile's loop variable; ranged one by
+/// one they lose the terms that cancel in min + extent - 1, and the
+/// region read through them doubles. So a let inside a loop whose
+/// simplified value is small is substituted into its uses, and any let
+/// whose range is one point is replaced by that point.
 class BoxTouched : public IRVisitor {
 public:
   BoxTouched(const AccessFilter &Filter, const Scope<Interval> &VarScope,
@@ -397,21 +407,8 @@ public:
       mergeBox(Op->Args);
   }
 
-  void visit(const Let *Op) override {
-    if (!Marker.Marked.count(Op))
-      return;
-    Op->Value.accept(this);
-    ScopedBinding<Interval> Bind(Inner, Op->Name, boundsOf(Op->Value, Op->Name));
-    Op->Body.accept(this);
-  }
-
-  void visit(const LetStmt *Op) override {
-    if (!Marker.Marked.count(Op))
-      return;
-    Op->Value.accept(this);
-    ScopedBinding<Interval> Bind(Inner, Op->Name, boundsOf(Op->Value, Op->Name));
-    Op->Body.accept(this);
-  }
+  void visit(const Let *Op) override { bindLet(Op); }
+  void visit(const LetStmt *Op) override { bindLet(Op); }
 
   void visit(const For *Op) override {
     if (!Marker.Marked.count(Op))
@@ -419,8 +416,8 @@ public:
     Op->MinExpr.accept(this);
     Op->Extent.accept(this);
     BoundsVisitor BV(Vars, Ledger, &Inner);
-    Interval MinB = BV.bounds(Op->MinExpr);
-    Interval ExtB = BV.bounds(Op->Extent);
+    Interval MinB = BV.bounds(correlated(Op->MinExpr));
+    Interval ExtB = BV.bounds(correlated(Op->Extent));
     Interval LoopRange;
     LoopRange.Min = MinB.Min;
     if (MinB.hasUpperBound() && ExtB.hasUpperBound())
@@ -429,10 +426,51 @@ public:
     // range, not a private copy of it.
     ScopedBinding<Interval> Bind(Inner, Op->Name,
                                  Ledger->shared(LoopRange, Op->Name));
+    Expr Shadowed = substituteFor(Op->Name, Expr());
+    ++Loops;
     Op->Body.accept(this);
+    --Loops;
+    substituteFor(Op->Name, Shadowed);
   }
 
 private:
+  template <typename LetT> void bindLet(const LetT *Op) {
+    if (!Marker.Marked.count(Op))
+      return;
+    Op->Value.accept(this);
+    Expr Value = correlated(Op->Value);
+    std::optional<ScopedBinding<Interval>> Ranged;
+    // A let that shadows a ranged name is substituted whatever its size,
+    // so no value substituted earlier can be captured by it.
+    if (Loops == 0 || (irNodeCountExceeds(Value, InlineLetLimit) &&
+                       !Inner.contains(Op->Name))) {
+      Interval Range = boundsOf(Value, Op->Name);
+      Value = Range.isSinglePoint() ? Range.Min : Expr();
+      if (!Value.defined())
+        Ranged.emplace(Inner, Op->Name, Range);
+    }
+    Expr Shadowed = substituteFor(Op->Name, Value);
+    Op->Body.accept(this);
+    substituteFor(Op->Name, Shadowed);
+  }
+
+  /// Substitutes \p Value for \p Name (nothing, when undefined) and returns
+  /// what it replaced.
+  Expr substituteFor(const std::string &Name, Expr Value) {
+    Expr &Slot = Values[Name];
+    std::swap(Slot, Value);
+    if (!Slot.defined())
+      Values.erase(Name);
+    return Value;
+  }
+
+  /// \p E with the substituted lets in place; simplified inside a loop,
+  /// where terms of the loop variables can cancel.
+  Expr correlated(const Expr &E) {
+    Expr Inlined = Values.empty() ? E : substitute(Values, E);
+    return Loops > 0 ? simplify(Inlined) : Inlined;
+  }
+
   /// Bounds of a let value, computed once and routed through the ledger.
   /// The expression walk borrows this statement walk's inner scope so the
   /// bindings accumulated so far are visible without copying them.
@@ -445,15 +483,23 @@ private:
     Box B(Args.size());
     BoundsVisitor BV(Vars, Ledger, &Inner);
     for (size_t I = 0; I < Args.size(); ++I)
-      B[I] = BV.bounds(Args[I]);
+      B[I] = BV.bounds(Values.empty() ? Args[I]
+                                      : substitute(Values, Args[I]));
     Result.include(B);
   }
+
+  /// Lets inside a loop are substituted at or under this many IR nodes;
+  /// larger values stay ranged names, which the ledger shares.
+  static constexpr size_t InlineLetLimit = 64;
 
   const AccessFilter &Filter;
   const Scope<Interval> &Vars;
   ExprLedger *Ledger;
   MarkEnclosing Marker;
   Scope<Interval> Inner;
+  /// The substituted lets' values by name.
+  std::map<std::string, Expr> Values;
+  int Loops = 0;
   Box Result;
 };
 

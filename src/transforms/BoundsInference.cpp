@@ -9,6 +9,7 @@
 #include "ir/IRVisitor.h"
 #include "transforms/ScheduleFunctions.h"
 #include "transforms/Simplify.h"
+#include "transforms/StorageFlattening.h"
 #include "transforms/Substitute.h"
 
 #include <set>
@@ -23,6 +24,8 @@ public:
   explicit FindProduceConsume(const std::string &Name) : Name(Name) {}
 
   Stmt Produce, Consume;
+  /// Whether the produce node lies inside a loop of the walked statement.
+  bool ProduceInLoop = false;
 
   void visit(const ProducerConsumer *Op) override {
     if (Op->Name == Name) {
@@ -30,6 +33,7 @@ public:
         internal_assert(!Produce.defined())
             << "multiple produce nodes for " << Name;
         Produce = Stmt(Op);
+        ProduceInLoop = Loops > 0;
       } else {
         internal_assert(!Consume.defined())
             << "multiple consume nodes for " << Name;
@@ -45,11 +49,16 @@ public:
   // pipeline (bounds preambles, loop bounds, stage values), so checking
   // the whole consume body stays a walk over its statements.
   void visit(const LetStmt *Op) override { Op->Body.accept(this); }
-  void visit(const For *Op) override { Op->Body.accept(this); }
+  void visit(const For *Op) override {
+    ++Loops;
+    Op->Body.accept(this);
+    --Loops;
+  }
   void visit(const Provide *) override {}
 
 private:
   const std::string &Name;
+  int Loops = 0;
 };
 
 /// Collects the For loops and LetStmts on the path from a statement down to
@@ -160,7 +169,20 @@ public:
   explicit BoundsInferencePass(const std::map<std::string, Function> &Env)
       : Env(Env) {}
 
+  /// The region lets of every stage computed outside all loops, and the
+  /// ledger definitions they use, consumers first: bound once above the
+  /// whole statement, so each root stage's region names its consumers'
+  /// region lets instead of ranging them again.
+  std::vector<std::pair<std::string, Expr>> RootLets;
+
 protected:
+  Stmt visit(const For *Op) override {
+    ++Loops;
+    Stmt Result = IRMutator::visit(Op);
+    --Loops;
+    return Result;
+  }
+
   Stmt visit(const Realize *Op) override {
     // Consumers first: process realizations nested inside this one so that
     // their bounds lets are in place before we analyze this stage.
@@ -258,6 +280,21 @@ protected:
     std::vector<std::pair<std::string, Expr>> Used = Ledger.defsUsedBy(Values);
     Lets.insert(Lets.begin(), Used.begin(), Used.end());
 
+    // A stage computed outside every loop is stored where it is computed,
+    // so its allocation is its region.
+    if (Loops == 0 && !Finder.ProduceInLoop) {
+      RootLets.insert(RootLets.end(), Lets.begin(), Lets.end());
+      Region RealizeBounds;
+      for (int D = 0; D < Rank; ++D) {
+        Expr Extent = Variable::make(Int(32), funcExtentName(Op->Name, D));
+        RealizeBounds.emplace_back(
+            Variable::make(Int(32), funcMinName(Op->Name, D)),
+            simplify(writtenExtent(F, D, Extent)));
+      }
+      return Realize::make(Op->Name, Op->ElemType, std::move(RealizeBounds),
+                           Body);
+    }
+
     WrapProduce Wrapper(Op->Name, Lets);
     Body = Wrapper.mutate(Body);
 
@@ -295,12 +332,47 @@ protected:
 
 private:
   const std::map<std::string, Function> &Env;
+  int Loops = 0;
 };
 
 } // namespace
 
 Stmt halide::boundsInference(const Stmt &S,
-                             const std::map<std::string, Function> &Env) {
+                             const std::map<std::string, Function> &Env,
+                             const std::set<std::string> &Images) {
   BoundsInferencePass Pass(Env);
-  return Pass.mutate(S);
+  Stmt Body = Pass.mutate(S);
+
+  // Every input image must cover the region read from it. An image is the
+  // outermost consumer: its box comes from the walk a root stage's consumer
+  // box uses, beneath the root region lets, which the checks name. Taking
+  // it before sliding window and storage folding is sound because neither
+  // ever widens a read. A dimension read over an unbounded region stays
+  // unchecked, and lowering's simplification drops a condition that folds
+  // to true (a reduction over the image's own domain).
+  ExprLedger Ledger;
+  std::vector<Expr> Conditions;
+  std::vector<Stmt> Checks;
+  for (const std::string &Name : Images) {
+    const Box Read = boxRequired(Body, Name, Scope<Interval>(), &Ledger);
+    for (int D = 0; D < int(Read.size()); ++D) {
+      if (!Read[D].isBounded())
+        continue;
+      Expr Min = Variable::make(Int(32), bufferMinName(Name, D), true);
+      Expr Extent = Variable::make(Int(32), bufferExtentName(Name, D), true);
+      Expr Ok = Min <= Read[D].Min && Read[D].Max < Min + Extent;
+      Conditions.push_back(Ok);
+      Checks.push_back(AssertStmt::make(
+          Ok, "input image " + Name + " does not cover the region the "
+              "pipeline reads in dimension " + std::to_string(D)));
+    }
+  }
+  if (!Checks.empty())
+    Body = Block::make(Block::make(Checks), Body);
+  std::vector<std::pair<std::string, Expr>> Lets = std::move(Pass.RootLets);
+  for (auto &Def : Ledger.defsUsedBy(Conditions))
+    Lets.push_back(std::move(Def));
+  for (size_t I = Lets.size(); I-- > 0;)
+    Body = LetStmt::make(Lets[I].first, Lets[I].second, Body);
+  return Body;
 }

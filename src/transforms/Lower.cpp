@@ -1,7 +1,6 @@
 //===-- transforms/Lower.cpp ----------------------------------------------------=//
 
 #include "transforms/Lower.h"
-#include "analysis/Bounds.h"
 #include "analysis/CallGraph.h"
 #include "ir/IRMutator.h"
 #include "ir/IROperators.h"
@@ -45,127 +44,6 @@ public:
       ScalarParams[Op->Name] = Op->NodeType;
   }
 };
-
-/// Finds the Let, LetStmt and For nodes whose subtree reads an input
-/// image.
-class MarkImageReads : public IRVisitor {
-public:
-  std::set<const IRNode *> Marked;
-
-private:
-  using IRVisitor::visit;
-  void visit(const Call *Op) override {
-    IRVisitor::visit(Op);
-    Found = Found || Op->CallKind == CallType::Image;
-  }
-  void visit(const Let *Op) override { enclose(Op); }
-  void visit(const LetStmt *Op) override { enclose(Op); }
-  void visit(const For *Op) override { enclose(Op); }
-  template <typename T> void enclose(const T *Op) {
-    const bool Outer = Found;
-    Found = false;
-    IRVisitor::visit(Op);
-    if (Found)
-      Marked.insert(Op);
-    Found = Found || Outer;
-  }
-  bool Found = false;
-};
-
-/// Substitutes each let inside a loop whose simplified value stays small
-/// into its uses, and simplifies loop bounds, on the paths to input image
-/// reads (the rest of the statement is left as it is). A stage computed
-/// per tile has its min and extent bound by separate lets of the tile's
-/// loop variable; ranged one by one they lose the terms that cancel in
-/// min + extent, so the region read through them would double. Lets
-/// outside every loop have nothing to range and stay as they are, and
-/// larger values stay lets too, which keeps the copy polynomial in size.
-class InlineSmallLets : public IRMutator {
-public:
-  explicit InlineSmallLets(const Stmt &S) { S.accept(&Reads); }
-
-private:
-  using IRMutator::visit;
-
-  template <typename LetT> auto inlineLet(const LetT *Op) {
-    Expr Value = mutate(Op->Value);
-    if (Loops > 0)
-      Value = simplify(Value);
-    const bool Small = Loops > 0 && !irNodeCountExceeds(Value, 64);
-    ScopedBinding<Expr> Bind(Values, Op->Name, Small ? Value : Expr());
-    auto Body = mutate(Op->Body);
-    return Small ? Body : LetT::make(Op->Name, Value, Body);
-  }
-
-  Expr visit(const Variable *Op) override {
-    Expr Value = Values.contains(Op->Name) ? Values.get(Op->Name) : Expr();
-    return Value.defined() ? Value : Expr(Op);
-  }
-  Expr visit(const Let *Op) override {
-    return Reads.Marked.count(Op) ? inlineLet(Op) : Expr(Op);
-  }
-  Stmt visit(const LetStmt *Op) override {
-    return Reads.Marked.count(Op) ? inlineLet(Op) : Stmt(Op);
-  }
-  Stmt visit(const For *Op) override {
-    if (!Reads.Marked.count(Op))
-      return Op;
-    Expr Min = simplify(mutate(Op->MinExpr));
-    Expr Extent = simplify(mutate(Op->Extent));
-    ScopedBinding<Expr> Shadow(Values, Op->Name, Expr());
-    ++Loops;
-    Stmt Body = mutate(Op->Body);
-    --Loops;
-    return For::make(Op->Name, Min, Extent, Op->Kind, Body);
-  }
-
-  MarkImageReads Reads;
-  /// Inlined values by name; undefined for loop variables and kept lets.
-  Scope<Expr> Values;
-  int Loops = 0;
-};
-
-/// Asserts that each input image's metadata covers the region \p S reads
-/// from it, one AssertStmt per dimension, inside lets for the bounds
-/// ledger's definitions they use (real Halide's input bounds check). A
-/// dimension read over an unbounded region stays unchecked, and conditions
-/// that simplify to true are dropped. The ledger names come
-/// from a scope of their own, so the names lowering mints for \p S do not
-/// move. Returns an undefined Stmt when nothing is left to check.
-Stmt inputRegionAsserts(
-    const Stmt &S, const std::map<std::string, std::pair<Type, int>> &Images) {
-  UniqueNameScope Names;
-  const Stmt Inlined = InlineSmallLets(S).mutate(S);
-  ExprLedger Ledger;
-  std::vector<Expr> Conditions;
-  std::vector<Stmt> Asserts;
-  for (const auto &[Name, Info] : Images) {
-    const Box Read = boxRequired(Inlined, Name, Scope<Interval>(), &Ledger);
-    for (int D = 0; D < int(Read.size()); ++D) {
-      if (!Read[D].isBounded())
-        continue;
-      Expr Min = Variable::make(Int(32), bufferMinName(Name, D), true);
-      Expr Extent = Variable::make(Int(32), bufferExtentName(Name, D), true);
-      // Simplified, a reduction over the image's own domain folds to true,
-      // and a region unioned over many taps stops repeating each tap's
-      // bound (tuned bilateral_grid's two conditions shrink 25-fold).
-      Expr Ok = simplify(Min <= Read[D].Min && Read[D].Max < Min + Extent);
-      if (isConstOne(Ok))
-        continue;
-      Conditions.push_back(Ok);
-      Asserts.push_back(AssertStmt::make(
-          Ok, "input image " + Name + " does not cover the region the "
-              "pipeline reads in dimension " + std::to_string(D)));
-    }
-  }
-  if (Asserts.empty())
-    return Stmt();
-  Stmt Checks = Block::make(Asserts);
-  const auto Defs = Ledger.defsUsedBy(Conditions);
-  for (size_t I = Defs.size(); I-- > 0;)
-    Checks = LetStmt::make(Defs[I].first, Defs[I].second, Checks);
-  return Checks;
-}
 
 /// Runs one lowering pass. While a trace is recording, the pass becomes a
 /// "compile" span named after it that carries its output's IR node count;
@@ -220,12 +98,16 @@ LoweredPipeline halide::lower(const Function &Output, const Target &T) {
   // variables ("out.min.d"/"out.extent.d") are intentionally left unbound:
   // they coincide with the output buffer's metadata parameters, so all
   // generated bounds depend only on the size of the output image. Each
-  // stage's region is introduced once, as named lets above its produce
-  // node — reused bounds subexpressions become shared definitions in that
-  // preamble rather than copies at every use site, which keeps lowering
-  // polynomial in pipeline depth (deep pyramids used to blow up here).
+  // stage's region is bound once, in its consumers' region variables (a
+  // root stage's at the top of the statement), and reused bounds
+  // subexpressions are shared rather than copied, which keeps lowering
+  // polynomial in pipeline depth (linear for the pyramids). The input
+  // coverage asserts follow the root regions.
+  std::set<std::string> ImageNames;
+  for (const auto &[Name, Info] : Args.Images)
+    ImageNames.insert(Name);
   S = runPass("boundsInference",
-              [&] { return boundsInference(S, Env); });
+              [&] { return boundsInference(S, Env, ImageNames); });
 
   // Section 4.3: reuse and memory optimizations. These run before global
   // simplification: they pattern-match the bounds-let preambles (including
@@ -239,14 +121,7 @@ LoweredPipeline halide::lower(const Function &Output, const Target &T) {
                 [&] { return storageFolding(S, Env); });
   S = runPass("simplify", [&] { return simplify(S); });
 
-  // Every input image must cover the region read from it; the asserts
-  // run before the body (appended to the preamble below).
-  Stmt InputAsserts = inputRegionAsserts(S, Args.Images);
-
   // Section 4.4: flattening to one-dimensional buffers.
-  std::set<std::string> ImageNames;
-  for (const auto &[Name, Info] : Args.Images)
-    ImageNames.insert(Name);
   S = runPass("storageFlattening", [&] {
     return storageFlattening(S, Output.name(), ImageNames, Env);
   });
@@ -297,8 +172,6 @@ LoweredPipeline halide::lower(const Function &Output, const Target &T) {
                   " must be a multiple of the split factors in its "
                   "schedule"));
   }
-  if (InputAsserts.defined())
-    Preamble.push_back(InputAsserts);
   if (!Preamble.empty()) {
     Preamble.push_back(S);
     S = Block::make(Preamble);

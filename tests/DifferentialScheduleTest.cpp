@@ -134,11 +134,12 @@ TEST(DifferentialScheduleTest, LocalLaplacianPaperDepthGpuSim) {
     ASSERT_EQ(runOnBackend(Target::vm(), P, PB), 0);
   }
 
-  // The acceptance bar from ISSUE 4 is "lowers in < 5 s"; shared-bounds
-  // lowering measures ~2 s. Assert on process CPU time with regime-scale
-  // margin rather than wall time, which under the parallel ctest jobs
-  // measures machine load, not the compiler: the exponential trajectory
-  // this guards against took over half an hour.
+  // The acceptance bar for this pyramid is "lowers in < 5 s"; with each
+  // root stage's region bound once in its consumers' region lets, lowering
+  // measures ~0.1 s (RelWithDebInfo, 4-vCPU Xeon). Assert on process CPU
+  // time with regime-scale margin rather than wall time, which under the
+  // parallel ctest jobs measures machine load, not the compiler: the
+  // exponential trajectory this guards against took over half an hour.
   A.ScheduleGpu();
   std::clock_t Start = std::clock();
   LoweredPipeline P = Pipe.lowerPipeline();

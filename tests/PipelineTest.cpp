@@ -212,6 +212,27 @@ TEST(LoweringTest, SplitRoundsUp) {
   EXPECT_EQ(Stats.StoresPerBuffer[P.F.name()], int64_t(8 * 2));
 }
 
+TEST(LoweringTest, RootProducerOfATiledConsumerComputesOnlyWhatItReads) {
+  // Mid is computed per 32x8 tile and vectorized, so its extent is bound
+  // by a let of the tile's loop variable whose terms cancel only against
+  // its min. Src's region must keep them correlated: ranging min and
+  // extent one by one over the tiles made Src 64 * tiles - 30 columns
+  // wide, almost twice what Mid reads.
+  Var x("x"), y("y"), bx("bx"), by("by"), tx("tx"), ty("ty");
+  Func Src("rt_src"), Mid("rt_mid"), Out("rt_out");
+  Src(x, y) = x + y * 3;
+  Mid(x, y) = Src(x - 1, y - 1) + Src(x + 1, y + 1);
+  Out(x, y) = Mid(x, y) * 2;
+  Out.gpuTile(x, y, bx, by, tx, ty, 32, 8);
+  Mid.computeAt(Out, bx).vectorize(x, 8);
+  Src.computeRoot();
+  const int W = 256, H = 64;
+  Buffer<int32_t> Result(W, H);
+  ExecutionStats Stats = Pipeline(Out).realize(Result);
+  EXPECT_EQ(Stats.StoresPerBuffer[Src.name()], int64_t(W + 2) * (H + 2));
+  EXPECT_EQ(Result(W - 1, H - 1), 2 * (2 * (W - 1) + 6 * (H - 1)));
+}
+
 TEST(LoweringTest, OutputSplitDivisibilityAssert) {
   GradientPipe P;
   Var xo("xo"), xi("xi");

@@ -487,6 +487,39 @@ TEST(InputBoundsDeathTest, InputMustCoverTheRegionRead) {
                "reads in dimension 0");
 }
 
+TEST(InputBoundsDeathTest, TiledStageIsCheckedForTheColumnsItReads) {
+  // Mid reads In one column either side of each tile it computes. It is
+  // vectorized, so its extent is bound per tile by a let whose terms
+  // cancel only against its min. The check must keep the two correlated:
+  // ranged one by one, they demand almost twice the columns the run
+  // reads, and an input that covers the read stops.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ImageParam In(Int(32), 2, "pc_in");
+  Var x("x"), y("y"), bx("bx"), by("by"), tx("tx"), ty("ty");
+  Func Mid("pc_mid"), Out("pc_out");
+  Mid(x, y) = In(x - 1, y) + In(x + 1, y);
+  Out(x, y) = Mid(x, y);
+  Out.gpuTile(x, y, bx, by, tx, ty, 32, 8);
+  Mid.computeAt(Out, bx).vectorize(x, 8);
+  const int W = 128, H = 32;
+  Buffer<int32_t> Covers(W + 2, H + 2), Narrow(W + 1, H + 2);
+  Covers.setMin(-1, -1);
+  Narrow.setMin(-1, -1);
+  Covers.fillConstant(5);
+  Narrow.fillConstant(5);
+  for (const Target &T : {Target::vm(), Target::jit()}) {
+    Buffer<int32_t> Result(W, H);
+    In.set(Covers);
+    Pipeline(Out).realize(Result, ParamBindings(), T);
+    EXPECT_EQ(Result(W - 1, H - 1), 10) << T.str();
+    In.set(Narrow);
+    EXPECT_DEATH(Pipeline(Out).realize(Result, ParamBindings(), T),
+                 "input image pc_in does not cover the region the pipeline "
+                 "reads in dimension 0")
+        << T.str();
+  }
+}
+
 TEST(BindingDeathTest, CompileRejectsAThreadRequest) {
   // An executable serves every thread count, so a compile that asked for
   // one would silently drop it; the request goes to the run instead.
