@@ -383,15 +383,29 @@ private:
 /// region read through them doubles. So a let inside a loop whose
 /// simplified value is small is substituted into its uses, and any let
 /// whose range is one point is replaced by that point.
+///
+/// The binding that is a stored stage's coordinate (\p Stored) ranges over
+/// the stage's stored region instead of over its loop bounds or let value.
+/// A split's outer loop that reuses the coordinate's name is ranged as a
+/// loop: stages computed at that loop read its variable, not the
+/// coordinate, which the split's reconstruction let binds inside it.
 class BoxTouched : public IRVisitor {
 public:
   BoxTouched(const AccessFilter &Filter, const Scope<Interval> &VarScope,
-             ExprLedger *Ledger)
-      : Filter(Filter), Vars(VarScope), Ledger(Ledger), Marker(Filter) {}
+             const Scope<StoredCoordinate> *Stored, ExprLedger *Ledger)
+      : Filter(Filter), Vars(VarScope), Stored(Stored), Ledger(Ledger),
+        Marker(Filter) {}
 
   Box walk(const Stmt &S) {
     S.accept(&Marker);
     S.accept(this);
+    return std::move(Result);
+  }
+
+  /// The box \p Region spans over the bindings of \p Path, nested For
+  /// and LetStmt nodes outermost first.
+  Box walkPath(const std::vector<Stmt> &Path, const Box &Region) {
+    rangePath(Path, 0, Region);
     return std::move(Result);
   }
 
@@ -415,22 +429,7 @@ public:
       return;
     Op->MinExpr.accept(this);
     Op->Extent.accept(this);
-    BoundsVisitor BV(Vars, Ledger, &Inner);
-    Interval MinB = BV.bounds(correlated(Op->MinExpr));
-    Interval ExtB = BV.bounds(correlated(Op->Extent));
-    Interval LoopRange;
-    LoopRange.Min = MinB.Min;
-    if (MinB.hasUpperBound() && ExtB.hasUpperBound())
-      LoopRange.Max = MinB.Max + ExtB.Max - 1;
-    // Every use of the loop variable in the body references the shared
-    // range, not a private copy of it.
-    ScopedBinding<Interval> Bind(Inner, Op->Name,
-                                 Ledger->shared(LoopRange, Op->Name));
-    Expr Shadowed = substituteFor(Op->Name, Expr());
-    ++Loops;
-    Op->Body.accept(this);
-    --Loops;
-    substituteFor(Op->Name, Shadowed);
+    inLoop(Op, [&] { Op->Body.accept(this); });
   }
 
 private:
@@ -438,19 +437,80 @@ private:
     if (!Marker.Marked.count(Op))
       return;
     Op->Value.accept(this);
-    Expr Value = correlated(Op->Value);
+    inLet(Op, [&] { Op->Body.accept(this); });
+  }
+
+  void rangePath(const std::vector<Stmt> &Path, size_t I, const Box &Region) {
+    if (I == Path.size()) {
+      BoundsVisitor BV(Vars, Ledger, &Inner);
+      Result = Box(Region.size());
+      for (size_t D = 0; D < Region.size(); ++D)
+        Result[D] = Interval(BV.bounds(correlated(Region[D].Min)).Min,
+                             BV.bounds(correlated(Region[D].Max)).Max);
+    } else if (const For *Loop = Path[I].as<For>()) {
+      inLoop(Loop, [&] { rangePath(Path, I + 1, Region); });
+    } else {
+      const LetStmt *L = Path[I].as<LetStmt>();
+      internal_assert(L) << "a path to a produce node binds nothing at "
+                         << I;
+      inLet(L, [&] { rangePath(Path, I + 1, Region); });
+    }
+  }
+
+  /// The stored region of the coordinate a binding named \p Name is, if
+  /// it is one (\p IsLet: the binding is a let).
+  const Interval *storedRange(const std::string &Name, bool IsLet) const {
+    if (!Stored || !Stored->contains(Name) ||
+        Stored->get(Name).IsLet != IsLet)
+      return nullptr;
+    return &Stored->get(Name).Range;
+  }
+
+  /// Runs \p Body with the loop variable of \p Op ranged.
+  template <typename BodyFn> void inLoop(const For *Op, BodyFn Body) {
+    Interval LoopRange;
+    if (const Interval *Range = storedRange(Op->Name, /*IsLet=*/false)) {
+      LoopRange = *Range;
+    } else {
+      BoundsVisitor BV(Vars, Ledger, &Inner);
+      Interval MinB = BV.bounds(correlated(Op->MinExpr));
+      Interval ExtB = BV.bounds(correlated(Op->Extent));
+      LoopRange.Min = MinB.Min;
+      if (MinB.hasUpperBound() && ExtB.hasUpperBound())
+        LoopRange.Max = MinB.Max + ExtB.Max - 1;
+      // Every use of the loop variable in the body references the shared
+      // range, not a private copy of it.
+      LoopRange = Ledger->shared(LoopRange, Op->Name);
+    }
+    ScopedBinding<Interval> Bind(Inner, Op->Name, LoopRange);
+    Expr Shadowed = substituteFor(Op->Name, Expr());
+    ++Loops;
+    Body();
+    --Loops;
+    substituteFor(Op->Name, Shadowed);
+  }
+
+  /// Runs \p Body with the let \p Op substituted or ranged.
+  template <typename LetT, typename BodyFn>
+  void inLet(const LetT *Op, BodyFn Body) {
+    Expr Value;
     std::optional<ScopedBinding<Interval>> Ranged;
-    // A let that shadows a ranged name is substituted whatever its size,
-    // so no value substituted earlier can be captured by it.
-    if (Loops == 0 || (irNodeCountExceeds(Value, InlineLetLimit) &&
-                       !Inner.contains(Op->Name))) {
-      Interval Range = boundsOf(Value, Op->Name);
-      Value = Range.isSinglePoint() ? Range.Min : Expr();
-      if (!Value.defined())
-        Ranged.emplace(Inner, Op->Name, Range);
+    if (const Interval *Range = storedRange(Op->Name, /*IsLet=*/true)) {
+      Ranged.emplace(Inner, Op->Name, *Range);
+    } else {
+      Value = correlated(Op->Value);
+      // A let that shadows a ranged name is substituted whatever its
+      // size, so no value substituted earlier can be captured by it.
+      if (Loops == 0 || (irNodeCountExceeds(Value, InlineLetLimit) &&
+                         !Inner.contains(Op->Name))) {
+        Interval Range = boundsOf(Value, Op->Name);
+        Value = Range.isSinglePoint() ? Range.Min : Expr();
+        if (!Value.defined())
+          Ranged.emplace(Inner, Op->Name, Range);
+      }
     }
     Expr Shadowed = substituteFor(Op->Name, Value);
-    Op->Body.accept(this);
+    Body();
     substituteFor(Op->Name, Shadowed);
   }
 
@@ -494,6 +554,7 @@ private:
 
   const AccessFilter &Filter;
   const Scope<Interval> &Vars;
+  const Scope<StoredCoordinate> *Stored;
   ExprLedger *Ledger;
   MarkEnclosing Marker;
   Scope<Interval> Inner;
@@ -516,10 +577,11 @@ Box finishBox(Box B, const ExprLedger &Local, const ExprLedger *Caller) {
 /// \p Ledger or, without one, self-contained.
 Box boxOfAccesses(const Stmt &S, const std::string &Name, bool Calls,
                   bool Provides, const Scope<Interval> &VarScope,
-                  ExprLedger *Ledger) {
+                  ExprLedger *Ledger,
+                  const Scope<StoredCoordinate> *Stored = nullptr) {
   ExprLedger Local;
   AccessFilter Filter{Name, Calls, Provides};
-  BoxTouched Walker(Filter, VarScope, Ledger ? Ledger : &Local);
+  BoxTouched Walker(Filter, VarScope, Stored, Ledger ? Ledger : &Local);
   return finishBox(Walker.walk(S), Local, Ledger);
 }
 
@@ -543,9 +605,19 @@ Interval halide::boundsOfExprInScope(const Expr &E,
 }
 
 Box halide::boxRequired(const Stmt &S, const std::string &Name,
-                        const Scope<Interval> &VarScope, ExprLedger *Ledger) {
+                        const Scope<Interval> &VarScope, ExprLedger *Ledger,
+                        const Scope<StoredCoordinate> *Stored) {
   return boxOfAccesses(S, Name, /*Calls=*/true, /*Provides=*/false, VarScope,
-                       Ledger);
+                       Ledger, Stored);
+}
+
+Box halide::boxOverPath(const std::vector<Stmt> &Path, const Box &Region,
+                        const Scope<StoredCoordinate> &Stored,
+                        ExprLedger *Ledger) {
+  const std::string NoAccess;
+  AccessFilter Filter{NoAccess, /*Calls=*/false, /*Provides=*/false};
+  Scope<Interval> Empty;
+  return BoxTouched(Filter, Empty, &Stored, Ledger).walkPath(Path, Region);
 }
 
 Box halide::boxProvided(const Stmt &S, const std::string &Name,

@@ -81,10 +81,13 @@ BoundsStatistics &boundsSharingCounters();
 /// fresh Variable whose definition the ledger records, and structurally
 /// identical values (keyed on their canonicalized form) resolve to the same
 /// name. Intervals built on top of these names stay small no matter how
-/// often an endpoint is reused, which is what keeps bounds inference
-/// polynomial in pipeline depth: the repeated subtrees that used to grow
+/// often an endpoint is reused: the repeated subtrees that grew
 /// exponentially on deep pyramids (paper section 4.2) become references
-/// into this ledger instead.
+/// into this ledger instead. It is no longer what keeps bounds inference
+/// polynomial in pipeline depth: every region is now written in its
+/// consumers' region or stored-region lets, and no registered program
+/// names a ledger definition. It remains the fallback for a walk that
+/// crosses a large value it cannot name.
 ///
 /// Expressions returned while a ledger is in play are "raw": they may
 /// reference ledger names. materialize() makes them self-contained again by

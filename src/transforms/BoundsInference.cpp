@@ -12,11 +12,20 @@
 #include "transforms/StorageFlattening.h"
 #include "transforms/Substitute.h"
 
+#include <algorithm>
 #include <set>
 
 using namespace halide;
 
 namespace {
+
+/// \p Body inside \p Lets, the first outermost.
+Stmt wrapInLets(const std::vector<std::pair<std::string, Expr>> &Lets,
+                Stmt Body) {
+  for (size_t I = Lets.size(); I-- > 0;)
+    Body = LetStmt::make(Lets[I].first, Lets[I].second, Body);
+  return Body;
+}
 
 /// Finds the unique produce / consume ProducerConsumer nodes for a name.
 class FindProduceConsume : public IRVisitor {
@@ -24,8 +33,6 @@ public:
   explicit FindProduceConsume(const std::string &Name) : Name(Name) {}
 
   Stmt Produce, Consume;
-  /// Whether the produce node lies inside a loop of the walked statement.
-  bool ProduceInLoop = false;
 
   void visit(const ProducerConsumer *Op) override {
     if (Op->Name == Name) {
@@ -33,7 +40,6 @@ public:
         internal_assert(!Produce.defined())
             << "multiple produce nodes for " << Name;
         Produce = Stmt(Op);
-        ProduceInLoop = Loops > 0;
       } else {
         internal_assert(!Consume.defined())
             << "multiple consume nodes for " << Name;
@@ -49,88 +55,11 @@ public:
   // pipeline (bounds preambles, loop bounds, stage values), so checking
   // the whole consume body stays a walk over its statements.
   void visit(const LetStmt *Op) override { Op->Body.accept(this); }
-  void visit(const For *Op) override {
-    ++Loops;
-    Op->Body.accept(this);
-    --Loops;
-  }
+  void visit(const For *Op) override { Op->Body.accept(this); }
   void visit(const Provide *) override {}
 
 private:
   const std::string &Name;
-  int Loops = 0;
-};
-
-/// Collects the For loops and LetStmts on the path from a statement down to
-/// the produce node of a name (the "intervening" loops between the storage
-/// and compute levels) in a single pass: a DFS snapshots the ancestor
-/// chain when it reaches the produce node. Each binding on the chain is
-/// then ranged exactly once, raw against the caller's ledger, so
-/// everything downstream references shared results by name.
-class PathToProduce : public IRVisitor {
-public:
-  PathToProduce(const std::string &Name, ExprLedger *Ledger)
-      : Ledger(Ledger), Name(Name) {}
-
-  /// Loop-name -> interval, plus let bounds, accumulated along the path.
-  Scope<Interval> PathScope;
-  bool Found = false;
-
-  void walk(const Stmt &S) {
-    S.accept(this);
-    if (!Found)
-      return;
-    for (const Stmt &Node : Chain) {
-      if (const For *Loop = Node.as<For>()) {
-        Interval MinB = boundsOfExprInScope(Loop->MinExpr, PathScope, Ledger);
-        Interval ExtB = boundsOfExprInScope(Loop->Extent, PathScope, Ledger);
-        Interval LoopRange;
-        LoopRange.Min = MinB.Min;
-        if (MinB.hasUpperBound() && ExtB.hasUpperBound())
-          LoopRange.Max = simplify(MinB.Max + ExtB.Max - 1);
-        PathScope.push(Loop->Name, Ledger->shared(LoopRange, Loop->Name));
-      } else if (const LetStmt *L = Node.as<LetStmt>()) {
-        PathScope.push(
-            L->Name,
-            Ledger->shared(boundsOfExprInScope(L->Value, PathScope, Ledger),
-                           L->Name));
-      }
-    }
-  }
-
-  void visit(const ProducerConsumer *Op) override {
-    if (Found)
-      return;
-    if (Op->Name == Name && Op->IsProducer) {
-      Found = true;
-      Chain = Stack;
-      return;
-    }
-    IRVisitor::visit(Op);
-  }
-
-  void visit(const For *Op) override {
-    if (Found)
-      return;
-    Stack.push_back(Stmt(Op));
-    IRVisitor::visit(Op);
-    if (!Found)
-      Stack.pop_back();
-  }
-
-  void visit(const LetStmt *Op) override {
-    if (Found)
-      return;
-    Stack.push_back(Stmt(Op));
-    IRVisitor::visit(Op);
-    if (!Found)
-      Stack.pop_back();
-  }
-
-private:
-  ExprLedger *Ledger;
-  const std::string &Name;
-  std::vector<Stmt> Stack, Chain;
 };
 
 /// Wraps the produce node for \p Name in the given LetStmts. Expressions
@@ -151,11 +80,8 @@ protected:
   Stmt visit(const ProducerConsumer *Op) override {
     if (Op->Name != Name || !Op->IsProducer)
       return IRMutator::visit(Op);
-    Stmt Result = Stmt(Op);
-    for (size_t I = Lets.size(); I-- > 0;)
-      Result = LetStmt::make(Lets[I].first, Lets[I].second, Result);
     Wrapped = true;
-    return Result;
+    return wrapInLets(Lets, Op);
   }
 
 private:
@@ -164,23 +90,42 @@ private:
   bool Wrapped = false;
 };
 
+/// Names of the region a stage stored above its compute level allocates.
+std::string storedMinName(const std::string &Func, int D) {
+  return Func + ".stored_min." + std::to_string(D);
+}
+std::string storedExtentName(const std::string &Func, int D) {
+  return Func + ".stored_extent." + std::to_string(D);
+}
+
 class BoundsInferencePass : public IRMutator {
 public:
   explicit BoundsInferencePass(const std::map<std::string, Function> &Env)
-      : Env(Env) {}
+      : Levels(1), Env(Env) {}
 
-  /// The region lets of every stage computed outside all loops, and the
-  /// ledger definitions they use, consumers first: bound once above the
-  /// whole statement, so each root stage's region names its consumers'
-  /// region lets instead of ranging them again.
-  std::vector<std::pair<std::string, Expr>> RootLets;
+  /// What the stages stored at one level (the top of the statement, or one
+  /// loop's body) bind there, consumers first.
+  struct Level {
+    /// Their stored regions' lets, after the ledger definitions they use.
+    std::vector<std::pair<std::string, Expr>> Lets;
+    /// Their stored regions by coordinate name ("f.x"): the interval that
+    /// a walk at this level ranges the coordinate over.
+    Scope<StoredCoordinate> Stored;
+  };
+  /// The top of the statement, then one level per enclosing loop.
+  std::vector<Level> Levels;
 
 protected:
   Stmt visit(const For *Op) override {
-    ++Loops;
-    Stmt Result = IRMutator::visit(Op);
-    --Loops;
-    return Result;
+    Levels.emplace_back();
+    Stmt Body = mutate(Op->Body);
+    std::vector<std::pair<std::string, Expr>> Lets =
+        std::move(Levels.back().Lets);
+    Levels.pop_back();
+    if (Body.sameAs(Op->Body) && Lets.empty())
+      return Op;
+    return For::make(Op->Name, Op->MinExpr, Op->Extent, Op->Kind,
+                     wrapInLets(Lets, Body));
   }
 
   Stmt visit(const Realize *Op) override {
@@ -198,21 +143,29 @@ protected:
     Body.accept(&Finder);
     internal_assert(Finder.Produce.defined() && Finder.Consume.defined())
         << "realize of " << Op->Name << " missing produce/consume nodes";
+    const std::vector<Stmt> Path = pathToProduce(Body, Op->Name).value();
+    bool StoredAtCompute = std::none_of(
+        Path.begin(), Path.end(),
+        [](const Stmt &S) { return S.as<For>() != nullptr; });
 
     // Region required by consumers (paper: "the region produced of each
     // stage [must] be at least as large as the region consumed by
     // subsequent stages"). The consume body holds every downstream stage,
     // but the walk ranges only the lets and loops enclosing a call to this
-    // one, so each stage's cost follows its own call sites. The walk
-    // shares subexpressions through a per-stage ledger: the returned
-    // intervals are raw references into it, and the definitions are
-    // emitted below as LetStmts above the stage's min/extent chain — one
-    // binding per reused bounds subtree, however many stages or
-    // dimensions reference it.
+    // one, so each stage's cost follows its own call sites. A stage stored
+    // where it is computed is read at that level, so the walk ranges the
+    // stages stored there over their stored regions, whose lets lie
+    // outside the walk: the region names them. The walk shares
+    // subexpressions through a per-stage ledger: the returned intervals
+    // are raw references into it, and the definitions are emitted below as
+    // LetStmts above the stage's min/extent chain — one binding per reused
+    // bounds subtree, however many stages or dimensions reference it.
     Scope<Interval> Empty;
     ExprLedger Ledger;
     Box Consumer = boxRequired(Finder.Consume.as<ProducerConsumer>()->Body,
-                               Op->Name, Empty, &Ledger);
+                               Op->Name, Empty, &Ledger,
+                               StoredAtCompute ? &Levels.back().Stored
+                                               : nullptr);
     internal_assert(int(Consumer.size()) == Rank ||
                     Consumer.empty())
         << "consumer box of " << Op->Name << " has wrong rank";
@@ -270,69 +223,77 @@ protected:
       Lets.emplace_back(funcExtentName(Op->Name, D),
                         simplify(MaxExprs[D] - MinExprs[D] + 1));
     }
+    prependDefsUsed(Ledger, &Lets);
 
-    // The ledger definitions the min/extent chain (transitively) uses
-    // become real LetStmts above it, in creation order — later
-    // definitions may reference earlier ones, never the reverse.
-    std::vector<Expr> Values;
-    for (const auto &[Name, Value] : Lets)
-      Values.push_back(Value);
-    std::vector<std::pair<std::string, Expr>> Used = Ledger.defsUsedBy(Values);
-    Lets.insert(Lets.begin(), Used.begin(), Used.end());
-
-    // A stage computed outside every loop is stored where it is computed,
-    // so its allocation is its region.
-    if (Loops == 0 && !Finder.ProduceInLoop) {
-      RootLets.insert(RootLets.end(), Lets.begin(), Lets.end());
-      Region RealizeBounds;
-      for (int D = 0; D < Rank; ++D) {
-        Expr Extent = Variable::make(Int(32), funcExtentName(Op->Name, D));
-        RealizeBounds.emplace_back(
-            Variable::make(Int(32), funcMinName(Op->Name, D)),
-            simplify(writtenExtent(F, D, Extent)));
-      }
-      return Realize::make(Op->Name, Op->ElemType, std::move(RealizeBounds),
-                           Body);
-    }
-
-    WrapProduce Wrapper(Op->Name, Lets);
-    Body = Wrapper.mutate(Body);
-
-    // Allocation bounds: the compute-site region bounded over the loops
-    // between the storage level (here) and the compute level, with the
-    // extent rounded up to the traversed extent of split dimensions. The
-    // path walk and the per-dimension ranging share one ledger, so each
-    // preamble binding is bounded once; min and max then cancel
-    // structurally in the extent, and only the final expressions are
-    // materialized (the Realize sits outside the preamble lets and must
-    // stay self-contained).
-    ExprLedger PathLedger;
-    PathToProduce Path(Op->Name, &PathLedger);
-    Path.walk(Body);
-    internal_assert(Path.Found) << "lost produce node for " << Op->Name;
-    Region RealizeBounds;
+    // Where the stage's coordinate ranges at each compute site: its region,
+    // split dimensions rounded up to the written extent.
+    Box Computed(Rank);
     for (int D = 0; D < Rank; ++D) {
-      Interval MinB =
-          boundsOfExprInScope(MinExprs[D], Path.PathScope, &PathLedger);
-      Interval MaxB =
-          boundsOfExprInScope(MaxExprs[D], Path.PathScope, &PathLedger);
-      internal_assert(MinB.hasLowerBound() && MaxB.hasUpperBound())
-          << "allocation bounds of " << Op->Name << " dimension " << D
-          << " are unbounded over the loops between store and compute "
-             "levels";
-      Expr AllocMin = simplify(MinB.Min);
-      Expr RequiredExtent = simplify(MaxB.Max - MinB.Min + 1);
-      Expr AllocExtent = simplify(writtenExtent(F, D, RequiredExtent));
-      RealizeBounds.emplace_back(simplify(PathLedger.materialize(AllocMin)),
-                                 simplify(PathLedger.materialize(AllocExtent)));
+      Expr Min = Variable::make(Int(32), funcMinName(Op->Name, D));
+      Expr Extent = Variable::make(Int(32), funcExtentName(Op->Name, D));
+      Computed[D] =
+          Interval(Min, simplify(Min + writtenExtent(F, D, Extent) - 1));
+    }
+    Level &Here = Levels.back();
+    if (StoredAtCompute) {
+      // Stored where it is computed: the region lets, bound at this level,
+      // are the stored region.
+      Here.Lets.insert(Here.Lets.end(), Lets.begin(), Lets.end());
+    } else {
+      // Stored above its compute level: the region lets stay at the
+      // produce node, where sliding window rewrites them, and the stored
+      // region is their union over the loops between the two levels.
+      Body = WrapProduce(Op->Name, Lets).mutate(Body);
+      ExprLedger PathLedger;
+      Box Union = boxOverPath(pathToProduce(Body, Op->Name).value(), Computed,
+                              Here.Stored, &PathLedger);
+      std::vector<std::pair<std::string, Expr>> StoredLets;
+      for (int D = 0; D < Rank; ++D) {
+        internal_assert(Union[D].isBounded())
+            << "allocation bounds of " << Op->Name << " dimension " << D
+            << " are unbounded over the loops between store and compute "
+               "levels";
+        Expr Min = Variable::make(Int(32), storedMinName(Op->Name, D));
+        Expr Extent = Variable::make(Int(32), storedExtentName(Op->Name, D));
+        StoredLets.emplace_back(storedMinName(Op->Name, D),
+                                simplify(Union[D].Min));
+        StoredLets.emplace_back(storedExtentName(Op->Name, D),
+                                simplify(Union[D].Max - Union[D].Min + 1));
+        Computed[D] = Interval(Min, Min + Extent - 1);
+      }
+      prependDefsUsed(PathLedger, &StoredLets);
+      Here.Lets.insert(Here.Lets.end(), StoredLets.begin(), StoredLets.end());
+    }
+    // The Realize and every later walk at this level name the stored region.
+    Region RealizeBounds;
+    const std::vector<Split> &Splits = F.schedule().Splits;
+    for (int D = 0; D < Rank; ++D) {
+      bool IsLet = std::any_of(
+          Splits.begin(), Splits.end(),
+          [&](const Split &S) { return S.Old == F.args()[D]; });
+      Here.Stored.push(loopVarName(Op->Name, F.args()[D]),
+                       {Computed[D], IsLet});
+      RealizeBounds.emplace_back(
+          Computed[D].Min, simplify(Computed[D].Max - Computed[D].Min + 1));
     }
     return Realize::make(Op->Name, Op->ElemType, std::move(RealizeBounds),
                          Body);
   }
 
 private:
+  /// Puts the ledger definitions \p Lets (transitively) uses in front of
+  /// them, in creation order: later definitions may reference earlier
+  /// ones, never the reverse.
+  static void prependDefsUsed(const ExprLedger &Ledger,
+                              std::vector<std::pair<std::string, Expr>> *Lets) {
+    std::vector<Expr> Values;
+    for (const auto &[Name, Value] : *Lets)
+      Values.push_back(Value);
+    std::vector<std::pair<std::string, Expr>> Used = Ledger.defsUsedBy(Values);
+    Lets->insert(Lets->begin(), Used.begin(), Used.end());
+  }
+
   const std::map<std::string, Function> &Env;
-  int Loops = 0;
 };
 
 } // namespace
@@ -342,6 +303,7 @@ Stmt halide::boundsInference(const Stmt &S,
                              const std::set<std::string> &Images) {
   BoundsInferencePass Pass(Env);
   Stmt Body = Pass.mutate(S);
+  BoundsInferencePass::Level &Root = Pass.Levels.front();
 
   // Every input image must cover the region read from it. An image is the
   // outermost consumer: its box comes from the walk a root stage's consumer
@@ -354,7 +316,8 @@ Stmt halide::boundsInference(const Stmt &S,
   std::vector<Expr> Conditions;
   std::vector<Stmt> Checks;
   for (const std::string &Name : Images) {
-    const Box Read = boxRequired(Body, Name, Scope<Interval>(), &Ledger);
+    const Box Read =
+        boxRequired(Body, Name, Scope<Interval>(), &Ledger, &Root.Stored);
     for (int D = 0; D < int(Read.size()); ++D) {
       if (!Read[D].isBounded())
         continue;
@@ -369,10 +332,8 @@ Stmt halide::boundsInference(const Stmt &S,
   }
   if (!Checks.empty())
     Body = Block::make(Block::make(Checks), Body);
-  std::vector<std::pair<std::string, Expr>> Lets = std::move(Pass.RootLets);
+  std::vector<std::pair<std::string, Expr>> Lets = std::move(Root.Lets);
   for (auto &Def : Ledger.defsUsedBy(Conditions))
     Lets.push_back(std::move(Def));
-  for (size_t I = Lets.size(); I-- > 0;)
-    Body = LetStmt::make(Lets[I].first, Lets[I].second, Body);
-  return Body;
+  return wrapInLets(Lets, Body);
 }

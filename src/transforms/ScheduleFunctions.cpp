@@ -3,7 +3,6 @@
 #include "transforms/ScheduleFunctions.h"
 #include "ir/IRMutator.h"
 #include "ir/IROperators.h"
-#include "ir/IRVisitor.h"
 #include "transforms/Substitute.h"
 
 #include <algorithm>
@@ -200,28 +199,6 @@ Expr halide::writtenExtent(const Function &F, int D, Expr RequiredExtent) {
 
 namespace {
 
-/// Searches a statement for a ProducerConsumer(Name, IsProducer=true) node.
-class FindProduce : public IRVisitor {
-public:
-  explicit FindProduce(const std::string &Name) : Name(Name) {}
-  bool Found = false;
-
-  void visit(const ProducerConsumer *Op) override {
-    if (Op->Name == Name && Op->IsProducer)
-      Found = true;
-    IRVisitor::visit(Op);
-  }
-
-private:
-  const std::string &Name;
-};
-
-bool containsProduce(const Stmt &S, const std::string &Name) {
-  FindProduce Finder(Name);
-  S.accept(&Finder);
-  return Finder.Found;
-}
-
 /// Injects the produce nest of a function at its compute level, splitting
 /// the target loop body into produce and consume halves.
 class InjectProduce : public IRMutator {
@@ -264,7 +241,7 @@ public:
   bool Injected = false;
 
   Stmt wrap(const Stmt &Body) {
-    internal_assert(containsProduce(Body, F.name()))
+    internal_assert(pathToProduce(Body, F.name()))
         << "store level of " << F.name()
         << " does not enclose its compute level";
     Region Bounds;
@@ -283,7 +260,7 @@ public:
 protected:
   Stmt visit(const For *Op) override {
     if (!Injected && Level.isAt() && Op->Name == Level.loopName() &&
-        containsProduce(Op->Body, F.name())) {
+        pathToProduce(Op->Body, F.name())) {
       Stmt Body = mutate(Op->Body);
       return For::make(Op->Name, Op->MinExpr, Op->Extent, Op->Kind,
                        wrap(Body));
@@ -352,34 +329,40 @@ Stmt halide::scheduleFunctions(const Function &Output,
 
 namespace {
 
-class ProduceFinder : public IRVisitor {
-public:
-  explicit ProduceFinder(const std::string &Name) : Name(Name) {}
-  bool Found = false;
-
-  void visit(const ProducerConsumer *Op) override {
-    if (Op->Name == Name && Op->IsProducer)
-      Found = true;
-    else
-      Op->Body.accept(this);
-  }
-  void visit(const Block *Op) override {
-    Op->First.accept(this);
-    if (!Found)
-      Op->Rest.accept(this);
-  }
-  void visit(const LetStmt *Op) override { Op->Body.accept(this); }
-  void visit(const For *Op) override { Op->Body.accept(this); }
-  void visit(const Provide *) override {}
-
-private:
-  const std::string &Name;
-};
+bool appendPathToProduce(const Stmt &S, const std::string &Name,
+                         std::vector<Stmt> *Path) {
+  if (const ProducerConsumer *PC = S.as<ProducerConsumer>())
+    return (PC->IsProducer && PC->Name == Name) ||
+           appendPathToProduce(PC->Body, Name, Path);
+  if (const Block *B = S.as<Block>())
+    return appendPathToProduce(B->First, Name, Path) ||
+           appendPathToProduce(B->Rest, Name, Path);
+  if (const IfThenElse *I = S.as<IfThenElse>())
+    return appendPathToProduce(I->ThenCase, Name, Path) ||
+           (I->ElseCase.defined() &&
+            appendPathToProduce(I->ElseCase, Name, Path));
+  if (const Realize *R = S.as<Realize>())
+    return appendPathToProduce(R->Body, Name, Path);
+  Stmt Body;
+  if (const For *Loop = S.as<For>())
+    Body = Loop->Body;
+  else if (const LetStmt *L = S.as<LetStmt>())
+    Body = L->Body;
+  else
+    return false;
+  Path->push_back(S);
+  if (appendPathToProduce(Body, Name, Path))
+    return true;
+  Path->pop_back();
+  return false;
+}
 
 } // namespace
 
-bool halide::containsProduceOf(const Stmt &S, const std::string &Name) {
-  ProduceFinder Finder(Name);
-  S.accept(&Finder);
-  return Finder.Found;
+std::optional<std::vector<Stmt>>
+halide::pathToProduce(const Stmt &S, const std::string &Name) {
+  std::vector<Stmt> Path;
+  if (!appendPathToProduce(S, Name, &Path))
+    return std::nullopt;
+  return Path;
 }

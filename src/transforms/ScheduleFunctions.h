@@ -24,6 +24,7 @@
 #include "lang/Function.h"
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,11 +61,14 @@ Stmt buildProduceNest(const Function &F);
 /// loop extents after all splits, i.e. the round-up the paper describes.
 Expr writtenExtent(const Function &F, int D, Expr RequiredExtent);
 
-/// True if \p S contains the produce node of \p Name. The search stops at
-/// the first one and skips let values, loop bounds and stage values, so
-/// asking about a subtree that holds a stage's produce node does not also
-/// walk its consumers.
-bool containsProduceOf(const Stmt &S, const std::string &Name);
+/// The For and LetStmt nodes enclosing the produce node of \p Name within
+/// \p S, outermost first, or nullopt when \p S holds no such node: the
+/// loops and lets between a stage's storage level and its compute level
+/// when \p S is the body of its Realize. The search stops at that node and
+/// skips every expression, so asking about a subtree that holds a stage's
+/// produce node does not also walk its consumers.
+std::optional<std::vector<Stmt>> pathToProduce(const Stmt &S,
+                                               const std::string &Name);
 
 } // namespace halide
 

@@ -181,14 +181,15 @@ protected:
     internal_assert(It != Env.end()) << "realize of unknown " << Op->Name;
     int Rank = It->second.dimensions();
 
-    // Walk down to the produce node collecting the loops on the path.
-    // Sliding is only sound along the innermost intervening loop, and only
-    // when it is serial: a single unique first iteration must exist for
-    // every point (paper section 3.2).
-    std::vector<const For *> PathLoops;
-    collectSerialPath(Body, Op->Name, &PathLoops);
-    if (!PathLoops.empty() && PathLoops.back()->Kind == ForType::Serial) {
-      const For *Loop = PathLoops.back();
+    // Sliding is only sound along the innermost loop between the Realize
+    // and the produce node, and only when it is serial: a single unique
+    // first iteration must exist for every point (paper section 3.2).
+    const std::vector<Stmt> Path = pathToProduce(Body, Op->Name).value();
+    const For *Loop = nullptr;
+    for (const Stmt &S : Path)
+      if (const For *F = S.as<For>())
+        Loop = F;
+    if (Loop && Loop->Kind == ForType::Serial) {
       SlideAlongLoop Slider(Op->Name, Rank, Loop->Name, Loop->MinExpr);
       Stmt NewBody = Slider.mutate(Body);
       if (Slider.Applied)
@@ -200,38 +201,6 @@ protected:
   }
 
 private:
-  /// Collects the loops on the path down to the produce node of \p Name.
-  /// Returns true once that node is reached, so the walk never goes on
-  /// into the consumers after it.
-  static bool collectSerialPath(const Stmt &S, const std::string &Name,
-                                std::vector<const For *> *Out) {
-    if (const For *Loop = S.as<For>()) {
-      if (!containsProduceOf(Loop->Body, Name))
-        return false;
-      Out->push_back(Loop);
-      return collectSerialPath(Loop->Body, Name, Out);
-    }
-    if (const LetStmt *L = S.as<LetStmt>())
-      return collectSerialPath(L->Body, Name, Out);
-    if (const Block *B = S.as<Block>())
-      return collectSerialPath(B->First, Name, Out) ||
-             collectSerialPath(B->Rest, Name, Out);
-    if (const IfThenElse *I = S.as<IfThenElse>())
-      return collectSerialPath(I->ThenCase, Name, Out) ||
-             (I->ElseCase.defined() &&
-              collectSerialPath(I->ElseCase, Name, Out));
-    // Stop at ProducerConsumer of the name itself, and do not descend into
-    // inner Realize nodes of other functions (their loops relate to their
-    // own windows), except that the produce of Name may legitimately sit
-    // inside another function's consume; handle by continuing through both.
-    if (const ProducerConsumer *PC = S.as<ProducerConsumer>())
-      return (PC->Name == Name && PC->IsProducer) ||
-             collectSerialPath(PC->Body, Name, Out);
-    if (const Realize *R = S.as<Realize>())
-      return collectSerialPath(R->Body, Name, Out);
-    return false;
-  }
-
   const std::map<std::string, Function> &Env;
 };
 

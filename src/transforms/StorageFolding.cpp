@@ -49,55 +49,6 @@ bool proveConstSpan(const Expr &Span, const ExprLedger &Ledger,
   return false;
 }
 
-/// Finds the innermost loop on the path from a statement to the produce
-/// node of Name.
-const For *innermostPathLoop(const Stmt &S, const std::string &Name) {
-  const For *Innermost = nullptr;
-  Stmt Cursor = S;
-  while (Cursor.defined()) {
-    if (const For *Loop = Cursor.as<For>()) {
-      if (!containsProduceOf(Loop->Body, Name))
-        return Innermost;
-      Innermost = Loop;
-      Cursor = Loop->Body;
-      continue;
-    }
-    if (const LetStmt *L = Cursor.as<LetStmt>()) {
-      Cursor = L->Body;
-      continue;
-    }
-    if (const Realize *R = Cursor.as<Realize>()) {
-      Cursor = R->Body;
-      continue;
-    }
-    if (const ProducerConsumer *PC = Cursor.as<ProducerConsumer>()) {
-      if (PC->Name == Name && PC->IsProducer)
-        return Innermost;
-      Cursor = PC->Body;
-      continue;
-    }
-    if (const Block *B = Cursor.as<Block>()) {
-      // Follow the branch containing the produce node.
-      if (containsProduceOf(B->First, Name)) {
-        Cursor = B->First;
-        continue;
-      }
-      Cursor = B->Rest;
-      continue;
-    }
-    if (const IfThenElse *I = Cursor.as<IfThenElse>()) {
-      if (containsProduceOf(I->ThenCase, Name)) {
-        Cursor = I->ThenCase;
-        continue;
-      }
-      Cursor = I->ElseCase;
-      continue;
-    }
-    return Innermost;
-  }
-  return Innermost;
-}
-
 /// Rewrites dimension \p Dim of every access to \p Name modulo \p Factor.
 class FoldAccesses : public IRMutator {
 public:
@@ -138,10 +89,21 @@ public:
       : Env(Env) {}
 
 protected:
+  Stmt visit(const LetStmt *Op) override {
+    ScopedBinding<Expr> Bind(LetValues, Op->Name, Op->Value);
+    return IRMutator::visit(Op);
+  }
+
   Stmt visit(const Realize *Op) override {
     Stmt Body = mutate(Op->Body);
 
-    const For *Loop = innermostPathLoop(Body, Op->Name);
+    // Fold along the innermost loop between the Realize and the produce
+    // node.
+    const std::vector<Stmt> Path = pathToProduce(Body, Op->Name).value();
+    const For *Loop = nullptr;
+    for (const Stmt &S : Path)
+      if (const For *F = S.as<For>())
+        Loop = F;
     if (!Loop || Loop->Kind != ForType::Serial)
       return rebuild(Op, Body);
 
@@ -181,10 +143,14 @@ protected:
         continue;
       int64_t Factor =
           nextPowerOfTwo(std::max({ReadSpan, WriteSpan, int64_t(1)}));
-      // Only fold if it actually shrinks a provably larger allocation.
+      // Only fold if it actually shrinks a provably larger allocation. The
+      // Realize names its extent: read it through its let.
+      Expr Extent = Op->Bounds[D].Extent;
+      if (const Variable *V = Extent.as<Variable>();
+          V && LetValues.contains(V->Name))
+        Extent = LetValues.get(V->Name);
       int64_t AllocExtent;
-      if (proveConstInt(Op->Bounds[D].Extent, &AllocExtent) &&
-          AllocExtent <= Factor)
+      if (proveConstInt(Extent, &AllocExtent) && AllocExtent <= Factor)
         continue;
 
       FoldAccesses Folder(Op->Name, D, Factor);
@@ -205,6 +171,8 @@ private:
   }
 
   const std::map<std::string, Function> &Env;
+  /// The values of the enclosing LetStmts.
+  Scope<Expr> LetValues;
 };
 
 } // namespace

@@ -4,8 +4,10 @@
 #include "lang/Pipeline.h"
 #include "analysis/CallGraph.h"
 #include "apps/Apps.h"
+#include "autotune/ScheduleSpace.h"
 #include "codegen/CodeGenC.h"
 #include "codegen/Interpreter.h"
+#include "support/DiffTest.h"
 
 #include <gtest/gtest.h>
 
@@ -231,6 +233,89 @@ TEST(LoweringTest, RootProducerOfATiledConsumerComputesOnlyWhatItReads) {
   ExecutionStats Stats = Pipeline(Out).realize(Result);
   EXPECT_EQ(Stats.StoresPerBuffer[Src.name()], int64_t(W + 2) * (H + 2));
   EXPECT_EQ(Result(W - 1, H - 1), 2 * (2 * (W - 1) + 6 * (H - 1)));
+}
+
+TEST(LoweringTest, SlidingWindowRootStagesStoreNoMoreThanBreadthFirst) {
+  // The sliding-window sample stores every fused stage at root and
+  // computes it in its consumer's rows. A stage computed outside every
+  // loop reads those stages through their stored regions, bound once at
+  // the top, so it computes what breadth-first computes. Re-ranging each
+  // fused stage's loop nest instead lost precision at every loop level:
+  // interpolate's down0 stored 3,020,568 values and down4 10,248.
+  const int W = 64, H = 48;
+  std::vector<App> Apps = paperApps(/*LocalLaplacianLevels=*/3);
+  Apps.push_back(makeHistogramEqualizeApp());
+  for (App &A : Apps) {
+    SCOPED_TRACE(A.Name);
+    ScheduleSpace Space(A.Output.function());
+    auto StoresUnder = [&](const Genome &G) {
+      Space.apply(G);
+      std::shared_ptr<void> Keep;
+      ParamBindings Params = A.MakeInputs(W, H);
+      return Pipeline(A.Output)
+          .realize(makeAppOutput(A, W, H, &Keep), Params)
+          .StoresPerBuffer;
+    };
+    std::map<std::string, int64_t> BreadthFirst =
+        StoresUnder(Space.breadthFirstGenome());
+    std::map<std::string, int64_t> Sliding =
+        StoresUnder(Space.deterministicSample(12, 2013)[4]);
+    for (const auto &[Name, F] : buildEnvironment(A.Output.function())) {
+      if (F.schedule().ComputeLevel.isRoot()) {
+        EXPECT_LE(Sliding[Name], BreadthFirst[Name]) << Name;
+      }
+    }
+    if (A.Name == "interpolate") {
+      EXPECT_EQ(Sliding["down0"], 258064);
+      EXPECT_EQ(Sliding["down4"], 784);
+    }
+  }
+}
+
+TEST(LoweringTest, StoredCoordinateIsTheSplitLetNotTheLoopReusingItsName) {
+  // A split whose outer loop keeps the coordinate's name, as vectorize(x, 8)
+  // does, binds the coordinate again in its reconstruction let. A walk that
+  // reads a stored stage through its stored region must take that let for
+  // the coordinate, and range the outer loop as a loop.
+  Var x("x"), y("y"), xi("xi");
+
+  // Mid is stored at root and computed in Out's rows, so its root producer
+  // Src reads it through Mid's stored region. Splitting Mid's x must leave
+  // Src's region alone: taking the outer loop for the coordinate made Src
+  // 8 times as wide.
+  auto SrcStores = [&](bool Split) {
+    Func Src("sc_src"), Mid("sc_mid"), Out("sc_out");
+    Src(x, y) = x + y * 3;
+    Mid(x, y) = Src(x - 1, y) + Src(x + 1, y + 1);
+    Out(x, y) = Mid(x, y - 1) + Mid(x, y + 1);
+    Src.computeRoot();
+    Mid.storeRoot().computeAt(Out, y);
+    if (Split)
+      Mid.split(x, x, xi, 8);
+    Buffer<int32_t> Result(64, 16);
+    ExecutionStats Stats = Pipeline(Out).realize(Result);
+    EXPECT_EQ(Result(63, 15), 4 * 63 + 12 * 15 + 6);
+    return Stats.StoresPerBuffer[Src.name()];
+  };
+  EXPECT_EQ(SrcStores(false), (64 + 2) * (16 + 3));
+  EXPECT_EQ(SrcStores(true), SrcStores(false));
+
+  // Tap is computed at Row's outer x loop, which keeps Row's coordinate
+  // name, so Tap's region follows that loop's variable. Ranging the loop
+  // over Row's stored region read Src far outside its own region.
+  Func Src("sc2_src"), Tap("sc2_tap"), Row("sc2_row"), Out("sc2_out");
+  Src(x, y) = x + y;
+  Tap(x, y) = Src(x - 1, y) + Src(x + 1, y);
+  Row(x, y) = Tap(x, y) * 2;
+  Out(x, y) = Row(x, y) + 1;
+  Src.computeRoot();
+  Row.computeRoot().split(x, x, xi, 8);
+  Tap.computeAt(Row, x);
+  Buffer<int32_t> Result(64, 4);
+  Result.setMin(40, 0);
+  ExecutionStats Stats = Pipeline(Out).realize(Result);
+  EXPECT_EQ(Stats.StoresPerBuffer[Src.name()], (64 + 2) * 4);
+  EXPECT_EQ(Result(103, 3), 4 * (103 + 3) + 1);
 }
 
 TEST(LoweringTest, OutputSplitDivisibilityAssert) {
