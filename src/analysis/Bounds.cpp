@@ -14,20 +14,38 @@ using namespace halide;
 
 namespace {
 
+/// The calling thread's counters behind Bounds::statistics().
+BoundsStatistics &boundsCounters() {
+  thread_local BoundsStatistics Counters;
+  return Counters;
+}
+
+/// \p E simplified, counted as one bound endpoint when it is defined.
+Expr boundEndpoint(const Expr &E) {
+  if (!E.defined())
+    return E;
+  ++boundsCounters().EndpointsBound;
+  return simplify(E);
+}
+
+/// The range a let or loop binds: \p I with its endpoints simplified.
+Interval boundRange(const Interval &I) {
+  if (I.isSinglePoint())
+    return Interval::single(boundEndpoint(I.Min));
+  return Interval(boundEndpoint(I.Min), boundEndpoint(I.Max));
+}
+
 /// Interval evaluation of expressions. One visit() per node kind; the
-/// current result is kept in `Result`. Let values are bound through the
-/// sharing ledger: the value's bounds are computed once, then every use of
-/// the let variable sees a small stand-in (the canonicalized expression,
-/// or a ledger name when it is large), never a re-expanded copy.
+/// current result is kept in `Result`. A let value's bounds are computed
+/// once, and every use of the let variable sees that interval.
 class BoundsVisitor : public IRVisitor {
 public:
   /// \p SharedInner lets a caller walking a statement (BoxTouched) hand
   /// its accumulated inner bindings to every nested expression walk
   /// without copying the scope per expression.
-  BoundsVisitor(const Scope<Interval> &VarScope, ExprLedger *Ledger,
-                Scope<Interval> *SharedInner = nullptr)
-      : Ledger(Ledger), Inner(SharedInner ? SharedInner : &OwnInner),
-        Outer(VarScope) {}
+  explicit BoundsVisitor(const Scope<Interval> &VarScope,
+                         Scope<Interval> *SharedInner = nullptr)
+      : Inner(SharedInner ? SharedInner : &OwnInner), Outer(VarScope) {}
 
   Interval bounds(const Expr &E) {
     E.accept(this);
@@ -246,13 +264,10 @@ public:
 
   void visit(const Let *Op) override {
     Interval ValueBounds = bounds(Op->Value);
-    ScopedBinding<Interval> Bind(*Inner, Op->Name,
-                                 Ledger->shared(ValueBounds, Op->Name));
+    ScopedBinding<Interval> Bind(*Inner, Op->Name, boundRange(ValueBounds));
     Result = bounds(Op->Body);
   }
 
-  /// The sharing ledger, owned by the walk's entry point.
-  ExprLedger *Ledger;
   /// Inner bindings (lets crossed); either OwnInner or a caller's scope.
   Scope<Interval> *Inner;
 
@@ -392,9 +407,8 @@ private:
 class BoxTouched : public IRVisitor {
 public:
   BoxTouched(const AccessFilter &Filter, const Scope<Interval> &VarScope,
-             const Scope<StoredCoordinate> *Stored, ExprLedger *Ledger)
-      : Filter(Filter), Vars(VarScope), Stored(Stored), Ledger(Ledger),
-        Marker(Filter) {}
+             const Scope<StoredCoordinate> *Stored)
+      : Filter(Filter), Vars(VarScope), Stored(Stored), Marker(Filter) {}
 
   Box walk(const Stmt &S) {
     S.accept(&Marker);
@@ -442,7 +456,7 @@ private:
 
   void rangePath(const std::vector<Stmt> &Path, size_t I, const Box &Region) {
     if (I == Path.size()) {
-      BoundsVisitor BV(Vars, Ledger, &Inner);
+      BoundsVisitor BV(Vars, &Inner);
       Result = Box(Region.size());
       for (size_t D = 0; D < Region.size(); ++D)
         Result[D] = Interval(BV.bounds(correlated(Region[D].Min)).Min,
@@ -472,15 +486,13 @@ private:
     if (const Interval *Range = storedRange(Op->Name, /*IsLet=*/false)) {
       LoopRange = *Range;
     } else {
-      BoundsVisitor BV(Vars, Ledger, &Inner);
+      BoundsVisitor BV(Vars, &Inner);
       Interval MinB = BV.bounds(correlated(Op->MinExpr));
       Interval ExtB = BV.bounds(correlated(Op->Extent));
       LoopRange.Min = MinB.Min;
       if (MinB.hasUpperBound() && ExtB.hasUpperBound())
         LoopRange.Max = MinB.Max + ExtB.Max - 1;
-      // Every use of the loop variable in the body references the shared
-      // range, not a private copy of it.
-      LoopRange = Ledger->shared(LoopRange, Op->Name);
+      LoopRange = boundRange(LoopRange);
     }
     ScopedBinding<Interval> Bind(Inner, Op->Name, LoopRange);
     Expr Shadowed = substituteFor(Op->Name, Expr());
@@ -503,7 +515,7 @@ private:
       // size, so no value substituted earlier can be captured by it.
       if (Loops == 0 || (irNodeCountExceeds(Value, InlineLetLimit) &&
                          !Inner.contains(Op->Name))) {
-        Interval Range = boundsOf(Value, Op->Name);
+        Interval Range = boundsOf(Value);
         Value = Range.isSinglePoint() ? Range.Min : Expr();
         if (!Value.defined())
           Ranged.emplace(Inner, Op->Name, Range);
@@ -531,17 +543,17 @@ private:
     return Loops > 0 ? simplify(Inlined) : Inlined;
   }
 
-  /// Bounds of a let value, computed once and routed through the ledger.
-  /// The expression walk borrows this statement walk's inner scope so the
-  /// bindings accumulated so far are visible without copying them.
-  Interval boundsOf(const Expr &Value, const std::string &Hint) {
-    BoundsVisitor BV(Vars, Ledger, &Inner);
-    return Ledger->shared(BV.bounds(Value), Hint);
+  /// The range a let value binds. The expression walk borrows this
+  /// statement walk's inner scope so the bindings accumulated so far are
+  /// visible without copying them.
+  Interval boundsOf(const Expr &Value) {
+    BoundsVisitor BV(Vars, &Inner);
+    return boundRange(BV.bounds(Value));
   }
 
   void mergeBox(const std::vector<Expr> &Args) {
     Box B(Args.size());
-    BoundsVisitor BV(Vars, Ledger, &Inner);
+    BoundsVisitor BV(Vars, &Inner);
     for (size_t I = 0; I < Args.size(); ++I)
       B[I] = BV.bounds(Values.empty() ? Args[I]
                                       : substitute(Values, Args[I]));
@@ -549,13 +561,12 @@ private:
   }
 
   /// Lets inside a loop are substituted at or under this many IR nodes;
-  /// larger values stay ranged names, which the ledger shares.
+  /// larger values stay ranged names.
   static constexpr size_t InlineLetLimit = 64;
 
   const AccessFilter &Filter;
   const Scope<Interval> &Vars;
   const Scope<StoredCoordinate> *Stored;
-  ExprLedger *Ledger;
   MarkEnclosing Marker;
   Scope<Interval> Inner;
   /// The substituted lets' values by name.
@@ -564,70 +575,46 @@ private:
   Box Result;
 };
 
-/// Makes a raw box self-contained when the caller did not supply a ledger.
-Box finishBox(Box B, const ExprLedger &Local, const ExprLedger *Caller) {
-  if (Caller)
-    return B;
-  for (Interval &I : B.Dims)
-    I = Local.materialize(I);
-  return B;
-}
-
-/// The box of the accesses to \p Name the flags select, raw against
-/// \p Ledger or, without one, self-contained.
+/// The box of the accesses to \p Name the flags select.
 Box boxOfAccesses(const Stmt &S, const std::string &Name, bool Calls,
                   bool Provides, const Scope<Interval> &VarScope,
-                  ExprLedger *Ledger,
                   const Scope<StoredCoordinate> *Stored = nullptr) {
-  ExprLedger Local;
   AccessFilter Filter{Name, Calls, Provides};
-  BoxTouched Walker(Filter, VarScope, Stored, Ledger ? Ledger : &Local);
-  return finishBox(Walker.walk(S), Local, Ledger);
+  return BoxTouched(Filter, VarScope, Stored).walk(S);
 }
 
 } // namespace
 
-BoundsStatistics Bounds::statistics() {
-  return detail::boundsSharingCounters();
-}
+BoundsStatistics Bounds::statistics() { return boundsCounters(); }
 
-void Bounds::resetStatistics() {
-  detail::boundsSharingCounters() = BoundsStatistics();
-}
+void Bounds::resetStatistics() { boundsCounters() = BoundsStatistics(); }
 
 Interval halide::boundsOfExprInScope(const Expr &E,
-                                     const Scope<Interval> &VarScope,
-                                     ExprLedger *Ledger) {
-  ExprLedger Local;
-  BoundsVisitor Visitor(VarScope, Ledger ? Ledger : &Local);
-  Interval Result = Visitor.bounds(E);
-  return Ledger ? Result : Local.materialize(Result);
+                                     const Scope<Interval> &VarScope) {
+  return BoundsVisitor(VarScope).bounds(E);
 }
 
 Box halide::boxRequired(const Stmt &S, const std::string &Name,
-                        const Scope<Interval> &VarScope, ExprLedger *Ledger,
+                        const Scope<Interval> &VarScope,
                         const Scope<StoredCoordinate> *Stored) {
   return boxOfAccesses(S, Name, /*Calls=*/true, /*Provides=*/false, VarScope,
-                       Ledger, Stored);
+                       Stored);
 }
 
 Box halide::boxOverPath(const std::vector<Stmt> &Path, const Box &Region,
-                        const Scope<StoredCoordinate> &Stored,
-                        ExprLedger *Ledger) {
+                        const Scope<StoredCoordinate> &Stored) {
   const std::string NoAccess;
   AccessFilter Filter{NoAccess, /*Calls=*/false, /*Provides=*/false};
   Scope<Interval> Empty;
-  return BoxTouched(Filter, Empty, &Stored, Ledger).walkPath(Path, Region);
+  return BoxTouched(Filter, Empty, &Stored).walkPath(Path, Region);
 }
 
 Box halide::boxProvided(const Stmt &S, const std::string &Name,
-                        const Scope<Interval> &VarScope, ExprLedger *Ledger) {
-  return boxOfAccesses(S, Name, /*Calls=*/false, /*Provides=*/true, VarScope,
-                       Ledger);
+                        const Scope<Interval> &VarScope) {
+  return boxOfAccesses(S, Name, /*Calls=*/false, /*Provides=*/true, VarScope);
 }
 
 Box halide::boxTouched(const Stmt &S, const std::string &Name,
-                       const Scope<Interval> &VarScope, ExprLedger *Ledger) {
-  return boxOfAccesses(S, Name, /*Calls=*/true, /*Provides=*/true, VarScope,
-                       Ledger);
+                       const Scope<Interval> &VarScope) {
+  return boxOfAccesses(S, Name, /*Calls=*/true, /*Provides=*/true, VarScope);
 }

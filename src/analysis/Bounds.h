@@ -12,7 +12,10 @@
 /// optimization, and storage folding are all built on these entry points.
 /// A region walk can range a stored stage's coordinates over its stored
 /// region, bound outside the walk, so its result names those lets instead
-/// of deriving the stage's region again from its loop nest.
+/// of deriving the stage's region again from its loop nest. That, and
+/// walking only the bindings that enclose an access, keeps the results
+/// small on deep pipelines: each binding's range is its plain simplified
+/// interval.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +25,7 @@
 #include "analysis/Interval.h"
 #include "analysis/Scope.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -35,11 +39,19 @@ struct StoredCoordinate {
   bool IsLet = false;
 };
 
-/// Per-thread observability for the bounds-sharing layer (the ExprLedger
-/// in Interval.h): how often interval endpoints were interned, reused, or
-/// left inline on the calling thread. Tests assert on these counters to
-/// keep the sharing layer honest; they are diagnostics, not part of any
-/// result.
+/// Counters of the region walks on the calling thread, read through
+/// Bounds::statistics(). Diagnostics, not part of any result.
+struct BoundsStatistics {
+  /// Endpoints of the let values and loop ranges the walks bound: the
+  /// work a walk did, one per defined endpoint (one for a single point).
+  uint64_t EndpointsBound = 0;
+  /// Always 0: there is no bounds cache. Kept for readers that still
+  /// report them.
+  uint64_t CacheHits = 0;
+  uint64_t CacheMisses = 0;
+};
+
+/// The calling thread's BoundsStatistics, and their reset.
 class Bounds {
 public:
   static BoundsStatistics statistics();
@@ -52,16 +64,9 @@ public:
 /// is what lets bounds inference emit per-loop-level preambles. Results are
 /// conservative (may over-approximate) but never under-approximate.
 ///
-/// All entry points below share subexpressions while they infer: every let
-/// binding and loop range crossed is bound to a ledger name instead of
-/// being re-expanded at each use, so a result stays small however often it
-/// reuses an endpoint. With \p Ledger null the result is materialized into
-/// a self-contained expression (ledger definitions become Let wrappers).
-/// Passing a ledger returns *raw* intervals that may reference its names;
-/// the caller decides where the definitions land — bounds inference binds
-/// them as LetStmts just before the region lets that use them.
-Interval boundsOfExprInScope(const Expr &E, const Scope<Interval> &VarScope,
-                             ExprLedger *Ledger = nullptr);
+/// Every let value and loop range the walks below cross is bound once, as
+/// its simplified interval, and each use of the name sees that interval.
+Interval boundsOfExprInScope(const Expr &E, const Scope<Interval> &VarScope);
 
 /// The region of the Func or image named \p Name read by calls within \p S.
 /// Loop variables and lets bound inside \p S are ranged over; variables
@@ -72,24 +77,24 @@ Interval boundsOfExprInScope(const Expr &E, const Scope<Interval> &VarScope,
 /// ranges over that region instead of over its loop or value, so the
 /// result names the stored region.
 Box boxRequired(const Stmt &S, const std::string &Name,
-                const Scope<Interval> &VarScope, ExprLedger *Ledger = nullptr,
+                const Scope<Interval> &VarScope,
                 const Scope<StoredCoordinate> *Stored = nullptr);
 
 /// The union of \p Region over the loops and lets of \p Path, nested For
 /// and LetStmt nodes outermost first (pathToProduce from a stage's Realize
-/// body: the loops between its storage and compute levels), raw against
-/// \p Ledger. The coordinates in \p Stored range as in boxRequired.
+/// body: the loops between its storage and compute levels). The
+/// coordinates in \p Stored range as in boxRequired.
 Box boxOverPath(const std::vector<Stmt> &Path, const Box &Region,
-                const Scope<StoredCoordinate> &Stored, ExprLedger *Ledger);
+                const Scope<StoredCoordinate> &Stored);
 
 /// The region of \p Name written by Provide nodes within \p S.
 Box boxProvided(const Stmt &S, const std::string &Name,
-                const Scope<Interval> &VarScope, ExprLedger *Ledger = nullptr);
+                const Scope<Interval> &VarScope);
 
 /// The union of the regions of \p Name read and written within \p S (a
 /// stage's own update definitions: scatters and recursive reads).
 Box boxTouched(const Stmt &S, const std::string &Name,
-               const Scope<Interval> &VarScope, ExprLedger *Ledger = nullptr);
+               const Scope<Interval> &VarScope);
 
 } // namespace halide
 

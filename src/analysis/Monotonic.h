@@ -35,9 +35,10 @@ enum class Monotonic {
 Monotonic isMonotonic(const Expr &E, const std::string &Var);
 
 /// Same, with known classifications for free variables bound outside the
-/// expression (e.g. the shared bounds definitions the sharing layer emits
-/// as enclosing LetStmts: their dependence on the loop variable is only
-/// visible through \p Known). Unlisted variables are treated as constant.
+/// expression (e.g. the consumers' region lets that bounds inference binds
+/// as enclosing LetStmts: a region written in them depends on the loop
+/// variable only through \p Known). Unlisted variables are treated as
+/// constant.
 Monotonic isMonotonic(const Expr &E, const std::string &Var,
                       const Scope<Monotonic> &Known);
 

@@ -25,12 +25,6 @@ using namespace halide;
 
 namespace {
 
-/// Schedules drawn from ScheduleSpace::deterministicSample. The first five
-/// are the canonical variants (breadth-first, max-inline, tiled+parallel,
-/// vectorized, sliding window); the rest are seeded random points in the
-/// search space.
-constexpr int ScheduleCount = 12;
-constexpr uint32_t SampleSeed = 2013;
 /// Absolute per-element tolerance for float outputs against the
 /// reference. Integer outputs, and every same-schedule comparison, must
 /// match bit-exactly.
@@ -351,7 +345,7 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
 
   int ScheduleIndex = 0;
   for (const Genome &G :
-       Space.deterministicSample(ScheduleCount, SampleSeed)) {
+       Space.deterministicSample(DiffScheduleCount, DiffSampleSeed)) {
     std::string Desc = Space.describe(G);
     Space.apply(G);
     LoweredPipeline P = Pipe.lowerPipeline();

@@ -34,8 +34,8 @@
 /// bit-for-bit, and the per-buffer load/store lane counts summed from the
 /// trace itself must equal the untraced run's ExecutionStats —
 /// instrumentation may not change the computation, and may not miss or
-/// invent an access. Every leg runs on every call; the sample and the
-/// legs' widths are fixed in DiffTest.cpp, and only the C leg's host
+/// invent an access. Every leg runs on every call; the sample is fixed
+/// below and the legs' widths in DiffTest.cpp, and only the C leg's host
 /// compiler flags can be set from outside (HALIDE_DIFF_JIT_FLAGS).
 ///
 //===----------------------------------------------------------------------===//
@@ -46,11 +46,22 @@
 #include "apps/Apps.h"
 #include "transforms/Lower.h"
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace halide {
+
+/// The sweep's schedules: ScheduleSpace::deterministicSample(
+/// DiffScheduleCount, DiffSampleSeed). The first five are the canonical
+/// variants (breadth-first, max-inline, tiled+parallel, vectorized,
+/// sliding window); the rest are seeded random points in the search space.
+constexpr int DiffScheduleCount = 12;
+constexpr uint32_t DiffSampleSeed = 2013;
+/// The pyramid depth of local_laplacian in the differential suite (the
+/// paper's is 8; shallower keeps the interpreter's audit fast).
+constexpr int DiffLocalLaplacianLevels = 3;
 
 /// Uniform backend entry point: executes \p P on the backend \p T names
 /// and returns the pipeline's exit code (0 on success). The VM aborts via

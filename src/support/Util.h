@@ -101,8 +101,8 @@ private:
 /// A name derived from \p Prefix that is unique within the innermost
 /// UniqueNameScope alive on this thread, or process-unique (as
 /// uniqueName()) when there is none. For compiler temporaries that never
-/// leave the statement being compiled (shared bounds definitions, CSE
-/// lets); front-end objects keep uniqueName().
+/// leave the statement being compiled (CSE lets); front-end objects keep
+/// uniqueName().
 std::string scopedUniqueName(const std::string &Prefix);
 
 /// Returns true if \p Str starts with \p Prefix.

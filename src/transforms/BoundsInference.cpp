@@ -106,7 +106,7 @@ public:
   /// What the stages stored at one level (the top of the statement, or one
   /// loop's body) bind there, consumers first.
   struct Level {
-    /// Their stored regions' lets, after the ledger definitions they use.
+    /// Their stored regions' lets.
     std::vector<std::pair<std::string, Expr>> Lets;
     /// Their stored regions by coordinate name ("f.x"): the interval that
     /// a walk at this level ranges the coordinate over.
@@ -155,15 +155,10 @@ protected:
     // one, so each stage's cost follows its own call sites. A stage stored
     // where it is computed is read at that level, so the walk ranges the
     // stages stored there over their stored regions, whose lets lie
-    // outside the walk: the region names them. The walk shares
-    // subexpressions through a per-stage ledger: the returned intervals
-    // are raw references into it, and the definitions are emitted below as
-    // LetStmts above the stage's min/extent chain — one binding per reused
-    // bounds subtree, however many stages or dimensions reference it.
+    // outside the walk: the region names them.
     Scope<Interval> Empty;
-    ExprLedger Ledger;
     Box Consumer = boxRequired(Finder.Consume.as<ProducerConsumer>()->Body,
-                               Op->Name, Empty, &Ledger,
+                               Op->Name, Empty,
                                StoredAtCompute ? &Levels.back().Stored
                                                : nullptr);
     internal_assert(int(Consumer.size()) == Rank ||
@@ -173,7 +168,7 @@ protected:
     // Region touched by the function's own update stages (scatters and
     // recursive reads), expressed in terms of the still-symbolic required
     // region; resolved by substituting the consumer box.
-    Box Self = boxTouched(Finder.Produce, Op->Name, Empty, &Ledger);
+    Box Self = boxTouched(Finder.Produce, Op->Name, Empty);
 
     std::vector<std::pair<std::string, Expr>> Lets;
     std::vector<Expr> MinExprs(Rank), MaxExprs(Rank);
@@ -192,10 +187,9 @@ protected:
     }
     if (!Self.empty()) {
       internal_assert(int(Self.size()) == Rank);
-      // The self region (and any ledger definitions it pulled in) is
-      // expressed in terms of the stage's own still-symbolic region
-      // variables; resolve both against the consumer region.
-      Ledger.substituteInDefs(SelfSubstitution);
+      // The self region is expressed in terms of the stage's own
+      // still-symbolic region variables; resolve it against the consumer
+      // region.
       for (int D = 0; D < Rank; ++D) {
         internal_assert(Self[D].isBounded())
             << "bounds inference: self region of " << Op->Name
@@ -217,13 +211,9 @@ protected:
         }
       }
       Lets.emplace_back(funcMinName(Op->Name, D), MinExprs[D]);
-      // Built from the raw endpoints so that shared terms cancel: the
-      // extent of a dimension whose min and max ride the same ledger
-      // names frequently folds to a constant here.
       Lets.emplace_back(funcExtentName(Op->Name, D),
                         simplify(MaxExprs[D] - MinExprs[D] + 1));
     }
-    prependDefsUsed(Ledger, &Lets);
 
     // Where the stage's coordinate ranges at each compute site: its region,
     // split dimensions rounded up to the written extent.
@@ -244,9 +234,8 @@ protected:
       // produce node, where sliding window rewrites them, and the stored
       // region is their union over the loops between the two levels.
       Body = WrapProduce(Op->Name, Lets).mutate(Body);
-      ExprLedger PathLedger;
       Box Union = boxOverPath(pathToProduce(Body, Op->Name).value(), Computed,
-                              Here.Stored, &PathLedger);
+                              Here.Stored);
       std::vector<std::pair<std::string, Expr>> StoredLets;
       for (int D = 0; D < Rank; ++D) {
         internal_assert(Union[D].isBounded())
@@ -261,7 +250,6 @@ protected:
                                 simplify(Union[D].Max - Union[D].Min + 1));
         Computed[D] = Interval(Min, Min + Extent - 1);
       }
-      prependDefsUsed(PathLedger, &StoredLets);
       Here.Lets.insert(Here.Lets.end(), StoredLets.begin(), StoredLets.end());
     }
     // The Realize and every later walk at this level name the stored region.
@@ -281,18 +269,6 @@ protected:
   }
 
 private:
-  /// Puts the ledger definitions \p Lets (transitively) uses in front of
-  /// them, in creation order: later definitions may reference earlier
-  /// ones, never the reverse.
-  static void prependDefsUsed(const ExprLedger &Ledger,
-                              std::vector<std::pair<std::string, Expr>> *Lets) {
-    std::vector<Expr> Values;
-    for (const auto &[Name, Value] : *Lets)
-      Values.push_back(Value);
-    std::vector<std::pair<std::string, Expr>> Used = Ledger.defsUsedBy(Values);
-    Lets->insert(Lets->begin(), Used.begin(), Used.end());
-  }
-
   const std::map<std::string, Function> &Env;
 };
 
@@ -312,19 +288,15 @@ Stmt halide::boundsInference(const Stmt &S,
   // ever widens a read. A dimension read over an unbounded region stays
   // unchecked, and lowering's simplification drops a condition that folds
   // to true (a reduction over the image's own domain).
-  ExprLedger Ledger;
-  std::vector<Expr> Conditions;
   std::vector<Stmt> Checks;
   for (const std::string &Name : Images) {
-    const Box Read =
-        boxRequired(Body, Name, Scope<Interval>(), &Ledger, &Root.Stored);
+    const Box Read = boxRequired(Body, Name, Scope<Interval>(), &Root.Stored);
     for (int D = 0; D < int(Read.size()); ++D) {
       if (!Read[D].isBounded())
         continue;
       Expr Min = Variable::make(Int(32), bufferMinName(Name, D), true);
       Expr Extent = Variable::make(Int(32), bufferExtentName(Name, D), true);
       Expr Ok = Min <= Read[D].Min && Read[D].Max < Min + Extent;
-      Conditions.push_back(Ok);
       Checks.push_back(AssertStmt::make(
           Ok, "input image " + Name + " does not cover the region the "
               "pipeline reads in dimension " + std::to_string(D)));
@@ -332,8 +304,5 @@ Stmt halide::boundsInference(const Stmt &S,
   }
   if (!Checks.empty())
     Body = Block::make(Block::make(Checks), Body);
-  std::vector<std::pair<std::string, Expr>> Lets = std::move(Root.Lets);
-  for (auto &Def : Ledger.defsUsedBy(Conditions))
-    Lets.push_back(std::move(Def));
-  return wrapInLets(Lets, Body);
+  return wrapInLets(Root.Lets, Body);
 }

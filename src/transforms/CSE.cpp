@@ -78,9 +78,8 @@ public:
     for (const Expr &Arg : Op->Args)
       countExpr(Arg);
   }
-  // Let values are candidates too (the bounds-sharing layer puts Let
-  // expressions into statement-level positions, so CSE sees them before
-  // its own pass ever introduced any).
+  // Let values are candidates too: an expression may carry Lets before
+  // this pass introduces any.
   void visit(const Let *Op) override {
     countExpr(Op->Value);
     Op->Body.accept(this);

@@ -99,10 +99,9 @@ LoweredPipeline halide::lower(const Function &Output, const Target &T) {
   // they coincide with the output buffer's metadata parameters, so all
   // generated bounds depend only on the size of the output image. Each
   // stage's region is bound once, in its consumers' region variables (a
-  // root stage's at the top of the statement), and reused bounds
-  // subexpressions are shared rather than copied, which keeps lowering
-  // polynomial in pipeline depth (linear for the pyramids). The input
-  // coverage asserts follow the root regions.
+  // root stage's at the top of the statement), and its stored region once
+  // at its store level, which keeps lowering linear in pipeline depth for
+  // the pyramids. The input coverage asserts follow the root regions.
   std::set<std::string> ImageNames;
   for (const auto &[Name, Info] : Args.Images)
     ImageNames.insert(Name);
@@ -110,8 +109,8 @@ LoweredPipeline halide::lower(const Function &Output, const Target &T) {
               [&] { return boundsInference(S, Env, ImageNames); });
 
   // Section 4.3: reuse and memory optimizations. These run before global
-  // simplification: they pattern-match the bounds-let preambles (including
-  // the shared definitions above the min/extent chains) that
+  // simplification: they pattern-match the bounds-let preambles (the
+  // min/extent chains and the consumers' region lets above them) that
   // simplification would otherwise inline away or drop.
   if (!T.DisableSlidingWindow)
     S = runPass("slidingWindow",

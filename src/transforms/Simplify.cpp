@@ -419,11 +419,6 @@ protected:
     // An undefined binding shadows any enclosing inlined let of this name.
     ScopedBinding<Expr> Shadow(InlinedLets, Op->Name, Expr());
     Expr Body = mutate(Op->Body);
-    // A let whose body is just its own variable is the value itself — the
-    // shape the bounds-sharing layer produces for a lone shared endpoint.
-    if (const Variable *V = Body.as<Variable>())
-      if (V->Name == Op->Name)
-        return Value;
     if (Value.sameAs(Op->Value) && Body.sameAs(Op->Body))
       return Op;
     return Let::make(Op->Name, Value, Body);
@@ -515,7 +510,7 @@ protected:
 public:
   /// Whether any Let/LetStmt was encountered — when false, the dead-let
   /// sweep has nothing to do and is skipped (simplify() runs on every
-  /// ledger endpoint during bounds walks, most of which are let-free).
+  /// endpoint a bounds walk binds, most of which are let-free).
   bool SawLet = false;
 
 private:

@@ -3,6 +3,7 @@
 #include "transforms/SlidingWindow.h"
 #include "analysis/Derivatives.h"
 #include "analysis/Monotonic.h"
+#include "ir/IREquality.h"
 #include "ir/IRMutator.h"
 #include "ir/IROperators.h"
 #include "ir/IRVisitor.h"
@@ -16,12 +17,15 @@ namespace {
 
 /// Rewrites the bounds lets ("f.min.d" / "f.extent.d") above the produce
 /// node of one function to exclude the region computed by previous
-/// iterations of a given serial loop.
+/// iterations of a given serial loop. A dimension whose written extent a
+/// split rounds up does not slide: the stage would write past the slid
+/// region, which its producers' regions and its storage were not sized
+/// for.
 class SlideAlongLoop : public IRMutator {
 public:
-  SlideAlongLoop(const std::string &FuncName, int Rank,
-                 const std::string &LoopVar, Expr LoopMin)
-      : FuncName(FuncName), Rank(Rank), LoopVar(LoopVar), LoopMin(LoopMin) {}
+  SlideAlongLoop(const Function &F, const std::string &LoopVar, Expr LoopMin)
+      : F(F), FuncName(F.name()), Rank(F.dimensions()), LoopVar(LoopVar),
+        LoopMin(LoopMin) {}
 
   bool Applied = false;
 
@@ -46,9 +50,9 @@ protected:
     // node. Collect the whole chain, then decide.
     if (!startsWith(Op->Name, FuncName + ".min.") &&
         !startsWith(Op->Name, FuncName + ".extent.")) {
-      // Not part of the chain. Record the binding — bounds inference now
-      // emits shared bounds definitions as enclosing lets, so the chain's
-      // dependence on the loop variable may only be visible through them.
+      // Not part of the chain. Record the binding — the chain names its
+      // consumers' region lets, so its dependence on the loop variable
+      // may only be visible through them.
       Monotonic M = isMonotonic(Op->Value, LoopVar, LetMono);
       ScopedBinding<Monotonic> BindMono(LetMono, Op->Name, M);
       ActiveLets.push_back({Op->Name, Op->Value, M != Monotonic::Constant});
@@ -89,7 +93,7 @@ protected:
 
     // Find the single dimension that marches with the loop; all others must
     // be loop-invariant for the rewrite to be sound. The analysis sees
-    // through enclosing shared-bounds lets via LetMono.
+    // through the enclosing region lets via LetMono.
     int SlideDim = -1;
     for (int D = 0; D < Rank; ++D) {
       Monotonic MinMono = isMonotonic(Mins[D], LoopVar, LetMono);
@@ -98,7 +102,8 @@ protected:
       if (MinMono == Monotonic::Constant && MaxMono == Monotonic::Constant)
         continue;
       if (MinMono == Monotonic::Increasing &&
-          MaxMono == Monotonic::Increasing && SlideDim < 0) {
+          MaxMono == Monotonic::Increasing && SlideDim < 0 &&
+          !splitRoundsUp(D)) {
         SlideDim = D;
         continue;
       }
@@ -110,8 +115,8 @@ protected:
     // New minimum: skip everything computed by the previous iteration. The
     // first iteration computes the full region (select on LoopVar==LoopMin).
     // The previous iteration's maximum shifts the loop variable back by
-    // one, which must reach loop-variable dependence hidden inside shared
-    // bounds definitions — expand exactly those before substituting.
+    // one, which must reach loop-variable dependence hidden inside the
+    // enclosing region lets — expand exactly those before substituting.
     Expr OldMin = Mins[SlideDim];
     Expr OldMax = simplify(OldMin + Extents[SlideDim] - 1);
     Expr PrevMax = substitute(
@@ -137,6 +142,11 @@ protected:
   }
 
 private:
+  bool splitRoundsUp(int D) const {
+    Expr Extent = Variable::make(Int(32), funcExtentName(FuncName, D));
+    return !equal(simplify(writtenExtent(F, D, Extent)), Extent);
+  }
+
   /// An enclosing LetStmt seen on the way down to the chain.
   struct ActiveLet {
     std::string Name;
@@ -157,6 +167,7 @@ private:
     return E;
   }
 
+  const Function &F;
   std::string FuncName;
   int Rank;
   std::string LoopVar;
@@ -179,7 +190,6 @@ protected:
     Stmt Body = mutate(Op->Body); // inner realizations first
     auto It = Env.find(Op->Name);
     internal_assert(It != Env.end()) << "realize of unknown " << Op->Name;
-    int Rank = It->second.dimensions();
 
     // Sliding is only sound along the innermost loop between the Realize
     // and the produce node, and only when it is serial: a single unique
@@ -190,7 +200,7 @@ protected:
       if (const For *F = S.as<For>())
         Loop = F;
     if (Loop && Loop->Kind == ForType::Serial) {
-      SlideAlongLoop Slider(Op->Name, Rank, Loop->Name, Loop->MinExpr);
+      SlideAlongLoop Slider(It->second, Loop->Name, Loop->MinExpr);
       Stmt NewBody = Slider.mutate(Body);
       if (Slider.Applied)
         Body = NewBody;

@@ -2,14 +2,11 @@
 
 #include "transforms/StorageFolding.h"
 #include "analysis/Bounds.h"
-#include "analysis/Derivatives.h"
 #include "analysis/Monotonic.h"
 #include "ir/IRMutator.h"
 #include "ir/IROperators.h"
-#include "ir/IRVisitor.h"
 #include "transforms/ScheduleFunctions.h"
 #include "transforms/Simplify.h"
-#include "transforms/Substitute.h"
 
 #include <algorithm>
 
@@ -22,31 +19,6 @@ int64_t nextPowerOfTwo(int64_t V) {
   while (P < V)
     P <<= 1;
   return P;
-}
-
-/// Proves a footprint span constant. The raw span cancels when min and
-/// max reference the same ledger names, but a loop range interned as two
-/// distinct endpoint names (hint.min/hint.max) hides the cancellation —
-/// expand definitions latest-first (so chains resolve transitively) and
-/// retry, under a node budget so a pathological chain cannot reintroduce
-/// the exponential blowup this proof used to ride on.
-bool proveConstSpan(const Expr &Span, const ExprLedger &Ledger,
-                    int64_t *Out) {
-  Expr S = simplify(Span);
-  if (proveConstInt(S, Out))
-    return true;
-  constexpr size_t ExpandBudget = size_t(1) << 14;
-  const auto &Defs = Ledger.defs();
-  for (size_t I = Defs.size(); I-- > 0;) {
-    if (!exprUsesVar(S, Defs[I].first))
-      continue;
-    if (irNodeCountExceeds(S, ExpandBudget))
-      return false;
-    S = simplify(substitute(Defs[I].first, Defs[I].second, S));
-    if (proveConstInt(S, Out))
-      return true;
-  }
-  return false;
 }
 
 /// Rewrites dimension \p Dim of every access to \p Name modulo \p Factor.
@@ -108,38 +80,28 @@ protected:
       return rebuild(Op, Body);
 
     // The per-iteration footprint of this function within the loop body.
-    // Keeping the box raw against a ledger lets the span below cancel
-    // structurally (max and min referencing the same shared name subtract
-    // away) where a materialized copy per endpoint could not.
     Scope<Interval> Empty;
-    ExprLedger Ledger;
-    Box Reads = boxRequired(Loop->Body, Op->Name, Empty, &Ledger);
-    Box Writes = boxProvided(Loop->Body, Op->Name, Empty, &Ledger);
+    Box Reads = boxRequired(Loop->Body, Op->Name, Empty);
+    Box Writes = boxProvided(Loop->Body, Op->Name, Empty);
     if (Reads.empty() || Writes.empty() ||
         Reads.size() != Writes.size())
       return rebuild(Op, Body);
-
-    // Loop-variable dependence of each shared definition, in creation
-    // order (later definitions may reference earlier ones).
-    Scope<Monotonic> DefMono;
-    for (const auto &[DefName, Def] : Ledger.defs())
-      DefMono.push(DefName, isMonotonic(Def, Loop->Name, DefMono));
 
     for (int D = 0; D < int(Reads.size()); ++D) {
       if (!Reads[D].isBounded() || !Writes[D].isBounded())
         continue;
       // The footprint must march monotonically with the loop...
-      Monotonic ReadMin = isMonotonic(Reads[D].Min, Loop->Name, DefMono);
-      Monotonic WriteMin = isMonotonic(Writes[D].Min, Loop->Name, DefMono);
+      Monotonic ReadMin = isMonotonic(Reads[D].Min, Loop->Name);
+      Monotonic WriteMin = isMonotonic(Writes[D].Min, Loop->Name);
       if (ReadMin != Monotonic::Increasing ||
           WriteMin != Monotonic::Increasing)
         continue;
       // ...and have a constant-boundable extent.
       int64_t ReadSpan, WriteSpan;
-      if (!proveConstSpan(Reads[D].Max - Reads[D].Min + 1, Ledger,
-                          &ReadSpan) ||
-          !proveConstSpan(Writes[D].Max - Writes[D].Min + 1, Ledger,
-                          &WriteSpan))
+      if (!proveConstInt(simplify(Reads[D].Max - Reads[D].Min + 1),
+                         &ReadSpan) ||
+          !proveConstInt(simplify(Writes[D].Max - Writes[D].Min + 1),
+                         &WriteSpan))
         continue;
       int64_t Factor =
           nextPowerOfTwo(std::max({ReadSpan, WriteSpan, int64_t(1)}));

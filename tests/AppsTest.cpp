@@ -208,27 +208,6 @@ TEST(AppsTest, LoweringTwiceGivesIdenticalTextAndC) {
     }
 }
 
-TEST(AppsTest, NoProgramNamesALedgerDefinition) {
-  // Every region is bound once, in its consumers' region or stored-region
-  // lets, so no registered program needs a shared bounds definition (a
-  // ".shared$" name from the ExprLedger). One that does derives some
-  // region twice again.
-  std::vector<App> Apps = paperApps();
-  Apps.push_back(makeHistogramEqualizeApp());
-  for (App &A : Apps)
-    for (auto [Name, Apply] :
-         {std::pair{"breadth_first", A.ScheduleBreadthFirst},
-          std::pair{"tuned", A.ScheduleTuned},
-          std::pair{"gpu", A.ScheduleGpu}}) {
-      if (!Apply)
-        continue;
-      Apply();
-      EXPECT_EQ(Pipeline(A.Output).loweredText().find(".shared$"),
-                std::string::npos)
-          << A.Name << " " << Name;
-    }
-}
-
 TEST(AppsTest, JitAtDefaultFlagsMatchesVm) {
   // DifferentialScheduleTest's C leg compiles at -O0, and the cases above
   // compare jit_c only with itself. Here C built with the host-cc flags

@@ -25,10 +25,6 @@ using namespace halide;
 
 namespace {
 
-/// Levels used for the pyramid-depth-parameterized local Laplacian app
-/// (paper value is 8; shallower keeps the interpreter sweep fast).
-constexpr int TestLLLevels = 3;
-
 void expectDifferentialOk(App A, DiffOptions Opts = DiffOptions()) {
   DiffReport R = runScheduleDifferential(A, Opts);
   EXPECT_GE(R.SchedulesRun, 4) << A.Name;
@@ -40,7 +36,7 @@ void expectDifferentialOk(App A, DiffOptions Opts = DiffOptions()) {
 TEST(DifferentialScheduleTest, RegistryCoversPaperApps) {
   // The sweep below must keep covering every registered app: if the
   // registry grows, add a differential case for the new app.
-  std::vector<App> Apps = paperApps(TestLLLevels);
+  std::vector<App> Apps = paperApps(DiffLocalLaplacianLevels);
   ASSERT_EQ(Apps.size(), 5u);
   const char *Expected[] = {"blur", "bilateral_grid", "camera_pipe",
                             "interpolate", "local_laplacian"};
@@ -68,7 +64,7 @@ TEST(DifferentialScheduleTest, DeterministicSampleIsStable) {
 }
 
 TEST(DifferentialScheduleTest, Blur) {
-  expectDifferentialOk(paperApps(TestLLLevels)[0]);
+  expectDifferentialOk(paperApps(DiffLocalLaplacianLevels)[0]);
 }
 
 TEST(DifferentialScheduleTest, BilateralGrid) {
@@ -80,11 +76,11 @@ TEST(DifferentialScheduleTest, BilateralGrid) {
   Opts.Height = 48;
   Opts.BaselineWidth = 96;
   Opts.BaselineHeight = 64;
-  expectDifferentialOk(paperApps(TestLLLevels)[1], Opts);
+  expectDifferentialOk(paperApps(DiffLocalLaplacianLevels)[1], Opts);
 }
 
 TEST(DifferentialScheduleTest, CameraPipe) {
-  expectDifferentialOk(paperApps(TestLLLevels)[2]);
+  expectDifferentialOk(paperApps(DiffLocalLaplacianLevels)[2]);
 }
 
 TEST(DifferentialScheduleTest, Interpolate) {
@@ -97,11 +93,11 @@ TEST(DifferentialScheduleTest, Interpolate) {
   Opts.Height = 48;
   Opts.BaselineWidth = 256;
   Opts.BaselineHeight = 160;
-  expectDifferentialOk(paperApps(TestLLLevels)[3], Opts);
+  expectDifferentialOk(paperApps(DiffLocalLaplacianLevels)[3], Opts);
 }
 
 TEST(DifferentialScheduleTest, LocalLaplacian) {
-  expectDifferentialOk(paperApps(TestLLLevels)[4]);
+  expectDifferentialOk(paperApps(DiffLocalLaplacianLevels)[4]);
 }
 
 TEST(DifferentialScheduleTest, LocalLaplacianPaperDepthGpuSim) {

@@ -18,6 +18,7 @@
 #include "apps/Apps.h"
 #include "autotune/ScheduleSpace.h"
 #include "ir/IRVisitor.h"
+#include "support/DiffTest.h"
 #include "transforms/Lower.h"
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include <algorithm>
 #include <ctime>
 #include <map>
+#include <vector>
 
 using namespace halide;
 
@@ -95,7 +97,7 @@ TEST(LoweringScalabilityTest, TunedScheduleStaysPolynomialToo) {
   // The tuned (CPU) schedule splits less aggressively but walks the same
   // 99-stage graph; keep it covered so the guard is not GPU-specific.
   std::map<int, size_t> Nodes;
-  std::map<int, uint64_t> LedgerReuse;
+  std::map<int, uint64_t> EndpointsBound;
   for (int Depth : {4, 8}) {
     App A = makeLocalLaplacianApp(Depth);
     A.ScheduleTuned();
@@ -103,8 +105,7 @@ TEST(LoweringScalabilityTest, TunedScheduleStaysPolynomialToo) {
     LoweredPipeline P = lower(A.Output.function(), Target::jit());
     const BoundsStatistics After = Bounds::statistics();
     Nodes[Depth] = countIRNodes(P.Body);
-    LedgerReuse[Depth] = (After.CacheHits - Before.CacheHits) +
-                         (After.EndpointsInlined - Before.EndpointsInlined);
+    EndpointsBound[Depth] = After.EndpointsBound - Before.EndpointsBound;
     ASSERT_GT(Nodes[Depth], 0u);
   }
   // Linear here too: 2.10x from depth 4 to depth 8 (3.51x when every
@@ -112,14 +113,14 @@ TEST(LoweringScalabilityTest, TunedScheduleStaysPolynomialToo) {
   EXPECT_LT(Nodes[8], 3 * Nodes[4])
       << "depth-8 IR is super-linearly larger than depth-4 IR";
 
-  // Deterministic twin of the CPU-time checks: the ledger reuse each
-  // lowering performs. Bounds inference ranges only the lets and loops
-  // that enclose calls to the stage it infers, which measures ~2.1x from
-  // depth 4 to depth 8; ranging every stage's whole consume body (every
-  // downstream binding, once per stage) measured 6.1x.
-  EXPECT_LT(LedgerReuse[8], 3 * LedgerReuse[4])
+  // Deterministic twin of the CPU-time checks: the endpoints each
+  // lowering's region walks bind. Bounds inference ranges only the lets
+  // and loops that enclose calls to the stage it infers, which measures
+  // ~2.1x from depth 4 to depth 8; ranging every stage's whole consume
+  // body (every downstream binding, once per stage) measured 6.1x.
+  EXPECT_LT(EndpointsBound[8], 3 * EndpointsBound[4])
       << "bounds inference re-derives intervals it does not need ("
-      << LedgerReuse[4] << " at depth 4, " << LedgerReuse[8]
+      << EndpointsBound[4] << " at depth 4, " << EndpointsBound[8]
       << " at depth 8)";
 }
 
@@ -142,4 +143,29 @@ TEST(LoweringScalabilityTest, SlidingWindowScheduleStaysLinear) {
       << "depth-8 IR is super-linearly larger than depth-4 IR ("
       << Chars[4] << " characters at depth 4, " << Chars[8]
       << " at depth 8)";
+}
+
+TEST(LoweringScalabilityTest, EverySampledScheduleStaysLinear) {
+  // Every schedule of the differential suite's sample, at depths 4 and 8:
+  // canonical variants and random points alike write each stage's region
+  // in its consumers' region and stored-region lets, with no cache behind
+  // the region walks to fall back on, so depth 8's IR must stay a small
+  // multiple of depth 4's for each of them: measured 2.36x to 3.15x, where
+  // quadratic growth would give about 4x.
+  std::map<int, std::vector<size_t>> Chars;
+  for (int Depth : {4, 8}) {
+    App A = makeLocalLaplacianApp(Depth);
+    ScheduleSpace Space(A.Output.function());
+    for (const Genome &G :
+         Space.deterministicSample(DiffScheduleCount, DiffSampleSeed)) {
+      Space.apply(G);
+      Chars[Depth].push_back(Pipeline(A.Output).loweredText().size());
+    }
+  }
+  ASSERT_EQ(Chars[4].size(), Chars[8].size());
+  for (size_t I = 0; I < Chars[4].size(); ++I)
+    EXPECT_LT(10 * Chars[8][I], 33 * Chars[4][I])
+        << "sample " << I << ": depth-8 IR is super-linearly larger than "
+        << "depth-4 IR (" << Chars[4][I] << " characters at depth 4, "
+        << Chars[8][I] << " at depth 8)";
 }

@@ -318,6 +318,36 @@ TEST(LoweringTest, StoredCoordinateIsTheSplitLetNotTheLoopReusingItsName) {
   EXPECT_EQ(Result(103, 3), 4 * (103 + 3) + 1);
 }
 
+TEST(LoweringTest, SlidingWindowLeavesARoundedUpDimensionAlone) {
+  // Mid is stored at root and computed in Out's rows, so sliding window
+  // would compute only each row's new Mid rows. Its y is split by 16,
+  // which rounds every computed region up to 16 rows: a slid region then
+  // writes past Mid's storage and reads past the Src rows computed for
+  // it. Sliding-window output must equal the unslid output on both
+  // engines.
+  Var x("x"), y("y"), yi("yi");
+  Func Src("sr_src"), Mid("sr_mid"), Out("sr_out");
+  Src(x, y) = x + y * 3;
+  Mid(x, y) = Src(x, y - 1) + Src(x, y + 1);
+  Out(x, y) = (Mid(x, y - 1) + Mid(x, y + 1)) / 4;
+  Src.computeRoot();
+  Mid.storeRoot().computeAt(Out, y);
+  Mid.split(y, y, yi, 16);
+  Pipeline P(Out);
+  const int W = 64, H = 48;
+  Buffer<int32_t> Unslid(W, H);
+  P.realize(Unslid, ParamBindings(), Target().withoutSlidingWindow());
+  EXPECT_EQ(Unslid(W - 1, H - 1), (W - 1) + 3 * (H - 1));
+  for (const Target &T : {Target::vm(), Target::jit()}) {
+    Buffer<int32_t> Result(W, H);
+    P.realize(Result, ParamBindings(), T);
+    for (int Y = 0; Y < H; ++Y)
+      for (int X = 0; X < W; ++X)
+        ASSERT_EQ(Result(X, Y), Unslid(X, Y))
+            << T.str() << " at (" << X << ", " << Y << ")";
+  }
+}
+
 TEST(LoweringTest, OutputSplitDivisibilityAssert) {
   GradientPipe P;
   Var xo("xo"), xi("xi");

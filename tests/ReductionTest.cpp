@@ -193,12 +193,12 @@ TEST(ConcurrentBuildTest, RDomAppsBuildAndLowerOnTwoThreads) {
 TEST(ConcurrentBuildTest, TwoPipelinesCompileColdOnTwoThreads) {
   // Cold compiles of two different pipelines on two threads lower at the
   // same time: each gives the program a serial compile gives, and each
-  // thread's bounds-sharing counters count only its own lowering.
+  // thread's bounds counters count only its own lowering.
   std::vector<std::function<App()>> Makers = {
       [] { return makeLocalLaplacianApp(3); }, makeInterpolateApp};
   struct Compiled {
     std::string Text;
-    uint64_t BoundsHits = 0, BoundsMisses = 0, BoundsInlined = 0;
+    uint64_t EndpointsBound = 0;
   };
   auto compileCold = [](const std::function<App()> &Make) {
     App A = Make();
@@ -208,9 +208,7 @@ TEST(ConcurrentBuildTest, TwoPipelinesCompileColdOnTwoThreads) {
         Pipeline(A.Output).compile(Target::vm());
     const BoundsStatistics After = Bounds::statistics();
     return Compiled{stmtToString(Exe->pipeline().Body),
-                    After.CacheHits - Before.CacheHits,
-                    After.CacheMisses - Before.CacheMisses,
-                    After.EndpointsInlined - Before.EndpointsInlined};
+                    After.EndpointsBound - Before.EndpointsBound};
   };
   Pipeline::clearCompileCache();
   Compiled Concurrent[2];
@@ -224,13 +222,10 @@ TEST(ConcurrentBuildTest, TwoPipelinesCompileColdOnTwoThreads) {
     const Compiled Serial = compileCold(Makers[size_t(I)]);
     EXPECT_TRUE(Concurrent[I].Text == Serial.Text)
         << "app " << I << " compiled differently on a worker thread";
-    EXPECT_EQ(Concurrent[I].BoundsHits, Serial.BoundsHits) << "app " << I;
-    EXPECT_EQ(Concurrent[I].BoundsMisses, Serial.BoundsMisses)
+    EXPECT_EQ(Concurrent[I].EndpointsBound, Serial.EndpointsBound)
         << "app " << I;
-    EXPECT_EQ(Concurrent[I].BoundsInlined, Serial.BoundsInlined)
-        << "app " << I;
-    // Every region walk inlines small endpoints, so a lowering that
-    // counted none would mean the counters missed this thread's work.
-    EXPECT_GT(Serial.BoundsInlined, 0u) << "app " << I;
+    // Every region walk binds endpoints, so a lowering that counted none
+    // would mean the counters missed this thread's work.
+    EXPECT_GT(Serial.EndpointsBound, 0u) << "app " << I;
   }
 }

@@ -81,6 +81,26 @@ TEST(SimplifyTest, SelectAndLet) {
   EXPECT_TRUE(equal(simplify(L), simplify(X + 1)));
 }
 
+TEST(SimplifyTest, KeepsAHandBuiltLet) {
+  // A let of a non-trivial value used twice: simplify walks the binding
+  // instead of re-expanding it, substitute of an unrelated name leaves it
+  // in place, and the round trip still evaluates like the expanded tree.
+  Expr U = var("u");
+  Expr Big = min(U * 2 + 1, min(U * 3 + 2, min(U * 5 + 3, U * 7 + 4)));
+  Expr E = Let::make("a", Big, var("a") + var("a"));
+  Expr Simplified = simplify(E);
+  const Let *L = Simplified.as<Let>();
+  ASSERT_NE(L, nullptr) << exprToString(Simplified);
+  EXPECT_EQ(L->Name, "a");
+  Expr Sub = substitute("unrelated", Expr(1), Simplified);
+  ASSERT_NE(Sub.as<Let>(), nullptr) << exprToString(Sub);
+  int64_t Final = 0, Direct = 0;
+  ASSERT_TRUE(proveConstInt(simplify(substitute("u", Expr(4), Sub)), &Final));
+  ASSERT_TRUE(
+      proveConstInt(simplify(substitute("u", Expr(4), Big + Big)), &Direct));
+  EXPECT_EQ(Final, Direct);
+}
+
 TEST(SimplifyTest, StatementCleanup) {
   // Zero-extent loops vanish; extent-1 loops unwrap.
   Stmt Dead = For::make("i", 0, 0, ForType::Serial,
