@@ -5,8 +5,9 @@
 // and writes into the output directory, for each program, its lowered IR
 // as loweredText() prints it (<program>.ir) and its emitted C
 // (<program>.c), plus one row per program in programs.tsv: IR characters,
-// C bytes and VM instructions. Lowering is deterministic, so the dumps of
-// two builds diff directly:
+// C bytes, VM instructions, and the C's gathers, clamped loads and strided
+// loads (countVectorLoads in codegen/CodeGenC.h). Lowering is
+// deterministic, so the dumps of two builds diff directly:
 //
 //   old/build/dump_programs old.d && new/build/dump_programs new.d &&
 //   diff -r old.d new.d
@@ -53,8 +54,10 @@ void dump(const std::filesystem::path &Dir, std::ofstream &Table,
   const std::string C = codegenC(LP, "hl_pipeline");
   writeFile(Dir / (Program + ".ir"), Ir);
   writeFile(Dir / (Program + ".c"), C);
+  const VectorLoadCounts Loads = countVectorLoads(C);
   Table << Program << '\t' << Ir.size() << '\t' << C.size() << '\t'
-        << compileToBytecode(LP).Code.size() << '\n';
+        << compileToBytecode(LP).Code.size() << '\t' << Loads.Gathers << '\t'
+        << Loads.Clamped << '\t' << Loads.Strided << '\n';
 }
 
 } // namespace
@@ -72,7 +75,8 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "dump_programs: cannot write into %s\n", argv[1]);
     return 1;
   }
-  Table << "program\tir_chars\tc_bytes\tvm_instrs\n";
+  Table << "program\tir_chars\tc_bytes\tvm_instrs\tgathers\tclamped_loads"
+           "\tstrided_loads\n";
 
   std::vector<App> Registered = paperApps();
   Registered.push_back(makeHistogramEqualizeApp());

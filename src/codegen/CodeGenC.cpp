@@ -9,6 +9,9 @@
 #include "runtime/Buffer.h"
 #include "transforms/Instrument.h"
 
+#include <algorithm>
+#include <cctype>
+#include <cstring>
 #include <map>
 #include <set>
 #include <sstream>
@@ -284,6 +287,20 @@ private:
     return V + (nativeVectorOk(T) ? "[" : ".v[") + I + "]";
   }
 
+  /// \p X, a variable of native vector type From, converted lane by lane
+  /// to To with C cast semantics. From a vector narrower than 128 bits
+  /// this is a lane-list constructor: GCC 12 splits
+  /// __builtin_convertvector from one into two halves and an unpack.
+  static std::string convertLanes(Type From, Type To, const std::string &X) {
+    int FromBytes = From.Lanes * (From.isBool() ? 1 : From.element().Bits / 8);
+    if (FromBytes >= 16)
+      return "__builtin_convertvector(" + X + ", " + vecCType(To) + ")";
+    std::string CT = scalarCType(To.element());
+    return "(" + vecCType(To) + ")" + laneList(To.Lanes, [&](int L) {
+             return "(" + CT + ")" + X + "[" + std::to_string(L) + "]";
+           });
+  }
+
   /// Compound-literal lane list "{f(0), f(1), ...}" for native vectors.
   template <typename Fn> static std::string laneList(int Lanes, Fn F) {
     std::string Out = "{";
@@ -413,8 +430,8 @@ private:
     case VecShape::Compare:
       // Vector compares yield full-width 0/-1 masks; narrow to the 0/1
       // boolean vector the IR expects.
-      Def << "  return __builtin_convertvector((a " << COp << " b) & 1, "
-          << RetVT << ");\n}";
+      Def << "  " << MT << " m = (a " << COp << " b) & 1;\n  return "
+          << convertLanes(MaskT, Bool(T.Lanes), "m") << ";\n}";
       break;
     case VecShape::MinMax:
       // Blend through the same-width integer mask: C has no vector ?:.
@@ -504,8 +521,8 @@ private:
       Type MaskT = vecMaskType(T);
       needVectorType(MaskT);
       std::string MT = vecCType(MaskT);
-      Body = "  " + MT + " w = __builtin_convertvector(m, " + MT +
-             ") != 0;\n  return (" + VT + ")(((" + MT + ")a & w) | ((" + MT +
+      Body = "  " + MT + " w = " + convertLanes(BT, MaskT, "m") +
+             " != 0;\n  return (" + VT + ")(((" + MT + ")a & w) | ((" + MT +
              ")b & ~w));\n}";
     } else {
       Body = "  " + VT + " r;\n" +
@@ -517,13 +534,61 @@ private:
     return Name;
   }
 
-  std::string vectorLoadHelper(Type T) {
+  /// Name suffix of a load shape of stride ±1 or ±2: "" (dense), "_rev",
+  /// "_s2", "_rev_s2".
+  static std::string strideSuffix(int Stride) {
+    return std::string(Stride < 0 ? "_rev" : "") +
+           (Stride == 2 || Stride == -2 ? "_s2" : "");
+  }
+
+  /// Offset from the first lane's element to the lowest one a ramp of
+  /// \p Stride over \p Lanes reads (0, or Stride * (Lanes - 1) if that is
+  /// negative): the shaped loads take a pointer to the lowest element.
+  static int lowestLane(int Stride, int Lanes) {
+    return Stride < 0 ? Stride * (Lanes - 1) : 0;
+  }
+
+  /// Load of the lanes of a ramp of stride ±1 or ±2 from p, its lowest
+  /// element. Stride 1 is one dense load, stride -1 one dense load and a
+  /// lane reverse. Stride ±2 is two overlapping dense loads, the second
+  /// starting at lane L - 1 so that nothing past the highest lane's
+  /// element is read, and one shuffle picking the even elements.
+  std::string vectorLoadHelper(Type T, int Stride) {
     needVectorType(T);
     std::string VT = vecCType(T), CT = scalarCType(T.element());
-    std::string Name = VT + "_load";
+    std::string Name = VT + "_load" + strideSuffix(Stride);
+    const int L = T.Lanes, Step = Stride < 0 ? -Stride : Stride;
+    // Lane l reads p[Elem(l)].
+    auto Elem = [&](int Lane) {
+      return Step * (Stride > 0 ? Lane : L - 1 - Lane);
+    };
+    std::string Body;
+    if (Stride == 1) {
+      Body = "  " + VT + " r;\n  memcpy(&r, p, sizeof(r));\n  return r;\n}";
+    } else if (nativeVectorOk(T)) {
+      // In the shuffle, b's lane j is p[L - 1 + j], at index L + j.
+      Body = "  " + VT + " a" + (Step == 2 ? ", b" : "") +
+             ";\n  memcpy(&a, p, sizeof(a));\n" +
+             (Step == 2 ? "  memcpy(&b, p + " + std::to_string(L - 1) +
+                              ", sizeof(b));\n"
+                        : "") +
+             "  return __builtin_shufflevector(a, " + (Step == 2 ? "b" : "a");
+      for (int Lane = 0; Lane < L; ++Lane)
+        Body += ", " + std::to_string(Elem(Lane) < L ? Elem(Lane)
+                                                     : Elem(Lane) + 1);
+      Body += ");\n}";
+    } else {
+      Body = "  " + VT + " r;\n" +
+             laneLoop(L, "r.v[l] = p[" +
+                             (Stride > 0 ? "l * " + std::to_string(Step)
+                                         : "(" + std::to_string(L - 1) +
+                                               " - l) * " +
+                                               std::to_string(Step)) +
+                             "];") +
+             "  return r;\n}";
+    }
     needHelper(Name, "static inline " + VT + " " + Name + "(const " + CT +
-                         " *p) {\n  " + VT +
-                         " r;\n  memcpy(&r, p, sizeof(r));\n  return r;\n}");
+                         " *p) {\n" + Body);
     return Name;
   }
 
@@ -536,35 +601,8 @@ private:
     return Name;
   }
 
-  /// Dense load of the Lanes preceding-and-including *p in reverse order:
-  /// the vector equivalent of a stride -1 ramp (e.g. mirrored boundaries).
-  /// One contiguous load + lane reverse instead of Lanes scalar gathers.
-  std::string vectorReverseLoadHelper(Type T) {
-    needVectorType(T);
-    std::string VT = vecCType(T), CT = scalarCType(T.element());
-    std::string Name = VT + "_load_rev";
-    std::string Body;
-    if (nativeVectorOk(T)) {
-      Type MaskT = vecMaskType(T);
-      needVectorType(MaskT);
-      Body = "  " + VT + " r;\n  memcpy(&r, p, sizeof(r));\n  return "
-             "__builtin_shuffle(r, (" + vecCType(MaskT) + ")" +
-             laneList(T.Lanes,
-                      [&](int L) { return std::to_string(T.Lanes - 1 - L); }) +
-             ");\n}";
-    } else {
-      Body = "  " + VT + " r;\n" +
-             laneLoop(T.Lanes,
-                      "r.v[l] = p[" + std::to_string(T.Lanes - 1) + " - l];") +
-             "  return r;\n}";
-    }
-    needHelper(Name, "static inline " + VT + " " + Name + "(const " + CT +
-                         " *p) {\n" + Body);
-    return Name;
-  }
-
   /// Dense store of x's lanes in reverse order starting at *p; the store
-  /// counterpart of vectorReverseLoadHelper.
+  /// counterpart of a stride -1 vectorLoadHelper.
   std::string vectorReverseStoreHelper(Type T) {
     needVectorType(T);
     std::string VT = vecCType(T), CT = scalarCType(T.element());
@@ -587,123 +625,184 @@ private:
     return Name;
   }
 
-  /// A vector load index of the form Off + clamp(ramp(Base, 1, L), Lo,
-  /// Hi) — the shape every clamped-boundary stencil tap lowers to. All
-  /// four pieces are scalar expressions; Off may be undefined (zero).
-  struct ClampedRampIndex {
-    Expr Off;
-    Expr Base;
-    Expr Lo, Hi;
+  /// A vector index clamp(ramp(Base, Stride, L), Lo, Hi) with Stride ±1
+  /// or ±2: the shape a stencil tap under a clamped boundary lowers to.
+  /// clamp() builds max(min(x, Hi), Lo), but the simplifier keeps either
+  /// nesting; a min-outer min(max(x, Lo), Hi) equals max(min(x, Hi),
+  /// min(Lo, Hi)), so it is recorded with that Lo.
+  struct ClampedRamp {
+    Expr Base, Lo, Hi;
+    int Stride = 0;
+    bool MinOuter = false;
   };
 
-  static bool matchClampedRampIndex(const Expr &Index,
-                                    ClampedRampIndex *Out) {
-    auto UnitRamp = [](const Expr &E) -> const Ramp * {
-      const Ramp *R = E.as<Ramp>();
-      int64_t Stride;
-      return R && asConstInt(R->Stride, &Stride) && Stride == 1 ? R
-                                                                : nullptr;
-    };
-    // The clamp core, in either nesting order (the simplifier does not
-    // canonicalize min-of-max vs max-of-min) and with the broadcast on
-    // either side of each node.
-    if (const Max *M = Index.as<Max>()) {
-      const Min *Inner = M->A.as<Min>() ? M->A.as<Min>() : M->B.as<Min>();
-      const Broadcast *Lo =
-          M->A.as<Min>() ? M->B.as<Broadcast>() : M->A.as<Broadcast>();
-      if (Inner && Lo) {
-        const Ramp *R = UnitRamp(Inner->A) ? UnitRamp(Inner->A)
-                                           : UnitRamp(Inner->B);
-        const Broadcast *Hi = UnitRamp(Inner->A)
-                                  ? Inner->B.as<Broadcast>()
-                                  : Inner->A.as<Broadcast>();
-        if (R && Hi) {
+  static bool isShapedStride(int64_t Stride) {
+    return Stride == 1 || Stride == -1 || Stride == 2 || Stride == -2;
+  }
+
+  /// Matches Outer(Inner(ramp, x(InnerBound)), x(OuterBound)), with each
+  /// broadcast on either side of its node.
+  template <typename OuterT, typename InnerT>
+  static bool matchClampCore(const Expr &E, ClampedRamp *Out, Expr *InnerBound,
+                             Expr *OuterBound) {
+    const OuterT *O = E.as<OuterT>();
+    if (!O)
+      return false;
+    for (const auto &[InnerE, OuterE] :
+         {std::pair{O->A, O->B}, std::pair{O->B, O->A}}) {
+      const InnerT *I = InnerE.template as<InnerT>();
+      const Broadcast *OB = OuterE.template as<Broadcast>();
+      if (!I || !OB)
+        continue;
+      for (const auto &[RampE, BoundE] :
+           {std::pair{I->A, I->B}, std::pair{I->B, I->A}}) {
+        const Ramp *R = RampE.template as<Ramp>();
+        const Broadcast *IB = BoundE.template as<Broadcast>();
+        int64_t Stride;
+        if (R && IB && asConstInt(R->Stride, &Stride) &&
+            isShapedStride(Stride)) {
           Out->Base = R->Base;
-          Out->Lo = Lo->Value;
-          Out->Hi = Hi->Value;
+          Out->Stride = int(Stride);
+          *InnerBound = IB->Value;
+          *OuterBound = OB->Value;
           return true;
         }
       }
     }
-    if (const Min *M = Index.as<Min>()) {
-      const Max *Inner = M->A.as<Max>() ? M->A.as<Max>() : M->B.as<Max>();
-      const Broadcast *Hi =
-          M->A.as<Max>() ? M->B.as<Broadcast>() : M->A.as<Broadcast>();
-      if (Inner && Hi) {
-        const Ramp *R = UnitRamp(Inner->A) ? UnitRamp(Inner->A)
-                                           : UnitRamp(Inner->B);
-        const Broadcast *Lo = UnitRamp(Inner->A)
-                                  ? Inner->B.as<Broadcast>()
-                                  : Inner->A.as<Broadcast>();
-        if (R && Lo) {
-          Out->Base = R->Base;
-          Out->Lo = Lo->Value;
-          Out->Hi = Hi->Value;
-          return true;
-        }
-      }
-    }
-    // Affine wrappers: a broadcast added to / subtracted from the clamp
-    // folds into the scalar byte offset.
-    auto AddOff = [Out](const Expr &E, bool Negate) {
+    return false;
+  }
+
+  static bool matchClampedRamp(const Expr &E, ClampedRamp *Out) {
+    if (E.type().element() != Int(32))
+      return false;
+    if (matchClampCore<Max, Min>(E, Out, &Out->Hi, &Out->Lo))
+      return true;
+    Out->MinOuter = matchClampCore<Min, Max>(E, Out, &Out->Lo, &Out->Hi);
+    return Out->MinOuter;
+  }
+
+  /// A clamped ramp's scalar parts as C expressions, Lo already in the
+  /// max-outer form the clamped load helpers implement.
+  struct ClampedTap {
+    std::string Base, Lo, Hi;
+    int Stride = 0; ///< 0: the let this describes is no clamped ramp
+  };
+
+  /// min(Lo, Hi): the Lo of a min-outer clamp's max-outer form.
+  std::string maxOuterLo(const std::string &Lo, const std::string &Hi) {
+    return scalarMinMaxHelper(Int(32), false) + "(" + Lo + ", " + Hi + ")";
+  }
+
+  /// Matches Off + tap, where Off sums the broadcasts added to or
+  /// subtracted from the tap, and the tap is a clamped ramp or a vector
+  /// let bound to one. On success, *Off is that sum (undefined for none).
+  bool matchClampedTap(const Expr &Index, Expr *Off, ClampedTap *Out) {
+    auto AddOff = [Off](const Expr &E, bool Negate) {
       Expr Term = Negate ? Sub::make(makeZero(E.type()), E) : E;
-      Out->Off = Out->Off.defined() ? Add::make(Out->Off, Term) : Term;
+      *Off = Off->defined() ? Add::make(*Off, Term) : Term;
     };
     if (const Add *A = Index.as<Add>()) {
       if (const Broadcast *B = A->B.as<Broadcast>())
-        if (matchClampedRampIndex(A->A, Out)) {
+        if (matchClampedTap(A->A, Off, Out)) {
           AddOff(B->Value, false);
           return true;
         }
       if (const Broadcast *B = A->A.as<Broadcast>())
-        if (matchClampedRampIndex(A->B, Out)) {
+        if (matchClampedTap(A->B, Off, Out)) {
           AddOff(B->Value, false);
           return true;
         }
     }
     if (const Sub *S = Index.as<Sub>())
       if (const Broadcast *B = S->B.as<Broadcast>())
-        if (matchClampedRampIndex(S->A, Out)) {
+        if (matchClampedTap(S->A, Off, Out)) {
           AddOff(B->Value, true);
           return true;
         }
-    return false;
+    if (const Variable *V = Index.as<Variable>()) {
+      if (!ClampedLets.contains(V->Name) || !ClampedLets.get(V->Name).Stride)
+        return false;
+      *Out = ClampedLets.get(V->Name);
+      return true;
+    }
+    ClampedRamp CR;
+    if (!matchClampedRamp(Index, &CR))
+      return false;
+    *Out = {emit(CR.Base), emit(CR.Lo), emit(CR.Hi), CR.Stride};
+    if (CR.MinOuter)
+      Out->Lo = maxOuterLo(Out->Lo, Out->Hi);
+    return true;
   }
 
-  /// Load of Lanes elements at clamp(base + l, lo, hi) + off: a dense
-  /// contiguous load whenever the whole lane range sits inside [lo, hi]
-  /// (the interior of a clamped-boundary stencil — almost every
-  /// iteration), a per-lane clamping gather on the boundary columns.
-  std::string vectorClampedLoadHelper(Type T) {
+  /// Load of the lanes at max(min(base + l * Stride, hi), lo) + off. The
+  /// inline helper tests, in 64 bits, whether every lane lies inside [lo,
+  /// hi] (the interior of a clamped-boundary stencil: almost every lane
+  /// group) and then reads through the dense or stride-2 load. The
+  /// per-lane clamp of the edge groups is one noinline, cold function per
+  /// type and stride: inlined, its lane loop made the compiler keep every
+  /// tap's vector on the stack.
+  std::string vectorClampedLoadHelper(Type T, int Stride) {
     needVectorType(T);
     std::string VT = vecCType(T), CT = scalarCType(T.element());
-    std::string Name = VT + "_load_clamped";
-    std::string Body =
-        "  " + VT + " r;\n  if (lo <= base && base + " +
-        std::to_string(T.Lanes - 1) +
-        " <= hi) {\n    memcpy(&r, p + off + base, sizeof(r));\n    "
-        "return r;\n  }\n" +
-        laneLoop(T.Lanes, "{ int32_t i = base + l; i = i < lo ? lo : i; "
-                          "i = i > hi ? hi : i; " +
-                              laneRef(T, "r", "l") + " = p[off + i]; }") +
-        "  return r;\n}";
-    needHelper(Name, "static inline " + VT + " " + Name + "(const " + CT +
-                         " *p, int32_t off, int32_t base, int32_t lo, "
-                         "int32_t hi) {\n" +
-                         Body);
+    std::string Suffix = strideSuffix(Stride);
+    std::string Name = VT + "_load_clamped" + Suffix;
+    if (EmittedHelpers.count(Name))
+      return Name;
+    const std::string Params = "(const " + CT +
+                               " *p, int32_t off, int32_t base, int32_t lo, "
+                               "int32_t hi) {\n";
+    std::string Edge = VT + "_clamp_edge" + Suffix;
+    needHelper(Edge,
+               "static __attribute__((noinline, cold)) " + VT + " " + Edge +
+                   Params + "  " + VT + " r;\n" +
+                   laneLoop(T.Lanes,
+                            "{ int64_t i = (int64_t)base + " +
+                                (Stride == 1 ? std::string("l")
+                                             : "l * " + std::to_string(Stride)) +
+                                "; i = i > hi ? hi : i; i = i < lo ? lo : i; " +
+                                laneRef(T, "r", "l") + " = p[off + i]; }") +
+                   "  return r;\n}");
+    const int Low = lowestLane(Stride, T.Lanes);
+    const int High = Stride * (T.Lanes - 1) - Low;
+    auto Lane = [](int Offset) {
+      return Offset ? (Offset > 0 ? " + " : " - ") +
+                          std::to_string(Offset > 0 ? Offset : -Offset)
+                    : std::string();
+    };
+    needHelper(Name, "static inline " + VT + " " + Name + Params +
+                         "  if ((int64_t)lo <= (int64_t)base" + Lane(Low) +
+                         " && (int64_t)base" + Lane(High) + " <= hi)\n" +
+                         "    return " + vectorLoadHelper(T, Stride) +
+                         "(p + (off + base" + Lane(Low) + "));\n" +
+                         "  return " + Edge + "(p, off, base, lo, hi);\n}");
     return Name;
+  }
+
+  /// Lanes read one element each, p[Index(l)]: a lane-list constructor
+  /// for native vectors (a lane loop writing r[l] made the compiler keep
+  /// r on the stack), a lane loop for the struct fallback.
+  template <typename Fn>
+  std::string laneReads(Type T, bool Native, Fn Index) {
+    if (Native)
+      return "  return (" + vecCType(T) + ")" + laneList(T.Lanes, [&](int L) {
+               return "p[" + Index(std::to_string(L)) + "]";
+             }) + ";\n}";
+    return "  " + vecCType(T) + " r;\n" +
+           laneLoop(T.Lanes, laneRef(T, "r", "l") + " = p[" + Index("l") +
+                                 "];") +
+           "  return r;\n}";
   }
 
   std::string vectorStridedLoadHelper(Type T) {
     needVectorType(T);
     std::string VT = vecCType(T), CT = scalarCType(T.element());
     std::string Name = VT + "_load_strided";
-    needHelper(Name,
-               "static inline " + VT + " " + Name + "(const " + CT +
-                   " *p, int32_t s) {\n  " + VT + " r;\n" +
-                   laneLoop(T.Lanes,
-                            laneRef(T, "r", "l") + " = p[(int64_t)l * s];") +
-                   "  return r;\n}");
+    needHelper(Name, "static inline " + VT + " " + Name + "(const " + CT +
+                         " *p, int32_t s) {\n" +
+                         laneReads(T, nativeVectorOk(T),
+                                   [](const std::string &L) {
+                                     return "(int64_t)" + L + " * s";
+                                   }));
     return Name;
   }
 
@@ -713,12 +812,12 @@ private:
     std::string VT = vecCType(T), CT = scalarCType(T.element());
     std::string IVT = vecCType(IndexT);
     std::string Name = VT + "_gather_" + typeTag(IndexT.element());
-    needHelper(Name,
-               "static inline " + VT + " " + Name + "(const " + CT +
-                   " *p, " + IVT + " idx) {\n  " + VT + " r;\n" +
-                   laneLoop(T.Lanes, laneRef(T, "r", "l") + " = p[" +
-                                         laneRef(IndexT, "idx", "l") + "];") +
-                   "  return r;\n}");
+    needHelper(Name, "static inline " + VT + " " + Name + "(const " + CT +
+                         " *p, " + IVT + " idx) {\n" +
+                         laneReads(T, nativeVectorOk(T) && nativeVectorOk(IndexT),
+                                   [&](const std::string &L) {
+                                     return laneRef(IndexT, "idx", L);
+                                   }));
     return Name;
   }
 
@@ -746,8 +845,7 @@ private:
                        typeTag(To.element());
     std::string Body;
     if (nativeVectorOk(From) && nativeVectorOk(To))
-      // __builtin_convertvector has C cast semantics per lane.
-      Body = "  return __builtin_convertvector(a, " + vecCType(To) + ");\n}";
+      Body = "  return " + convertLanes(From, To, "a") + ";\n}";
     else
       Body = "  " + vecCType(To) + " r;\n" +
              laneLoop(To.Lanes, laneRef(To, "r", "l") + " = (" +
@@ -883,13 +981,12 @@ private:
       return emitCall(E.as<Call>());
     case IRNodeKind::Let: {
       const Let *Op = E.as<Let>();
-      std::string Value = emit(Op->Value);
-      std::string CName = freshName(Op->Name);
-      line("const " + cTypeOf(Op->Value.type()) + " " + CName + " = " +
-           Value + ";");
+      ClampedTap Tap;
+      std::string CName = emitLet(Op->Name, Op->Value, &Tap);
       ScopedBinding<std::string> Bind(VarNames, Op->Name, CName);
       ScopedBinding<std::string> BindType(VarTypes, Op->Name,
                                           cTypeOf(Op->Value.type()));
+      ScopedBinding<ClampedTap> BindTap(ClampedLets, Op->Name, Tap);
       return emit(Op->Body);
     }
     default:
@@ -1008,38 +1105,75 @@ private:
     return Helper + "(" + C + ", " + T + ", " + F + ")";
   }
 
+  /// A vector load, by the shape of its index (paper section 4.5): a ramp
+  /// of stride ±1 or ±2 is a dense or shuffled load, any other ramp a
+  /// strided one, a clamped ramp of stride ±1 or ±2 plus broadcast
+  /// offsets a clamped load, and everything else a gather.
   std::string emitLoad(const Load *Op) {
     std::string Buf = bufferName(Op->Name);
-    if (Op->NodeType.isScalar())
+    Type T = Op->NodeType;
+    if (T.isScalar())
       return Buf + "[" + emit(Op->Index) + "]";
-    // Classify the vector access (paper section 4.5): dense ramp loads and
-    // stores become contiguous; constant-strided ramps become strided;
-    // everything else is a gather.
     if (const Ramp *R = Op->Index.as<Ramp>()) {
       int64_t Stride;
-      if (asConstInt(R->Stride, &Stride)) {
-        if (Stride == 1)
-          return vectorLoadHelper(Op->NodeType) + "(&" + Buf + "[" +
-                 emit(R->Base) + "])";
-        // Stride -1 (reversed ramp, e.g. mirrored boundaries) is still a
-        // dense access: one contiguous load ending at base + lane reverse.
-        if (Stride == -1)
-          return vectorReverseLoadHelper(Op->NodeType) + "(&" + Buf + "[(" +
-                 emit(R->Base) + ") - " +
-                 std::to_string(Op->NodeType.Lanes - 1) + "])";
+      if (asConstInt(R->Stride, &Stride) && isShapedStride(Stride)) {
+        int Low = lowestLane(int(Stride), T.Lanes);
+        return vectorLoadHelper(T, int(Stride)) + "(&" + Buf + "[" +
+               (Low ? "(" + emit(R->Base) + ") - " + std::to_string(-Low)
+                    : emit(R->Base)) +
+               "])";
       }
-      return vectorStridedLoadHelper(Op->NodeType) + "(&" + Buf + "[" +
-             emit(R->Base) + "], " + emit(R->Stride) + ")";
+      return vectorStridedLoadHelper(T) + "(&" + Buf + "[" + emit(R->Base) +
+             "], " + emit(R->Stride) + ")";
     }
-    // A clamped unit ramp (boundary-condition stencil tap) is dense over
-    // the whole interior; only boundary columns pay the per-lane clamp.
-    ClampedRampIndex CR;
-    if (matchClampedRampIndex(Op->Index, &CR))
-      return vectorClampedLoadHelper(Op->NodeType) + "(" + Buf + ", " +
-             (CR.Off.defined() ? emit(CR.Off) : "0") + ", " +
-             emit(CR.Base) + ", " + emit(CR.Lo) + ", " + emit(CR.Hi) + ")";
-    return vectorGatherHelper(Op->NodeType, Op->Index.type()) + "(" + Buf +
-           ", " + emit(Op->Index) + ")";
+    Expr Off;
+    ClampedTap Tap;
+    if (matchClampedTap(Op->Index, &Off, &Tap))
+      return vectorClampedLoadHelper(T, Tap.Stride) + "(" + Buf + ", " +
+             (Off.defined() ? emit(Off) : "0") + ", " + Tap.Base + ", " +
+             Tap.Lo + ", " + Tap.Hi + ")";
+    return vectorGatherHelper(T, Op->Index.type()) + "(" + Buf + ", " +
+           emit(Op->Index) + ")";
+  }
+
+  /// Emits a let's value as a C constant and returns its name. A vector
+  /// let bound to a clamped ramp first captures the ramp's base and bounds
+  /// in scalar constants, returned in *Tap, so a load whose index names
+  /// the let reads them as they were here, even where a name they use has
+  /// been rebound since. *Tap has stride 0 for any other let, which hides
+  /// an outer clamped let of the same name.
+  std::string emitLet(const std::string &Name, const Expr &Value,
+                      ClampedTap *Tap) {
+    std::string CValue;
+    ClampedRamp CR;
+    if (Value.type().isVector() && matchClampedRamp(Value, &CR)) {
+      auto Capture = [&](const Expr &E, const char *Suffix) {
+        std::string V = emit(E), C = freshName(Name + Suffix);
+        line("const int32_t " + C + " = " + V + ";");
+        return C;
+      };
+      *Tap = {Capture(CR.Base, "_base"), Capture(CR.Lo, "_lo"),
+              Capture(CR.Hi, "_hi"), CR.Stride};
+      Type T = Value.type();
+      auto Bound = [&](const char *Op, const std::string &Lanes,
+                       const std::string &X) {
+        return vectorOpHelper(T, Op) + "(" + Lanes + ", " +
+               vectorSplatHelper(T) + "(" + X + "))";
+      };
+      std::string Lanes = vectorRampHelper(T) + "(" + Tap->Base + ", " +
+                          emit(IntImm::make(Int(32), CR.Stride)) + ")";
+      CValue = CR.MinOuter
+                   ? Bound("min", Bound("max", Lanes, Tap->Lo), Tap->Hi)
+                   : Bound("max", Bound("min", Lanes, Tap->Hi), Tap->Lo);
+      if (CR.MinOuter)
+        Tap->Lo = maxOuterLo(Tap->Lo, Tap->Hi);
+    } else {
+      CValue = emit(Value);
+    }
+    std::string CName = freshName(Name);
+    line("const " + cTypeOf(Value.type()) + " " + CName + " = " + CValue +
+         ";");
+    return CName;
   }
 
   //===------------------------------------------------------------------===//
@@ -1208,13 +1342,12 @@ private:
     switch (S->Kind) {
     case IRNodeKind::LetStmt: {
       const LetStmt *Op = S.as<LetStmt>();
-      std::string Value = emit(Op->Value);
-      std::string CName = freshName(Op->Name);
-      line("const " + cTypeOf(Op->Value.type()) + " " + CName + " = " +
-           Value + ";");
+      ClampedTap Tap;
+      std::string CName = emitLet(Op->Name, Op->Value, &Tap);
       ScopedBinding<std::string> Bind(VarNames, Op->Name, CName);
       ScopedBinding<std::string> BindType(VarTypes, Op->Name,
                                           cTypeOf(Op->Value.type()));
+      ScopedBinding<ClampedTap> BindTap(ClampedLets, Op->Name, Tap);
       emitStmt(Op->Body);
       return;
     }
@@ -1399,10 +1532,14 @@ private:
                 << ExtNames[I] << ";\n";
     StructDef << "  const hl_vtable *rt;\n} " << StructName << ";\n";
 
-    // Emit the body function into its own buffer.
+    // Emit the body function into its own buffer. The launch site's
+    // clamped-ramp constants are not captured, so in the body a load
+    // through one of its vector lets is a gather.
     std::ostringstream FnBody;
     std::ostringstream *SavedBody = Body;
     int SavedIndent = Indent;
+    Scope<ClampedTap> SavedLets = std::move(ClampedLets);
+    ClampedLets = {};
     Body = &FnBody;
     Indent = 1;
 
@@ -1461,6 +1598,7 @@ private:
 
     Body = SavedBody;
     Indent = SavedIndent;
+    ClampedLets = std::move(SavedLets);
 
     FunctionText << StructDef.str();
     FunctionText << "static void " << FnNameC
@@ -1599,6 +1737,7 @@ private:
   Scope<std::string> VarTypes;  // IR name -> C type (for closures)
   Scope<std::string> BufferPointers;
   Scope<std::string> BufferTypes;
+  Scope<ClampedTap> ClampedLets; // let name -> its clamped ramp's C parts
 };
 
 } // namespace
@@ -1607,4 +1746,34 @@ std::string halide::codegenC(const LoweredPipeline &P,
                              const std::string &FnName) {
   CodeGen CG(P, FnName);
   return CG.run();
+}
+
+VectorLoadCounts halide::countVectorLoads(const std::string &Source) {
+  // The calls start where the helpers end: at the first closure or at the
+  // pipeline function.
+  size_t At = std::min(Source.find("\ntypedef struct hl_closure_"),
+                       Source.find("\nint32_t "));
+  VectorLoadCounts Counts;
+  while ((At = Source.find("hl_", At)) != std::string::npos) {
+    size_t End = At;
+    while (End < Source.size() &&
+           (std::isalnum((unsigned char)Source[End]) || Source[End] == '_'))
+      ++End;
+    const std::string Name = Source.substr(At, End - At);
+    At = End;
+    auto EndsWith = [&](const char *Suffix) {
+      size_t N = std::strlen(Suffix);
+      return Name.size() >= N && Name.compare(Name.size() - N, N, Suffix) == 0;
+    };
+    if (End == Source.size() || Source[End] != '(')
+      continue;
+    if (Name.find("_gather_") != std::string::npos)
+      ++Counts.Gathers;
+    else if (Name.find("_load_clamped") != std::string::npos)
+      ++Counts.Clamped;
+    else if (EndsWith("_load_s2") || EndsWith("_load_rev_s2") ||
+             EndsWith("_load_strided"))
+      ++Counts.Strided;
+  }
+  return Counts;
 }

@@ -7,10 +7,13 @@
 /// \file
 /// Emits a lowered pipeline as a self-contained C99 translation unit
 /// (DESIGN.md substitution 1: the host C compiler stands in for the paper's
-/// LLVM backend). Vector IR is emitted through fixed-width vector structs
-/// with per-lane helper functions that the host compiler re-vectorizes;
-/// dense stride-1 ramp loads/stores become contiguous memcpys, strided and
-/// gathered accesses are classified exactly as in paper section 4.5.
+/// LLVM backend). Vector IR is emitted as GCC/clang native vectors
+/// (fixed-width structs for other lane counts) through small helper
+/// functions. Each vector load index is classified as in paper section
+/// 4.5: dense and reversed ramps become contiguous loads, stride ±2 ramps
+/// two overlapping loads and a shuffle, clamped stride ±1/±2 ramps a
+/// dense or shuffled load guarded by an inline interior test, and
+/// anything else a gather.
 /// Parallel loops compile to closure structs plus a body function handed to
 /// the runtime's work-stealing task scheduler (section 4.6); GPU block loops
 /// compile to simulated-device kernel launches.
@@ -34,6 +37,16 @@ namespace halide {
 /// Renders the complete C source for \p P. \p FnName must be a valid C
 /// identifier.
 std::string codegenC(const LoweredPipeline &P, const std::string &FnName);
+
+/// The vector loads of C that codegenC emitted, by the shape each index
+/// was classified as, counted from the helper calls outside the helper
+/// definitions: gathers (`_gather_`), clamped loads (`_load_clamped`, any
+/// stride) and strided loads (`_load_s2`, `_load_rev_s2`, or
+/// `_load_strided` for any other stride). Dense loads are not counted.
+struct VectorLoadCounts {
+  int Gathers = 0, Clamped = 0, Strided = 0;
+};
+VectorLoadCounts countVectorLoads(const std::string &Source);
 
 } // namespace halide
 

@@ -11,8 +11,11 @@
 #include "apps/Apps.h"
 #include "codegen/CodeGenC.h"
 
+#include <cctype>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <map>
+#include <sstream>
 
 using namespace halide;
 
@@ -219,6 +222,103 @@ TEST(AppsTest, JitAtDefaultFlagsMatchesVm) {
       SCOPED_TRACE(A.Name + (Tuned ? " tuned" : " breadth_first"));
       (Tuned ? A.ScheduleTuned : A.ScheduleBreadthFirst)();
       expectJitMatchesVm(A, Target::jit());
+    }
+}
+
+namespace {
+
+/// Each function definition of emitted C, from its `static` line to its
+/// closing brace.
+std::vector<std::string> staticDefinitions(const std::string &C) {
+  std::vector<std::string> Defs;
+  for (size_t At = C.find("\nstatic "); At != std::string::npos;
+       At = C.find("\nstatic ", At + 1)) {
+    size_t LineEnd = C.find('\n', At + 1);
+    size_t End = C[LineEnd - 1] == '}' ? LineEnd : C.find("\n}", At) + 2;
+    Defs.push_back(C.substr(At + 1, End - At - 1));
+  }
+  return Defs;
+}
+
+/// The buffer each gather of emitted C reads (its first argument).
+std::vector<std::string> gatheredBuffers(const std::string &C) {
+  std::vector<std::string> Buffers;
+  for (size_t At = C.find("_gather_i32("); At != std::string::npos;
+       At = C.find("_gather_i32(", At + 1)) {
+    size_t Arg = At + std::strlen("_gather_i32(");
+    std::string Buffer = C.substr(Arg, C.find(',', Arg) - Arg);
+    if (Buffer.rfind("const ", 0) != 0) // not the definition
+      Buffers.push_back(Buffer);
+  }
+  return Buffers;
+}
+
+} // namespace
+
+TEST(AppsTest, VectorLoadsAreStraightLineSimd) {
+  // Every registered program's vector loads: no inline load or gather
+  // helper keeps a lane loop (the clamped edge lanes go out of line), and no
+  // conversion starts from a vector narrower than 128 bits (GCC splits
+  // those). The stride-2 taps of camera_pipe's Bayer deinterleave and
+  // interpolate's downsampling are shuffled loads, not gathers; tuned
+  // interpolate gathers only its x/2 upsample taps from coarser levels.
+  std::vector<App> Apps = paperApps();
+  Apps.push_back(makeHistogramEqualizeApp());
+  for (App &A : Apps)
+    for (auto [Name, Apply] :
+         {std::pair{"breadth_first", A.ScheduleBreadthFirst},
+          std::pair{"tuned", A.ScheduleTuned},
+          std::pair{"gpu", A.ScheduleGpu}}) {
+      if (!Apply)
+        continue;
+      SCOPED_TRACE(A.Name + " " + Name);
+      Apply();
+      const std::string C =
+          codegenC(Pipeline(A.Output).lowerPipeline(), "hl_pipeline");
+      // Native vector typedefs ("typedef uint8_t hl_u8x8
+      // __attribute__((vector_size(8)));") and their bytes.
+      std::map<std::string, int> VectorBytes;
+      for (size_t At = C.find("\ntypedef "); At != std::string::npos;
+           At = C.find("\ntypedef ", At + 1)) {
+        std::istringstream Line(C.substr(At, C.find('\n', At + 1) - At));
+        std::string Typedef, Elem, Type, Attribute;
+        Line >> Typedef >> Elem >> Type >> Attribute;
+        if (Attribute.rfind("__attribute__((vector_size(", 0) == 0)
+          VectorBytes[Type] = std::stoi(Attribute.substr(27));
+      }
+      for (const std::string &Def : staticDefinitions(C)) {
+        const std::string Fn = Def.substr(0, Def.find('('));
+        if (Def.rfind("static inline ", 0) == 0 &&
+            (Fn.find("_load") != std::string::npos ||
+             Fn.find("_gather_") != std::string::npos)) {
+          EXPECT_EQ(Def.find("for ("), std::string::npos) << Def;
+        }
+        const std::string Convert = "__builtin_convertvector(";
+        for (size_t At = Def.find(Convert); At != std::string::npos;
+             At = Def.find(Convert, At + 1)) {
+          size_t Arg = At + Convert.size();
+          std::string Var = Def.substr(Arg, Def.find(',', Arg) - Arg);
+          for (const auto &[Type, Bytes] : VectorBytes)
+            for (const char *After : {")", ",", " ="})
+              if (Def.find(Type + " " + Var + After) != std::string::npos) {
+                EXPECT_GE(Bytes, 16) << Def;
+              }
+        }
+      }
+      if (std::string(Name) != "tuned")
+        continue;
+      const std::vector<std::string> Gathered = gatheredBuffers(C);
+      if (A.Name == "camera_pipe") {
+        for (const std::string &Buffer : Gathered)
+          EXPECT_EQ(Buffer.rfind("cam_curve", 0), 0u) << Buffer;
+      }
+      if (A.Name == "interpolate") {
+        EXPECT_LE(Gathered.size(), 13u);
+        for (const std::string &Buffer : Gathered)
+          EXPECT_TRUE(Buffer.rfind("interp", 0) == 0 &&
+                      std::isdigit((unsigned char)Buffer[6]))
+              << Buffer;
+      }
     }
 }
 

@@ -8,6 +8,8 @@
 //    In(clamp(x+dx, 0, W-1), y) lowers to) classify as a clamped dense
 //    load — memcpy in the interior, per-lane clamp at the edges — not a
 //    gather, and execute correctly at both.
+//  - Stride-2 loads, clamped or not, read nothing past the image's last
+//    element: an image that ends at a PROT_NONE page runs on jit_c.
 //  - The VM compiles unit-stride ramp accesses to the dense lane-group
 //    memory opcodes.
 //  - Vector floor div/mod semantics agree bit for bit across the
@@ -37,7 +39,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 using namespace halide;
 
@@ -201,6 +207,94 @@ TEST(VectorSimdTest, ClampedRampExecutesCorrectlyAtBoundaries) {
       ASSERT_EQ(FromVm(X, Y), Want) << "vm at (" << X << "," << Y << ")";
       ASSERT_EQ(FromJit(X, Y), Want) << "jit at (" << X << "," << Y << ")";
     }
+}
+
+namespace {
+
+/// A one-row uint8 image of width W whose storage ends where a PROT_NONE
+/// page begins, so reading one element past it faults.
+class GuardedRow {
+public:
+  explicit GuardedRow(int W) {
+    Page = size_t(sysconf(_SC_PAGESIZE));
+    Map = mmap(nullptr, 2 * Page, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    EXPECT_NE(Map, MAP_FAILED);
+    EXPECT_EQ(mprotect(static_cast<char *>(Map) + Page, Page, PROT_NONE), 0);
+    uint8_t *Row = static_cast<uint8_t *>(Map) + Page - W;
+    for (int X = 0; X < W; ++X)
+      Row[X] = uint8_t(X * 37 + 11);
+    Image.Host = Row;
+    Image.ElemType = UInt(8);
+    Image.Dimensions = 2;
+    Image.Dim[0] = {0, W, 1};
+    Image.Dim[1] = {0, 1, W};
+  }
+  ~GuardedRow() { munmap(Map, 2 * Page); }
+
+  RawBuffer Image;
+
+private:
+  size_t Page = 0;
+  void *Map = nullptr;
+};
+
+} // namespace
+
+TEST(VectorSimdTest, ShapedLoadsReadNothingPastTheImage) {
+  // Each tap reads the image's last element from its last lane group, at
+  // a width W where that group is interior (its dense or stride-2 load
+  // ends exactly at the guard page), and the clamped taps also at a width
+  // where every lane group takes the per-lane edge path. jit_c must equal
+  // the VM without touching the guard page.
+  struct Case {
+    const char *Shape; ///< the load helper the tap must classify as
+    std::function<Expr(ImageParam &, Expr)> Tap;
+    int Width, ImageWidth;
+  };
+  auto Clamped = [](ImageParam &In, Expr X) {
+    return In(clamp(X, 0, In.width() - 1), 0);
+  };
+  const Case Cases[] = {
+      {"_load_s2(", [](ImageParam &In, Expr X) { return In(X * 2 + 1, 0); },
+       32, 64},
+      {"_load_clamped(",
+       [&](ImageParam &In, Expr X) { return Clamped(In, X + 32); }, 32, 64},
+      {"_load_clamped(",
+       [&](ImageParam &In, Expr X) { return Clamped(In, X - 3); }, 16, 5},
+      {"_load_clamped_s2(",
+       [&](ImageParam &In, Expr X) { return Clamped(In, X * 2 + 1); }, 32,
+       64},
+      {"_load_clamped_s2(",
+       [&](ImageParam &In, Expr X) { return Clamped(In, X * 2 + 1); }, 16,
+       9},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(std::string(C.Shape) + " width " + std::to_string(C.Width) +
+                 " of an image " + std::to_string(C.ImageWidth) + " wide");
+    ImageParam In(UInt(8), 2, "vor_in");
+    Var x("x"), y("y");
+    Func F("vor_out");
+    F(x, y) = cast(Int(32), C.Tap(In, x)) + y;
+    F.vectorize(x, 8);
+    LoweredPipeline LP = lower(F.function());
+    std::string Source = codegenC(LP, "test_fn");
+    EXPECT_NE(Source.find(C.Shape), std::string::npos);
+    EXPECT_EQ(Source.find("_gather"), std::string::npos);
+
+    GuardedRow Row(C.ImageWidth);
+    Buffer<int32_t> FromVm(C.Width, 1), FromJit(C.Width, 1);
+    auto Run = [&](const auto &Exe, Buffer<int32_t> &Out) {
+      ParamBindings P;
+      P.bind("vor_in", Row.Image);
+      P.bind(F.name(), Out);
+      ASSERT_EQ(Exe->run(P), 0);
+    };
+    Run(vmCompile(LP), FromVm);
+    Run(jitCompile(LP), FromJit);
+    for (int X = 0; X < C.Width; ++X)
+      ASSERT_EQ(FromJit(X, 0), FromVm(X, 0)) << "at " << X;
+  }
 }
 
 TEST(VectorSimdTest, VmCompilesUnitStrideRampsToDenseOps) {
