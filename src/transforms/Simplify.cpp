@@ -299,45 +299,14 @@ protected:
     Expr A = mutate(Op->A), B = mutate(Op->B);
     if (Expr V = vectorBinaryRule<Min>(A, B); V.defined())
       return V;
-    Expr Raw = min(A, B);
-    const Min *M = Raw.as<Min>();
-    if (!M)
-      return Raw;
-    if (equal(M->A, M->B))
-      return M->A;
-    int64_t Delta;
-    if (constDifference(M->A, M->B, &Delta))
-      return Delta <= 0 ? M->A : M->B;
-    // min(min(x, c1), c2) -> min(x, min(c1, c2))
-    if (const Min *Inner = M->A.as<Min>()) {
-      if (isConst(Inner->B) && isConst(M->B))
-        return min(Inner->A, min(Inner->B, M->B));
-      if (equal(Inner->A, M->B) || equal(Inner->B, M->B))
-        return M->A;
-    }
-    return Raw;
+    return minMaxOf<Min>(A, B);
   }
 
   Expr visit(const Max *Op) override {
     Expr A = mutate(Op->A), B = mutate(Op->B);
     if (Expr V = vectorBinaryRule<Max>(A, B); V.defined())
       return V;
-    Expr Raw = max(A, B);
-    const Max *M = Raw.as<Max>();
-    if (!M)
-      return Raw;
-    if (equal(M->A, M->B))
-      return M->A;
-    int64_t Delta;
-    if (constDifference(M->A, M->B, &Delta))
-      return Delta >= 0 ? M->A : M->B;
-    if (const Max *Inner = M->A.as<Max>()) {
-      if (isConst(Inner->B) && isConst(M->B))
-        return max(Inner->A, max(Inner->B, M->B));
-      if (equal(Inner->A, M->B) || equal(Inner->B, M->B))
-        return M->A;
-    }
-    return Raw;
+    return minMaxOf<Max>(A, B);
   }
 
   Expr visit(const EQ *Op) override { return compareRule<EQ>(Op); }
@@ -530,6 +499,77 @@ private:
   ///   op(Broadcast(a), Broadcast(b)) -> Broadcast(op(a, b))
   ///   Add/Sub(Ramp, Broadcast)       -> Ramp with adjusted base
   ///   Mul(Ramp, Broadcast)           -> Ramp with scaled base and stride
+  /// The simplified min (NodeT = Min) or max of simplified operands.
+  template <typename NodeT> Expr minMaxOf(const Expr &A, const Expr &B) {
+    constexpr bool IsMax = NodeT::StaticKind == IRNodeKind::Max;
+    Expr Raw = IsMax ? max(A, B) : min(A, B);
+    const NodeT *M = Raw.as<NodeT>();
+    if (!M)
+      return Raw;
+    if (equal(M->A, M->B))
+      return M->A;
+    int64_t Delta;
+    if (constDifference(M->A, M->B, &Delta))
+      return (IsMax ? Delta >= 0 : Delta <= 0) ? M->A : M->B;
+    if (const NodeT *Inner = M->A.template as<NodeT>()) {
+      // min(min(x, c1), c2) -> min(x, min(c1, c2))
+      if (isConst(Inner->B) && isConst(M->B))
+        return IsMax ? max(Inner->A, max(Inner->B, M->B))
+                     : min(Inner->A, min(Inner->B, M->B));
+      if (equal(Inner->A, M->B) || equal(Inner->B, M->B))
+        return M->A;
+    }
+    // On floats a NaN operand makes neither rule below exact.
+    if (Raw.type().isFloat())
+      return Raw;
+    // An operand already anywhere in the other operand's chain.
+    if (inChain<NodeT>(M->A, M->B))
+      return M->A;
+    if (inChain<NodeT>(M->B, M->A))
+      return M->B;
+    // A clamp is monotone, so it commutes with min and max:
+    // min(max(min(a, e), c), max(min(b, e), c)) -> max(min(min(a, b), e), c)
+    if (Expr E = mergeClamps<NodeT, Max, Min>(M->A, M->B); E.defined())
+      return E;
+    if (Expr E = mergeClamps<NodeT, Min, Max>(M->A, M->B); E.defined())
+      return E;
+    return Raw;
+  }
+
+  /// True if \p E is \p Chain or one of the operands of its NodeT chain.
+  template <typename NodeT>
+  static bool inChain(const Expr &Chain, const Expr &E) {
+    if (const NodeT *N = Chain.as<NodeT>())
+      return inChain<NodeT>(N->A, E) || inChain<NodeT>(N->B, E);
+    return equal(Chain, E);
+  }
+
+  /// NodeT(f(a), f(b)) as f(NodeT(a, b)) when \p P and \p Q are one clamp
+  /// f = OuterT(InnerT(_, e), c) of a and b, in any operand order;
+  /// undefined otherwise.
+  template <typename NodeT, typename OuterT, typename InnerT>
+  Expr mergeClamps(const Expr &P, const Expr &Q) {
+    auto Parts = [](const Expr &E, Expr *Bound) -> const InnerT * {
+      const OuterT *O = E.as<OuterT>();
+      if (!O)
+        return nullptr;
+      *Bound = O->A.template as<InnerT>() ? O->B : O->A;
+      return O->A.template as<InnerT>() ? O->A.template as<InnerT>()
+                                        : O->B.template as<InnerT>();
+    };
+    Expr PC, QC;
+    const InnerT *PI = Parts(P, &PC), *QI = Parts(Q, &QC);
+    if (!PI || !QI || !equal(PC, QC))
+      return Expr();
+    for (const auto &[PX, PE] : {std::pair{PI->A, PI->B}, std::pair{PI->B, PI->A}})
+      for (const auto &[QX, QE] :
+           {std::pair{QI->A, QI->B}, std::pair{QI->B, QI->A}})
+        if (equal(PE, QE))
+          return minMaxOf<OuterT>(
+              minMaxOf<InnerT>(minMaxOf<NodeT>(PX, QX), PE), PC);
+    return Expr();
+  }
+
   template <typename NodeT>
   Expr vectorBinaryRule(const Expr &A, const Expr &B) {
     const Broadcast *BA = A.as<Broadcast>();

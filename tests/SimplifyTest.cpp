@@ -299,3 +299,61 @@ TEST_P(SimplifyPropertyTest, SimplifyPreservesValue) {
 
 INSTANTIATE_TEST_SUITE_P(RandomExprs, SimplifyPropertyTest,
                          ::testing::Range(0, 60));
+
+TEST(SimplifyTest, ClampedTapsMergeIntoOneClamp) {
+  // An input check over a stencil's clamped taps is a min (or max) of
+  // clamps with the same bounds; a clamp is monotone, so the chain is the
+  // clamp of the extreme tap.
+  Expr X = var("x"), E = var("e");
+  auto Tap = [&](int Dx) { return clamp(X + Dx, 0, E); };
+  Expr Lowest = min(min(min(Tap(1), Tap(-1)), Tap(0)), Tap(2));
+  EXPECT_TRUE(equal(simplify(Lowest), simplify(Tap(-1))))
+      << exprToString(simplify(Lowest));
+  Expr Highest = max(max(max(Tap(1), Tap(-1)), Tap(0)), Tap(2));
+  EXPECT_TRUE(equal(simplify(Highest), simplify(Tap(2))))
+      << exprToString(simplify(Highest));
+  // Symbolic taps merge inside the clamp: min(max(min(a, e), 0),
+  // max(min(b, e), 0)) -> max(min(min(a, b), e), 0).
+  Expr A = var("a"), B = var("b");
+  EXPECT_TRUE(equal(simplify(min(clamp(A, 0, E), clamp(B, 0, E))),
+                    max(min(min(A, B), E), Expr(0))));
+  // The min-outer form merges the same way.
+  auto MinOuter = [&](Expr V) { return min(max(V, 0), E); };
+  EXPECT_TRUE(equal(simplify(min(MinOuter(A), MinOuter(B))),
+                    MinOuter(min(A, B))));
+  // Clamps with different bounds stay apart.
+  Expr Apart = simplify(min(clamp(A, 0, E), clamp(B, 1, E)));
+  EXPECT_NE(Apart.as<Min>(), nullptr) << exprToString(Apart);
+  // Each rewrite keeps the value, including where the bounds cross.
+  for (Expr Chain : {Lowest, Highest, min(clamp(A, 0, E), clamp(B, 0, E)),
+                     max(MinOuter(A), MinOuter(B))})
+    for (int AV : {-3, 0, 4})
+      for (int BV : {-1, 2, 9})
+        for (int EV : {-2, 3}) {
+          std::map<std::string, Expr> At = {{"a", Expr(AV)},
+                                            {"b", Expr(BV)},
+                                            {"x", Expr(AV)},
+                                            {"e", Expr(EV)}};
+          int64_t Want, Got;
+          ASSERT_TRUE(asConstInt(simplify(substitute(At, Chain)), &Want));
+          ASSERT_TRUE(
+              asConstInt(simplify(substitute(At, simplify(Chain))), &Got));
+          EXPECT_EQ(Got, Want) << exprToString(Chain);
+        }
+}
+
+TEST(SimplifyTest, RepeatedOperandAnywhereInAChainIsDropped) {
+  Expr A = var("a"), B = var("b"), C = var("c");
+  Expr Chain = simplify(min(min(A, B), C));
+  EXPECT_TRUE(equal(simplify(min(Chain, A)), Chain));
+  EXPECT_TRUE(equal(simplify(min(B, Chain)), Chain));
+  EXPECT_TRUE(equal(simplify(max(max(max(A, B), C), B)),
+                    simplify(max(max(A, B), C))));
+  // On floats a NaN in the chain makes the shortened chain differ, so
+  // only the immediate inner pair is checked there.
+  Expr FA = Variable::make(Float(32), "fa"), FB = Variable::make(Float(32), "fb"),
+       FC = Variable::make(Float(32), "fc");
+  Expr FloatChain = simplify(min(min(min(FA, FB), FC), FA));
+  EXPECT_NE(FloatChain.as<Min>(), nullptr);
+  EXPECT_TRUE(equal(FloatChain.as<Min>()->B, FA)) << exprToString(FloatChain);
+}
