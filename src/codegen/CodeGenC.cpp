@@ -544,7 +544,7 @@ private:
   /// Offset from the first lane's element to the lowest one a ramp of
   /// \p Stride over \p Lanes reads (0, or Stride * (Lanes - 1) if that is
   /// negative): the shaped loads take a pointer to the lowest element.
-  static int lowestLane(int Stride, int Lanes) {
+  static int lowestOffset(int Stride, int Lanes) {
     return Stride < 0 ? Stride * (Lanes - 1) : 0;
   }
 
@@ -578,14 +578,11 @@ private:
                                                      : Elem(Lane) + 1);
       Body += ");\n}";
     } else {
-      Body = "  " + VT + " r;\n" +
-             laneLoop(L, "r.v[l] = p[" +
-                             (Stride > 0 ? "l * " + std::to_string(Step)
-                                         : "(" + std::to_string(L - 1) +
-                                               " - l) * " +
-                                               std::to_string(Step)) +
-                             "];") +
-             "  return r;\n}";
+      Body = laneReads(T, false, [&](const std::string &Lane) {
+        return std::to_string(Step) + " * " +
+               (Stride > 0 ? Lane
+                           : "(" + std::to_string(L - 1) + " - " + Lane + ")");
+      });
     }
     needHelper(Name, "static inline " + VT + " " + Name + "(const " + CT +
                          " *p) {\n" + Body);
@@ -629,7 +626,7 @@ private:
   /// or ±2: the shape a stencil tap under a clamped boundary lowers to.
   /// clamp() builds max(min(x, Hi), Lo), but the simplifier keeps either
   /// nesting; a min-outer min(max(x, Lo), Hi) equals max(min(x, Hi),
-  /// min(Lo, Hi)), so it is recorded with that Lo.
+  /// min(Lo, Hi)), so its tap passes min(Lo, Hi) as lo (maxOuterLo).
   struct ClampedRamp {
     Expr Base, Lo, Hi;
     int Stride = 0;
@@ -762,7 +759,7 @@ private:
                                 "; i = i > hi ? hi : i; i = i < lo ? lo : i; " +
                                 laneRef(T, "r", "l") + " = p[off + i]; }") +
                    "  return r;\n}");
-    const int Low = lowestLane(Stride, T.Lanes);
+    const int Low = lowestOffset(Stride, T.Lanes);
     const int High = Stride * (T.Lanes - 1) - Low;
     auto Lane = [](int Offset) {
       return Offset ? (Offset > 0 ? " + " : " - ") +
@@ -1117,7 +1114,7 @@ private:
     if (const Ramp *R = Op->Index.as<Ramp>()) {
       int64_t Stride;
       if (asConstInt(R->Stride, &Stride) && isShapedStride(Stride)) {
-        int Low = lowestLane(int(Stride), T.Lanes);
+        int Low = lowestOffset(int(Stride), T.Lanes);
         return vectorLoadHelper(T, int(Stride)) + "(&" + Buf + "[" +
                (Low ? "(" + emit(R->Base) + ") - " + std::to_string(-Low)
                     : emit(R->Base)) +

@@ -3,7 +3,8 @@
 // For every paper app: the tuned (and GPU) schedules must produce output
 // identical to the breadth-first schedule — the schedule can never change
 // the meaning of the algorithm. And jit_c, built with the production
-// host-cc flags, must reproduce the VM for every app and schedule.
+// host-cc flags, must reproduce the VM for every app and schedule, from C
+// whose vector loads are straight-line SIMD.
 //
 //===----------------------------------------------------------------------===//
 

@@ -246,11 +246,12 @@ TEST(VectorSimdTest, ShapedLoadsReadNothingPastTheImage) {
   // a width W where that group is interior (its dense or stride-2 load
   // ends exactly at the guard page), and the clamped taps also at a width
   // where every lane group takes the per-lane edge path. jit_c must equal
-  // the VM without touching the guard page.
+  // the VM without touching the guard page, with native vectors (8 lanes)
+  // and with the struct fallback (6 lanes).
   struct Case {
     const char *Shape; ///< the load helper the tap must classify as
     std::function<Expr(ImageParam &, Expr)> Tap;
-    int Width, ImageWidth;
+    int Width, ImageWidth, Lanes = 8;
   };
   auto Clamped = [](ImageParam &In, Expr X) {
     return In(clamp(X, 0, In.width() - 1), 0);
@@ -268,15 +269,24 @@ TEST(VectorSimdTest, ShapedLoadsReadNothingPastTheImage) {
       {"_load_clamped_s2(",
        [&](ImageParam &In, Expr X) { return Clamped(In, X * 2 + 1); }, 16,
        9},
+      {"_load_s2(", [](ImageParam &In, Expr X) { return In(X * 2 + 1, 0); },
+       24, 48, 6},
+      {"_load_clamped_s2(",
+       [&](ImageParam &In, Expr X) { return Clamped(In, X * 2 + 1); }, 24,
+       48, 6},
+      {"_load_clamped_s2(",
+       [&](ImageParam &In, Expr X) { return Clamped(In, X * 2 + 1); }, 12,
+       9, 6},
   };
   for (const Case &C : Cases) {
     SCOPED_TRACE(std::string(C.Shape) + " width " + std::to_string(C.Width) +
-                 " of an image " + std::to_string(C.ImageWidth) + " wide");
+                 " of an image " + std::to_string(C.ImageWidth) + " wide, " +
+                 std::to_string(C.Lanes) + " lanes");
     ImageParam In(UInt(8), 2, "vor_in");
     Var x("x"), y("y");
     Func F("vor_out");
     F(x, y) = cast(Int(32), C.Tap(In, x)) + y;
-    F.vectorize(x, 8);
+    F.vectorize(x, C.Lanes);
     LoweredPipeline LP = lower(F.function());
     std::string Source = codegenC(LP, "test_fn");
     EXPECT_NE(Source.find(C.Shape), std::string::npos);
