@@ -749,28 +749,28 @@ private:
                                " *p, int32_t off, int32_t base, int32_t lo, "
                                "int32_t hi) {\n";
     std::string Edge = VT + "_clamp_edge" + Suffix;
+    const std::string Lane =
+        Stride == 1 ? "l" : "l * " + std::to_string(Stride);
     needHelper(Edge,
                "static __attribute__((noinline, cold)) " + VT + " " + Edge +
                    Params + "  " + VT + " r;\n" +
                    laneLoop(T.Lanes,
-                            "{ int64_t i = (int64_t)base + " +
-                                (Stride == 1 ? std::string("l")
-                                             : "l * " + std::to_string(Stride)) +
+                            "{ int64_t i = (int64_t)base + " + Lane +
                                 "; i = i > hi ? hi : i; i = i < lo ? lo : i; " +
                                 laneRef(T, "r", "l") + " = p[off + i]; }") +
                    "  return r;\n}");
     const int Low = lowestOffset(Stride, T.Lanes);
     const int High = Stride * (T.Lanes - 1) - Low;
-    auto Lane = [](int Offset) {
+    auto Plus = [](int Offset) {
       return Offset ? (Offset > 0 ? " + " : " - ") +
                           std::to_string(Offset > 0 ? Offset : -Offset)
                     : std::string();
     };
     needHelper(Name, "static inline " + VT + " " + Name + Params +
-                         "  if ((int64_t)lo <= (int64_t)base" + Lane(Low) +
-                         " && (int64_t)base" + Lane(High) + " <= hi)\n" +
+                         "  if ((int64_t)lo <= (int64_t)base" + Plus(Low) +
+                         " && (int64_t)base" + Plus(High) + " <= hi)\n" +
                          "    return " + vectorLoadHelper(T, Stride) +
-                         "(p + (off + base" + Lane(Low) + "));\n" +
+                         "(p + (off + base" + Plus(Low) + "));\n" +
                          "  return " + Edge + "(p, off, base, lo, hi);\n}");
     return Name;
   }
@@ -809,12 +809,12 @@ private:
     std::string VT = vecCType(T), CT = scalarCType(T.element());
     std::string IVT = vecCType(IndexT);
     std::string Name = VT + "_gather_" + typeTag(IndexT.element());
+    const bool Native = nativeVectorOk(T) && nativeVectorOk(IndexT);
     needHelper(Name, "static inline " + VT + " " + Name + "(const " + CT +
                          " *p, " + IVT + " idx) {\n" +
-                         laneReads(T, nativeVectorOk(T) && nativeVectorOk(IndexT),
-                                   [&](const std::string &L) {
-                                     return laneRef(IndexT, "idx", L);
-                                   }));
+                         laneReads(T, Native, [&](const std::string &L) {
+                           return laneRef(IndexT, "idx", L);
+                         }));
     return Name;
   }
 

@@ -495,10 +495,6 @@ private:
            Value.as<Broadcast>() != nullptr || Value.as<Ramp>() != nullptr;
   }
 
-  /// Broadcast/Ramp algebra, shared by the elementwise binary visits:
-  ///   op(Broadcast(a), Broadcast(b)) -> Broadcast(op(a, b))
-  ///   Add/Sub(Ramp, Broadcast)       -> Ramp with adjusted base
-  ///   Mul(Ramp, Broadcast)           -> Ramp with scaled base and stride
   /// The simplified min (NodeT = Min) or max of simplified operands.
   template <typename NodeT> Expr minMaxOf(const Expr &A, const Expr &B) {
     constexpr bool IsMax = NodeT::StaticKind == IRNodeKind::Max;
@@ -561,7 +557,8 @@ private:
     const InnerT *PI = Parts(P, &PC), *QI = Parts(Q, &QC);
     if (!PI || !QI || !equal(PC, QC))
       return Expr();
-    for (const auto &[PX, PE] : {std::pair{PI->A, PI->B}, std::pair{PI->B, PI->A}})
+    for (const auto &[PX, PE] :
+         {std::pair{PI->A, PI->B}, std::pair{PI->B, PI->A}})
       for (const auto &[QX, QE] :
            {std::pair{QI->A, QI->B}, std::pair{QI->B, QI->A}})
         if (equal(PE, QE))
@@ -570,6 +567,10 @@ private:
     return Expr();
   }
 
+  /// Broadcast/Ramp algebra, shared by the elementwise binary visits:
+  ///   op(Broadcast(a), Broadcast(b)) -> Broadcast(op(a, b))
+  ///   Add/Sub(Ramp, Broadcast)       -> Ramp with adjusted base
+  ///   Mul(Ramp, Broadcast)           -> Ramp with scaled base and stride
   template <typename NodeT>
   Expr vectorBinaryRule(const Expr &A, const Expr &B) {
     const Broadcast *BA = A.as<Broadcast>();

@@ -351,8 +351,9 @@ TEST(SimplifyTest, RepeatedOperandAnywhereInAChainIsDropped) {
                     simplify(max(max(A, B), C))));
   // On floats a NaN in the chain makes the shortened chain differ, so
   // only the immediate inner pair is checked there.
-  Expr FA = Variable::make(Float(32), "fa"), FB = Variable::make(Float(32), "fb"),
-       FC = Variable::make(Float(32), "fc");
+  Expr FA = Variable::make(Float(32), "fa");
+  Expr FB = Variable::make(Float(32), "fb");
+  Expr FC = Variable::make(Float(32), "fc");
   Expr FloatChain = simplify(min(min(min(FA, FB), FC), FA));
   EXPECT_NE(FloatChain.as<Min>(), nullptr);
   EXPECT_TRUE(equal(FloatChain.as<Min>()->B, FA)) << exprToString(FloatChain);
