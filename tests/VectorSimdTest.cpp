@@ -277,6 +277,11 @@ TEST(VectorSimdTest, ShapedLoadsReadNothingPastTheImage) {
       {"_load_clamped_s2(",
        [&](ImageParam &In, Expr X) { return Clamped(In, X * 2 + 1); }, 12,
        9, 6},
+      // The only lane group takes the edge path, and the clamp's hi lies
+      // past the image: only the lanes a vector holds may be read.
+      {"_load_clamped(",
+       [](ImageParam &In, Expr X) { return In(clamp(X - 2, 0, 1000), 0); },
+       6, 4, 6},
   };
   for (const Case &C : Cases) {
     SCOPED_TRACE(std::string(C.Shape) + " width " + std::to_string(C.Width) +
@@ -304,6 +309,65 @@ TEST(VectorSimdTest, ShapedLoadsReadNothingPastTheImage) {
     Run(jitCompile(LP), FromJit);
     for (int X = 0; X < C.Width; ++X)
       ASSERT_EQ(FromJit(X, 0), FromVm(X, 0)) << "at " << X;
+  }
+}
+
+TEST(VectorSimdTest, OddLaneCountsMatchTheVm) {
+  // Lane counts that are not a power of two, through every load shape and
+  // every kind of vector helper: dense, reversed, stride-2, clamped and
+  // gathered loads, widening and narrowing casts, integer and float
+  // arithmetic, compares, && and select, min and max, floor division and
+  // remainder by a varying divisor and by a power of two, float % and
+  // sqrt. The float values are multiples of 1/4 and the float divisor is
+  // 2.5, so every engine's float result is exact or correctly rounded.
+  const int W = 48, H = 3, InW = 100;
+  Buffer<uint8_t> Input(InW, H);
+  Input.fill([](int X, int Y) { return uint8_t(X * 37 + Y * 101 + 11); });
+  auto I32 = [](Expr E) { return cast(Int(32), E); };
+  for (int Lanes : {3, 6, 12}) {
+    SCOPED_TRACE(std::to_string(Lanes) + " lanes");
+    const std::string Prefix = "odd" + std::to_string(Lanes);
+    ImageParam In(UInt(8), 2, Prefix + "_in");
+    Var x("x"), y("y");
+    Expr Dense = In(x, y), Rev = In(In.width() - 1 - x, y);
+    Expr S2 = In(x * 2 + 1, y);
+    Expr Lo = In(clamp(x - 2, 0, In.width() - 1), y);
+    Expr Hi = In(clamp(x + 60, 0, In.width() - 1), y);
+    Expr Gathered = In(I32(Dense) / 3, y);
+    Expr Num = I32(Dense) - I32(Rev);
+    Expr Den = Expr(x) % 7 - 3; // varying, zero in some lanes
+    Expr Ints = Num / Den + Num % Den * 7 + Num / 4 * 11 + Num % 8 * 13;
+    Expr Narrowed = I32(cast(UInt(8), Num)) + I32(cast(Int(16), Num * 300));
+    Expr Picked = select(Dense < Rev && S2 != Lo, I32(Gathered), I32(Hi));
+    Expr MinMax = min(I32(Dense), I32(Rev)) * 3 + max(I32(S2), I32(Hi));
+    Expr F = cast(Float(32), S2) * 0.25f + cast(Float(32), Lo);
+    Expr Floats = I32(sqrt(F) * 1000.0f) + I32(F % 2.5f * 4.0f);
+    Func Out(Prefix + "_out");
+    Out(x, y) = Ints + Narrowed * 17 + Picked * 19 + MinMax * 23 + Floats * 29;
+    Out.vectorize(x, Lanes);
+    LoweredPipeline LP = lower(Out.function());
+    std::string Source = codegenC(LP, "test_fn");
+    for (const char *Shape :
+         {"_load(&", "_load_rev(&", "_load_s2(&", "_load_clamped(", "_gather_"})
+      EXPECT_NE(Source.find(Shape), std::string::npos) << Shape;
+
+    Buffer<int32_t> FromInterp(W, H), FromVm(W, H), FromJit(W, H);
+    auto Bind = [&](Buffer<int32_t> &Result) {
+      ParamBindings P;
+      P.bind(In.name(), Input);
+      P.bind(Out.name(), Result);
+      return P;
+    };
+    interpret(LP, Bind(FromInterp));
+    ASSERT_EQ(vmCompile(LP)->run(Bind(FromVm)), 0);
+    ASSERT_EQ(jitCompile(LP)->run(Bind(FromJit)), 0);
+    for (int Y = 0; Y < H; ++Y)
+      for (int X = 0; X < W; ++X) {
+        ASSERT_EQ(FromInterp(X, Y), FromVm(X, Y))
+            << "interp vs vm at (" << X << "," << Y << ")";
+        ASSERT_EQ(FromJit(X, Y), FromVm(X, Y))
+            << "jit vs vm at (" << X << "," << Y << ")";
+      }
   }
 }
 
