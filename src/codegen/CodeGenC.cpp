@@ -76,7 +76,7 @@ std::string typeTag(Type T) {
   return std::string(T.isUInt() ? "u" : "i") + std::to_string(T.Bits);
 }
 
-/// Name of the struct for a vector type ("hl_i32x8").
+/// C name of a vector type ("hl_i32x8").
 std::string vecCType(Type T) {
   internal_assert(T.isVector());
   return "hl_" + typeTag(T.element()) + "x" + std::to_string(T.Lanes);
@@ -86,16 +86,20 @@ std::string cTypeOf(Type T) {
   return T.isVector() ? vecCType(T) : scalarCType(T);
 }
 
-/// True when this vector type can be represented as a GCC/Clang native
-/// vector (__attribute__((vector_size(N)))). GCC requires a power-of-two
-/// lane count; everything vectorize() produces in practice (4/8/16) is.
-/// Other lane counts keep the portable struct-of-lanes fallback.
-bool nativeVectorOk(Type T) {
-  if (!T.isVector() || T.isHandle())
-    return false;
-  int L = T.Lanes;
-  return L >= 2 && (L & (L - 1)) == 0;
+/// Lanes of the GCC/Clang native vector (__attribute__((vector_size(N))))
+/// that holds a vector of T: T's lane count rounded up to a power of two,
+/// as GCC requires, the way LLVM widens an odd vector to a native one.
+/// Lanewise operators run on every lane; loads, stores, gathers and trace
+/// events touch only T's own lanes.
+int nativeLanes(Type T) {
+  int P = 1;
+  while (P < T.Lanes)
+    P *= 2;
+  return P;
 }
+
+/// Bytes of one lane of T.
+int elemBytes(Type T) { return T.isBool() ? 1 : T.element().Bits / 8; }
 
 /// Integer vector type used for mask algebra and shuffle masks of T:
 /// signed, same element width, same lane count. Vector compares on T
@@ -268,35 +272,26 @@ private:
     std::string Name = vecCType(T);
     if (!EmittedHelpers.insert("type:" + Name).second)
       return;
-    if (nativeVectorOk(T)) {
-      int ElemBytes = T.isBool() ? 1 : T.element().Bits / 8;
-      TypedefText << "typedef " << scalarCType(T.element()) << " " << Name
-                  << " __attribute__((vector_size(" << T.Lanes * ElemBytes
-                  << ")));\n";
-    } else {
-      TypedefText << "typedef struct " << Name << " { "
-                  << scalarCType(T.element()) << " v[" << T.Lanes
-                  << "]; } " << Name << ";\n";
-    }
+    TypedefText << "typedef " << scalarCType(T.element()) << " " << Name
+                << " __attribute__((vector_size("
+                << nativeLanes(T) * elemBytes(T) << ")));\n";
   }
 
-  /// Lane accessor valid in generated helpers: native vectors subscript
-  /// directly, the struct fallback goes through its array member.
-  static std::string laneRef(Type T, const std::string &V,
-                             const std::string &I) {
-    return V + (nativeVectorOk(T) ? "[" : ".v[") + I + "]";
+  /// Bytes of T's own lanes, as a memcpy length in a helper whose element
+  /// pointer is p: a padded vector's extra lanes are never moved.
+  static std::string laneBytes(Type T) {
+    return std::to_string(T.Lanes) + " * sizeof(*p)";
   }
 
-  /// \p X, a variable of native vector type From, converted lane by lane
-  /// to To with C cast semantics. From a vector narrower than 128 bits
-  /// this is a lane-list constructor: GCC 12 splits
-  /// __builtin_convertvector from one into two halves and an unpack.
+  /// \p X, a variable of vector type From, converted lane by lane to To
+  /// with C cast semantics. From a vector narrower than 128 bits this is
+  /// a lane-list constructor: GCC 12 splits __builtin_convertvector from
+  /// one into two halves and an unpack.
   static std::string convertLanes(Type From, Type To, const std::string &X) {
-    int FromBytes = From.Lanes * (From.isBool() ? 1 : From.element().Bits / 8);
-    if (FromBytes >= 16)
+    if (nativeLanes(From) * elemBytes(From) >= 16)
       return "__builtin_convertvector(" + X + ", " + vecCType(To) + ")";
     std::string CT = scalarCType(To.element());
-    return "(" + vecCType(To) + ")" + laneList(To.Lanes, [&](int L) {
+    return "(" + vecCType(To) + ")" + laneList(nativeLanes(To), [&](int L) {
              return "(" + CT + ")" + X + "[" + std::to_string(L) + "]";
            });
   }
@@ -359,11 +354,10 @@ private:
   }
 
   /// Emits (once) and names the helper implementing vector op OpName on
-  /// operand type T, consulting the op table above. Power-of-two lane
-  /// counts get native-vector bodies (single SIMD expressions, mask
-  /// algebra for blends since C lacks a vector ?:); other lane counts get
-  /// the portable struct lane loop. T is the operand type; Compare-shaped
-  /// ops return the matching boolean vector.
+  /// operand type T, consulting the op table above: single SIMD
+  /// expressions, with mask algebra for blends since C lacks a vector ?:.
+  /// T is the operand type; Compare-shaped ops return the matching
+  /// boolean vector.
   std::string vectorOpHelper(Type T, const std::string &OpName) {
     const VecOpRule *Rule = vecOpRule(OpName);
     internal_assert(Rule) << "codegen: no vector op rule for " << OpName;
@@ -382,43 +376,6 @@ private:
     std::ostringstream Def;
     Def << "static inline " << RetVT << " " << Name << "(" << VT << " a, "
         << VT << " b) {\n";
-
-    if (!nativeVectorOk(T)) {
-      // Portable lane-loop fallback (non-power-of-two lane counts).
-      switch (Rule->Shape) {
-      case VecShape::Infix:
-      case VecShape::BoolLogic:
-        Def << "  " << VT << " r;\n"
-            << laneLoop(T.Lanes, "r.v[l] = a.v[l] " + COp + " b.v[l];")
-            << "  return r;\n}";
-        break;
-      case VecShape::Compare:
-        Def << "  " << RetVT << " r;\n"
-            << laneLoop(T.Lanes,
-                        "r.v[l] = a.v[l] " + COp + " b.v[l] ? 1 : 0;")
-            << "  return r;\n}";
-        break;
-      case VecShape::MinMax: {
-        std::string Scalar = scalarMinMaxHelper(T.element(), OpName == "max");
-        Def << "  " << VT << " r;\n"
-            << laneLoop(T.Lanes, "r.v[l] = " + Scalar + "(a.v[l], b.v[l]);")
-            << "  return r;\n}";
-        break;
-      }
-      case VecShape::FloorDiv:
-      case VecShape::FloorMod: {
-        std::string Scalar = scalarDivHelper(
-            T.element(), Rule->Shape == VecShape::FloorMod);
-        Def << "  " << VT << " r;\n"
-            << laneLoop(T.Lanes, "r.v[l] = " + Scalar + "(a.v[l], b.v[l]);")
-            << "  return r;\n}";
-        break;
-      }
-      }
-      needHelper(Name, Def.str());
-      return Name;
-    }
-
     Type MaskT = vecMaskType(T);
     needVectorType(MaskT);
     std::string MT = vecCType(MaskT);
@@ -474,15 +431,11 @@ private:
     needVectorType(T);
     std::string VT = vecCType(T), CT = scalarCType(T.element());
     std::string Name = VT + "_splat";
-    std::string Body;
-    if (nativeVectorOk(T))
-      Body = "  return (" + VT + ")" +
-             laneList(T.Lanes, [](int) { return std::string("x"); }) + ";\n}";
-    else
-      Body = "  " + VT + " r;\n" + laneLoop(T.Lanes, "r.v[l] = x;") +
-             "  return r;\n}";
     needHelper(Name, "static inline " + VT + " " + Name + "(" + CT +
-                         " x) {\n" + Body);
+                         " x) {\n  return (" + VT + ")" +
+                         laneList(nativeLanes(T),
+                                  [](int) { return std::string("x"); }) +
+                         ";\n}");
     return Name;
   }
 
@@ -490,20 +443,13 @@ private:
     needVectorType(T);
     std::string VT = vecCType(T), CT = scalarCType(T.element());
     std::string Name = VT + "_ramp";
-    std::string Body;
-    if (nativeVectorOk(T))
-      // One broadcast-add over the iota constant; folds to a single
-      // vector op after constant propagation.
-      Body = "  return base + (" + VT + ")" +
-             laneList(T.Lanes,
-                      [&](int L) { return "(" + CT + ")" + std::to_string(L); }) +
-             " * stride;\n}";
-    else
-      Body = "  " + VT + " r;\n" +
-             laneLoop(T.Lanes, "r.v[l] = base + (" + CT + ")l * stride;") +
-             "  return r;\n}";
+    // One broadcast-add over the iota constant; folds to a single vector
+    // op after constant propagation.
     needHelper(Name, "static inline " + VT + " " + Name + "(" + CT +
-                         " base, " + CT + " stride) {\n" + Body);
+                         " base, " + CT + " stride) {\n  return base + (" +
+                         VT + ")" + laneList(nativeLanes(T), [&](int L) {
+                           return "(" + CT + ")" + std::to_string(L);
+                         }) + " * stride;\n}");
     return Name;
   }
 
@@ -513,24 +459,17 @@ private:
     needVectorType(BT);
     std::string VT = vecCType(T), BVT = vecCType(BT);
     std::string Name = VT + "_select";
-    std::string Body;
-    if (nativeVectorOk(T)) {
-      // Widen the 0/1 byte mask to element width, turn it into a 0/-1
-      // mask, then blend bitwise (C has no vector ?:). Float payloads
-      // round-trip through the same-size integer vector.
-      Type MaskT = vecMaskType(T);
-      needVectorType(MaskT);
-      std::string MT = vecCType(MaskT);
-      Body = "  " + MT + " w = " + convertLanes(BT, MaskT, "m") +
-             " != 0;\n  return (" + VT + ")(((" + MT + ")a & w) | ((" + MT +
-             ")b & ~w));\n}";
-    } else {
-      Body = "  " + VT + " r;\n" +
-             laneLoop(T.Lanes, "r.v[l] = m.v[l] ? a.v[l] : b.v[l];") +
-             "  return r;\n}";
-    }
+    // Widen the 0/1 byte mask to element width, turn it into a 0/-1 mask,
+    // then blend bitwise (C has no vector ?:). Float payloads round-trip
+    // through the same-size integer vector.
+    Type MaskT = vecMaskType(T);
+    needVectorType(MaskT);
+    std::string MT = vecCType(MaskT);
     needHelper(Name, "static inline " + VT + " " + Name + "(" + BVT +
-                         " m, " + VT + " a, " + VT + " b) {\n" + Body);
+                         " m, " + VT + " a, " + VT + " b) {\n  " + MT +
+                         " w = " + convertLanes(BT, MaskT, "m") +
+                         " != 0;\n  return (" + VT + ")(((" + MT +
+                         ")a & w) | ((" + MT + ")b & ~w));\n}");
     return Name;
   }
 
@@ -549,40 +488,39 @@ private:
   }
 
   /// Load of the lanes of a ramp of stride ±1 or ±2 from p, its lowest
-  /// element. Stride 1 is one dense load, stride -1 one dense load and a
-  /// lane reverse. Stride ±2 is two overlapping dense loads, the second
-  /// starting at lane L - 1 so that nothing past the highest lane's
-  /// element is read, and one shuffle picking the even elements.
+  /// element, into a zeroed vector. Stride 1 is one dense load, stride -1
+  /// one dense load and a lane reverse. Stride ±2 is two overlapping dense
+  /// loads, the second starting at lane L - 1 so that nothing past the
+  /// highest lane's element is read, and one shuffle picking the even
+  /// elements.
   std::string vectorLoadHelper(Type T, int Stride) {
     needVectorType(T);
     std::string VT = vecCType(T), CT = scalarCType(T.element());
     std::string Name = VT + "_load" + strideSuffix(Stride);
-    const int L = T.Lanes, Step = Stride < 0 ? -Stride : Stride;
+    const int L = T.Lanes, P = nativeLanes(T);
+    const int Step = Stride < 0 ? -Stride : Stride;
     // Lane l reads p[Elem(l)].
     auto Elem = [&](int Lane) {
       return Step * (Stride > 0 ? Lane : L - 1 - Lane);
     };
     std::string Body;
     if (Stride == 1) {
-      Body = "  " + VT + " r;\n  memcpy(&r, p, sizeof(r));\n  return r;\n}";
-    } else if (nativeVectorOk(T)) {
-      // In the shuffle, b's lane j is p[L - 1 + j], at index L + j.
-      Body = "  " + VT + " a" + (Step == 2 ? ", b" : "") +
-             ";\n  memcpy(&a, p, sizeof(a));\n" +
-             (Step == 2 ? "  memcpy(&b, p + " + std::to_string(L - 1) +
-                              ", sizeof(b));\n"
+      Body = "  " + VT + " r = {0};\n  memcpy(&r, p, " + laneBytes(T) +
+             ");\n  return r;\n}";
+    } else {
+      // In the shuffle, b's lane j is p[L - 1 + j], at index P + j; the
+      // indices of the padding lanes are arbitrary.
+      Body = "  " + VT + " a = {0}" + (Step == 2 ? ", b = {0}" : "") +
+             ";\n  memcpy(&a, p, " + laneBytes(T) + ");\n" +
+             (Step == 2 ? "  memcpy(&b, p + " + std::to_string(L - 1) + ", " +
+                              laneBytes(T) + ");\n"
                         : "") +
              "  return __builtin_shufflevector(a, " + (Step == 2 ? "b" : "a");
-      for (int Lane = 0; Lane < L; ++Lane)
-        Body += ", " + std::to_string(Elem(Lane) < L ? Elem(Lane)
-                                                     : Elem(Lane) + 1);
+      for (int Lane = 0; Lane < P; ++Lane) {
+        const int E = Lane < L ? Elem(Lane) : 0;
+        Body += ", " + std::to_string(E < L ? E : P + E - (L - 1));
+      }
       Body += ");\n}";
-    } else {
-      Body = laneReads(T, false, [&](const std::string &Lane) {
-        return std::to_string(Step) + " * " +
-               (Stride > 0 ? Lane
-                           : "(" + std::to_string(L - 1) + " - " + Lane + ")");
-      });
     }
     needHelper(Name, "static inline " + VT + " " + Name + "(const " + CT +
                          " *p) {\n" + Body);
@@ -594,7 +532,7 @@ private:
     std::string VT = vecCType(T), CT = scalarCType(T.element());
     std::string Name = VT + "_store";
     needHelper(Name, "static inline void " + Name + "(" + CT + " *p, " + VT +
-                         " x) {\n  memcpy(p, &x, sizeof(x));\n}");
+                         " x) {\n  memcpy(p, &x, " + laneBytes(T) + ");\n}");
     return Name;
   }
 
@@ -604,21 +542,18 @@ private:
     needVectorType(T);
     std::string VT = vecCType(T), CT = scalarCType(T.element());
     std::string Name = VT + "_store_rev";
-    std::string Body;
-    if (nativeVectorOk(T)) {
-      Type MaskT = vecMaskType(T);
-      needVectorType(MaskT);
-      Body = "  x = __builtin_shuffle(x, (" + vecCType(MaskT) + ")" +
-             laneList(T.Lanes,
-                      [&](int L) { return std::to_string(T.Lanes - 1 - L); }) +
-             ");\n  memcpy(p, &x, sizeof(x));\n}";
-    } else {
-      Body = laneLoop(T.Lanes,
-                      "p[" + std::to_string(T.Lanes - 1) + " - l] = x.v[l];") +
-             "}";
-    }
+    Type MaskT = vecMaskType(T);
+    needVectorType(MaskT);
+    const int L = T.Lanes;
     needHelper(Name, "static inline void " + Name + "(" + CT + " *p, " + VT +
-                         " x) {\n" + Body);
+                         " x) {\n  x = __builtin_shuffle(x, (" +
+                         vecCType(MaskT) + ")" +
+                         laneList(nativeLanes(T),
+                                  [&](int Lane) {
+                                    return std::to_string(
+                                        Lane < L ? L - 1 - Lane : Lane);
+                                  }) +
+                         ");\n  memcpy(p, &x, " + laneBytes(T) + ");\n}");
     return Name;
   }
 
@@ -737,7 +672,9 @@ private:
   /// group) and then reads through the dense or stride-2 load. The
   /// per-lane clamp of the edge groups is one noinline, cold function per
   /// type and stride: inlined, its lane loop made the compiler keep every
-  /// tap's vector on the stack.
+  /// tap's vector on the stack. It reads only the vector's own lanes; a
+  /// padded vector's extra lanes stay unset, and no lane operation carries
+  /// them into a real lane.
   std::string vectorClampedLoadHelper(Type T, int Stride) {
     needVectorType(T);
     std::string VT = vecCType(T), CT = scalarCType(T.element());
@@ -756,8 +693,8 @@ private:
                    Params + "  " + VT + " r;\n" +
                    laneLoop(T.Lanes,
                             "{ int64_t i = (int64_t)base + " + Lane +
-                                "; i = i > hi ? hi : i; i = i < lo ? lo : i; " +
-                                laneRef(T, "r", "l") + " = p[off + i]; }") +
+                                "; i = i > hi ? hi : i; i = i < lo ? lo : i; "
+                                "r[l] = p[off + i]; }") +
                    "  return r;\n}");
     const int Low = lowestOffset(Stride, T.Lanes);
     const int High = Stride * (T.Lanes - 1) - Low;
@@ -775,19 +712,13 @@ private:
     return Name;
   }
 
-  /// Lanes read one element each, p[Index(l)]: a lane-list constructor
-  /// for native vectors (a lane loop writing r[l] made the compiler keep
-  /// r on the stack), a lane loop for the struct fallback.
-  template <typename Fn>
-  std::string laneReads(Type T, bool Native, Fn Index) {
-    if (Native)
-      return "  return (" + vecCType(T) + ")" + laneList(T.Lanes, [&](int L) {
-               return "p[" + Index(std::to_string(L)) + "]";
-             }) + ";\n}";
-    return "  " + vecCType(T) + " r;\n" +
-           laneLoop(T.Lanes, laneRef(T, "r", "l") + " = p[" + Index("l") +
-                                 "];") +
-           "  return r;\n}";
+  /// Lanes read one element each, p[Index(l)], as a lane-list constructor
+  /// (a lane loop writing r[l] made the compiler keep r on the stack). A
+  /// padded vector's extra lanes are left zero.
+  template <typename Fn> std::string laneReads(Type T, Fn Index) {
+    return "  return (" + vecCType(T) + ")" + laneList(T.Lanes, [&](int L) {
+             return "p[" + Index(std::to_string(L)) + "]";
+           }) + ";\n}";
   }
 
   std::string vectorStridedLoadHelper(Type T) {
@@ -796,10 +727,9 @@ private:
     std::string Name = VT + "_load_strided";
     needHelper(Name, "static inline " + VT + " " + Name + "(const " + CT +
                          " *p, int32_t s) {\n" +
-                         laneReads(T, nativeVectorOk(T),
-                                   [](const std::string &L) {
-                                     return "(int64_t)" + L + " * s";
-                                   }));
+                         laneReads(T, [](const std::string &L) {
+                           return "(int64_t)" + L + " * s";
+                         }));
     return Name;
   }
 
@@ -809,11 +739,10 @@ private:
     std::string VT = vecCType(T), CT = scalarCType(T.element());
     std::string IVT = vecCType(IndexT);
     std::string Name = VT + "_gather_" + typeTag(IndexT.element());
-    const bool Native = nativeVectorOk(T) && nativeVectorOk(IndexT);
     needHelper(Name, "static inline " + VT + " " + Name + "(const " + CT +
                          " *p, " + IVT + " idx) {\n" +
-                         laneReads(T, Native, [&](const std::string &L) {
-                           return laneRef(IndexT, "idx", L);
+                         laneReads(T, [](const std::string &L) {
+                           return "idx[" + L + "]";
                          }));
     return Name;
   }
@@ -824,13 +753,9 @@ private:
     std::string VT = vecCType(T), CT = scalarCType(T.element());
     std::string IVT = vecCType(IndexT);
     std::string Name = VT + "_scatter_" + typeTag(IndexT.element());
-    needHelper(Name,
-               "static inline void " + Name + "(" + CT + " *p, " + IVT +
-                   " idx, " + VT + " x) {\n" +
-                   laneLoop(T.Lanes, "p[" + laneRef(IndexT, "idx", "l") +
-                                         "] = " + laneRef(T, "x", "l") +
-                                         ";") +
-                   "}");
+    needHelper(Name, "static inline void " + Name + "(" + CT + " *p, " + IVT +
+                         " idx, " + VT + " x) {\n" +
+                         laneLoop(T.Lanes, "p[idx[l]] = x[l];") + "}");
     return Name;
   }
 
@@ -840,17 +765,9 @@ private:
     std::string Name = "hl_cast_" + typeTag(From.element()) + "x" +
                        std::to_string(From.Lanes) + "_" +
                        typeTag(To.element());
-    std::string Body;
-    if (nativeVectorOk(From) && nativeVectorOk(To))
-      Body = "  return " + convertLanes(From, To, "a") + ";\n}";
-    else
-      Body = "  " + vecCType(To) + " r;\n" +
-             laneLoop(To.Lanes, laneRef(To, "r", "l") + " = (" +
-                                    scalarCType(To.element()) + ")" +
-                                    laneRef(From, "a", "l") + ";") +
-             "  return r;\n}";
     needHelper(Name, "static inline " + vecCType(To) + " " + Name + "(" +
-                         vecCType(From) + " a) {\n" + Body);
+                         vecCType(From) + " a) {\n  return " +
+                         convertLanes(From, To, "a") + ";\n}");
     return Name;
   }
 
@@ -862,15 +779,11 @@ private:
     std::string Params = VT + " a" + (Arity == 2 ? ", " + VT + " b" : "");
     // Math calls stay lane loops: libm has no vector entry points here.
     std::string Call =
-        Arity == 2 ? CFn + "(" + laneRef(T, "a", "l") + ", " +
-                         laneRef(T, "b", "l") + ")"
-                   : CFn + "(" + laneRef(T, "a", "l") + ")";
-    needHelper(Name,
-               "static inline " + VT + " " + Name + "(" + Params +
-                   ") {\n  " + VT + " r;\n" +
-                   laneLoop(T.Lanes, laneRef(T, "r", "l") + " = " + Call +
-                                         ";") +
-                   "  return r;\n}");
+        Arity == 2 ? CFn + "(a[l], b[l])" : CFn + "(a[l])";
+    needHelper(Name, "static inline " + VT + " " + Name + "(" + Params +
+                         ") {\n  " + VT + " r;\n" +
+                         laneLoop(nativeLanes(T), "r[l] = " + Call + ";") +
+                         "  return r;\n}");
     return Name;
   }
 
@@ -1019,13 +932,12 @@ private:
     const Expr &A = IsMod ? Expr(E.as<Mod>()->A) : Expr(E.as<Div>()->A);
     const Expr &B = IsMod ? Expr(E.as<Mod>()->B) : Expr(E.as<Div>()->B);
     Type T = E.type();
-    // A positive power-of-two divisor 2^k (on native vectors, a splat of
-    // one) is an arithmetic shift and a mask: both are floor division and
-    // floor modulo on two's-complement integers (GCC and clang shift
-    // signed values arithmetically, lane by lane on vectors).
+    // A positive power-of-two divisor 2^k (on vectors, a splat of one) is
+    // an arithmetic shift and a mask: both are floor division and floor
+    // modulo on two's-complement integers (GCC and clang shift signed
+    // values arithmetically, lane by lane on vectors).
     int64_t Divisor;
-    if (!T.isFloat() && (T.isScalar() || nativeVectorOk(T)) &&
-        asConstInt(B, &Divisor) && Divisor > 0 &&
+    if (!T.isFloat() && asConstInt(B, &Divisor) && Divisor > 0 &&
         (Divisor & (Divisor - 1)) == 0) {
       std::string SA = emit(A);
       std::string CT = scalarCType(T.element());
@@ -1046,19 +958,15 @@ private:
                  ") * " + SB + ")";
         }
         // Dedicated helper for float vector mod: floor() keeps it a lane
-        // loop in both vector representations.
+        // loop.
         needVectorType(T);
         std::string VT = vecCType(T);
         std::string FloorFn = T.element().Bits == 32 ? "floorf" : "floor";
         needHelper(VT + "_fmod2",
                    "static inline " + VT + " " + VT + "_fmod2(" + VT +
                        " a, " + VT + " b) {\n  " + VT + " r;\n" +
-                       laneLoop(T.Lanes,
-                                laneRef(T, "r", "l") + " = " +
-                                    laneRef(T, "a", "l") + " - " + FloorFn +
-                                    "(" + laneRef(T, "a", "l") + " / " +
-                                    laneRef(T, "b", "l") + ") * " +
-                                    laneRef(T, "b", "l") + ";") +
+                       laneLoop(nativeLanes(T), "r[l] = a[l] - " + FloorFn +
+                                                    "(a[l] / b[l]) * b[l];") +
                        "  return r;\n}");
         return VT + "_fmod2(" + SA + ", " + SB + ")";
       }
@@ -1209,8 +1117,7 @@ private:
   /// Fills coords/bits arrays from an index temp and a value temp, then
   /// reports a TraceLoad/TraceStore event.
   void emitTraceAccess(TraceEventKind Kind, const std::string &StageName,
-                       Type T, const std::string &Val, Type IdxT,
-                       const std::string &Idx) {
+                       Type T, const std::string &Val, const std::string &Idx) {
     int Lanes = T.Lanes;
     std::string Coords = freshName(StageName + "_tc");
     std::string Bits = freshName(StageName + "_tb");
@@ -1223,9 +1130,9 @@ private:
       line("for (int32_t __l = 0; __l < " + std::to_string(Lanes) +
            "; ++__l) {");
       ++Indent;
-      line(Coords + "[__l] = (int32_t)" + laneRef(IdxT, Idx, "__l") + ";");
-      line(Bits + "[__l] = " +
-           traceBitsExpr(T.element(), laneRef(T, Val, "__l")) + ";");
+      line(Coords + "[__l] = (int32_t)" + Idx + "[__l];");
+      line(Bits + "[__l] = " + traceBitsExpr(T.element(), Val + "[__l]") +
+           ";");
       --Indent;
       line("}");
     }
@@ -1257,8 +1164,7 @@ private:
       line("const " + cTypeOf(T) + " " + Val + " = " +
            vectorGatherHelper(T, L->Index.type()) + "(" + Buf + ", " + Idx +
            ");");
-    emitTraceAccess(TraceEventKind::TraceLoad, L->Name, T, Val,
-                    L->Index.type(), Idx);
+    emitTraceAccess(TraceEventKind::TraceLoad, L->Name, T, Val, Idx);
     return Val;
   }
 
@@ -1283,7 +1189,7 @@ private:
       else
         line(vectorScatterHelper(T, Index.type()) + "(" + Buf + ", " + Idx +
              ", " + Val + ");");
-      emitTraceAccess(Kind, Stage, T, Val, Index.type(), Idx);
+      emitTraceAccess(Kind, Stage, T, Val, Idx);
       return;
     }
     // The kind's payload: TraceBegin's extents, ProfAlloc's size.

@@ -7,13 +7,14 @@
 /// \file
 /// Emits a lowered pipeline as a self-contained C99 translation unit
 /// (DESIGN.md substitution 1: the host C compiler stands in for the paper's
-/// LLVM backend). Vector IR is emitted as GCC/clang native vectors
-/// (fixed-width structs for other lane counts) through small helper
-/// functions. Each vector load index is classified as in paper section
-/// 4.5: dense and reversed ramps become contiguous loads, stride ±2 ramps
-/// two overlapping loads and a shuffle, clamped stride ±1/±2 ramps a
-/// dense or shuffled load guarded by an inline interior test, and
-/// anything else a gather.
+/// LLVM backend). Vector IR is emitted as GCC/clang native vectors through
+/// small helper functions; a lane count that is not a power of two is
+/// held in the native vector of the next one, whose extra lanes no load,
+/// store or trace event touches. Each vector load index is classified as
+/// in paper section 4.5: dense and reversed ramps become contiguous loads,
+/// stride ±2 ramps two overlapping loads and a shuffle, clamped stride
+/// ±1/±2 ramps a dense or shuffled load guarded by an inline interior
+/// test, and anything else a gather.
 /// Parallel loops compile to closure structs plus a body function handed to
 /// the runtime's work-stealing task scheduler (section 4.6); GPU block loops
 /// compile to simulated-device kernel launches.

@@ -1,7 +1,8 @@
 //===-- tests/VectorSimdTest.cpp - SIMD execution + vector correctness ----===//
 //
 // Pins the SIMD execution layer introduced for vectorize():
-//  - CodeGenC emits native GCC vector types and restrict buffer pointers.
+//  - CodeGenC emits native GCC vector types and restrict buffer pointers;
+//    a lane count that is not a power of two pads to the next one.
 //  - Reversed (stride -1) ramps classify as dense load/store + lane
 //    reverse, not gathers/scatters.
 //  - Clamped-boundary stencil loads (off + clamp(ramp, lo, hi), the shape
@@ -56,7 +57,7 @@ TEST(VectorSimdTest, NativeVectorTypesAndRestrictPointers) {
             1.0f;
   F.vectorize(x, 8);
   std::string Source = codegenC(lower(F.function()), "test_fn");
-  // 8 x f32 is a native 32-byte vector, not the struct fallback.
+  // 8 x f32 is one native 32-byte vector.
   EXPECT_NE(Source.find("typedef float hl_f32x8 "
                         "__attribute__((vector_size(32)))"),
             std::string::npos);
@@ -66,14 +67,24 @@ TEST(VectorSimdTest, NativeVectorTypesAndRestrictPointers) {
   EXPECT_NE(Source.find("*restrict"), std::string::npos);
 }
 
-TEST(VectorSimdTest, NonPowerOfTwoLanesFallBackToStruct) {
+TEST(VectorSimdTest, NonPowerOfTwoLanesPadToNativeVectors) {
   Var x("x");
   Func F("vs_odd");
   F(x) = x * 2 + 1;
-  F.bound(x, 0, 12).vectorize(x, 6); // 6 lanes: no native GCC vector
+  F.bound(x, 0, 12).vectorize(x, 6);
   std::string Source = codegenC(lower(F.function()), "test_fn");
-  EXPECT_NE(Source.find("typedef struct hl_i32x6"), std::string::npos);
-  EXPECT_EQ(Source.find("hl_i32x6 __attribute__"), std::string::npos);
+  // 6 x i32 is held in the native vector of 8 lanes.
+  EXPECT_NE(Source.find("typedef int32_t hl_i32x6 "
+                        "__attribute__((vector_size(32)))"),
+            std::string::npos);
+  // The only structs are the runtime's vtable and parallel closures.
+  for (size_t At = Source.find("typedef struct "); At != std::string::npos;
+       At = Source.find("typedef struct ", At + 1)) {
+    const std::string Name = Source.substr(At + 15, 11);
+    EXPECT_TRUE(Name.rfind("hl_vtable", 0) == 0 ||
+                Name.rfind("hl_closure_", 0) == 0)
+        << Name;
+  }
 }
 
 TEST(VectorSimdTest, ReversedRampIsDenseLoadPlusLaneReverse) {
@@ -246,8 +257,8 @@ TEST(VectorSimdTest, ShapedLoadsReadNothingPastTheImage) {
   // a width W where that group is interior (its dense or stride-2 load
   // ends exactly at the guard page), and the clamped taps also at a width
   // where every lane group takes the per-lane edge path. jit_c must equal
-  // the VM without touching the guard page, with native vectors (8 lanes)
-  // and with the struct fallback (6 lanes).
+  // the VM without touching the guard page, at 8 lanes and at 6, which
+  // pad to native vectors of 8.
   struct Case {
     const char *Shape; ///< the load helper the tap must classify as
     std::function<Expr(ImageParam &, Expr)> Tap;
