@@ -527,33 +527,28 @@ private:
     return Name;
   }
 
-  std::string vectorStoreHelper(Type T) {
+  /// Store of x's lanes as a ramp of stride 1 or -1 to p, its lowest
+  /// element: one dense store, after a lane reverse for stride -1.
+  std::string vectorStoreHelper(Type T, int Stride) {
     needVectorType(T);
     std::string VT = vecCType(T), CT = scalarCType(T.element());
-    std::string Name = VT + "_store";
+    std::string Name = VT + "_store" + strideSuffix(Stride);
+    std::string Reverse;
+    if (Stride < 0) {
+      Type MaskT = vecMaskType(T);
+      needVectorType(MaskT);
+      const int L = T.Lanes;
+      Reverse = "  x = __builtin_shuffle(x, (" + vecCType(MaskT) + ")" +
+                laneList(nativeLanes(T),
+                         [&](int Lane) {
+                           return std::to_string(Lane < L ? L - 1 - Lane
+                                                          : Lane);
+                         }) +
+                ");\n";
+    }
     needHelper(Name, "static inline void " + Name + "(" + CT + " *p, " + VT +
-                         " x) {\n  memcpy(p, &x, " + laneBytes(T) + ");\n}");
-    return Name;
-  }
-
-  /// Dense store of x's lanes in reverse order starting at *p; the store
-  /// counterpart of a stride -1 vectorLoadHelper.
-  std::string vectorReverseStoreHelper(Type T) {
-    needVectorType(T);
-    std::string VT = vecCType(T), CT = scalarCType(T.element());
-    std::string Name = VT + "_store_rev";
-    Type MaskT = vecMaskType(T);
-    needVectorType(MaskT);
-    const int L = T.Lanes;
-    needHelper(Name, "static inline void " + Name + "(" + CT + " *p, " + VT +
-                         " x) {\n  x = __builtin_shuffle(x, (" +
-                         vecCType(MaskT) + ")" +
-                         laneList(nativeLanes(T),
-                                  [&](int Lane) {
-                                    return std::to_string(
-                                        Lane < L ? L - 1 - Lane : Lane);
-                                  }) +
-                         ");\n  memcpy(p, &x, " + laneBytes(T) + ");\n}");
+                         " x) {\n" + Reverse + "  memcpy(p, &x, " +
+                         laneBytes(T) + ");\n}");
     return Name;
   }
 
@@ -893,9 +888,8 @@ private:
       const Let *Op = E.as<Let>();
       ClampedTap Tap;
       std::string CName = emitLet(Op->Name, Op->Value, &Tap);
-      ScopedBinding<std::string> Bind(VarNames, Op->Name, CName);
-      ScopedBinding<std::string> BindType(VarTypes, Op->Name,
-                                          cTypeOf(Op->Value.type()));
+      ScopedBinding<CLocal> Bind(Vars, Op->Name,
+                                 {CName, cTypeOf(Op->Value.type())});
       ScopedBinding<ClampedTap> BindTap(ClampedLets, Op->Name, Tap);
       return emit(Op->Body);
     }
@@ -906,9 +900,9 @@ private:
   }
 
   std::string emitVariable(const Variable *Op) {
-    internal_assert(VarNames.contains(Op->Name))
+    internal_assert(Vars.contains(Op->Name))
         << "codegen: unbound variable " << Op->Name;
-    return VarNames.get(Op->Name);
+    return Vars.get(Op->Name).Name;
   }
 
   std::string emitCast(const Cast *Op) {
@@ -1010,6 +1004,14 @@ private:
     return Helper + "(" + C + ", " + T + ", " + F + ")";
   }
 
+  /// The index of the lowest element a ramp of constant stride \p Stride
+  /// reaches: the pointer the shaped load and store helpers take.
+  std::string lowestIndex(const Ramp *R, int Stride) {
+    int Low = lowestOffset(Stride, R->Lanes);
+    return Low ? "(" + emit(R->Base) + ") - " + std::to_string(-Low)
+               : emit(R->Base);
+  }
+
   /// A vector load, by the shape of its index (paper section 4.5): a ramp
   /// of stride ±1 or ±2 is a dense or shuffled load, any other ramp a
   /// strided one, a clamped ramp of stride ±1 or ±2 plus broadcast
@@ -1021,13 +1023,9 @@ private:
       return Buf + "[" + emit(Op->Index) + "]";
     if (const Ramp *R = Op->Index.as<Ramp>()) {
       int64_t Stride;
-      if (asConstInt(R->Stride, &Stride) && isShapedStride(Stride)) {
-        int Low = lowestOffset(int(Stride), T.Lanes);
+      if (asConstInt(R->Stride, &Stride) && isShapedStride(Stride))
         return vectorLoadHelper(T, int(Stride)) + "(&" + Buf + "[" +
-               (Low ? "(" + emit(R->Base) + ") - " + std::to_string(-Low)
-                    : emit(R->Base)) +
-               "])";
-      }
+               lowestIndex(R, int(Stride)) + "])";
       return vectorStridedLoadHelper(T) + "(&" + Buf + "[" + emit(R->Base) +
              "], " + emit(R->Stride) + ")";
     }
@@ -1247,9 +1245,8 @@ private:
       const LetStmt *Op = S.as<LetStmt>();
       ClampedTap Tap;
       std::string CName = emitLet(Op->Name, Op->Value, &Tap);
-      ScopedBinding<std::string> Bind(VarNames, Op->Name, CName);
-      ScopedBinding<std::string> BindType(VarTypes, Op->Name,
-                                          cTypeOf(Op->Value.type()));
+      ScopedBinding<CLocal> Bind(Vars, Op->Name,
+                                 {CName, cTypeOf(Op->Value.type())});
       ScopedBinding<ClampedTap> BindTap(ClampedLets, Op->Name, Tap);
       emitStmt(Op->Body);
       return;
@@ -1317,20 +1314,10 @@ private:
     }
     if (const Ramp *R = Op->Index.as<Ramp>()) {
       int64_t Stride;
-      if (asConstInt(R->Stride, &Stride)) {
-        if (Stride == 1) {
-          line(vectorStoreHelper(Op->Value.type()) + "(&" + Buf + "[" +
-               emit(R->Base) + "], " + Value + ");");
-          return;
-        }
-        // Reversed dense store: shuffle lanes, then one contiguous store.
-        if (Stride == -1) {
-          line(vectorReverseStoreHelper(Op->Value.type()) + "(&" + Buf +
-               "[(" + emit(R->Base) + ") - " +
-               std::to_string(Op->Value.type().Lanes - 1) + "], " + Value +
-               ");");
-          return;
-        }
+      if (asConstInt(R->Stride, &Stride) && (Stride == 1 || Stride == -1)) {
+        line(vectorStoreHelper(Op->Value.type(), int(Stride)) + "(&" + Buf +
+             "[" + lowestIndex(R, int(Stride)) + "], " + Value + ");");
+        return;
       }
     }
     line(vectorScatterHelper(Op->Value.type(), Op->Index.type()) + "(" +
@@ -1359,8 +1346,7 @@ private:
          MinName + " + " + ExtName + "; ++" + CName + ") {");
     ++Indent;
     {
-      ScopedBinding<std::string> Bind(VarNames, Op->Name, CName);
-      ScopedBinding<std::string> BindType(VarTypes, Op->Name, "int32_t");
+      ScopedBinding<CLocal> Bind(Vars, Op->Name, {CName, "int32_t"});
       emitStmt(Op->Body);
     }
     --Indent;
@@ -1398,19 +1384,18 @@ private:
     };
     std::vector<Field> Fields;
     for (const std::string &Name : Capture.FreeVariables) {
-      if (VarNames.contains(Name)) {
-        Fields.push_back({Name, VarNames.get(Name),
-                          VarTypes.get(Name), false});
-      }
+      if (Vars.contains(Name))
+        Fields.push_back({Name, Vars.get(Name).Name, Vars.get(Name).CType,
+                          false});
       // Names not in scope would be parameters already materialized as
       // locals in the main preamble, so this branch is exhaustive; anything
       // missing is a bug caught when the body references it.
     }
     for (const std::string &Name : Capture.BufferNames) {
-      internal_assert(BufferPointers.contains(Name))
+      internal_assert(Buffers.contains(Name))
           << "codegen: captured unknown buffer " << Name;
-      Fields.push_back({Name, BufferPointers.get(Name),
-                        BufferTypes.get(Name) + " *", true});
+      Fields.push_back({Name, Buffers.get(Name).Name,
+                        Buffers.get(Name).CType + " *", true});
     }
 
     int Id = ClosureCounter++;
@@ -1448,21 +1433,16 @@ private:
 
     {
       // Bind captured names inside the function.
-      std::vector<std::unique_ptr<ScopedBinding<std::string>>> Binds;
-      std::vector<std::unique_ptr<ScopedBinding<std::string>>> TypeBinds;
-      std::vector<std::unique_ptr<ScopedBinding<std::string>>> BufBinds;
+      std::vector<std::unique_ptr<ScopedBinding<CLocal>>> Binds;
       for (const Field &F : Fields) {
         // Buffer pointers are distinct allocations; telling the C compiler
         // so (restrict) is what lets it keep vector temporaries in
         // registers across the dense load/store helpers.
         line(F.CType + (F.IsBuffer ? "restrict " : " ") + F.CName +
              " = __c->" + F.CName + ";");
-        if (!F.IsBuffer) {
-          Binds.push_back(std::make_unique<ScopedBinding<std::string>>(
-              VarNames, F.IRName, F.CName));
-          TypeBinds.push_back(std::make_unique<ScopedBinding<std::string>>(
-              VarTypes, F.IRName, F.CType));
-        }
+        if (!F.IsBuffer)
+          Binds.push_back(std::make_unique<ScopedBinding<CLocal>>(
+              Vars, F.IRName, CLocal{F.CName, F.CType}));
       }
       // The chunk loop. Each iteration decodes its loop indices from the
       // flattened iteration number: ParFor chunks cover absolute indices
@@ -1485,15 +1465,9 @@ private:
                ")) % __c->" + ExtNames[I] + " + __c->" + MinNames[I] + ";");
         }
       }
-      std::vector<std::unique_ptr<ScopedBinding<std::string>>> LoopBinds;
-      std::vector<std::unique_ptr<ScopedBinding<std::string>>> LoopTypeBinds;
-      for (size_t I = 0; I < Chain.size(); ++I) {
-        LoopBinds.push_back(std::make_unique<ScopedBinding<std::string>>(
-            VarNames, Chain[I]->Name, IdxNames[I]));
-        LoopTypeBinds.push_back(
-            std::make_unique<ScopedBinding<std::string>>(
-                VarTypes, Chain[I]->Name, "int32_t"));
-      }
+      for (size_t I = 0; I < Chain.size(); ++I)
+        Binds.push_back(std::make_unique<ScopedBinding<CLocal>>(
+            Vars, Chain[I]->Name, CLocal{IdxNames[I], "int32_t"}));
       emitStmt(InnerBody);
       --Indent;
       line("}");
@@ -1548,8 +1522,7 @@ private:
     line(CT + " *restrict " + CName + " = (" + CT + " *)rt->Malloc(" + Size +
          ");");
     {
-      ScopedBinding<std::string> BindPtr(BufferPointers, Op->Name, CName);
-      ScopedBinding<std::string> BindType(BufferTypes, Op->Name, CT);
+      ScopedBinding<CLocal> Bind(Buffers, Op->Name, {CName, CT});
       emitStmt(Op->Body);
     }
     line("rt->Free(" + CName + ");");
@@ -1558,9 +1531,9 @@ private:
   }
 
   std::string bufferName(const std::string &Name) {
-    internal_assert(BufferPointers.contains(Name))
+    internal_assert(Buffers.contains(Name))
         << "codegen: access to unknown buffer " << Name;
-    return BufferPointers.get(Name);
+    return Buffers.get(Name).Name;
   }
 
   //===------------------------------------------------------------------===//
@@ -1572,13 +1545,11 @@ private:
     Body = &MainBody;
     Indent = 1;
 
-    std::vector<std::unique_ptr<ScopedBinding<std::string>>> Binds;
-    auto bindVar = [&](const std::string &IRName, const std::string &CName,
-                       const std::string &CType) {
-      Binds.push_back(std::make_unique<ScopedBinding<std::string>>(
-          VarNames, IRName, CName));
-      Binds.push_back(std::make_unique<ScopedBinding<std::string>>(
-          VarTypes, IRName, CType));
+    std::vector<std::unique_ptr<ScopedBinding<CLocal>>> Binds;
+    auto Bind = [&](Scope<CLocal> &Names, const std::string &IRName,
+                    const std::string &CName, const std::string &CType) {
+      Binds.push_back(std::make_unique<ScopedBinding<CLocal>>(
+          Names, IRName, CLocal{CName, CType}));
     };
 
     // The packed arguments, in LoweredPipeline's layout: each buffer and
@@ -1589,10 +1560,7 @@ private:
       std::string CName = freshName(Arg.Name);
       line(CT + " *restrict " + CName + " = (" + CT + " *)bufs[" +
            std::to_string(I) + "];");
-      Binds.push_back(std::make_unique<ScopedBinding<std::string>>(
-          BufferPointers, Arg.Name, CName));
-      Binds.push_back(std::make_unique<ScopedBinding<std::string>>(
-          BufferTypes, Arg.Name, CT));
+      Bind(Buffers, Arg.Name, CName, CT);
       for (int D = 0; D < MaxBufferDims; ++D) {
         const char *Kinds[3] = {"min", "extent", "stride"};
         for (int K = 0; K < 3; ++K) {
@@ -1602,7 +1570,7 @@ private:
           line("const int32_t " + MName + " = (int32_t)iargs[" +
                std::to_string(LoweredPipeline::metadataSlot(I, D) + K) +
                "];");
-          bindVar(IRName, MName, "int32_t");
+          Bind(Vars, IRName, MName, "int32_t");
         }
       }
     }
@@ -1614,7 +1582,7 @@ private:
       line("const " + CT + " " + CName + " = (" + CT + ")" +
            (Slots[I].IsFloat ? "fargs[" : "iargs[") +
            std::to_string(Slots[I].Index) + "];");
-      bindVar(Arg.Name, CName, CT);
+      Bind(Vars, Arg.Name, CName, CT);
     }
 
     emitStmt(P.Body);
@@ -1636,10 +1604,13 @@ private:
   int ClosureCounter = 0;
   std::set<std::string> EmittedHelpers;
 
-  Scope<std::string> VarNames;  // IR name -> C local name
-  Scope<std::string> VarTypes;  // IR name -> C type (for closures)
-  Scope<std::string> BufferPointers;
-  Scope<std::string> BufferTypes;
+  /// The C local that stands for an IR variable or buffer, and the C type
+  /// a closure declares its copy with (for a buffer, the element type).
+  struct CLocal {
+    std::string Name, CType;
+  };
+  Scope<CLocal> Vars;    // IR variable -> C local
+  Scope<CLocal> Buffers; // IR buffer -> C element pointer
   Scope<ClampedTap> ClampedLets; // let name -> its clamped ramp's C parts
 };
 
