@@ -504,9 +504,6 @@ private:
       return Raw;
     if (equal(M->A, M->B))
       return M->A;
-    int64_t Delta;
-    if (constDifference(M->A, M->B, &Delta))
-      return (IsMax ? Delta >= 0 : Delta <= 0) ? M->A : M->B;
     if (const NodeT *Inner = M->A.template as<NodeT>()) {
       // min(min(x, c1), c2) -> min(x, min(c1, c2))
       if (isConst(Inner->B) && isConst(M->B))
@@ -518,7 +515,7 @@ private:
     // On floats a NaN operand makes neither rule below exact.
     if (Raw.type().isFloat())
       return Raw;
-    // An operand already anywhere in the other operand's chain.
+    // An operand that can never be the result.
     if (inChain<NodeT>(M->A, M->B))
       return M->A;
     if (inChain<NodeT>(M->B, M->A))
@@ -532,12 +529,20 @@ private:
     return Raw;
   }
 
-  /// True if \p E is \p Chain or one of the operands of its NodeT chain.
+  /// True if NodeT(Chain, E) is Chain: some node of Chain's NodeT chain,
+  /// Chain itself included, is E or, on integers, lies a constant away
+  /// from E on the result's side (E - X >= 0 for min, <= 0 for max). A
+  /// chain is never further from E on that side than any of its nodes.
   template <typename NodeT>
   static bool inChain(const Expr &Chain, const Expr &E) {
+    constexpr bool IsMax = NodeT::StaticKind == IRNodeKind::Max;
+    int64_t Delta;
+    if (equal(Chain, E) || (constDifference(E, Chain, &Delta) &&
+                            (IsMax ? Delta <= 0 : Delta >= 0)))
+      return true;
     if (const NodeT *N = Chain.as<NodeT>())
       return inChain<NodeT>(N->A, E) || inChain<NodeT>(N->B, E);
-    return equal(Chain, E);
+    return false;
   }
 
   /// NodeT(f(a), f(b)) as f(NodeT(a, b)) when \p P and \p Q are one clamp

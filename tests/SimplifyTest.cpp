@@ -358,3 +358,27 @@ TEST(SimplifyTest, RepeatedOperandAnywhereInAChainIsDropped) {
   EXPECT_NE(FloatChain.as<Min>(), nullptr);
   EXPECT_TRUE(equal(FloatChain.as<Min>()->B, FA)) << exprToString(FloatChain);
 }
+
+TEST(SimplifyTest, OperandAConstantPastAChainNodeIsDropped) {
+  // An integer operand a constant away from any node of the other
+  // operand's chain, on the side the chain already reaches, is never the
+  // result: min(chain, e) is the chain when e - node >= 0, max(chain, e)
+  // when e - node <= 0.
+  Expr A = var("a"), B = var("b"), C = var("c");
+  Expr MinChain = simplify(min(min(A, B), C));
+  Expr MaxChain = simplify(max(max(A, B), C));
+  // A leaf against a nested chain, in both operand orders.
+  EXPECT_TRUE(equal(simplify(min(MinChain, B + 1)), MinChain));
+  EXPECT_TRUE(equal(simplify(min(A + 2, MinChain)), MinChain));
+  EXPECT_TRUE(equal(simplify(max(MaxChain, B - 1)), MaxChain));
+  EXPECT_TRUE(equal(simplify(max(A - 2, MaxChain)), MaxChain));
+  // An inner node, and the chain itself.
+  Expr Inner = simplify(min(A, B)), MaxInner = simplify(max(A, B));
+  EXPECT_TRUE(equal(simplify(min(MinChain, Inner + 1)), MinChain));
+  EXPECT_TRUE(equal(simplify(max(MaxInner - 3, MaxChain)), MaxChain));
+  EXPECT_TRUE(equal(simplify(min(Inner, Inner + 1)), Inner));
+  EXPECT_TRUE(equal(simplify(max(MaxInner - 1, MaxInner)), MaxInner));
+  // On the other side the operand can be the result, and stays.
+  EXPECT_FALSE(equal(simplify(min(MinChain, B - 1)), MinChain));
+  EXPECT_FALSE(equal(simplify(max(MaxChain, B + 1)), MaxChain));
+}
