@@ -53,8 +53,8 @@ constexpr int TraceParityChecks = 1;
 /// vector code carries the SIMD rather than the host compiler's
 /// auto-vectorizer: the C leg must still reproduce the VM bit-for-bit.
 std::string diffJitFlags() {
-  const char *Env = std::getenv("HALIDE_DIFF_JIT_FLAGS");
-  return Env && *Env ? Env : "-O0";
+  std::string Flags = diffJitFlagsFromEnv();
+  return Flags.empty() ? "-O0" : Flags;
 }
 
 /// Renders the stats fields the determinism contract covers, for
@@ -67,6 +67,11 @@ std::string statsSummary(const ExecutionStats &S) {
 }
 
 } // namespace
+
+std::string halide::diffJitFlagsFromEnv() {
+  const char *Env = std::getenv("HALIDE_DIFF_JIT_FLAGS");
+  return Env ? Env : "";
+}
 
 int halide::runOnBackend(const Target &T, const LoweredPipeline &P,
                          const ParamBindings &Params, ExecutionStats *Stats,

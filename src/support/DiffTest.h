@@ -74,6 +74,11 @@ int runOnBackend(const Target &T, const LoweredPipeline &P,
                  const ParamBindings &Params, ExecutionStats *Stats = nullptr,
                  int NumThreads = 0);
 
+/// HALIDE_DIFF_JIT_FLAGS, or "" when it is unset: host-compiler flags a
+/// CI job pins. The C leg compiles with them in place of its -O0, and
+/// VectorSimdTest appends them to its compiles at the JIT's defaults.
+std::string diffJitFlagsFromEnv();
+
 /// The frame sizes of a differential run.
 struct DiffOptions {
   int Width = 96;

@@ -24,6 +24,8 @@
 //  - Vectorizing a split whose extent is not divisible by the factor is
 //    safe on internal (padded) funcs and rejected on outputs — at
 //    lowering time when the bound is static, at run time otherwise.
+// jit_c compiles at the JIT's default flags append HALIDE_DIFF_JIT_FLAGS
+// when it is set, as CI's jit-novec leg does.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +35,7 @@
 #include "lang/ImageParam.h"
 #include "lang/Param.h"
 #include "lang/Pipeline.h"
+#include "support/DiffTest.h"
 #include "transforms/Substitute.h"
 #include "vm/VmCompiler.h"
 #include "vm/VmExecutable.h"
@@ -47,6 +50,16 @@
 #include <unistd.h>
 
 using namespace halide;
+
+namespace {
+
+/// The target of this suite's jit_c compiles at the JIT's default flags:
+/// HALIDE_DIFF_JIT_FLAGS, when set, is appended to them.
+Target jitTarget() {
+  return Target::jit().withJitFlags(diffJitFlagsFromEnv());
+}
+
+} // namespace
 
 TEST(VectorSimdTest, NativeVectorTypesAndRestrictPointers) {
   ImageParam In(Float(32), 2, "vs_in");
@@ -126,7 +139,7 @@ TEST(VectorSimdTest, ReversedRampExecutesCorrectlyOnAllBackends) {
   {
     ParamBindings P;
     P.bind(F.name(), FromJit);
-    ASSERT_EQ(jitCompile(LP)->run(P), 0);
+    ASSERT_EQ(jitCompile(LP, jitTarget())->run(P), 0);
   }
   for (int X = 0; X < N; ++X) {
     int32_t Want = ((127 - X) * 3 + 1) + (X * 3 + 1);
@@ -206,7 +219,7 @@ TEST(VectorSimdTest, ClampedRampExecutesCorrectlyAtBoundaries) {
   {
     ParamBindings P = Params;
     P.bind(F.name(), FromJit);
-    ASSERT_EQ(jitCompile(LP)->run(P), 0);
+    ASSERT_EQ(jitCompile(LP, jitTarget())->run(P), 0);
   }
   for (int Y = 0; Y < H; ++Y)
     for (int X = 0; X < W; ++X) {
@@ -317,7 +330,7 @@ TEST(VectorSimdTest, ShapedLoadsReadNothingPastTheImage) {
       ASSERT_EQ(Exe->run(P), 0);
     };
     Run(vmCompile(LP), FromVm);
-    Run(jitCompile(LP), FromJit);
+    Run(jitCompile(LP, jitTarget()), FromJit);
     for (int X = 0; X < C.Width; ++X)
       ASSERT_EQ(FromJit(X, 0), FromVm(X, 0)) << "at " << X;
   }
@@ -371,7 +384,7 @@ TEST(VectorSimdTest, OddLaneCountsMatchTheVm) {
     };
     interpret(LP, Bind(FromInterp));
     ASSERT_EQ(vmCompile(LP)->run(Bind(FromVm)), 0);
-    ASSERT_EQ(jitCompile(LP)->run(Bind(FromJit)), 0);
+    ASSERT_EQ(jitCompile(LP, jitTarget())->run(Bind(FromJit)), 0);
     for (int Y = 0; Y < H; ++Y)
       for (int X = 0; X < W; ++X) {
         ASSERT_EQ(FromInterp(X, Y), FromVm(X, Y))
@@ -452,7 +465,7 @@ TEST(VectorSimdTest, VectorDivModFloorSemanticsParity) {
   {
     ParamBindings P = Params;
     P.bind(F.name(), FromJit);
-    ASSERT_EQ(jitCompile(LP)->run(P), 0);
+    ASSERT_EQ(jitCompile(LP, jitTarget())->run(P), 0);
   }
   for (int Y = 0; Y < H; ++Y)
     for (int X = 0; X < W; ++X) {
@@ -583,7 +596,7 @@ void checkDivMod(const std::string &Tag, const std::vector<int64_t> &Divisors,
   };
   Buffer<T> FromVm(N, Rows), FromJit(N, Rows), FromJitO0(N, Rows);
   Run(*vmCompile(LP), FromVm);
-  Run(*jitCompile(LP), FromJit);
+  Run(*jitCompile(LP, jitTarget()), FromJit);
   Run(*jitCompile(LP, Target::jit().withJitFlags("-O0")), FromJitO0);
   for (int Row = 0; Row < Rows; ++Row)
     for (int X = 0; X < N; ++X) {
@@ -640,7 +653,7 @@ void checkMinimumOverMinusOne(const std::string &Tag, int VectorLanes) {
   F(x, j) = select(Expr(j) == 0, In(x) / D, In(x) % D);
   if (VectorLanes)
     F.vectorize(x, VectorLanes);
-  for (const Target &Tgt : {Target::vm(), Target::jit()}) {
+  for (const Target &Tgt : {Target::vm(), jitTarget()}) {
     Buffer<T> Out(N, 2);
     Pipeline(F).realize(Out, ParamBindings(), Tgt);
     for (int X = 0; X < N; ++X) {
@@ -730,7 +743,7 @@ TEST(VectorSimdTest, NonDivisibleVectorizedInternalUpdateStageIsSafe) {
   {
     ParamBindings P = Params;
     P.bind(Out.name(), FromJit);
-    ASSERT_EQ(jitCompile(LP)->run(P), 0);
+    ASSERT_EQ(jitCompile(LP, jitTarget())->run(P), 0);
   }
   for (int X = 0; X < 100; ++X) {
     ASSERT_EQ(FromInterp(X), Want[size_t(X)]) << "interp at " << X;
@@ -757,7 +770,7 @@ TEST(VectorSimdTest, NonDivisibleVectorizedOutputAbortsAtRunTime) {
   Func F("ndrt_out");
   F(x) = x * 2;
   F.vectorize(x, 8);
-  auto CP = jitCompile(lower(F.function()));
+  auto CP = jitCompile(lower(F.function()), jitTarget());
   Buffer<int32_t> Out(100);
   ParamBindings P;
   P.bind(F.name(), Out);
