@@ -43,8 +43,8 @@ App halide::makeBlurApp() {
   A.ScheduleTuned = [Reset, Blurx, Out]() mutable {
     Reset();
     Var x("x"), y("y"), ty("ty");
-    Out.split(y, ty, y, 8).parallel(ty).vectorize(x, 8);
-    Blurx.storeAt(Out, ty).computeAt(Out, y).vectorize(x, 8);
+    Out.split(y, ty, y, 16).parallel(ty).vectorize(x, 16);
+    Blurx.storeAt(Out, ty).computeAt(Out, y).vectorize(x, 16);
   };
   A.ScheduleGpu = [Reset, Blurx, Out]() mutable {
     Reset();

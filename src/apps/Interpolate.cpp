@@ -115,24 +115,20 @@ App halide::makeInterpolateApp() {
                      Out]() mutable {
     Reset();
     Var x("x"), y("y");
-    // Pyramid levels at root (they are reused globally); fuse the x-pass
-    // of each resample into its consumer's scanlines; parallelize and
-    // vectorize the large fine levels.
-    for (int L = 1; L < PyramidLevels; ++L) {
-      Func D = Downsampled[L];
-      D.computeRoot();
-      if (L <= 2)
-        D.parallel(y).vectorize(x, 8);
-      // The x-pass stays inline: totally fused into the y-pass (cheap
-      // recompute beats materializing another full plane per level).
-    }
-    for (int L = PyramidLevels - 2; L >= 0; --L) {
-      Func I = Interpolated[L];
-      I.computeRoot();
-      if (L <= 2)
-        I.parallel(y).vectorize(x, 8);
-      // UpX stays inline (total fusion into the interpolated level).
-    }
+    // Every pyramid level and every x-pass at root, each computed once
+    // with parallel scanlines. Inlining an x-pass into its y-pass
+    // recomputes it per output row, and the premultiply inlined under
+    // that 4x; on one thread that costs more than the extra planes.
+    // Only the output is vectorized: a vectorized level rounds its
+    // allocation up to the lane count, and the rounded blocks fit the
+    // buffer pool worse.
+    std::vector<Func> Stages = {Downsampled[0]};
+    for (int L = 1; L < PyramidLevels; ++L)
+      Stages.insert(Stages.end(), {DownX[L], Downsampled[L]});
+    for (int L = PyramidLevels - 2; L >= 0; --L)
+      Stages.insert(Stages.end(), {UpX[L], Interpolated[L]});
+    for (Func &F : Stages)
+      F.computeRoot().parallel(y);
     Out.parallel(y).vectorize(x, 8);
   };
   A.ScheduleGpu = [Reset, AllRoot, Downsampled, Interpolated,

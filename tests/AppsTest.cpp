@@ -254,6 +254,28 @@ std::vector<std::string> gatheredBuffers(const std::string &C) {
   return Buffers;
 }
 
+/// Interpolate with vectorized pyramid levels: down1-5 and interp0-4 at
+/// root, their x-passes and upsamples inlined, and the two finest levels
+/// of each and the output parallel and 8 lanes wide. The registered tuned
+/// schedule vectorizes only the output, so it has no upsample gathers.
+void scheduleInterpolateVectorLevels(App &A) {
+  std::map<std::string, Function> Env = buildEnvironment(A.Output.function());
+  for (auto &[Name, F] : Env)
+    F.resetSchedule();
+  Var x("x"), y("y");
+  auto Root = [&](const std::string &Level, int L) {
+    Func F(Env.at(Level + std::to_string(L)));
+    F.computeRoot();
+    if (L <= 2)
+      F.parallel(y).vectorize(x, 8);
+  };
+  for (int L = 1; L <= 5; ++L)
+    Root("down", L);
+  for (int L = 0; L <= 4; ++L)
+    Root("interp", L);
+  A.Output.parallel(y).vectorize(x, 8);
+}
+
 } // namespace
 
 TEST(AppsTest, VectorLoadsAreStraightLineSimd) {
@@ -261,15 +283,20 @@ TEST(AppsTest, VectorLoadsAreStraightLineSimd) {
   // helper keeps a lane loop (the clamped edge lanes go out of line), and no
   // conversion starts from a vector narrower than 128 bits (GCC splits
   // those). The stride-2 taps of camera_pipe's Bayer deinterleave and
-  // interpolate's downsampling are shuffled loads, not gathers; tuned
-  // interpolate gathers only its x/2 upsample taps from coarser levels.
+  // interpolate's downsampling are shuffled loads, not gathers; interpolate
+  // with vectorized levels gathers only its x/2 upsample taps from coarser
+  // levels.
   std::vector<App> Apps = paperApps();
   Apps.push_back(makeHistogramEqualizeApp());
-  for (App &A : Apps)
-    for (auto [Name, Apply] :
-         {std::pair{"breadth_first", A.ScheduleBreadthFirst},
-          std::pair{"tuned", A.ScheduleTuned},
-          std::pair{"gpu", A.ScheduleGpu}}) {
+  for (App &A : Apps) {
+    std::vector<std::pair<std::string, std::function<void()>>> Schedules = {
+        {"breadth_first", A.ScheduleBreadthFirst},
+        {"tuned", A.ScheduleTuned},
+        {"gpu", A.ScheduleGpu}};
+    if (A.Name == "interpolate")
+      Schedules.emplace_back("vector_levels",
+                             [&A] { scheduleInterpolateVectorLevels(A); });
+    for (const auto &[Name, Apply] : Schedules) {
       if (!Apply)
         continue;
       SCOPED_TRACE(A.Name + " " + Name);
@@ -306,14 +333,13 @@ TEST(AppsTest, VectorLoadsAreStraightLineSimd) {
               }
         }
       }
-      if (std::string(Name) != "tuned")
-        continue;
       const std::vector<std::string> Gathered = gatheredBuffers(C);
-      if (A.Name == "camera_pipe") {
+      if (A.Name == "camera_pipe" && Name == "tuned") {
         for (const std::string &Buffer : Gathered)
           EXPECT_EQ(Buffer.rfind("cam_curve", 0), 0u) << Buffer;
       }
-      if (A.Name == "interpolate") {
+      if (Name == "vector_levels") {
+        EXPECT_FALSE(Gathered.empty());
         EXPECT_LE(Gathered.size(), 13u);
         for (const std::string &Buffer : Gathered)
           EXPECT_TRUE(Buffer.rfind("interp", 0) == 0 &&
@@ -321,6 +347,7 @@ TEST(AppsTest, VectorLoadsAreStraightLineSimd) {
               << Buffer;
       }
     }
+  }
 }
 
 TEST(AppsTest, EmittedCNeedsNoSystemHeader) {

@@ -11,6 +11,7 @@
 #include "apps/Apps.h"
 #include "lang/ImageParam.h"
 #include "metrics/ScheduleMetrics.h"
+#include "support/DiffTest.h"
 #include "transforms/Lower.h"
 
 #include <gtest/gtest.h>
@@ -20,14 +21,14 @@ using namespace halide;
 namespace {
 
 struct MetricsFixture {
-  App A = makeBlurApp();
+  App A;
   int W = 64, H = 48;
   ParamBindings Params;
+  std::shared_ptr<void> KeepOut;
 
-  MetricsFixture() {
+  explicit MetricsFixture(App From = makeBlurApp()) : A(std::move(From)) {
     Params = A.MakeInputs(W, H);
-    Buffer<uint8_t> Out(W, H);
-    Params.bind(A.Output.name(), Out);
+    Params.bind(A.Output.name(), makeAppOutput(A, W, H, &KeepOut));
   }
 
   StrategyMetrics measure(const char *Name,
@@ -52,7 +53,7 @@ TEST(MetricsTest, Figure3Shape) {
   EXPECT_NEAR(BF2.WorkAmplification, 1.0, 0.05);
 
   StrategyMetrics Tuned = F.measure("tuned", F.A.ScheduleTuned, BFOps);
-  // Sliding-in-strips recomputes two scanlines per 8-scanline strip.
+  // Sliding-in-strips recomputes two scanlines per 16-scanline strip.
   EXPECT_GT(Tuned.WorkAmplification, 1.0);
   EXPECT_LT(Tuned.WorkAmplification, 1.6);
 
@@ -65,6 +66,17 @@ TEST(MetricsTest, Figure3Shape) {
 
   // Memory: the tuned schedule folds blurx into a few scanlines per strip.
   EXPECT_LT(Tuned.PeakMemoryBytes, BreadthFirst.PeakMemoryBytes);
+}
+
+TEST(MetricsTest, TunedInterpolateDoesNoExtraWork) {
+  // Tuned interpolate computes every pyramid level and x-pass once at
+  // root, as breadth-first does; its parallel scanlines recompute nothing.
+  MetricsFixture F(makeInterpolateApp());
+  StrategyMetrics BreadthFirst =
+      F.measure("breadth_first", F.A.ScheduleBreadthFirst);
+  StrategyMetrics Tuned =
+      F.measure("tuned", F.A.ScheduleTuned, BreadthFirst.MemoryOps);
+  EXPECT_LE(Tuned.WorkAmplification, 1.0);
 }
 
 TEST(MetricsTest, BenchmarkMsPositive) {
