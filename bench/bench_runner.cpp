@@ -23,8 +23,10 @@
 // the serving trajectory rather than the single-frame one.
 //
 // Observability (see README's Observability section): --profile compiles
-// with Target::Profile and prints the per-stage profiler report plus the
-// unified metrics snapshot after the runs; --trace <path> records a
+// with Target::Profile, prints each program's per-stage profiler table
+// after its row (an app's schedules share stage names, so one table over
+// all of them would mix their stages) and the unified metrics snapshot
+// after the runs; --trace <path> records a
 // Chrome trace-event JSON of the whole bench (load it in
 // chrome://tracing or https://ui.perfetto.dev); --value-trace <path>
 // compiles with Target::Trace and streams every load/store/realization
@@ -97,6 +99,17 @@ struct BenchRow {
 /// isolates the SIMD contribution of an otherwise identical schedule.
 bool ScalarizeSchedules = false;
 
+/// With a profiling target, the profiler totals of one program only:
+/// clears them before its runs, and prints them after its row.
+void startProfile(const Target &T) {
+  if (T.Profile)
+    profilerReset();
+}
+void printProfile(const Target &T) {
+  if (T.Profile)
+    std::printf("\n%s\n", profilerReport().str().c_str());
+}
+
 void runOne(App &A, const char *ScheduleName,
             const std::function<void()> &Apply, const Target &T,
             int Threads, int W, int H, int Iters,
@@ -111,6 +124,7 @@ void runOne(App &A, const char *ScheduleName,
   std::shared_ptr<void> Keep;
   RawBuffer Out = makeAppOutput(A, W, H, &Keep);
   Params.bind(A.Output.name(), Out);
+  startProfile(T);
   double Ms = benchmarkMs(*Exe, Params, Iters, Threads);
   BenchRow Row;
   Row.App = A.Name;
@@ -127,6 +141,7 @@ void runOne(App &A, const char *ScheduleName,
       "%-16s %-14s %-11s t%-2d v%-2d %4dx%-4d %9.3f ms  %8.3f ns/px\n",
       A.Name.c_str(), ScheduleName, Row.BackendName.c_str(), Row.Threads,
       Row.VecWidth, W, H, Ms, Row.NsPerPixel);
+  printProfile(T);
 }
 
 struct ServeRow {
@@ -164,6 +179,7 @@ void runServe(App &A, const Target &T, int W, int H, int Clients,
   Apply();
   Pipeline Pipe(A.Output);
   ParamBindings Params = A.MakeInputs(W, H);
+  startProfile(T);
   {
     std::shared_ptr<void> Keep;
     RawBuffer Out = makeAppOutput(A, W, H, &Keep);
@@ -217,6 +233,7 @@ void runServe(App &A, const Target &T, int W, int H, int Clients,
               A.Name.c_str(), Row.Schedule.c_str(), Row.BackendName.c_str(),
               Row.Threads, Clients, FramesPer, Row.Fps, Row.P50Ms,
               Row.P99Ms);
+  printProfile(T);
 }
 
 /// The threads sweep: the two apps whose tuned schedules carry the
@@ -427,10 +444,8 @@ int main(int Argc, char **Argv) {
                 ValueTracePath.c_str(), (long long)TS.EventsEmitted,
                 (long long)TS.EventsDropped, (long long)TS.BytesWritten);
   }
-  if (Profile) {
-    std::printf("\n%s\n", profilerReport().str().c_str());
+  if (Profile)
     std::printf("%s", metricsSnapshot().str().c_str());
-  }
 
   if (!JsonPath.empty()) {
     std::ofstream Json(JsonPath);
