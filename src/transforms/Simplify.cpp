@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 using namespace halide;
 
@@ -141,6 +142,65 @@ bool constDifference(const Expr &A, const Expr &B, int64_t *Delta) {
     return false;
   *Delta = Combo.Constant;
   return true;
+}
+
+/// A hash that every expression equal() to \p E shares: its kind and type,
+/// a variable's name or an integer's value, and, \p Depth levels down, the
+/// operands of arithmetic and min/max nodes.
+uint64_t shallowHash(const Expr &E, int Depth) {
+  const Type T = E.type();
+  uint64_t H = (uint64_t(E->Kind) << 48) ^ (uint64_t(T.Code) << 40) ^
+               (uint64_t(T.Bits) << 32) ^ uint64_t(T.Lanes);
+  auto Mix = [&H](uint64_t V) { H = (H ^ V) * 0x9E3779B97F4A7C15ull; };
+  auto Operands = [&](const auto *Op) {
+    Mix(shallowHash(Op->A, Depth - 1));
+    Mix(shallowHash(Op->B, Depth - 1));
+  };
+  if (const Variable *V = E.as<Variable>())
+    Mix(std::hash<std::string>()(V->Name));
+  else if (const IntImm *I = E.as<IntImm>())
+    Mix(uint64_t(I->Value));
+  else if (Depth > 0) {
+    if (const Add *Op = E.as<Add>())
+      Operands(Op);
+    else if (const Sub *Op = E.as<Sub>())
+      Operands(Op);
+    else if (const Mul *Op = E.as<Mul>())
+      Operands(Op);
+    else if (const Div *Op = E.as<Div>())
+      Operands(Op);
+    else if (const Mod *Op = E.as<Mod>())
+      Operands(Op);
+    else if (const Min *Op = E.as<Min>())
+      Operands(Op);
+    else if (const Max *Op = E.as<Max>())
+      Operands(Op);
+  }
+  return H;
+}
+
+/// The combination accumulateLinear builds of \p E, hashed without
+/// building it: the wrapping sum of Coef * shallowHash(Atom) over its
+/// terms, the constant left out. Equal atoms hash alike, so two
+/// expressions that differ by a constant have one linearHash, and
+/// comparing it is a cheap, exact screen ahead of constDifference.
+uint64_t linearHash(const Expr &E, int Depth = 0) {
+  if (Depth > 128)
+    return 0; // accumulateLinear gives up here
+  int64_t C;
+  if (asConstInt(E, &C))
+    return 0;
+  if (const Add *Op = E.as<Add>())
+    return linearHash(Op->A, Depth + 1) + linearHash(Op->B, Depth + 1);
+  if (const Sub *Op = E.as<Sub>())
+    return linearHash(Op->A, Depth + 1) - linearHash(Op->B, Depth + 1);
+  if (const Mul *Op = E.as<Mul>()) {
+    if (asConstInt(Op->B, &C))
+      return uint64_t(C) * linearHash(Op->A, Depth + 1);
+    if (asConstInt(Op->A, &C))
+      return uint64_t(C) * linearHash(Op->B, Depth + 1);
+  }
+  return shallowHash(E, 2);
 }
 
 Stmt noOpStmt() { return Evaluate::make(0); }
@@ -535,13 +595,26 @@ private:
   /// chain is never further from E on that side than any of its nodes.
   template <typename NodeT>
   static bool inChain(const Expr &Chain, const Expr &E) {
+    // Only a scalar integer has a constant difference; its linearHash
+    // screens each node before constDifference builds both combinations.
+    std::optional<uint64_t> EHash;
+    if (isCanonicalizableType(E.type()))
+      EHash = linearHash(E);
+    return inChain<NodeT>(Chain, E, EHash);
+  }
+  template <typename NodeT>
+  static bool inChain(const Expr &Chain, const Expr &E,
+                      std::optional<uint64_t> EHash) {
     constexpr bool IsMax = NodeT::StaticKind == IRNodeKind::Max;
     int64_t Delta;
-    if (equal(Chain, E) || (constDifference(E, Chain, &Delta) &&
-                            (IsMax ? Delta <= 0 : Delta >= 0)))
+    if (equal(Chain, E) ||
+        (EHash && linearHash(Chain) == *EHash &&
+         constDifference(E, Chain, &Delta) &&
+         (IsMax ? Delta <= 0 : Delta >= 0)))
       return true;
     if (const NodeT *N = Chain.as<NodeT>())
-      return inChain<NodeT>(N->A, E) || inChain<NodeT>(N->B, E);
+      return inChain<NodeT>(N->A, E, EHash) ||
+             inChain<NodeT>(N->B, E, EHash);
     return false;
   }
 

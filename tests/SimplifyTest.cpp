@@ -381,4 +381,13 @@ TEST(SimplifyTest, OperandAConstantPastAChainNodeIsDropped) {
   // On the other side the operand can be the result, and stays.
   EXPECT_FALSE(equal(simplify(min(MinChain, B - 1)), MinChain));
   EXPECT_FALSE(equal(simplify(max(MaxChain, B + 1)), MaxChain));
+  // Nodes whose terms are scaled non-linear atoms.
+  Expr D = (A / 2) * 3 + max(B, C);
+  Expr Scaled = simplify(min(min(D, C), A));
+  EXPECT_TRUE(equal(simplify(min(Scaled, D + 5)), Scaled));
+  EXPECT_TRUE(equal(simplify(min(max(B, C) + 1 + (A / 2) * 3, Scaled)),
+                    Scaled));
+  EXPECT_FALSE(
+      equal(simplify(min(Scaled, (A / 2) * 2 + max(B, C) + 5)), Scaled));
+  EXPECT_FALSE(equal(simplify(min(Scaled, (A / 4) * 3 + max(B, C))), Scaled));
 }
