@@ -170,7 +170,9 @@ App halide::makeLocalLaplacianApp(int Levels, int IntensityLevels) {
     // The paper's tuned schedule mixes strategies across the 99 stages; we
     // approximate its shape: x-passes of resampling fuse into their
     // consumers' scanlines (inline), pyramid levels at root with parallel
-    // scanlines and vectorized x on the large fine levels.
+    // scanlines. Only the output is vectorized: a vectorized level rounds
+    // its extent up to the lane count, and the rounding compounds down
+    // the pyramid (ROADMAP item 1).
     ForEachStage([](Function &F) {
       F.resetSchedule();
       bool IsXPass = endsWith(F.name(), "_dx") || endsWith(F.name(), "_ux");
@@ -178,7 +180,7 @@ App halide::makeLocalLaplacianApp(int Levels, int IntensityLevels) {
         return; // stays inline: fused into the y pass
       F.schedule().ComputeLevel = LoopLevel::root();
       F.schedule().StoreLevel = LoopLevel::root();
-      // Parallel over the outermost dimension, vectorize x by 8.
+      // Parallel over the outermost dimension.
       if (!F.schedule().Dims.empty()) {
         Dim &Outer = F.schedule().Dims.front();
         if (!Outer.IsRVar)
