@@ -116,12 +116,12 @@ App halide::makeInterpolateApp() {
     Reset();
     Var x("x"), y("y");
     // Every pyramid level and every x-pass at root, each computed once
-    // with parallel scanlines. Inlining an x-pass into its y-pass
-    // recomputes it per output row, and the premultiply inlined under
-    // that 4x; on one thread that costs more than the extra planes.
-    // Only the output is vectorized: a vectorized level rounds its
-    // allocation up to the lane count, and the rounded blocks fit the
-    // buffer pool worse.
+    // with parallel scanlines. Inlined into its y-pass, which reads four
+    // rows at stride 2, an x-pass would be computed twice per point, and
+    // the premultiply under it four times; on one thread that costs more
+    // than the extra planes. Only the output is vectorized: a vectorized
+    // level rounds its allocation up to the lane count, and the rounded
+    // blocks fit the buffer pool worse.
     std::vector<Func> Stages = {Downsampled[0]};
     for (int L = 1; L < PyramidLevels; ++L)
       Stages.insert(Stages.end(), {DownX[L], Downsampled[L]});

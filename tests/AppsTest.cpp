@@ -255,9 +255,9 @@ std::vector<std::string> gatheredBuffers(const std::string &C) {
 }
 
 /// Interpolate with vectorized pyramid levels: down1-5 and interp0-4 at
-/// root, their x-passes and upsamples inlined, and the two finest levels
-/// of each and the output parallel and 8 lanes wide. The registered tuned
-/// schedule vectorizes only the output, so it has no upsample gathers.
+/// root, their x-passes and upsamples inlined, and down1-2, interp0-2 and
+/// the output parallel and 8 lanes wide. The registered tuned schedule
+/// vectorizes only the output, so it has no upsample gathers.
 void scheduleInterpolateVectorLevels(App &A) {
   std::map<std::string, Function> Env = buildEnvironment(A.Output.function());
   for (auto &[Name, F] : Env)
