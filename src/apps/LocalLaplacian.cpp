@@ -172,7 +172,7 @@ App halide::makeLocalLaplacianApp(int Levels, int IntensityLevels) {
     // consumers' scanlines (inline), pyramid levels at root with parallel
     // scanlines. Only the output is vectorized: a vectorized level rounds
     // its extent up to the lane count, and the rounding compounds down
-    // the pyramid (ROADMAP item 1).
+    // the pyramid.
     ForEachStage([](Function &F) {
       F.resetSchedule();
       bool IsXPass = endsWith(F.name(), "_dx") || endsWith(F.name(), "_ux");
