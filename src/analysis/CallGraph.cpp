@@ -11,10 +11,17 @@ using namespace halide;
 
 namespace {
 
-/// Collects the Halide calls in an expression (names and held stages), and
-/// the distinct argument vectors of every Halide and image call.
+/// Collects the stages an expression's Halide calls hold and the
+/// parameters it reads and, unless built for the environment alone, the
+/// called names and the distinct argument vectors of every Halide and
+/// image call.
 class CallCollector : public IRVisitor {
 public:
+  /// \p CallSites false skips FuncCalls and CallArgs: buildEnvironment,
+  /// which runs on every realize through the schedule fingerprint, reads
+  /// neither, and deduplicating the arguments compares every pair.
+  explicit CallCollector(bool CallSites = true) : CallSites(CallSites) {}
+
   std::set<std::string> FuncCalls;
   /// The stages the calls hold; a stage's calls to itself hold none.
   std::vector<Function> Callees;
@@ -26,14 +33,17 @@ public:
   void visit(const Call *Op) override {
     IRVisitor::visit(Op);
     if (Op->CallKind == CallType::Halide) {
-      FuncCalls.insert(Op->Name);
       if (Op->Callee.defined())
         Callees.push_back(Function(Op->Callee));
-      recordArgs(Op);
+      if (CallSites) {
+        FuncCalls.insert(Op->Name);
+        recordArgs(Op);
+      }
     } else if (Op->CallKind == CallType::Image) {
       if (Op->Param.defined())
         Params.push_back(Op->Param);
-      recordArgs(Op);
+      if (CallSites)
+        recordArgs(Op);
     }
   }
 
@@ -43,6 +53,8 @@ public:
   }
 
 private:
+  const bool CallSites;
+
   void recordArgs(const Call *Op) {
     auto &Seen = CallArgs[Op->Name];
     for (const auto &Existing : Seen) {
@@ -83,7 +95,7 @@ void buildEnvHelper(const Function &F, std::map<std::string, Function> *Env,
         << "; give each stage its own name";
     return;
   }
-  CallCollector Collector;
+  CallCollector Collector(/*CallSites=*/false);
   collectFromFunction(F, &Collector);
   // Split factors and bounds may read parameters too.
   for (const Split &S : F.schedule().Splits)

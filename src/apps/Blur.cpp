@@ -40,11 +40,14 @@ App halide::makeBlurApp() {
     Reset();
     Blurx.computeRoot();
   };
+  // blurx runs 32 lanes, a 512-bit uint16 vector, and rounds its padded
+  // rows up to them. The output stays at 16 lanes: an output's width must
+  // be a multiple of its lane count, and the tests' frames are 48 wide.
   A.ScheduleTuned = [Reset, Blurx, Out]() mutable {
     Reset();
     Var x("x"), y("y"), ty("ty");
     Out.split(y, ty, y, 16).parallel(ty).vectorize(x, 16);
-    Blurx.storeAt(Out, ty).computeAt(Out, y).vectorize(x, 16);
+    Blurx.storeAt(Out, ty).computeAt(Out, y).vectorize(x, 32);
   };
   A.ScheduleGpu = [Reset, Blurx, Out]() mutable {
     Reset();

@@ -661,15 +661,95 @@ private:
     return true;
   }
 
+  /// The AVX-512 masked load of a \p Bytes-wide (16, 32 or 64) vector of
+  /// \p Elem: its builtin and the C element type of the builtin's pointer
+  /// and vector operands.
+  static std::pair<std::string, std::string> maskedLoadBuiltin(Type Elem,
+                                                               int Bytes) {
+    const std::string Bits = std::to_string(Bytes * 8);
+    if (Elem.isFloat())
+      return Elem.Bits == 32
+                 ? std::pair{"__builtin_ia32_loadups" + Bits + "_mask", "float"}
+                 : std::pair{"__builtin_ia32_loadupd" + Bits + "_mask",
+                             "double"};
+    switch (elemBytes(Elem)) {
+    case 1:
+      return {"__builtin_ia32_loaddquqi" + Bits + "_mask", "char"};
+    case 2:
+      return {"__builtin_ia32_loaddquhi" + Bits + "_mask", "short"};
+    case 4:
+      return {"__builtin_ia32_loaddqusi" + Bits + "_mask", "int"};
+    default:
+      return {"__builtin_ia32_loaddqudi" + Bits + "_mask", "long long"};
+    }
+  }
+
+  /// Load of p's first n elements, n clamped to [0, P] for a native vector
+  /// of P lanes, into a zeroed vector, reading nothing past them. With
+  /// AVX-512BW and VL it is one fault-suppressing masked load per 64 bytes
+  /// (a vector narrower than 16 bytes loads through a 16-byte one);
+  /// otherwise a memcpy of the n elements.
+  std::string vectorSpanLoadHelper(Type T) {
+    needVectorType(T);
+    std::string VT = vecCType(T), CT = scalarCType(T.element());
+    std::string Name = VT + "_load_span";
+    if (EmittedHelpers.count(Name))
+      return Name;
+    const int P = nativeLanes(T), Bytes = P * elemBytes(T);
+    const int Piece = std::clamp(Bytes, 16, 64);
+    const int PieceLanes = Piece / elemBytes(T);
+    const auto [Builtin, Elem] = maskedLoadBuiltin(T.element(), Piece);
+    const std::string WT =
+        Elem + " __attribute__((vector_size(" + std::to_string(Piece) + ")))";
+    std::string Masked;
+    for (int K = 0; K * Piece < Bytes; ++K) {
+      // The lanes this piece loads: n itself when there is one piece.
+      std::string Count = "n";
+      if (Bytes > Piece) {
+        Count = "m" + std::to_string(K);
+        const std::string Max = std::to_string(PieceLanes);
+        Masked += "  int32_t " + Count + " = n - " +
+                  std::to_string(K * PieceLanes) + ";\n  " + Count + " = " +
+                  Count + " < 0 ? 0 : " + Count + " > " + Max + " ? " + Max +
+                  " : " + Count + ";\n";
+      }
+      // A shift by 64 is undefined, so a 64-lane piece tests for it.
+      std::string Bits = "(1ULL << " + Count + ") - 1";
+      if (PieceLanes == 64)
+        Bits = Count + " < 64 ? " + Bits + " : ~0ULL";
+      const std::string W = "w" + std::to_string(K);
+      Masked += "  " + WT + " " + W + " = " + Builtin + "((const " + Elem +
+                " *)p" +
+                (K ? " + " + std::to_string(K * PieceLanes) : std::string()) +
+                ", (" + WT + "){0}, " + Bits + ");\n  memcpy(" +
+                (K ? "(char *)&r + " + std::to_string(K * Piece) : "&r") +
+                ", &" + W + ", " + std::to_string(std::min(Piece, Bytes)) +
+                ");\n";
+    }
+    needHelper(Name,
+               "static inline " + VT + " " + Name + "(const " + CT +
+                   " *p, int32_t n) {\n  n = n < 0 ? 0 : n > " +
+                   std::to_string(P) + " ? " + std::to_string(P) +
+                   " : n;\n#if defined(__AVX512BW__) && "
+                   "defined(__AVX512VL__)\n  " +
+                   VT + " r;\n" + Masked + "#else\n  " + VT +
+                   " r = {0};\n  memcpy(&r, p, n * sizeof(*p));\n#endif\n"
+                   "  return r;\n}");
+    return Name;
+  }
+
   /// Load of the lanes at max(min(base + l * Stride, hi), lo) + off. The
   /// inline helper tests, in 64 bits, whether every lane lies inside [lo,
   /// hi] (the interior of a clamped-boundary stencil: almost every lane
-  /// group) and then reads through the dense or stride-2 load. The
-  /// per-lane clamp of the edge groups is one noinline, cold function per
-  /// type and stride: inlined, its lane loop made the compiler keep every
-  /// tap's vector on the stack. It reads only the vector's own lanes; a
-  /// padded vector's extra lanes stay unset, and no lane operation carries
-  /// them into a real lane.
+  /// group) and then reads through the dense or stride-2 load. The edge
+  /// groups call one noinline, cold function per type and stride, which
+  /// keeps the hot loop's body small. Clamping is monotone, so every lane
+  /// reads inside [a, b], the clamps of its lowest and highest lanes, and
+  /// lane l reads element clamp(base + Stride * l - a, 0, b - a) of that
+  /// span: the edge function loads exactly the span (for stride ±2 into
+  /// two vectors) and places the lanes with one variable shuffle. A padded
+  /// vector's extra lanes pick span elements too, and no lane operation
+  /// carries them into a real lane.
   std::string vectorClampedLoadHelper(Type T, int Stride) {
     needVectorType(T);
     std::string VT = vecCType(T), CT = scalarCType(T.element());
@@ -680,17 +760,6 @@ private:
     const std::string Params = "(const " + CT +
                                " *p, int32_t off, int32_t base, int32_t lo, "
                                "int32_t hi) {\n";
-    std::string Edge = VT + "_clamp_edge" + Suffix;
-    const std::string Lane =
-        Stride == 1 ? "l" : "l * " + std::to_string(Stride);
-    needHelper(Edge,
-               "static __attribute__((noinline, cold)) " + VT + " " + Edge +
-                   Params + "  " + VT + " r;\n" +
-                   laneLoop(T.Lanes,
-                            "{ int64_t i = (int64_t)base + " + Lane +
-                                "; i = i > hi ? hi : i; i = i < lo ? lo : i; "
-                                "r[l] = p[off + i]; }") +
-                   "  return r;\n}");
     const int Low = lowestOffset(Stride, T.Lanes);
     const int High = Stride * (T.Lanes - 1) - Low;
     auto Plus = [](int Offset) {
@@ -698,6 +767,54 @@ private:
                           std::to_string(Offset > 0 ? Offset : -Offset)
                     : std::string();
     };
+    const int P = nativeLanes(T), Step = Stride < 0 ? -Stride : Stride;
+    // Lane l's offset in the span is clamp(d + Stride * l, 0, n - 1), d =
+    // base - a, and clamping d to [-2R, 2R], R = High - Low, changes no
+    // real lane's offset. The unclamped sums then reach 3 * Step * (P - 1)
+    // on the padding lanes, so they are computed at 16 bits where the
+    // shuffle's 8-bit mask cannot hold that.
+    Type MaskT = vecMaskType(T);
+    Type IdxT = MaskT.Bits == 8 && 3 * Step * (P - 1) > 127
+                    ? Int(16, T.Lanes)
+                    : MaskT;
+    needVectorType(IdxT);
+    const std::string ICT = scalarCType(IdxT.element());
+    const std::string Reach = std::to_string(2 * (High - Low));
+    auto Clamp = [](const std::string &X, const std::string &Lo,
+                    const std::string &Hi) {
+      return "  " + X + " = " + X + " > " + Hi + " ? " + Hi + " : " + X +
+             ";\n  " + X + " = " + X + " < " + Lo + " ? " + Lo + " : " + X +
+             ";\n";
+    };
+    std::string Body = "  int64_t a = (int64_t)base" + Plus(Low) +
+                       ", b = (int64_t)base" + Plus(High) + ";\n" +
+                       Clamp("a", "lo", "hi") + Clamp("b", "lo", "hi") +
+                       "  int64_t d = (int64_t)base - a;\n" +
+                       Clamp("d", "-" + Reach, Reach) + "  const " + CT +
+                       " *s = p + (off + a);\n"
+                       "  const int32_t n = (int32_t)(b - a + 1);\n";
+    Body += "  const " + vecCType(IdxT) + " i = " +
+            vectorOpHelper(IdxT, "max") + "(" + vectorOpHelper(IdxT, "min") +
+            "(" + vectorRampHelper(IdxT) + "((" + ICT + ")d, (" + ICT + ")" +
+            std::to_string(Stride) + "), " + vectorSplatHelper(IdxT) + "((" +
+            ICT + ")(n - 1))), " + vectorSplatHelper(IdxT) + "((" + ICT +
+            ")0));\n";
+    std::string Mask = "i";
+    if (IdxT != MaskT) {
+      needVectorType(MaskT);
+      Mask = "m";
+      Body += "  const " + vecCType(MaskT) + " m = " +
+              convertLanes(IdxT, MaskT, "i") + ";\n";
+    }
+    const std::string Span = vectorSpanLoadHelper(T);
+    Body += "  return __builtin_shuffle(" + Span + "(s, n), " +
+            (Step == 2 ? Span + "(s + " + std::to_string(P) + ", n - " +
+                             std::to_string(P) + "), "
+                       : "") +
+            Mask + ");\n}";
+    std::string Edge = VT + "_clamp_edge" + Suffix;
+    needHelper(Edge, "static __attribute__((noinline, cold)) " + VT + " " +
+                         Edge + Params + Body);
     needHelper(Name, "static inline " + VT + " " + Name + Params +
                          "  if ((int64_t)lo <= (int64_t)base" + Plus(Low) +
                          " && (int64_t)base" + Plus(High) + " <= hi)\n" +
@@ -713,7 +830,7 @@ private:
   template <typename Fn> std::string laneReads(Type T, Fn Index) {
     return "  return (" + vecCType(T) + ")" + laneList(T.Lanes, [&](int L) {
              return "p[" + Index(std::to_string(L)) + "]";
-           }) + ";\n}";
+           }) + ";\n";
   }
 
   std::string vectorStridedLoadHelper(Type T) {
@@ -724,21 +841,52 @@ private:
                          " *p, int32_t s) {\n" +
                          laneReads(T, [](const std::string &L) {
                            return "(int64_t)" + L + " * s";
-                         }));
+                         }) + "}");
     return Name;
   }
 
+  /// Lanes read p[idx[l]]. A gather of 32-bit elements by 32-bit indices
+  /// into a native vector of 4 or 8 lanes is the AVX2 gather instruction,
+  /// and of 16 lanes the AVX-512 one, masked to the vector's own lanes so
+  /// a padded vector's extra lanes read nothing; every other gather, and
+  /// every gather on a host without those instructions, is a lane-list
+  /// constructor.
   std::string vectorGatherHelper(Type T, Type IndexT) {
     needVectorType(T);
     needVectorType(IndexT);
     std::string VT = vecCType(T), CT = scalarCType(T.element());
     std::string IVT = vecCType(IndexT);
     std::string Name = VT + "_gather_" + typeTag(IndexT.element());
+    std::string Body = laneReads(T, [](const std::string &L) {
+      return "idx[" + L + "]";
+    });
+    const int L = T.Lanes, P = nativeLanes(T);
+    if (T.element().Bits == 32 && IndexT.element() == Int(32) &&
+        (P == 4 || P == 8 || P == 16)) {
+      const bool Float = T.element().isFloat();
+      // The builtins take float vectors for f32 and int ones otherwise;
+      // the index vector is an int vector of the same lanes.
+      const std::string Src = "(" + (Float ? VT : IVT) + "){0}";
+      std::string Mask, Guard;
+      if (P == 16) {
+        Guard = "defined(__AVX512F__)";
+        Mask = "(unsigned short)" + std::to_string((1u << L) - 1);
+      } else {
+        Guard = "defined(__AVX2__)";
+        Mask = "(" + IVT + ")" + laneList(P, [&](int Lane) {
+                 return std::string(Lane < L ? "-1" : "0");
+               });
+        if (Float)
+          Mask = "(" + VT + ")" + Mask;
+      }
+      Body = "#if " + Guard + "\n  return (" + VT +
+             ")__builtin_ia32_gathersiv" + std::to_string(P) +
+             (Float ? "sf" : "si") + "(" + Src + ", (const " +
+             (Float ? "float" : "int") + " *)p, idx, " + Mask +
+             ", 4);\n#else\n" + Body + "#endif\n";
+    }
     needHelper(Name, "static inline " + VT + " " + Name + "(const " + CT +
-                         " *p, " + IVT + " idx) {\n" +
-                         laneReads(T, [](const std::string &L) {
-                           return "idx[" + L + "]";
-                         }));
+                         " *p, " + IVT + " idx) {\n" + Body + "}");
     return Name;
   }
 

@@ -235,26 +235,37 @@ TEST(VectorSimdTest, ClampedRampExecutesCorrectlyAtBoundaries) {
 
 namespace {
 
-/// A one-row uint8 image of width W whose storage ends where a PROT_NONE
-/// page begins, so reading one element past it faults.
+/// A one-row image of W elements of type Elem that a PROT_NONE page
+/// borders, so reading one element outside it faults: the page right
+/// after its last element, or with \p GuardBefore the page right before
+/// its first one.
 class GuardedRow {
 public:
-  explicit GuardedRow(int W) {
+  GuardedRow(Type Elem, int W, bool GuardBefore = false) {
     Page = size_t(sysconf(_SC_PAGESIZE));
-    Map = mmap(nullptr, 2 * Page, PROT_READ | PROT_WRITE,
+    Map = mmap(nullptr, 3 * Page, PROT_READ | PROT_WRITE,
                MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     EXPECT_NE(Map, MAP_FAILED);
-    EXPECT_EQ(mprotect(static_cast<char *>(Map) + Page, Page, PROT_NONE), 0);
-    uint8_t *Row = static_cast<uint8_t *>(Map) + Page - W;
-    for (int X = 0; X < W; ++X)
-      Row[X] = uint8_t(X * 37 + 11);
+    char *Base = static_cast<char *>(Map);
+    EXPECT_EQ(mprotect(Base, Page, PROT_NONE), 0);
+    EXPECT_EQ(mprotect(Base + 2 * Page, Page, PROT_NONE), 0);
+    const size_t Bytes = size_t(W) * size_t(Elem.bytes());
+    char *Row = Base + Page + (GuardBefore ? 0 : Page - Bytes);
+    for (int X = 0; X < W; ++X) {
+      if (Elem == UInt(8))
+        reinterpret_cast<uint8_t *>(Row)[X] = uint8_t(X * 37 + 11);
+      else if (Elem == UInt(16))
+        reinterpret_cast<uint16_t *>(Row)[X] = uint16_t(X * 1237 + 11);
+      else
+        reinterpret_cast<float *>(Row)[X] = float(X) * 2.5f + 1.0f;
+    }
     Image.Host = Row;
-    Image.ElemType = UInt(8);
+    Image.ElemType = Elem;
     Image.Dimensions = 2;
     Image.Dim[0] = {0, W, 1};
     Image.Dim[1] = {0, 1, W};
   }
-  ~GuardedRow() { munmap(Map, 2 * Page); }
+  ~GuardedRow() { munmap(Map, 3 * Page); }
 
   RawBuffer Image;
 
@@ -263,13 +274,41 @@ private:
   void *Map = nullptr;
 };
 
+/// Runs \p LP, whose input is "vor_in" and output \p Out, on the VM and on
+/// jit_c over a guarded row of \p ImageWidth elements of \p Elem, once
+/// with the guard page after the row and once before it, at an output
+/// width of \p Width; jit_c must equal the VM.
+void expectGuardedRunsMatchTheVm(const LoweredPipeline &LP,
+                                 const std::string &Out, Type Elem,
+                                 int Width, int ImageWidth) {
+  auto Vm = vmCompile(LP);
+  auto Jit = jitCompile(LP, jitTarget());
+  for (bool GuardBefore : {false, true}) {
+    SCOPED_TRACE(std::string("width ") + std::to_string(Width) +
+                 " of an image " + std::to_string(ImageWidth) + " wide, " +
+                 (GuardBefore ? "guarded before" : "guarded after"));
+    GuardedRow Row(Elem, ImageWidth, GuardBefore);
+    Buffer<int32_t> FromVm(Width, 1), FromJit(Width, 1);
+    for (auto [Exe, Result] : {std::pair<const Executable *,
+                                         Buffer<int32_t> *>{Vm.get(), &FromVm},
+                               {Jit.get(), &FromJit}}) {
+      ParamBindings P;
+      P.bind("vor_in", Row.Image);
+      P.bind(Out, *Result);
+      ASSERT_EQ(Exe->run(P), 0);
+    }
+    for (int X = 0; X < Width; ++X)
+      ASSERT_EQ(FromJit(X, 0), FromVm(X, 0)) << "at " << X;
+  }
+}
+
 } // namespace
 
 TEST(VectorSimdTest, ShapedLoadsReadNothingPastTheImage) {
   // Each tap reads the image's last element from its last lane group, at
   // a width W where that group is interior (its dense or stride-2 load
   // ends exactly at the guard page), and the clamped taps also at a width
-  // where every lane group takes the per-lane edge path. jit_c must equal
+  // where every lane group takes the edge path. jit_c must equal
   // the VM without touching the guard page, at 8 lanes and at 6, which
   // pad to native vectors of 8.
   struct Case {
@@ -308,9 +347,8 @@ TEST(VectorSimdTest, ShapedLoadsReadNothingPastTheImage) {
        6, 4, 6},
   };
   for (const Case &C : Cases) {
-    SCOPED_TRACE(std::string(C.Shape) + " width " + std::to_string(C.Width) +
-                 " of an image " + std::to_string(C.ImageWidth) + " wide, " +
-                 std::to_string(C.Lanes) + " lanes");
+    SCOPED_TRACE(std::string(C.Shape) + " at " + std::to_string(C.Lanes) +
+                 " lanes");
     ImageParam In(UInt(8), 2, "vor_in");
     Var x("x"), y("y");
     Func F("vor_out");
@@ -320,19 +358,74 @@ TEST(VectorSimdTest, ShapedLoadsReadNothingPastTheImage) {
     std::string Source = codegenC(LP, "test_fn");
     EXPECT_NE(Source.find(C.Shape), std::string::npos);
     EXPECT_EQ(Source.find("_gather"), std::string::npos);
+    expectGuardedRunsMatchTheVm(LP, F.name(), UInt(8), C.Width,
+                                C.ImageWidth);
+  }
 
-    GuardedRow Row(C.ImageWidth);
-    Buffer<int32_t> FromVm(C.Width, 1), FromJit(C.Width, 1);
-    auto Run = [&](const auto &Exe, Buffer<int32_t> &Out) {
-      ParamBindings P;
-      P.bind("vor_in", Row.Image);
-      P.bind(F.name(), Out);
-      ASSERT_EQ(Exe->run(P), 0);
-    };
-    Run(vmCompile(LP), FromVm);
-    Run(jitCompile(LP, jitTarget()), FromJit);
-    for (int X = 0; X < C.Width; ++X)
-      ASSERT_EQ(FromJit(X, 0), FromVm(X, 0)) << "at " << X;
+  // The edge path at 16- to 128-byte vectors, padded ones included: one
+  // stage sums a clamped tap of each stride ±1 and ±2. Within the image
+  // ([0, W - 1]), every tap's first and last lane groups clamp at the
+  // row's two ends, and at an image narrower than the vector every lane
+  // group clamps at both. Clamped to [0, 1000] instead, past the image,
+  // each tap's lanes reach exactly the image's last element from a single
+  // lane group that clamps at lo, so a load of L elements from the
+  // clamped window's start reads past the image. The f32 values are
+  // 2.5 apart, so no two truncate to one int. 64 lanes of u8 fill one
+  // 64-byte masked load.
+  auto Tap = [](ImageParam &In, Expr Index) {
+    return cast(Int(32), In(Index, 0));
+  };
+  std::vector<std::pair<Type, int>> Vectors = {{UInt(8), 64}};
+  for (Type Elem : {UInt(8), UInt(16), Float(32)})
+    for (int L : {12, 16, 24, 32})
+      Vectors.emplace_back(Elem, L);
+  for (const auto &[Elem, L] : Vectors) {
+    SCOPED_TRACE(Elem.str() + " at " + std::to_string(L) + " lanes");
+    for (bool WithinImage : {true, false}) {
+      ImageParam In(Elem, 2, "vor_in");
+      Var x("x"), y("y");
+      Func F("vor_out");
+      Expr W = In.width(), Hi = WithinImage ? W - 1 : Expr(1000);
+      auto Clamp = [&](Expr I) { return clamp(I, 0, Hi); };
+      Expr Sum = WithinImage ? Tap(In, Clamp(x - 3)) +
+                                   Tap(In, Clamp(W + 2 - x)) +
+                                   Tap(In, Clamp(x * 2 - 3)) +
+                                   Tap(In, Clamp(W + 2 - x * 2))
+                             : Tap(In, Clamp(x - 2)) +
+                                   Tap(In, Clamp(W - 1 - x)) +
+                                   Tap(In, Clamp(x * 2 + W - 2 * L + 1)) +
+                                   Tap(In, Clamp(W - 1 - x * 2));
+      F(x, y) = Sum + y;
+      F.vectorize(x, L);
+      LoweredPipeline LP = lower(F.function());
+      std::string Source = codegenC(LP, "test_fn");
+      for (const char *Shape : {"_load_clamped(", "_load_clamped_rev(",
+                                "_load_clamped_s2(",
+                                "_load_clamped_rev_s2("})
+        EXPECT_NE(Source.find(Shape), std::string::npos) << Shape;
+      EXPECT_EQ(Source.find("_gather"), std::string::npos);
+      if (WithinImage) {
+        expectGuardedRunsMatchTheVm(LP, F.name(), Elem, 2 * L, 2 * L - 5);
+        expectGuardedRunsMatchTheVm(LP, F.name(), Elem, 2 * L, 3 * L + 1);
+        expectGuardedRunsMatchTheVm(LP, F.name(), Elem, L, 5);
+      } else {
+        expectGuardedRunsMatchTheVm(LP, F.name(), Elem, L, L - 2);
+      }
+    }
+  }
+
+  // A gather into a padded vector: 6 lanes of f32 at x * x, whose padding
+  // lanes hold the indices 36 and 49, past the 26-element image.
+  {
+    ImageParam In(Float(32), 2, "vor_in");
+    Var x("x"), y("y");
+    Func F("vor_out");
+    F(x, y) = cast(Int(32), In(x * x, 0) * 4.0f) + y;
+    F.vectorize(x, 6);
+    LoweredPipeline LP = lower(F.function());
+    EXPECT_NE(codegenC(LP, "test_fn").find("hl_f32x6_gather_i32("),
+              std::string::npos);
+    expectGuardedRunsMatchTheVm(LP, F.name(), Float(32), 6, 26);
   }
 }
 
