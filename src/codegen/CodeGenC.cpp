@@ -661,80 +661,21 @@ private:
     return true;
   }
 
-  /// The AVX-512 masked load of a \p Bytes-wide (16, 32 or 64) vector of
-  /// \p Elem: its builtin and the C element type of the builtin's pointer
-  /// and vector operands.
-  static std::pair<std::string, std::string> maskedLoadBuiltin(Type Elem,
-                                                               int Bytes) {
-    const std::string Bits = std::to_string(Bytes * 8);
-    if (Elem.isFloat())
-      return Elem.Bits == 32
-                 ? std::pair{"__builtin_ia32_loadups" + Bits + "_mask", "float"}
-                 : std::pair{"__builtin_ia32_loadupd" + Bits + "_mask",
-                             "double"};
-    switch (elemBytes(Elem)) {
-    case 1:
-      return {"__builtin_ia32_loaddquqi" + Bits + "_mask", "char"};
-    case 2:
-      return {"__builtin_ia32_loaddquhi" + Bits + "_mask", "short"};
-    case 4:
-      return {"__builtin_ia32_loaddqusi" + Bits + "_mask", "int"};
-    default:
-      return {"__builtin_ia32_loaddqudi" + Bits + "_mask", "long long"};
-    }
-  }
-
   /// Load of p's first n elements, n clamped to [0, P] for a native vector
-  /// of P lanes, into a zeroed vector, reading nothing past them. With
-  /// AVX-512BW and VL it is one fault-suppressing masked load per 64 bytes
-  /// (a vector narrower than 16 bytes loads through a 16-byte one);
-  /// otherwise a memcpy of the n elements.
+  /// of P lanes, into a zeroed vector: a memcpy of the n elements, which
+  /// reads nothing past them.
   std::string vectorSpanLoadHelper(Type T) {
     needVectorType(T);
     std::string VT = vecCType(T), CT = scalarCType(T.element());
     std::string Name = VT + "_load_span";
     if (EmittedHelpers.count(Name))
       return Name;
-    const int P = nativeLanes(T), Bytes = P * elemBytes(T);
-    const int Piece = std::clamp(Bytes, 16, 64);
-    const int PieceLanes = Piece / elemBytes(T);
-    const auto [Builtin, Elem] = maskedLoadBuiltin(T.element(), Piece);
-    const std::string WT =
-        Elem + " __attribute__((vector_size(" + std::to_string(Piece) + ")))";
-    std::string Masked;
-    for (int K = 0; K * Piece < Bytes; ++K) {
-      // The lanes this piece loads: n itself when there is one piece.
-      std::string Count = "n";
-      if (Bytes > Piece) {
-        Count = "m" + std::to_string(K);
-        const std::string Max = std::to_string(PieceLanes);
-        Masked += "  int32_t " + Count + " = n - " +
-                  std::to_string(K * PieceLanes) + ";\n  " + Count + " = " +
-                  Count + " < 0 ? 0 : " + Count + " > " + Max + " ? " + Max +
-                  " : " + Count + ";\n";
-      }
-      // A shift by 64 is undefined, so a 64-lane piece tests for it.
-      std::string Bits = "(1ULL << " + Count + ") - 1";
-      if (PieceLanes == 64)
-        Bits = Count + " < 64 ? " + Bits + " : ~0ULL";
-      const std::string W = "w" + std::to_string(K);
-      Masked += "  " + WT + " " + W + " = " + Builtin + "((const " + Elem +
-                " *)p" +
-                (K ? " + " + std::to_string(K * PieceLanes) : std::string()) +
-                ", (" + WT + "){0}, " + Bits + ");\n  memcpy(" +
-                (K ? "(char *)&r + " + std::to_string(K * Piece) : "&r") +
-                ", &" + W + ", " + std::to_string(std::min(Piece, Bytes)) +
-                ");\n";
-    }
-    needHelper(Name,
-               "static inline " + VT + " " + Name + "(const " + CT +
-                   " *p, int32_t n) {\n  n = n < 0 ? 0 : n > " +
-                   std::to_string(P) + " ? " + std::to_string(P) +
-                   " : n;\n#if defined(__AVX512BW__) && "
-                   "defined(__AVX512VL__)\n  " +
-                   VT + " r;\n" + Masked + "#else\n  " + VT +
-                   " r = {0};\n  memcpy(&r, p, n * sizeof(*p));\n#endif\n"
-                   "  return r;\n}");
+    const std::string P = std::to_string(nativeLanes(T));
+    needHelper(Name, "static inline " + VT + " " + Name + "(const " + CT +
+                         " *p, int32_t n) {\n  n = n < 0 ? 0 : n > " + P +
+                         " ? " + P + " : n;\n  " + VT +
+                         " r = {0};\n  memcpy(&r, p, n * sizeof(*p));\n"
+                         "  return r;\n}");
     return Name;
   }
 
@@ -847,10 +788,9 @@ private:
 
   /// Lanes read p[idx[l]]. A gather of 32-bit elements by 32-bit indices
   /// into a native vector of 4 or 8 lanes is the AVX2 gather instruction,
-  /// and of 16 lanes the AVX-512 one, masked to the vector's own lanes so
-  /// a padded vector's extra lanes read nothing; every other gather, and
-  /// every gather on a host without those instructions, is a lane-list
-  /// constructor.
+  /// masked to the vector's own lanes so a padded vector's extra lanes
+  /// read nothing; every other gather, and every gather on a host without
+  /// AVX2, is a lane-list constructor.
   std::string vectorGatherHelper(Type T, Type IndexT) {
     needVectorType(T);
     needVectorType(IndexT);
@@ -862,24 +802,17 @@ private:
     });
     const int L = T.Lanes, P = nativeLanes(T);
     if (T.element().Bits == 32 && IndexT.element() == Int(32) &&
-        (P == 4 || P == 8 || P == 16)) {
+        (P == 4 || P == 8)) {
       const bool Float = T.element().isFloat();
       // The builtins take float vectors for f32 and int ones otherwise;
-      // the index vector is an int vector of the same lanes.
+      // the index and mask vectors are int vectors of the same lanes.
       const std::string Src = "(" + (Float ? VT : IVT) + "){0}";
-      std::string Mask, Guard;
-      if (P == 16) {
-        Guard = "defined(__AVX512F__)";
-        Mask = "(unsigned short)" + std::to_string((1u << L) - 1);
-      } else {
-        Guard = "defined(__AVX2__)";
-        Mask = "(" + IVT + ")" + laneList(P, [&](int Lane) {
-                 return std::string(Lane < L ? "-1" : "0");
-               });
-        if (Float)
-          Mask = "(" + VT + ")" + Mask;
-      }
-      Body = "#if " + Guard + "\n  return (" + VT +
+      std::string Mask = "(" + IVT + ")" + laneList(P, [&](int Lane) {
+                           return std::string(Lane < L ? "-1" : "0");
+                         });
+      if (Float)
+        Mask = "(" + VT + ")" + Mask;
+      Body = "#if defined(__AVX2__)\n  return (" + VT +
              ")__builtin_ia32_gathersiv" + std::to_string(P) +
              (Float ? "sf" : "si") + "(" + Src + ", (const " +
              (Float ? "float" : "int") + " *)p, idx, " + Mask +

@@ -98,10 +98,9 @@ TEST(AppsTest, BlurTunedMatchesBreadthFirst) {
 }
 
 TEST(AppsTest, BlurTunedRunsAtWidthsThatAreNotMultiplesOf32) {
-  // Tuned blur's blurx runs 32 lanes and its output 16: at 80x48 and 48x32,
-  // multiples of 16 but not of 32, both engines must run the tuned
-  // schedule and equal breadth-first. An output vectorized by 32 aborts
-  // here.
+  // Tuned blur vectorizes its output by 16: at 80x48 and 48x32, multiples
+  // of 16 but not of 32, both engines must run the tuned schedule and
+  // equal breadth-first. An output vectorized by 32 aborts here.
   App A = makeBlurApp();
   for (auto [W, H] : {std::pair{80, 48}, std::pair{48, 32}}) {
     SCOPED_TRACE(std::to_string(W) + "x" + std::to_string(H));
