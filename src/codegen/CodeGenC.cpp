@@ -662,20 +662,48 @@ private:
   }
 
   /// Load of p's first n elements, n clamped to [0, P] for a native vector
-  /// of P lanes, into a zeroed vector: a memcpy of the n elements, which
-  /// reads nothing past them.
+  /// of P lanes, into a zeroed vector, reading nothing past them. With
+  /// AVX-512BW and VL, a vector of at most 64 bytes is one fault-suppressing
+  /// masked load (a vector narrower than 16 bytes loads through a 16-byte
+  /// one); otherwise, and for a wider vector, it is a memcpy of the n
+  /// elements.
   std::string vectorSpanLoadHelper(Type T) {
     needVectorType(T);
     std::string VT = vecCType(T), CT = scalarCType(T.element());
     std::string Name = VT + "_load_span";
     if (EmittedHelpers.count(Name))
       return Name;
-    const std::string P = std::to_string(nativeLanes(T));
+    const int P = nativeLanes(T), E = elemBytes(T), Bytes = P * E;
+    std::string Load =
+        "  " + VT + " r = {0};\n  memcpy(&r, p, n * sizeof(*p));\n";
+    if (Bytes <= 64) {
+      // The integer masked load of the element's width serves every
+      // element type; its bits are copied into r.
+      const int W = std::max(Bytes, 16);
+      const std::string Tag = E == 1   ? "qi"
+                              : E == 2 ? "hi"
+                              : E == 4 ? "si"
+                                       : "di";
+      const std::string Elem = E == 1   ? "char"
+                               : E == 2 ? "short"
+                               : E == 4 ? "int"
+                                        : "long long";
+      const std::string WT =
+          Elem + " __attribute__((vector_size(" + std::to_string(W) + ")))";
+      // A shift by 64 is undefined, so a 64-lane load tests for it.
+      std::string Mask = "(1ULL << n) - 1";
+      if (W / E == 64)
+        Mask = "n < 64 ? " + Mask + " : ~0ULL";
+      Load = "#if defined(__AVX512BW__) && defined(__AVX512VL__)\n  " + VT +
+             " r;\n  " + WT + " w = __builtin_ia32_loaddqu" + Tag +
+             std::to_string(W * 8) + "_mask((const " + Elem + " *)p, (" + WT +
+             "){0}, " + Mask + ");\n  memcpy(&r, &w, " +
+             std::to_string(Bytes) + ");\n#else\n" + Load + "#endif\n";
+    }
     needHelper(Name, "static inline " + VT + " " + Name + "(const " + CT +
-                         " *p, int32_t n) {\n  n = n < 0 ? 0 : n > " + P +
-                         " ? " + P + " : n;\n  " + VT +
-                         " r = {0};\n  memcpy(&r, p, n * sizeof(*p));\n"
-                         "  return r;\n}");
+                         " *p, int32_t n) {\n  n = n < 0 ? 0 : n > " +
+                         std::to_string(P) + " ? " + std::to_string(P) +
+                         " : n;\n" + Load + "  return r;\n}");
     return Name;
   }
 

@@ -370,8 +370,8 @@ TEST(VectorSimdTest, ShapedLoadsReadNothingPastTheImage) {
   // each tap's lanes reach exactly the image's last element from a single
   // lane group that clamps at lo, so a load of L elements from the
   // clamped window's start reads past the image. The f32 values are
-  // 2.5 apart, so no two truncate to one int. 64 lanes of u8 fill a
-  // 64-byte vector.
+  // 2.5 apart, so no two truncate to one int. 64 lanes of u8 fill one
+  // 64-byte masked load; the 128-byte f32 vectors take the memcpy.
   auto Tap = [](ImageParam &In, Expr Index) {
     return cast(Int(32), In(Index, 0));
   };
