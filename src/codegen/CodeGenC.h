@@ -15,8 +15,8 @@
 /// stride ±2 ramps two overlapping loads and a shuffle, clamped stride
 /// ±1/±2 ramps a dense or shuffled load guarded by an inline interior
 /// test (the edge groups load exactly their span and shuffle it), and
-/// anything else a gather, the AVX2 or AVX-512 gather instruction for
-/// 32-bit lanes where the host compiler targets one.
+/// anything else a gather, the AVX2 gather instruction for 4 or 8 native
+/// lanes of 32 bits where the host compiler targets AVX2.
 /// Parallel loops compile to closure structs plus a body function handed to
 /// the runtime's work-stealing task scheduler (section 4.6); GPU block loops
 /// compile to simulated-device kernel launches.
